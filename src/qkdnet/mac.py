@@ -17,12 +17,24 @@ impersonation probability is at most twice the single-message one).
 Reduction polynomials are fixed per word size for bit-exact interop; see
 :data:`REDUCTION_POLYNOMIALS`.  Word sizes without a table entry use the
 lexicographically smallest irreducible polynomial of that degree.
+
+Every Horner step ``acc = acc*x + c`` is one multiply by the fixed hash
+key x.  For w <= 16 it is a log/antilog lookup,
+``exp[log[acc] + log[x]]``, over tables built once per word size from a
+primitive element of the field (Plank, Greenan & Miller, FAST 2013); a
+zero tail in ``exp`` makes zero operands need no branch.  The tables
+cost about 0.2 ms at w = 8 and 2-5 ms and 0.75 MB at w = 16.  Word
+sizes above 16 use the bit-serial shift-and-add multiply.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .bits import BitString
 from .errors import OutOfRange, ParameterViolation
@@ -37,7 +49,7 @@ REDUCTION_POLYNOMIALS = {
     16: 0x1002B,
 }
 
-_TABLE_MAX_W = 8  # flat multiplication tables up to 2^16 entries
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def _mul_generic(a: int, b: int, w: int, poly: int) -> int:
@@ -82,62 +94,108 @@ def reduction_polynomial(w: int) -> int:
     raise ParameterViolation(f"no irreducible polynomial found for w={w}")
 
 
+def _prime_factors(n: int) -> list[int]:
+    factors = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def _gf_pow(a: int, e: int, w: int, poly: int) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = _mul_generic(r, a, w, poly)
+        a = _mul_generic(a, a, w, poly)
+        e >>= 1
+    return r
+
+
+def _mul_vector(v, c: int, w: int, poly: int):
+    """Every element of the uint32 vector ``v`` times the constant ``c``."""
+    acc = np.zeros_like(v)
+    while c:
+        if c & 1:
+            acc ^= v
+        v = v << 1
+        v ^= (v >> w) * poly
+        c >>= 1
+    return acc
+
+
 @lru_cache(maxsize=None)
-def _mul_table(w: int) -> list[int]:
-    """Flat GF(2^w) multiplication table: t[(a << w) | b] = a*b."""
+def _log_tables(w: int):
+    """Antilog and log tables of GF(2^w), 1 <= w <= 16.
+
+    ``exp[i] = g^i`` for a primitive element g, stored twice over
+    (indices 0 .. 2*order - 1) so a sum of two logs needs no reduction.
+    ``log[a]`` is the discrete log of a != 0; ``log[0]`` points at a zero
+    tail of ``exp`` long enough that ``exp[log[a] + log[b]] == a*b``
+    holds for zero operands too.  The powers are filled by doubling
+    (``exp[n:2n] = exp[:n] * g^n``, vectorised).  Lists for w <= 8,
+    compact arrays above.
+    """
     poly = reduction_polynomial(w)
-    size = 1 << w
-    top = 1 << (w - 1)
-    t = [0] * (size * size)
-    for a in range(size):
-        row = a << w
-        for b in range(1, size):
-            v = t[row | (b >> 1)]
-            v = (v << 1) ^ poly if v & top else v << 1
-            t[row | b] = v ^ a if b & 1 else v
-    return t
-
-
-def gf_mul(a: int, b: int, w: int) -> int:
-    """Multiply two GF(2^w) elements (integers below 2^w)."""
-    if w <= _TABLE_MAX_W:
-        return _mul_table(w)[(a << w) | b]
-    return _mul_generic(a, b, w, reduction_polynomial(w))
-
-
-_TABLE8: list[int] | None = None
+    order = (1 << w) - 1
+    exponents = [order // q for q in _prime_factors(order)]
+    g = next(
+        c for c in range(1, 1 << w)
+        if all(_gf_pow(c, e, w, poly) != 1 for e in exponents)
+    )
+    zero = 2 * order
+    exp = np.zeros(2 * zero + 1, np.uint32)
+    exp[0] = 1
+    n, gn = 1, g
+    while n < order:
+        m = min(n, order - n)
+        exp[n:n + m] = _mul_vector(exp[:m], gn, w, poly)
+        gn = _mul_generic(gn, gn, w, poly)
+        n += m
+    exp[order:2 * order] = exp[:order]
+    log = np.zeros(1 << w, np.uint32)
+    log[exp[:order]] = np.arange(order, dtype=np.uint32)
+    log[0] = zero
+    if w <= 8:
+        return exp.tolist(), log.tolist()
+    return (array("H", exp.astype(np.ushort).tobytes()),
+            array("I", log.astype(np.uintc).tobytes()))
 
 
 def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
     """Polynomial hash (no pad key) of ``nbits`` bits held in ``value``."""
-    if w == 8:
-        global _TABLE8
-        t = _TABLE8
-        if t is None:
-            t = _TABLE8 = _mul_table(8)
-        nb = (nbits + 7) >> 3
-        padded = value << ((nb << 3) - nbits) if nbits else 0
-        acc = 0
-        for c in padded.to_bytes(nb, "big"):
-            acc = t[(acc << 8) | x] ^ c
-        acc = t[(acc << 8) | x] ^ (nbits & 255)
-        return t[(acc << 8) | x]
     mask = (1 << w) - 1
     nb = (nbits + w - 1) // w
     padded = value << (nb * w - nbits) if nbits else 0
-    if w <= _TABLE_MAX_W:
-        t = _mul_table(w)
+    if w > 16:
+        poly = reduction_polynomial(w)
         acc = 0
         for i in range((nb - 1) * w, -1, -w):
-            acc = t[(acc << w) | x] ^ ((padded >> i) & mask)
-        acc = t[(acc << w) | x] ^ (nbits & mask)
-        return t[(acc << w) | x]
-    poly = reduction_polynomial(w)
+            acc = _mul_generic(acc, x, w, poly) ^ ((padded >> i) & mask)
+        acc = _mul_generic(acc, x, w, poly) ^ (nbits & mask)
+        return _mul_generic(acc, x, w, poly)
+    exp, log = _log_tables(w)
+    lx = log[x]
     acc = 0
-    for i in range((nb - 1) * w, -1, -w):
-        acc = _mul_generic(acc, x, w, poly) ^ ((padded >> i) & mask)
-    acc = _mul_generic(acc, x, w, poly) ^ (nbits & mask)
-    return _mul_generic(acc, x, w, poly)
+    if w & 7:
+        for i in range((nb - 1) * w, -1, -w):
+            acc = exp[log[acc] + lx] ^ ((padded >> i) & mask)
+    else:  # w is 8 or 16: whole bytes, read as big-endian blocks
+        blocks = padded.to_bytes(nb * (w >> 3), "big")
+        if w == 16:
+            blocks = array("H", blocks)
+            if _LITTLE_ENDIAN:
+                blocks.byteswap()
+        for c in blocks:
+            acc = exp[log[acc] + lx] ^ c
+    acc = exp[log[acc] + lx] ^ (nbits & mask)
+    return exp[log[acc] + lx]
 
 
 def _tag_value(w: int, key2w: int, value: int, nbits: int) -> int:

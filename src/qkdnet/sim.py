@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .adversary import (
     AdversaryConfig,
@@ -66,6 +66,24 @@ def _require(condition, message):
         raise ValidationError(message)
 
 
+def _coerce(kind, value, what):
+    """``kind(value)``, with a malformed value reported as ValidationError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{what} must be {noun}, got {value!r}") from exc
+
+
+def _strings(value, what):
+    _require(
+        isinstance(value, (list, tuple))
+        and all(isinstance(v, str) for v in value),
+        f"{what} must be a list of strings, got {value!r}",
+    )
+    return value
+
+
 def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a path, JSON text, or dict.
 
@@ -103,14 +121,16 @@ def load_scenario(source) -> Scenario:
     )
     _require(len(set(nodes)) == len(nodes), "node names must be unique")
 
+    _require(isinstance(doc["links"], list), "links must be a list")
     links = []
     for entry in doc["links"]:
         _require(isinstance(entry, dict), "each link must be an object")
         _require("a" in entry and "b" in entry, "link needs endpoints a and b")
         links.append(QkdLink(
             entry["a"], entry["b"],
-            distance_km=float(entry.get("distance_km", 0.0)),
-            epsilon=float(entry.get("epsilon", 0.0)),
+            distance_km=_coerce(float, entry.get("distance_km", 0.0),
+                                "link 'distance_km'"),
+            epsilon=_coerce(float, entry.get("epsilon", 0.0), "link 'epsilon'"),
             alive=bool(entry.get("alive", True)),
         ))
     graph = NetworkGraph(nodes, links)
@@ -125,35 +145,40 @@ def load_scenario(source) -> Scenario:
     _require(a != b, "endpoints must be distinct")
 
     p = doc["params"]
+    _require(isinstance(p, dict), "params must be an object")
     for field_name in ("n", "s", "m", "ell"):
         _require(field_name in p, f"params missing {field_name!r}")
+    n, s, m, ell = (
+        _coerce(int, p[k], f"params {k!r}") for k in ("n", "s", "m", "ell")
+    )
     link_eps = max((l.epsilon for l in links), default=0.0)
+    epsilon = _coerce(float, p.get("epsilon", link_eps), "params 'epsilon'")
     try:
-        params = SecurityParams(
-            n=int(p["n"]), s=int(p["s"]), m=int(p["m"]), ell=int(p["ell"]),
-            epsilon=float(p.get("epsilon", link_eps)),
-        )
+        params = SecurityParams(n=n, s=s, m=m, ell=ell, epsilon=epsilon)
     except ParameterViolation as exc:
         raise ValidationError(str(exc)) from exc
     if "w" in p:
         _require(
-            int(p["w"]) * 2 == params.s,
+            _coerce(int, p["w"], "params 'w'") * 2 == params.s,
             f"w={p['w']} inconsistent with s={params.s} (s = 2w required)",
         )
 
     adversary = None
     if "adversary" in doc and doc["adversary"]:
         adv = doc["adversary"]
-        corrupted = adv.get("corrupted", [])
-        strategies = tuple(adv.get("strategies", ["passive"])) or ("passive",)
+        _require(isinstance(adv, dict), "adversary must be an object")
+        corrupted = _strings(adv.get("corrupted", []), "adversary 'corrupted'")
+        strategies = _strings(adv.get("strategies", ["passive"]),
+                              "adversary 'strategies'")
         adversary = corrupt(
-            graph, corrupted, int(adv.get("t", len(corrupted))),
-            endpoints=(a, b), strategies=strategies,
+            graph, corrupted,
+            _coerce(int, adv.get("t", len(corrupted)), "adversary 't'"),
+            endpoints=(a, b), strategies=tuple(strategies) or ("passive",),
         )
 
-    trials = int(doc.get("trials", 1000))
+    trials = _coerce(int, doc.get("trials", 1000), "'trials'")
     _require(trials >= 1, "trials must be >= 1")
-    seed = int(doc.get("seed", 0))
+    seed = _coerce(int, doc.get("seed", 0), "'seed'")
 
     try:
         vertex_disjoint_paths(graph, a, b, params.ell)
@@ -258,11 +283,11 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.99):
     if successes == 0:
         low = 0.0
     else:
-        low = float(_beta_dist.ppf(alpha / 2, successes, trials - successes + 1))
+        low = float(betaincinv(successes, trials - successes + 1, alpha / 2))
     if successes == trials:
         high = 1.0
     else:
-        high = float(_beta_dist.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        high = float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return low, high
 
 

@@ -58,14 +58,6 @@ class LinkKeyPool:
         """(nbits, compromised) for every epoch ever generated."""
         return [(e.nbits, e.compromised) for e in self._epochs]
 
-    def compromised_bits(self) -> list[BitString]:
-        """Bit content of compromised epochs (what the adversary learned)."""
-        return [
-            BitString.from_int(e.value, e.nbits)
-            for e in self._epochs
-            if e.compromised
-        ]
-
     def _append_epoch(self, value: int, nbits: int, compromised: bool):
         self._epochs.append(_Epoch(value, nbits, compromised))
         self.available += nbits
@@ -138,9 +130,11 @@ def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int):
 
     The in-model wire is never attacked (the adversary acts at corrupted
     nodes, which are legitimate hop endpoints), so the receiver-side tag
-    check provably passes and the tag is computed once.  Pool bits are
-    drawn in one call but assigned exactly as in :func:`hop_send`: pad
-    first, then the 2w-bit hop MAC key.
+    check provably passes.  The hop tag is still computed and then
+    discarded: that work changes no result and is a known waste, kept
+    for now because the benchmark pins the per-trial hash-call counts.
+    Pool bits are drawn in one call but assigned exactly as in
+    :func:`hop_send`: pad first, then the 2w-bit hop MAC key.
     """
     combined, leaked = pool.take(nbits + 2 * w)
     mac_key = combined & ((1 << (2 * w)) - 1)

@@ -1,20 +1,26 @@
 import json
 
+import pytest
+
 from qkdnet.cli import main
+from qkdnet.errors import ValidationError
+from qkdnet.sim import load_scenario
+
+
+PARAMS = {"n": 64, "s": 16, "m": 4, "ell": 2, "w": 8}
+CHAIN_LINKS = [
+    {"a": "alice", "b": "n1"}, {"a": "n1", "b": "n2"}, {"a": "n2", "b": "bob"},
+    {"a": "alice", "b": "n3"}, {"a": "n3", "b": "n4"}, {"a": "n4", "b": "bob"},
+]
 
 
 def two_chains_scenario_file(tmp_path, **overrides):
     doc = {
         "name": "two-chains",
         "nodes": ["alice", "n1", "n2", "n3", "n4", "bob"],
-        "links": [
-            {"a": "alice", "b": "n1"}, {"a": "n1", "b": "n2"},
-            {"a": "n2", "b": "bob"},
-            {"a": "alice", "b": "n3"}, {"a": "n3", "b": "n4"},
-            {"a": "n4", "b": "bob"},
-        ],
+        "links": CHAIN_LINKS,
         "endpoints": ["alice", "bob"],
-        "params": {"n": 64, "s": 16, "m": 4, "ell": 2, "w": 8},
+        "params": PARAMS,
         "trials": 15,
         "seed": 3,
     }
@@ -100,3 +106,64 @@ class TestOracle:
         assert rc == 0
         assert "all exact" in out
         assert "parity_miss" in out
+
+
+def _run_malformed(tmp_path, capsys, doc):
+    rc = main(["run", "--scenario", two_chains_scenario_file(tmp_path, **doc)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def _with_link_field(field, value):
+    links = [dict(link) for link in CHAIN_LINKS]
+    links[0][field] = value
+    return {"links": links}
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("field,value", [
+        ("n", "x"), ("s", None), ("m", [4]), ("ell", "two"), ("w", "eight"),
+        ("epsilon", "small"),
+    ])
+    def test_non_numeric_param(self, tmp_path, capsys, field, value):
+        err = _run_malformed(tmp_path, capsys,
+                             {"params": {**PARAMS, field: value}})
+        assert f"params '{field}'" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", "many"), ("seed", {"s": 1}),
+    ])
+    def test_non_numeric_top_level(self, tmp_path, capsys, field, value):
+        err = _run_malformed(tmp_path, capsys, {field: value})
+        assert f"'{field}'" in err
+
+    @pytest.mark.parametrize("field", ["epsilon", "distance_km"])
+    def test_non_numeric_link_field(self, tmp_path, capsys, field):
+        err = _run_malformed(tmp_path, capsys, _with_link_field(field, "far"))
+        assert f"link '{field}'" in err
+
+    def test_non_numeric_t(self, tmp_path, capsys):
+        err = _run_malformed(tmp_path, capsys, {"adversary": {
+            "corrupted": ["n1"], "t": "one"}})
+        assert "adversary 't'" in err
+
+    def test_corrupted_string_is_not_iterated(self, tmp_path, capsys):
+        # "n1" iterated by character would be the node set {"n", "1"}.
+        err = _run_malformed(tmp_path, capsys, {"adversary": {
+            "corrupted": "n1", "t": 1}})
+        assert "adversary 'corrupted' must be a list of strings" in err
+
+    def test_strategies_string_is_not_iterated(self, tmp_path, capsys):
+        err = _run_malformed(tmp_path, capsys, {"adversary": {
+            "corrupted": ["n1"], "t": 1, "strategies": "passive"}})
+        assert "adversary 'strategies' must be a list of strings" in err
+
+    def test_load_scenario_raises_validation_error(self):
+        with pytest.raises(ValidationError, match="params 'n'"):
+            load_scenario({
+                "nodes": ["alice", "bob"], "links": [{"a": "alice", "b": "bob"}],
+                "endpoints": ["alice", "bob"],
+                "params": {**PARAMS, "n": "x", "ell": 1},
+            })

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdnet.bits import BitString
 from qkdnet.errors import OutOfRange
@@ -9,6 +11,9 @@ from qkdnet.mac import (
     MacKey,
     MacParams,
     Tag,
+    _hash_value,
+    _log_tables,
+    _mul_generic,
     impersonation_bound,
     reduction_polynomial,
     split_for_two_messages,
@@ -280,3 +285,75 @@ class TestTwoMessageSplit:
                 counts[kb] = counts.get(kb, 0) + 1
             assert len(counts) == 1 << (2 * w)
             assert len(set(counts.values())) == 1
+
+
+def horner_reference(w, x, value, nbits):
+    """Bit-serial Horner evaluation of the hash, one block at a time."""
+    poly = reduction_polynomial(w)
+    nb = -(-nbits // w)
+    padded = value << (nb * w - nbits)
+    blocks = [(padded >> (w * (nb - 1 - i))) % (1 << w) for i in range(nb)]
+    acc = 0
+    for c in blocks + [nbits % (1 << w)]:
+        acc = _mul_generic(acc, x, w, poly) ^ c
+    return _mul_generic(acc, x, w, poly)
+
+
+@st.composite
+def hash_inputs(draw):
+    w = draw(st.integers(1, 17))
+    nbits = draw(st.integers(0, 6 * w + 5))
+    x = draw(st.integers(0, (1 << w) - 1))
+    value = draw(st.integers(0, (1 << nbits) - 1))
+    return w, x, value, nbits
+
+
+class TestHashKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(hash_inputs())
+    def test_matches_bit_serial_reference(self, args):
+        assert _hash_value(*args) == horner_reference(*args)
+
+    @pytest.mark.parametrize("w", range(1, 18))
+    def test_edge_cases_every_word_size(self, w):
+        ones = (1 << w) - 1
+        cases = [
+            (0, 0, 0),                           # empty message, zero key
+            (ones, 0, 0),                        # empty message
+            (0, (1 << (3 * w)) - 1, 3 * w),      # zero key
+            (ones, (1 << (3 * w)) - 1, 3 * w),   # all ones
+            (ones, (1 << (2 * w + 1)) - 1, 2 * w + 1),  # partial last block
+            (1, 1, 2 * w + 1),
+        ]
+        for x, value, nbits in cases:
+            assert _hash_value(w, x, value, nbits) == horner_reference(
+                w, x, value, nbits), (x, value, nbits)
+        assert _hash_value(w, 0, 0, 0) == 0
+
+    def test_block_order_is_big_endian(self):
+        # Blocks [1, 0] then length 32, key x = 2 (the polynomial x):
+        # x^3 + 0*x^2 + 32*x = 8 ^ 64 with no reduction.  Reversed blocks
+        # give 4 ^ 64; little-endian bytes inside a block give 2048 ^ 64.
+        assert _hash_value(16, 2, 0x0001_0000, 32) == 8 ^ 64
+        assert _hash_value(8, 2, 0x01_00, 16) == 8 ^ 32
+
+    @pytest.mark.parametrize("w", range(1, 17))
+    def test_log_tables_are_inverse_bijections(self, w):
+        exp, log = _log_tables(w)
+        order = (1 << w) - 1
+        nonzero = range(1, 1 << w)
+        assert sorted(exp[:order]) == list(nonzero)
+        assert all(log[exp[i]] == i for i in range(order))
+        assert all(exp[log[a]] == a for a in nonzero)
+        assert all(exp[log[a] + log[0]] == 0 for a in range(1 << w))
+
+    @pytest.mark.parametrize("w", range(1, 17))
+    def test_log_tables_multiply(self, w):
+        exp, log = _log_tables(w)
+        poly = reduction_polynomial(w)
+        rng = random.Random(w)
+        pairs = [(0, 0), (0, 1), (1, 0), ((1 << w) - 1, (1 << w) - 1)] + [
+            (rng.randrange(1 << w), rng.randrange(1 << w)) for _ in range(200)
+        ]
+        for a, b in pairs:
+            assert exp[log[a] + log[b]] == _mul_generic(a, b, w, poly)

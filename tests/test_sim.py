@@ -167,6 +167,21 @@ class TestClopperPearson:
             low, high = clopper_pearson(k, n)
             assert low <= k / n <= high
 
+    @pytest.mark.parametrize("k,n,confidence,expected", [
+        (0, 1, 0.99, (0.0, 0.995)),
+        (1, 1, 0.99, (0.0050000000000000044, 1.0)),
+        (3, 10, 0.99, (0.03700722109623209, 0.7351139852871307)),
+        (3, 10, 0.95, (0.0667395111777345, 0.6524528500599973)),
+        (0, 100000, 0.99, (0.0, 5.2981770081923407e-05)),
+        (100000, 100000, 0.99, (0.999947018229918, 1.0)),
+        (7, 100000, 0.99, (2.0373778463446272e-05, 0.0001713272515971727)),
+        (99123, 100000, 0.99, (0.990441776329295, 0.9919710685142382)),
+    ])
+    def test_pinned_endpoints(self, k, n, confidence, expected):
+        # Exact floats recorded from scipy.stats.beta.ppf; summary.json
+        # prints these endpoints, so replay depends on every bit.
+        assert clopper_pearson(k, n, confidence) == expected
+
 
 class TestCheckBounds:
     def test_frozen_example(self):
