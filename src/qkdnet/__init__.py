@@ -57,10 +57,8 @@ from .sim import (
     run_trial,
 )
 from .transport import (
-    HopMessage,
     LinkKeyPool,
     classical_send,
-    hop_send,
     path_forward_key,
     qkd_generate,
 )

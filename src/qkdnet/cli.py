@@ -9,7 +9,8 @@ Subcommands:
   oracle [--max-bits B]
 
 ``run`` exits 0 only when the empirical estimate passes the agreement
-bound; ``oracle`` exits 0 only when every exhaustive check is exact.
+bound (a vacuous bound prints VACUOUS and exits 1); ``oracle`` exits 0
+only when every exhaustive check is exact.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ def _cmd_run(args) -> int:
     if st.degenerate:
         print("warning: single-trial interval is degenerate")
     print(f"verdict: {st.verdict}")
+    if st.verdict == "VACUOUS":
+        print("note: the bound is vacuous "
+              "(agreement_bound <= 0 or privacy_bound >= 1)")
     if args.out:
         emit_report(st, run.results, args.out,
                     scenario_name=scenario.name, master_seed=seed)

@@ -47,10 +47,6 @@ class LinkDown(QkdNetError):
     """The link has aborted (eavesdropping-induced or administrative)."""
 
 
-class AuthFailure(QkdNetError):
-    """Hop-level message authentication failed; signals tampering on a hop."""
-
-
 class BoundExceeded(QkdNetError):
     """More nodes corrupted than the adversary's t-bound allows."""
 

@@ -21,6 +21,20 @@ A session between two endpoints runs in four phases:
 
 The reserved MAC prefix is 2s bits (two independent sub-keys of s bits,
 one per direction), so the tested remainder has n - 2s bits.
+
+:func:`full_session` runs the four phases on plain integers: the XOR of
+the shares, the key parts from :func:`_key_parts` (first sub-key, second
+sub-key, remainder) and the wire payloads of the challenge and the
+response never become objects.  The phase helpers ``_make_challenge``,
+``_verify_challenge``, ``_make_response`` and ``_verify_response`` take
+those integers, and the challenge message is built and parsed only by
+``_encode_challenge`` / ``_decode_challenge``.  The public
+:class:`BitString` API (:func:`make_challenge`, :func:`verify_challenge`,
+:func:`make_response`, :func:`verify_response`,
+:func:`multipath_establish`, :func:`split_session_key`,
+:func:`encode_challenge`, :func:`decode_challenge`) converts its
+arguments once and calls the same helpers, so both levels compute the
+same bits.
 """
 
 from __future__ import annotations
@@ -34,9 +48,10 @@ from .adversary import (
     ScriptedAdversary,
     disclose,
 )
-from .bits import BitString, split_key, xor_combine
+from .bits import BitString
 from .errors import LengthMismatch, OutOfRange, ParameterViolation
-from .mac import MacKey, MacParams, Tag, _tag_value, tag as mac_tag
+from .mac import MacKey, MacParams, Tag, _tag_value
+from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
 from .network import NetworkGraph, PathSet, vertex_disjoint_paths
 from .transport import (
     LinkKeyPool,
@@ -112,6 +127,139 @@ class SecurityParams:
         return self.n + self.challenge_bits + 8 * w + 1
 
 
+# --- integer-level kernel ---------------------------------------------------
+
+
+def _key_parts(key: int, params: SecurityParams) -> tuple[int, int, int]:
+    """(first sub-key, second sub-key, remainder) of an n-bit key value.
+
+    The key's leading s bits are the first sub-key, the next s bits the
+    second, and the last n - 2s bits the remainder.
+    """
+    tb = params.test_bits
+    s = params.s
+    return key >> (tb + s), (key >> tb) & ((1 << s) - 1), key & ((1 << tb) - 1)
+
+
+def _encode_challenge(lambdas, parities, test_bits: int) -> int:
+    """Challenge message ``lambda_1 || p_1 || ... || lambda_m || p_m``."""
+    acc = 0
+    for lam, p in zip(lambdas, parities):
+        acc = (acc << (test_bits + 1)) | (lam << 1) | p
+    return acc
+
+
+def _decode_challenge(message: int, test_bits: int, m: int):
+    """Inverse of :func:`_encode_challenge`: (vectors, parities) lists."""
+    chunk_mask = (1 << (test_bits + 1)) - 1
+    lambdas, parities = [], []
+    for v in range(m - 1, -1, -1):
+        chunk = (message >> (v * (test_bits + 1))) & chunk_mask
+        lambdas.append(chunk >> 1)
+        parities.append(chunk & 1)
+    return lambdas, parities
+
+
+def _make_challenge(auth_first: int, remainder: int, params: SecurityParams, rng):
+    """Draw m parity vectors (index order) against ``remainder``.
+
+    Returns the vectors as bit strings and the wire payload, message ||
+    tag under ``auth_first``, as an integer of challenge_bits + w bits.
+    """
+    tb = params.test_bits
+    w = params.word_bits
+    values = [rng.getrandbits(tb) for _ in range(params.m)]
+    message = _encode_challenge(
+        values, [(lam & remainder).bit_count() & 1 for lam in values], tb
+    )
+    tag = _tag_value(w, auth_first, message, params.challenge_bits)
+    return (
+        tuple(BitString.from_int(lam, tb) for lam in values),
+        (message << w) | tag,
+    )
+
+
+def _verify_challenge(received, auth_first: int, remainder: int,
+                      params: SecurityParams) -> ChallengeOutcome:
+    w = params.word_bits
+    cb = params.challenge_bits
+    tag_mask = (1 << w) - 1
+    accepted = None
+    message = 0
+    for h, payload in enumerate(received):
+        if payload is None or payload.length != cb + w:
+            continue
+        pv = payload.value
+        message = pv >> w
+        if _tag_value(w, auth_first, message, cb) == pv & tag_mask:
+            accepted = h
+            break
+    if accepted is None:
+        return ChallengeOutcome(0, None, None, frozenset())
+    identified = frozenset(
+        i for i, payload in enumerate(received)
+        if payload != received[accepted]
+    )
+    tb = params.test_bits
+    values, parities = _decode_challenge(message, tb, params.m)
+    ok = all(
+        (lam & remainder).bit_count() & 1 == p
+        for lam, p in zip(values, parities)
+    )
+    lambdas = tuple(BitString.from_int(lam, tb) for lam in values)
+    return ChallengeOutcome(1 if ok else 0, accepted, lambdas, identified)
+
+
+def _make_response(result: int, auth_second: int, params: SecurityParams) -> int:
+    """Wire payload (result bit || tag under ``auth_second``) as an integer."""
+    if result not in (0, 1):
+        raise OutOfRange(f"result must be a bit, got {result}")
+    w = params.word_bits
+    return (result << w) | _tag_value(w, auth_second, result, 1)
+
+
+def _verify_response(received, auth_second: int,
+                     params: SecurityParams) -> ResponseOutcome:
+    w = params.word_bits
+    tag_mask = (1 << w) - 1
+    for h, payload in enumerate(received):
+        if payload is None or payload.length != 1 + w:
+            continue
+        pv = payload.value
+        bit = pv >> w
+        if _tag_value(w, auth_second, bit, 1) == pv & tag_mask:
+            identified = frozenset(
+                i for i, p in enumerate(received) if p != payload
+            )
+            return ResponseOutcome(bit, h, identified)
+    return ResponseOutcome(0, None, frozenset())
+
+
+def _establish(hop_lists, n: int, w: int, rng, interceptor):
+    """One fresh n-bit share per path, drawn and forwarded in path order.
+
+    Returns the sent share values and the received shares (bit strings,
+    possibly substituted in length by an interceptor).
+    """
+    sent = []
+    received = []
+    for i, hops in enumerate(hop_lists):
+        share = rng.getrandbits(n)
+        sent.append(share)
+        received.append(_forward_key_over(hops, share, n, w, interceptor, i))
+    return sent, received
+
+
+def _xor_values(values) -> int:
+    acc = 0
+    for v in values:
+        acc ^= v
+    return acc
+
+
+# --- public BitString API -----------------------------------------------------
+
+
 @dataclass(frozen=True)
 class SessionKeyParts:
     """A full key split into the two MAC sub-keys and the remainder."""
@@ -121,14 +269,22 @@ class SessionKeyParts:
     remainder: BitString
 
 
-def split_session_key(full_key: BitString, params: SecurityParams) -> SessionKeyParts:
+def _full_key_parts(full_key: BitString, params: SecurityParams):
     if full_key.length != params.n:
         raise OutOfRange(
             f"full key has {full_key.length} bits, params require {params.n}"
         )
-    prefix, remainder = split_key(full_key, params.reserved_bits)
-    first, second = split_key(prefix, params.s)
-    return SessionKeyParts(MacKey(first), MacKey(second), remainder)
+    return _key_parts(full_key.value, params)
+
+
+def split_session_key(full_key: BitString, params: SecurityParams) -> SessionKeyParts:
+    first, second, remainder = _full_key_parts(full_key, params)
+    s = params.s
+    return SessionKeyParts(
+        MacKey(BitString.from_int(first, s)),
+        MacKey(BitString.from_int(second, s)),
+        BitString.from_int(remainder, params.test_bits),
+    )
 
 
 @dataclass(frozen=True)
@@ -146,42 +302,21 @@ class Challenge:
 
 
 def encode_challenge(lambdas, parities, test_bits: int) -> BitString:
-    acc = 0
-    for lam, p in zip(lambdas, parities):
-        acc = (acc << (test_bits + 1)) | (lam.value << 1) | p
-    return BitString.from_int(acc, len(lambdas) * (test_bits + 1))
+    return BitString.from_int(
+        _encode_challenge([lam.value for lam in lambdas], parities, test_bits),
+        len(lambdas) * (test_bits + 1),
+    )
 
 
 def decode_challenge(message: BitString, params: SecurityParams):
     """Inverse of encode_challenge; None if the length is malformed."""
-    tb = params.test_bits
     if message.length != params.challenge_bits:
         return None
-    lambdas, parities = [], []
-    value = message.value
-    for v in range(params.m - 1, -1, -1):
-        chunk = (value >> (v * (tb + 1))) & ((1 << (tb + 1)) - 1)
-        lambdas.append(BitString.from_int(chunk >> 1, tb))
-        parities.append(chunk & 1)
-    return tuple(lambdas), tuple(parities)
-
-
-def _make_challenge(parts: SessionKeyParts, params: SecurityParams, rng) -> Challenge:
     tb = params.test_bits
-    rem = parts.remainder.value
-    acc = 0
-    lambdas = []
-    parities = []
-    for _ in range(params.m):
-        lam = rng.getrandbits(tb)
-        p = (lam & rem).bit_count() & 1
-        acc = (acc << (tb + 1)) | (lam << 1) | p
-        lambdas.append(BitString.from_int(lam, tb))
-        parities.append(p)
-    message = BitString.from_int(acc, params.challenge_bits)
-    return Challenge(
-        tuple(lambdas), tuple(parities), message,
-        mac_tag(parts.auth_first, message),
+    values, parities = _decode_challenge(message.value, tb, params.m)
+    return (
+        tuple(BitString.from_int(lam, tb) for lam in values),
+        tuple(parities),
     )
 
 
@@ -190,17 +325,26 @@ def make_challenge(full_key: BitString, params: SecurityParams, rng) -> Challeng
 
     Vectors are sampled in index order from ``rng`` for reproducibility.
     """
-    return _make_challenge(split_session_key(full_key, params), params, rng)
+    first, _, remainder = _full_key_parts(full_key, params)
+    lambdas, payload = _make_challenge(first, remainder, params, rng)
+    message, tag = split_challenge_payload(
+        BitString.from_int(payload, params.challenge_bits + params.word_bits),
+        params,
+    )
+    _, parities = _decode_challenge(message.value, params.test_bits, params.m)
+    return Challenge(lambdas, tuple(parities), message, tag)
 
 
 def split_challenge_payload(payload: BitString, params: SecurityParams):
     """Split a wire payload into (message, tag); None if malformed."""
     w = params.word_bits
-    if payload.length != params.challenge_bits + w:
+    cb = params.challenge_bits
+    if payload.length != cb + w:
         return None
+    pv = payload.value
     return (
-        payload.slice(1, params.challenge_bits),
-        Tag(payload.slice(params.challenge_bits + 1, payload.length)),
+        BitString.from_int(pv >> w, cb),
+        Tag(BitString.from_int(pv & ((1 << w) - 1), w)),
     )
 
 
@@ -214,41 +358,6 @@ class ChallengeOutcome:
     identified_dishonest: frozenset
 
 
-def _verify_challenge(received, parts: SessionKeyParts, params: SecurityParams) -> ChallengeOutcome:
-    w = params.word_bits
-    cb = params.challenge_bits
-    tb = params.test_bits
-    key_int = parts.auth_first.material.value
-    tag_mask = (1 << w) - 1
-    accepted = None
-    message_value = 0
-    for h, payload in enumerate(received):
-        if payload is None or payload.length != cb + w:
-            continue
-        pv = payload.value
-        message_value = pv >> w
-        if _tag_value(w, key_int, message_value, cb) == pv & tag_mask:
-            accepted = h
-            break
-    if accepted is None:
-        return ChallengeOutcome(0, None, None, frozenset())
-    identified = frozenset(
-        i for i, payload in enumerate(received)
-        if payload != received[accepted]
-    )
-    rem = parts.remainder.value
-    chunk_mask = (1 << (tb + 1)) - 1
-    lambdas = []
-    ok = True
-    for v in range(params.m - 1, -1, -1):
-        chunk = (message_value >> (v * (tb + 1))) & chunk_mask
-        lam = chunk >> 1
-        if (lam & rem).bit_count() & 1 != chunk & 1:
-            ok = False
-        lambdas.append(BitString.from_int(lam, tb))
-    return ChallengeOutcome(1 if ok else 0, accepted, tuple(lambdas), identified)
-
-
 def verify_challenge(received, full_key: BitString, params: SecurityParams) -> ChallengeOutcome:
     """Scan per-path copies in ascending index; the first copy whose tag
     authenticates is checked against the local remainder parities.
@@ -257,20 +366,16 @@ def verify_challenge(received, full_key: BitString, params: SecurityParams) -> C
     path.  result=1 iff an authenticated copy exists and every embedded
     parity matches; any other outcome gives result=0.
     """
-    return _verify_challenge(received, split_session_key(full_key, params), params)
-
-
-def _make_response(result: int, parts: SessionKeyParts, params: SecurityParams) -> BitString:
-    if result not in (0, 1):
-        raise OutOfRange(f"result must be a bit, got {result}")
-    w = params.word_bits
-    t = _tag_value(w, parts.auth_second.material.value, result, 1)
-    return BitString.from_int((result << w) | t, 1 + w)
+    first, _, remainder = _full_key_parts(full_key, params)
+    return _verify_challenge(received, first, remainder, params)
 
 
 def make_response(result: int, full_key: BitString, params: SecurityParams) -> BitString:
     """One-bit verdict tagged under the second MAC sub-key (wire form)."""
-    return _make_response(result, split_session_key(full_key, params), params)
+    _, second, _ = _full_key_parts(full_key, params)
+    return BitString.from_int(
+        _make_response(result, second, params), 1 + params.word_bits
+    )
 
 
 @dataclass(frozen=True)
@@ -280,27 +385,11 @@ class ResponseOutcome:
     identified_dishonest: frozenset
 
 
-def _verify_response(received, parts: SessionKeyParts, params: SecurityParams) -> ResponseOutcome:
-    w = params.word_bits
-    key_int = parts.auth_second.material.value
-    tag_mask = (1 << w) - 1
-    for h, payload in enumerate(received):
-        if payload is None or payload.length != 1 + w:
-            continue
-        pv = payload.value
-        bit = pv >> w
-        if _tag_value(w, key_int, bit, 1) == pv & tag_mask:
-            identified = frozenset(
-                i for i, p in enumerate(received) if p != payload
-            )
-            return ResponseOutcome(bit, h, identified)
-    return ResponseOutcome(0, None, frozenset())
-
-
 def verify_response(received, full_key: BitString, params: SecurityParams) -> ResponseOutcome:
     """result' is the bit of the first properly authenticated copy
     (ascending path index); 0 when no copy authenticates."""
-    return _verify_response(received, split_session_key(full_key, params), params)
+    _, second, _ = _full_key_parts(full_key, params)
+    return _verify_response(received, second, params)
 
 
 def deterministic_pa(key: BitString, lambdas) -> tuple[BitString, frozenset]:
@@ -323,7 +412,9 @@ def deterministic_pa(key: BitString, lambdas) -> tuple[BitString, frozenset]:
     Returns the key with trashed positions deleted (original order
     preserved) and the 1-based trash set.  At most one position is
     trashed per vector, and both ends compute identical outputs from
-    identical vectors without communication.
+    identical vectors without communication.  The output is assembled
+    from the runs of surviving bits between sorted trashed positions,
+    at most m + 1 shift-and-mask steps.
     """
     nb = key.length
     basis: dict[int, int] = {}
@@ -340,16 +431,16 @@ def deterministic_pa(key: BitString, lambdas) -> tuple[BitString, frozenset]:
                 basis[pos] = v
                 break
             v ^= row
-    trash = frozenset(basis)
     kv = key.value
     out = 0
-    out_len = 0
-    for pos in range(1, nb + 1):
-        if pos in trash:
-            continue
-        out = (out << 1) | ((kv >> (nb - pos)) & 1)
-        out_len += 1
-    return BitString.from_int(out, out_len), trash
+    prev = 0
+    for pos in sorted(basis):
+        run = pos - prev - 1    # surviving bits prev+1 .. pos-1
+        out = (out << run) | ((kv >> (nb - pos + 1)) & ((1 << run) - 1))
+        prev = pos
+    run = nb - prev
+    out = (out << run) | (kv & ((1 << run) - 1))
+    return BitString.from_int(out, nb - len(basis)), frozenset(basis)
 
 
 @dataclass(frozen=True)
@@ -423,23 +514,17 @@ def multipath_establish(
         pools = provision_pools(
             graph, paths, params.n + 2 * params.word_bits, rng
         )
-    w = params.word_bits
     n = params.n
-    sent = []
-    received = []
-    for i in range(len(paths)):
-        share = BitString.random(n, rng)
-        sent.append(share)
-        received.append(
-            _forward_key_over(
-                _path_hops(paths.paths[i], pools), share.value, n,
-                w, interceptor, i,
-            )
-        )
+    sent, received = _establish(
+        [_path_hops(p, pools) for p in paths.paths], n, params.word_bits,
+        rng, interceptor,
+    )
     return EstablishResult(
-        key_a=xor_combine(sent),
-        key_b=xor_combine(received),
-        shares_sent=tuple(sent),
+        key_a=BitString.from_int(_xor_values(sent), n),
+        key_b=BitString.from_int(
+            _xor_values(r.value for r in received), n
+        ),
+        shares_sent=tuple(BitString.from_int(v, n) for v in sent),
         shares_received=tuple(received),
         paths=paths,
     )
@@ -488,7 +573,9 @@ def full_session(
     epochs in path/hop order, then per-path shares, then the parity
     vectors, with adversary draws interleaved at interception points),
     so a seeded generator reproduces the trial bit-for-bit.  Protocol
-    failures surface as result=0 outcomes, never exceptions.
+    failures surface as result=0 outcomes, never exceptions.  Keys, key
+    parts and wire payloads stay integers; bit strings are built only
+    for what the outcome records and for distillation.
     """
     if paths is None:
         paths = vertex_disjoint_paths(graph, a, b, params.ell)
@@ -501,45 +588,38 @@ def full_session(
 
     w = params.word_bits
     n = params.n
-    sent = []
-    received = []
-    for i, hops in enumerate(hop_lists):
-        share = BitString.random(n, rng)
-        sent.append(share)
-        received.append(_forward_key_over(hops, share.value, n, w, interceptor, i))
-    est = EstablishResult(
-        key_a=xor_combine(sent),
-        key_b=xor_combine(received),
-        shares_sent=tuple(sent),
-        shares_received=tuple(received),
-        paths=paths,
-    )
-    parts_a = split_session_key(est.key_a, params)
-    parts_b = split_session_key(est.key_b, params)
+    sent, received = _establish(hop_lists, n, w, rng, interceptor)
+    key_a = _xor_values(sent)
+    key_b = _xor_values(r.value for r in received)
+    first_a, second_a, rem_a = _key_parts(key_a, params)
+    first_b, second_b, rem_b = _key_parts(key_b, params)
 
-    challenge = _make_challenge(parts_a, params, rng)
-    payload = challenge.payload()
+    lambdas, payload = _make_challenge(first_a, rem_a, params, rng)
     challenge_copies = tuple(
-        _classical_over(hops, payload.value, payload.length,
+        _classical_over(hops, payload, params.challenge_bits + w,
                         w, interceptor, i, "challenge")
         for i, hops in enumerate(hop_lists)
     )
-    cv = _verify_challenge(challenge_copies, parts_b, params)
+    cv = _verify_challenge(challenge_copies, first_b, rem_b, params)
 
-    response_payload = _make_response(cv.result, parts_b, params)
+    response = _make_response(cv.result, second_b, params)
     response_copies = tuple(
-        _classical_over(hops, response_payload.value, response_payload.length,
-                        w, interceptor, i, "response")
+        _classical_over(hops, response, 1 + w, w, interceptor, i, "response")
         for i, hops in enumerate(hop_lists)
     )
-    rv = _verify_response(response_copies, parts_a, params)
+    rv = _verify_response(response_copies, second_a, params)
 
     final_a = final_b = None
     trash_a = trash_b = None
+    tb = params.test_bits
     if rv.result_prime == 1:
-        final_a, trash_a = deterministic_pa(parts_a.remainder, challenge.lambdas)
+        final_a, trash_a = deterministic_pa(
+            BitString.from_int(rem_a, tb), lambdas
+        )
     if cv.result == 1:
-        final_b, trash_b = deterministic_pa(parts_b.remainder, cv.lambdas)
+        final_b, trash_b = deterministic_pa(
+            BitString.from_int(rem_b, tb), cv.lambdas
+        )
 
     published = None
     if interceptor is not None and interceptor.discloses:
@@ -555,16 +635,16 @@ def full_session(
     return SessionOutcome(
         result=cv.result,
         result_prime=rv.result_prime,
-        keys_equal=parts_a.remainder == parts_b.remainder,
-        full_keys_equal=est.key_a == est.key_b,
+        keys_equal=rem_a == rem_b,
+        full_keys_equal=key_a == key_b,
         final_key_a=final_a,
         final_key_b=final_b,
         trash_a=trash_a,
         trash_b=trash_b,
         transcript=transcript,
-        shares_sent=est.shares_sent,
-        shares_received=est.shares_received,
-        challenge_lambdas=challenge.lambdas,
+        shares_sent=tuple(BitString.from_int(v, n) for v in sent),
+        shares_received=tuple(received),
+        challenge_lambdas=lambdas,
         paths=paths,
         view=view,
         published=published,

@@ -75,6 +75,20 @@ def _coerce(kind, value, what):
         raise ValidationError(f"{what} must be {noun}, got {value!r}") from exc
 
 
+#: Every key a scenario document may use, per object.
+_TOP_KEYS = frozenset({"name", "nodes", "links", "endpoints", "params",
+                       "adversary", "trials", "seed"})
+_PARAMS_KEYS = frozenset({"n", "s", "m", "ell", "w", "epsilon"})
+_LINK_KEYS = frozenset({"a", "b", "distance_km", "epsilon", "alive"})
+_ADVERSARY_KEYS = frozenset({"corrupted", "t", "strategies"})
+
+
+def _known_keys(obj: dict, known: frozenset, where: str):
+    unknown = sorted(set(obj) - known, key=str)
+    if unknown:
+        raise ValidationError(f"unknown field {unknown[0]!r} in {where}")
+
+
 def _strings(value, what):
     _require(
         isinstance(value, (list, tuple))
@@ -111,6 +125,7 @@ def load_scenario(source) -> Scenario:
 
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
+    _known_keys(doc, _TOP_KEYS, "scenario")
     for field_name in ("nodes", "links", "endpoints", "params"):
         _require(field_name in doc, f"missing required field {field_name!r}")
 
@@ -125,13 +140,17 @@ def load_scenario(source) -> Scenario:
     links = []
     for entry in doc["links"]:
         _require(isinstance(entry, dict), "each link must be an object")
+        _known_keys(entry, _LINK_KEYS, "link")
         _require("a" in entry and "b" in entry, "link needs endpoints a and b")
+        alive = entry.get("alive", True)
+        _require(isinstance(alive, bool),
+                 f"link 'alive' must be true or false, got {alive!r}")
         links.append(QkdLink(
             entry["a"], entry["b"],
             distance_km=_coerce(float, entry.get("distance_km", 0.0),
                                 "link 'distance_km'"),
             epsilon=_coerce(float, entry.get("epsilon", 0.0), "link 'epsilon'"),
-            alive=bool(entry.get("alive", True)),
+            alive=alive,
         ))
     graph = NetworkGraph(nodes, links)
 
@@ -146,6 +165,7 @@ def load_scenario(source) -> Scenario:
 
     p = doc["params"]
     _require(isinstance(p, dict), "params must be an object")
+    _known_keys(p, _PARAMS_KEYS, "params")
     for field_name in ("n", "s", "m", "ell"):
         _require(field_name in p, f"params missing {field_name!r}")
     n, s, m, ell = (
@@ -167,6 +187,7 @@ def load_scenario(source) -> Scenario:
     if "adversary" in doc and doc["adversary"]:
         adv = doc["adversary"]
         _require(isinstance(adv, dict), "adversary must be an object")
+        _known_keys(adv, _ADVERSARY_KEYS, "adversary")
         corrupted = _strings(adv.get("corrupted", []), "adversary 'corrupted'")
         strategies = _strings(adv.get("strategies", ["passive"]),
                               "adversary 'strategies'")
@@ -340,13 +361,18 @@ def aggregate(results, params: SecurityParams, confidence: float = 0.99) -> Stat
     The agreement bound is a one-sided lower bound on the success
     probability, so the verdict is PASS iff the interval's lower edge
     clears the bound or the interval contains it (ci_high >= bound).
+    A bound that asserts nothing (agreement bound <= 0 or privacy figure
+    >= 1) gives the verdict VACUOUS, never PASS.
     """
     trials = len(results)
     successes = sum(r.succeeded for r in results)
     low, high = clopper_pearson(successes, trials, confidence)
     p_im = protocol_impersonation_bound(params)
     agreement, privacy = check_bounds(params, p_im)
-    verdict = "PASS" if high >= agreement else "FAIL"
+    if agreement <= 0.0 or privacy >= 1.0:
+        verdict = "VACUOUS"
+    else:
+        verdict = "PASS" if high >= agreement else "FAIL"
     return Stats(
         trials=trials,
         successes=successes,

@@ -17,12 +17,10 @@ eventual-delivery assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bits import BitString
-from .errors import AuthFailure, InsufficientKey, LinkDown
+from .errors import InsufficientKey, LinkDown
 from .mac import _tag_value
-from .network import NodeId, QkdLink
+from .network import QkdLink
 
 
 class _Epoch:
@@ -74,6 +72,19 @@ class LinkKeyPool:
                 f"pool on {self.link.key} has {self.available} bits, "
                 f"need {nbits}"
             )
+        self.consumed += nbits
+        self.available -= nbits
+        if nbits:
+            epoch = self._epochs[self._head]
+            left = epoch.nbits - self._head_used
+            if nbits <= left:   # one epoch serves it: one shift and mask
+                if nbits == left:
+                    self._head += 1
+                    self._head_used = 0
+                else:
+                    self._head_used += nbits
+                return ((epoch.value >> (left - nbits)) & ((1 << nbits) - 1),
+                        epoch.compromised)
         out = 0
         leaked = False
         remaining = nbits
@@ -90,8 +101,6 @@ class LinkKeyPool:
             if self._head_used == epoch.nbits:
                 self._head += 1
                 self._head_used = 0
-        self.consumed += nbits
-        self.available -= nbits
         return out, leaked
 
 
@@ -109,22 +118,6 @@ def qkd_generate(pool: LinkKeyPool, nbits: int, rng) -> None:
     pool._append_epoch(value, nbits, compromised)
 
 
-@dataclass(frozen=True)
-class HopMessage:
-    """One hop transmission: OTP ciphertext plus its authentication tag.
-
-    ``leaked`` is simulation metadata: the OTP bits came from a
-    compromised epoch, so the adversary can strip the pad.
-    """
-
-    sender: NodeId
-    receiver: NodeId
-    payload: BitString
-    tag: BitString
-    encrypted: bool = True
-    leaked: bool = False
-
-
 def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int):
     """Object-free hop: OTP-encrypt, tag, deliver, decrypt.
 
@@ -133,8 +126,8 @@ def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int):
     check provably passes.  The hop tag is still computed and then
     discarded: that work changes no result and is a known waste, kept
     for now because the benchmark pins the per-trial hash-call counts.
-    Pool bits are drawn in one call but assigned exactly as in
-    :func:`hop_send`: pad first, then the 2w-bit hop MAC key.
+    Consumes ``nbits + 2w`` pool bits in one call: the pad first, then
+    the 2w-bit hop MAC key, so no pool bit is used twice.
     """
     combined, leaked = pool.take(nbits + 2 * w)
     mac_key = combined & ((1 << (2 * w)) - 1)
@@ -184,50 +177,6 @@ def _classical_over(hops, value, nbits, w, interceptor, path_index, kind):
                 return None
             value, nbits = out.value, out.length
     return BitString.from_int(value, nbits)
-
-
-def hop_send(
-    pool: LinkKeyPool,
-    payload: BitString,
-    word_bits: int,
-    sender: NodeId | None = None,
-    wire_tamper=None,
-) -> tuple[BitString, HopMessage]:
-    """Send ``payload`` across one link: encrypt, tag, verify, decrypt.
-
-    Consumes ``len(payload) + 2*word_bits`` pool bits (pad plus hop MAC
-    key).  ``wire_tamper``, when given, maps (ciphertext, tag) to the
-    values actually arriving; a mismatch raises :class:`AuthFailure`.
-    Returns the decrypted payload at the receiver and the wire message.
-    """
-    if not pool.link.alive:
-        raise LinkDown(f"link {pool.link.key} is down")
-    n = payload.length
-    otp, otp_leaked = pool.take(n)
-    mac_key, _ = pool.take(2 * word_bits)
-    cipher = payload.value ^ otp
-    t = _tag_value(word_bits, mac_key, cipher, n)
-
-    wire_cipher, wire_tag = cipher, t
-    if wire_tamper is not None:
-        tampered = wire_tamper(
-            BitString.from_int(cipher, n), BitString.from_int(t, word_bits)
-        )
-        wire_cipher, wire_tag = tampered[0].value, tampered[1].value
-
-    if sender is None:
-        sender = pool.link.a
-    receiver = pool.link.b if sender == pool.link.a else pool.link.a
-    msg = HopMessage(
-        sender=sender,
-        receiver=receiver,
-        payload=BitString.from_int(wire_cipher, n),
-        tag=BitString.from_int(wire_tag, word_bits),
-        leaked=otp_leaked,
-    )
-    if _tag_value(word_bits, mac_key, wire_cipher, n) != wire_tag:
-        raise AuthFailure(f"hop authentication failed on {pool.link.key}")
-    return BitString.from_int(wire_cipher ^ otp, n), msg
 
 
 def path_forward_key(

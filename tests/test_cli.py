@@ -91,6 +91,17 @@ class TestRun:
         assert rc == 0
         assert "trials: 5" in capsys.readouterr().out
 
+    def test_vacuous_bound_is_not_a_pass(self, tmp_path, capsys):
+        # w=2 over an 18-bit challenge: p_im = 1, so the agreement bound
+        # is 0 and the privacy figure exceeds 1.
+        params = {"n": 16, "s": 4, "m": 2, "ell": 2, "w": 2}
+        rc = main(["run", "--scenario",
+                   two_chains_scenario_file(tmp_path, params=params)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "verdict: VACUOUS" in out
+        assert "PASS" not in out
+
     def test_invalid_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -159,6 +170,31 @@ class TestMalformedScenario:
         err = _run_malformed(tmp_path, capsys, {"adversary": {
             "corrupted": ["n1"], "t": 1, "strategies": "passive"}})
         assert "adversary 'strategies' must be a list of strings" in err
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_alive_must_be_boolean(self, tmp_path, capsys, value):
+        # "false" is truthy, so a string used to leave the link alive.
+        err = _run_malformed(tmp_path, capsys, _with_link_field("alive", value))
+        assert "link 'alive' must be true or false" in err
+
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        # a misspelt "trials" used to run the default 1000 trials
+        err = _run_malformed(tmp_path, capsys, {"trails": 5})
+        assert "unknown field 'trails' in scenario" in err
+
+    def test_unknown_params_key(self, tmp_path, capsys):
+        err = _run_malformed(tmp_path, capsys,
+                             {"params": {**PARAMS, "eps": 0.1}})
+        assert "unknown field 'eps' in params" in err
+
+    def test_unknown_link_key(self, tmp_path, capsys):
+        err = _run_malformed(tmp_path, capsys, _with_link_field("alvie", False))
+        assert "unknown field 'alvie' in link" in err
+
+    def test_unknown_adversary_key(self, tmp_path, capsys):
+        err = _run_malformed(tmp_path, capsys, {"adversary": {
+            "corrupted": ["n1"], "t": 1, "strategy": ["tamper_shares"]}})
+        assert "unknown field 'strategy' in adversary" in err
 
     def test_load_scenario_raises_validation_error(self):
         with pytest.raises(ValidationError, match="params 'n'"):

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkdnet import protocol
 from qkdnet.adversary import corrupt, guessing_advantage
 from qkdnet.bits import BitString, inner_product, xor_combine
 from qkdnet.errors import (
@@ -112,6 +115,11 @@ class TestMakeChallenge:
         rng = random.Random(3)
         ch = make_challenge(BitString.random(64, rng), STD, rng)
         assert decode_challenge(ch.message, STD) == (ch.lambdas, ch.parities)
+
+    def test_split_payload_is_message_and_tag(self):
+        rng = random.Random(3)
+        ch = make_challenge(BitString.random(64, rng), STD, rng)
+        assert split_challenge_payload(ch.payload(), STD) == (ch.message, ch.tag)
 
     def test_decode_rejects_wrong_length(self):
         assert decode_challenge(BitString("10101"), STD) is None
@@ -297,6 +305,122 @@ class TestDeterministicPa:
                 counts[kstar] = counts.get(kstar, 0) + 1
             assert len(set(counts.values())) == 1
             assert len(counts) == 1 << members[0].length
+
+
+def distill_reference(key, lambdas):
+    """Distillation with one step per surviving bit (the original loop)."""
+    nb = key.length
+    basis = {}
+    for lam in lambdas:
+        v = lam.value
+        while v:
+            pos = nb - v.bit_length() + 1
+            if pos not in basis:
+                basis[pos] = v
+                break
+            v ^= basis[pos]
+    trash = frozenset(basis)
+    out = out_len = 0
+    for pos in range(1, nb + 1):
+        if pos not in trash:
+            out = (out << 1) | ((key.value >> (nb - pos)) & 1)
+            out_len += 1
+    return BitString.from_int(out, out_len), trash
+
+
+@st.composite
+def distill_inputs(draw):
+    nb = draw(st.integers(1, 48))
+    vector = st.one_of(
+        st.integers(0, (1 << nb) - 1),
+        st.sampled_from([
+            0,                    # all-zero vector
+            1 << (nb - 1),        # pivot at position 1
+            1,                    # pivot at position nb
+            (1 << nb) - 1,
+        ]),
+    )
+    values = draw(st.lists(vector, max_size=nb + 2))
+    if values and draw(st.booleans()):
+        values.append(draw(st.sampled_from(values)))   # a repeated vector
+    key = draw(st.integers(0, (1 << nb) - 1))
+    return (BitString.from_int(key, nb),
+            [BitString.from_int(v, nb) for v in values])
+
+
+class TestDistillRunCopy:
+    @settings(max_examples=500, deadline=None)
+    @given(distill_inputs())
+    def test_matches_per_bit_reference(self, args):
+        key, lambdas = args
+        assert deterministic_pa(key, lambdas) == distill_reference(key, lambdas)
+
+    @pytest.mark.parametrize("key,lambdas,trash,out", [
+        ("1011", [], set(), "1011"),
+        ("1011", ["0000", "0000"], set(), "1011"),
+        ("1011", ["1000"], {1}, "011"),
+        ("1011", ["0001"], {4}, "101"),
+        ("1011", ["1000", "0001"], {1, 4}, "01"),
+        ("1011", ["0001", "0001", "1001"], {1, 4}, "01"),
+        ("1011", ["1111", "0111", "0011", "0001"], {1, 2, 3, 4}, ""),
+        ("1", ["1"], {1}, ""),
+    ])
+    def test_edges(self, key, lambdas, trash, out):
+        got = deterministic_pa(BitString(key), [BitString(l) for l in lambdas])
+        assert got == (BitString(out), frozenset(trash))
+
+
+class TestIntegerSessionMatchesWrappers:
+    """``full_session`` (integer level) and the public BitString wrappers
+    give the same payloads, verdicts and vectors for the same keys and
+    RNG state."""
+
+    @pytest.mark.parametrize("strategy", [
+        None, "passive", "tamper_shares", "forge_auth", "drop_auth"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bits(self, two_chains_graph, monkeypatch, strategy, seed):
+        states = []
+        real = protocol._make_challenge
+
+        def spy(auth_first, remainder, params, rng):
+            states.append(rng.getstate())
+            return real(auth_first, remainder, params, rng)
+
+        monkeypatch.setattr(protocol, "_make_challenge", spy)
+        cfg = None if strategy is None else corrupt(
+            two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
+            strategies=(strategy,))
+        out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
+                           random.Random(seed))
+        key_a = xor_combine(list(out.shares_sent))
+        key_b = xor_combine(list(out.shares_received))
+        challenges = out.transcript.challenge_copies
+        responses = out.transcript.response_copies
+
+        rng = random.Random()
+        rng.setstate(states[0])
+        ch = make_challenge(key_a, STD, rng)
+        assert ch.lambdas == out.challenge_lambdas
+        assert challenges[1] == ch.payload()   # path 1 avoids n1
+
+        cv = verify_challenge(challenges, key_b, STD)
+        assert cv.result == out.result
+        assert responses[1] == make_response(cv.result, key_b, STD)
+        rv = verify_response(responses, key_a, STD)
+        assert rv.result_prime == out.result_prime
+        assert (cv.identified_dishonest | rv.identified_dishonest
+                == out.transcript.identified_dishonest)
+        assert out.keys_equal == (
+            split_session_key(key_a, STD).remainder
+            == split_session_key(key_b, STD).remainder)
+        assert out.full_keys_equal == (key_a == key_b)
+
+        if out.result == 1:
+            assert deterministic_pa(split_session_key(key_b, STD).remainder,
+                                    cv.lambdas) == (out.final_key_b, out.trash_b)
+        if out.result_prime == 1:
+            assert deterministic_pa(split_session_key(key_a, STD).remainder,
+                                    ch.lambdas) == (out.final_key_a, out.trash_a)
 
 
 class TestMultipathEstablish:

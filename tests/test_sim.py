@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from qkdnet.sim import (
     run_trial,
     share_privacy_exact,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def two_chains_doc(**overrides):
@@ -95,6 +98,14 @@ class TestLoadScenario:
         del doc["endpoints"]
         with pytest.raises(ValidationError, match="endpoints"):
             load_scenario(doc)
+
+    @pytest.mark.parametrize("path", sorted(
+        p.relative_to(ROOT) for folder in ("demos/scenarios", "perfbench/inputs")
+        for p in (ROOT / folder).glob("*.json")
+    ), ids=str)
+    def test_shipped_documents_load(self, path):
+        # strict key checking must accept every checked-in document
+        assert load_scenario(ROOT / path).trials >= 1
 
     def test_dead_link_breaks_connectivity(self):
         doc = two_chains_doc()
@@ -257,6 +268,18 @@ class TestRunMonteCarlo:
         shuffled = list(run.results)
         random.Random(5).shuffle(shuffled)
         assert aggregate(shuffled, sc.params) == run.stats
+
+    @pytest.mark.parametrize("params,epsilon", [
+        ({"n": 16, "s": 4, "m": 2, "ell": 2, "w": 2}, 0.0),   # p_im = 1
+        ({"n": 64, "s": 16, "m": 4, "ell": 2, "w": 8}, 0.5),  # privacy >= 1
+    ])
+    def test_vacuous_bound_never_passes(self, params, epsilon):
+        sc = load_scenario(two_chains_doc(
+            params={**params, "epsilon": epsilon}, trials=5))
+        st = run_monte_carlo(sc).stats
+        assert st.agreement_bound <= 0 or st.privacy_bound >= 1
+        assert st.successes == 5   # every honest session agreed
+        assert st.verdict == "VACUOUS" and not st.passed
 
     def test_accepted_forgery_rate_within_privacy_figure(self):
         # Mutually-accepted sessions whose final keys differ require an

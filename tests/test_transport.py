@@ -3,13 +3,12 @@ import random
 import pytest
 
 from qkdnet.bits import BitString
-from qkdnet.errors import AuthFailure, InsufficientKey, LinkDown
+from qkdnet.errors import InsufficientKey, LinkDown
 from qkdnet.network import QkdLink
 from qkdnet.transport import (
-    HopMessage,
     LinkKeyPool,
+    _hop_transfer,
     classical_send,
-    hop_send,
     path_forward_key,
     qkd_generate,
 )
@@ -106,6 +105,15 @@ class TestPoolTake:
         assert pool.consumed == 6
         assert pool.available == 0
 
+    def test_whole_epochs_in_one_take_each(self):
+        pool = LinkKeyPool(QkdLink("u", "v"))
+        pool._append_epoch(0b1011, 4, False)
+        pool._append_epoch(0b01, 2, True)
+        assert pool.take(4) == (0b1011, False)   # ends exactly on the epoch
+        assert pool.take(0) == (0, False)
+        assert pool.take(2) == (0b01, True)
+        assert (pool.consumed, pool.available) == (6, 0)
+
     def test_insufficient_key(self):
         pool = fresh_pool(bits=16)
         with pytest.raises(InsufficientKey):
@@ -123,60 +131,51 @@ class TestPoolTake:
 
 
 class TestHopSend:
+    """One hop: ``_hop_transfer`` pads, tags and delivers a payload."""
+
     def test_round_trip_and_pool_accounting(self):
         rng = random.Random(6)
         pool = fresh_pool(rng=rng)
         payload = BitString.random(96, rng)
         before = pool.available
-        received, msg = hop_send(pool, payload, W)
-        assert received == payload
+        received, leaked = _hop_transfer(pool, payload.value, 96, W)
+        assert received == payload.value
+        assert not leaked
         assert before - pool.available == 96 + 2 * W
-        assert isinstance(msg, HopMessage)
-        assert msg.sender == "u" and msg.receiver == "v"
-        assert msg.payload != payload  # ciphertext on the wire
-
-    def test_ciphertext_flip_detected(self):
-        rng = random.Random(7)
-        pool = fresh_pool(rng=rng)
-        payload = BitString.random(32, rng)
-
-        def flip(cipher, tag):
-            return cipher ^ BitString.from_int(1, 32), tag
-
-        with pytest.raises(AuthFailure):
-            hop_send(pool, payload, W, wire_tamper=flip)
-
-    def test_tag_flip_detected(self):
-        rng = random.Random(8)
-        pool = fresh_pool(rng=rng)
-
-        def flip(cipher, tag):
-            return cipher, tag ^ BitString.from_int(1, W)
-
-        with pytest.raises(AuthFailure):
-            hop_send(pool, BitString.random(32, rng), W, wire_tamper=flip)
+        assert pool.consumed == 96 + 2 * W
 
     def test_sequential_sends_use_disjoint_segments(self):
         rng = random.Random(9)
         pool = fresh_pool(rng=rng)
         p1 = BitString.random(40, rng)
         p2 = BitString.random(40, rng)
-        r1, _ = hop_send(pool, p1, W)
-        r2, _ = hop_send(pool, p2, W)
-        assert (r1, r2) == (p1, p2)
+        r1, _ = _hop_transfer(pool, p1.value, 40, W)
+        r2, _ = _hop_transfer(pool, p2.value, 40, W)
+        assert (r1, r2) == (p1.value, p2.value)
         assert pool.consumed == 2 * (40 + 2 * W)
+        # the next bits come right after both hops' pads and MAC keys
+        whole = fresh_pool(rng=random.Random(9))
+        full, _ = whole.take(4096)
+        rest, _ = pool.take(pool.available)
+        assert rest == full & ((1 << (4096 - 2 * (40 + 2 * W))) - 1)
 
     def test_leak_flag_follows_epoch(self):
         rng = random.Random(10)
         pool = fresh_pool(epsilon=1.0, rng=rng)
-        _, msg = hop_send(pool, BitString.random(16, rng), W)
-        assert msg.leaked
+        _, leaked = _hop_transfer(pool, rng.getrandbits(16), 16, W)
+        assert leaked
 
     def test_down_link_refuses(self):
+        # A down link gets no key material, so no hop can cross it.
         down = LinkKeyPool(QkdLink("u", "v", alive=False))
-        down._append_epoch(0, 64, False)
         with pytest.raises(LinkDown):
-            hop_send(down, BitString("1010"), W)
+            qkd_generate(down, 64, random.Random(0))
+        assert down.available == 0
+        with pytest.raises(InsufficientKey):
+            _hop_transfer(down, 0b1010, 4, W)
+        with pytest.raises(InsufficientKey):
+            path_forward_key(("u", "v"), BitString("1010"),
+                             {("u", "v"): down}, W)
 
 
 class TestPathForwardKey:
