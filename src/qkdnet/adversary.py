@@ -16,15 +16,18 @@ its interceptor, recording everything corrupted nodes see into an
                      evaluation
 
 Privacy is measured by exact Bayesian enumeration: all completions of
-the unknown shares are enumerated and the advantage is the maximum
-posterior probability of any final key minus the uniform 2^-k.
+the unknown shares are enumerated (vectorised, in bounded numpy blocks)
+and the advantage is the maximum posterior probability of any final key
+minus the uniform 2^-k.  There is no sampling fallback: an instance past
+the enumeration limit raises :class:`TooLarge`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .bits import BitString
 from .errors import (
@@ -209,28 +212,37 @@ class ScriptedAdversary:
 
 @dataclass(frozen=True)
 class AdvantageResult:
-    """Guessing advantage in [0, 1]; a Fraction when computed exactly."""
+    """Exact guessing advantage in [0, 1] as a Fraction.
+
+    ``exact`` is always True; trial records carry it as
+    ``advantage_exact``.
+    """
 
     advantage: object
     exact: bool
+
+
+#: Exhaustive enumeration limits: u unknown shares of k bits are
+#: enumerated when k <= 16 and u*k <= EXACT_LIMIT_BITS.
+EXACT_LIMIT_BITS = 20
+#: Assignments per numpy block (2^16 uint32 values, 256 KiB).
+_BLOCK_BITS = 16
 
 
 def guessing_advantage(
     view: AdversaryView,
     true_key: BitString,
     key_len: int,
-    exact_limit_bits: int = 20,
-    mc_samples: int = 50_000,
-    rng=None,
-    require_exact: bool = False,
 ) -> AdvantageResult:
     """Advantage of ``view`` at guessing the XOR of all path shares.
 
-    Exact mode enumerates every completion of the unknown shares and
-    returns max posterior probability minus 2^-key_len as a Fraction;
-    0 means perfect privacy.  Instances beyond the enumeration limit
-    fall back to a flagged Monte-Carlo estimate, or raise
-    :class:`TooLarge` when ``require_exact`` is set.
+    Enumerates every assignment of the u unknown shares, 2^(u*key_len)
+    in all, in blocks of at most 2^16: each block XOR-folds its u
+    key_len-bit chunks into the known shares' XOR and adds the
+    histogram of the resulting keys to a running count.  Returns the
+    maximum posterior probability minus 2^-key_len as a Fraction; 0
+    means perfect privacy.  Raises :class:`TooLarge` when key_len > 16
+    or u*key_len > ``EXACT_LIMIT_BITS``.
     """
     if key_len < 1:
         raise OutOfRange(f"key_len must be >= 1, got {key_len}")
@@ -252,32 +264,22 @@ def guessing_advantage(
     uniform = Fraction(1, 1 << key_len)
     if unknown == 0:
         return AdvantageResult(Fraction(1) - uniform, True)
-
-    if key_len <= 16 and unknown * key_len <= exact_limit_bits:
-        counts = [0] * (1 << key_len)
-        total = 1 << (unknown * key_len)
-        mask = (1 << key_len) - 1
-        for assignment in range(total):
-            k = base
-            a = assignment
-            for _ in range(unknown):
-                k ^= a & mask
-                a >>= key_len
-            counts[k] += 1
-        advantage = Fraction(max(counts), total) - uniform
-        return AdvantageResult(advantage, True)
-
-    if require_exact:
+    bits = unknown * key_len
+    if key_len > 16 or bits > EXACT_LIMIT_BITS:
         raise TooLarge(
             f"{unknown} unknown shares of {key_len} bits exceed exact mode"
         )
 
-    rng = rng or random.Random(0)
-    counts: dict[int, int] = {}
-    for _ in range(mc_samples):
-        k = base
+    mask = np.uint32((1 << key_len) - 1)
+    shift = np.uint32(key_len)
+    block = np.arange(1 << min(bits, _BLOCK_BITS), dtype=np.uint32)
+    counts = np.zeros(1 << key_len, dtype=np.int64)
+    for start in range(0, 1 << bits, block.size):
+        a = block + np.uint32(start)
+        k = np.full(block.size, base, dtype=np.uint32)
         for _ in range(unknown):
-            k ^= rng.getrandbits(key_len)
-        counts[k] = counts.get(k, 0) + 1
-    estimate = max(counts.values()) / mc_samples - float(uniform)
-    return AdvantageResult(max(estimate, 0.0), False)
+            k ^= a & mask
+            a >>= shift
+        counts += np.bincount(k, minlength=1 << key_len)
+    advantage = Fraction(int(counts.max()), 1 << bits) - uniform
+    return AdvantageResult(advantage, True)

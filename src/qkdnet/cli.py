@@ -6,7 +6,7 @@ Subcommands:
   bounds --n N --s S --m M --ell L --w W [--eps E]
   paths  --scenario F [--ell L]
   plan   --t T [--u U] --mode one_way|two_way|feedback
-  oracle [--max-bits B]
+  oracle [--max-bits B] [--configs C]
 
 ``run`` exits 0 only when the empirical estimate passes the agreement
 bound (a vacuous bound prints VACUOUS and exits 1); ``oracle`` exits 0
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import QkdNetError
+from .errors import QkdNetError, ValidationError
 from .mac import MacParams, impersonation_bound
 from .network import required_paths, vertex_disjoint_paths
 from .protocol import SecurityParams
@@ -81,8 +81,9 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    bits = max(3, min(args.max_bits, 8))
-    params = SecurityParams(n=bits + 8, s=4, m=2, ell=2)
+    if not 3 <= args.max_bits <= 8:
+        raise ValidationError(f"--max-bits must be in 3..8, got {args.max_bits}")
+    params = SecurityParams(n=args.max_bits + 8, s=4, m=2, ell=2)
     report = exact_oracles(params, dpa_configs=args.configs)
     for line in report.lines():
         print(line)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -459,22 +460,22 @@ def parity_miss_rate_exact(key_bits: int, m: int, diff: int) -> Fraction:
 
 
 def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Fraction:
-    """Literal enumeration over all (2^key_bits)^m challenge tuples."""
+    """Literal enumeration over all (2^key_bits)^m challenge tuples.
+
+    Every tuple is materialised as one integer of m key_bits-bit chunks,
+    and each chunk is parity-tested against ``diff``; a tuple misses
+    when every chunk has even parity.
+    """
     if (1 << (key_bits * m)) > 1 << 16:
         raise TooLarge("tuple enumeration limited to 2^16 tuples")
-    size = 1 << key_bits
-    mask = size - 1
-    misses = 0
-    for combo in range(size ** m):
-        ok = True
-        c = combo
-        for _ in range(m):
-            if (c & mask & diff).bit_count() & 1:
-                ok = False
-                break
-            c >>= key_bits
-        misses += ok
-    return Fraction(misses, size ** m)
+    total = 1 << (key_bits * m)
+    tuples = np.arange(total, dtype=np.uint32)
+    test = np.uint32(diff & ((1 << key_bits) - 1))
+    miss = np.ones(total, dtype=bool)
+    for j in range(m):
+        chunk = (tuples >> np.uint32(j * key_bits)) & test
+        miss &= np.bitwise_count(chunk) % 2 == 0
+    return Fraction(int(np.count_nonzero(miss)), total)
 
 
 def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
@@ -524,7 +525,7 @@ def share_privacy_exact(key_bits: int, ell: int, shares) -> bool:
         view = AdversaryView(n_paths=ell, share_bits=key_bits)
         for i in known:
             view.record_share(i, shares[i])
-        res = guessing_advantage(view, key, key_bits, require_exact=True)
+        res = guessing_advantage(view, key, key_bits)
         if res.advantage != 0:
             return False
     return True
@@ -533,9 +534,15 @@ def share_privacy_exact(key_bits: int, ell: int, shares) -> bool:
 def mac_forgery_exact(w: int, message_bits: int) -> Fraction:
     """Optimal single-pair forgery success by exhaustive key posterior.
 
-    Observes one (message, tag) pair, conditions the key on it, and
-    maximizes acceptance probability over forged same-block-count
-    messages and tags.  Returns the maximum as an exact Fraction.
+    Observes one (message, tag) pair and maximizes acceptance
+    probability over forged same-block-count messages and tags.  The
+    2^(2w) keys are grouped into classes by their tag on the observed
+    message (the key posterior given that tag is uniform on its class);
+    for each candidate message and each class the candidate's tag
+    values are counted once, and the best forgery is the largest count
+    over its class size.  Every (key, message) pair is tagged exactly
+    once through the public ``tag``.  Returns the maximum as an exact
+    Fraction.
     """
     if w > 4:
         raise TooLarge("forgery enumeration limited to w <= 4")
@@ -549,16 +556,14 @@ def mac_forgery_exact(w: int, message_bits: int) -> Fraction:
             cand = BitString.from_int(v, nbits)
             if cand != observed:
                 candidates.append(cand)
+    classes: dict = {}
+    for kv in range(1 << (2 * w)):
+        key = MacKey(BitString.from_int(kv, 2 * w))
+        classes.setdefault(mac_tag(key, observed), []).append(key)
     best = Fraction(0)
-    keys = [MacKey(BitString.from_int(kv, 2 * w)) for kv in range(1 << (2 * w))]
-    for key in keys:
-        t = mac_tag(key, observed)
-        consistent = [k for k in keys if mac_tag(k, observed) == t]
-        for cand in candidates:
-            counts: dict = {}
-            for k in consistent:
-                tv = mac_tag(k, cand)
-                counts[tv] = counts.get(tv, 0) + 1
+    for cand in candidates:
+        for consistent in classes.values():
+            counts = Counter(mac_tag(k, cand) for k in consistent)
             best = max(best, Fraction(max(counts.values()), len(consistent)))
     return best
 
@@ -569,7 +574,10 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 100,
 
     Requires test_bits <= 12, m <= 4, ell <= 3 (and n <= 16 for the
     share-privacy enumeration); otherwise raises :class:`TooLarge`.
+    A negative ``dpa_configs`` raises :class:`ValidationError`.
     """
+    if dpa_configs < 0:
+        raise ValidationError(f"dpa_configs must be >= 0, got {dpa_configs}")
     tb = params.test_bits
     if tb > 12 or params.m > 4 or params.ell > 3 or params.n > 16:
         raise TooLarge(

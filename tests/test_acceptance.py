@@ -151,8 +151,7 @@ class TestCriterion2SharePrivacy:
                         view = AdversaryView(ell, bits)
                         for i in known:
                             view.record_share(i, shares[i])
-                        res = guessing_advantage(view, key, bits,
-                                                 require_exact=True)
+                        res = guessing_advantage(view, key, bits)
                         assert res.exact and res.advantage == Fraction(0)
         print("\n[criterion 2] PASS: any ell-1 shares give advantage exactly 0")
 
@@ -219,7 +218,7 @@ class TestCriterion5PrivacyUnderDisclosure:
                                cfg, random.Random(seed))
             assert out.published is not None
             true_key = xor_combine(list(out.shares_sent))
-            adv = guessing_advantage(out.view, true_key, 8, require_exact=True)
+            adv = guessing_advantage(out.view, true_key, 8)
             assert adv.exact and adv.advantage == Fraction(0)
             controlled = set(out.published.shares)
             for i in range(3):
@@ -227,7 +226,7 @@ class TestCriterion5PrivacyUnderDisclosure:
                     continue
                 view = honest_path_view(3, i, out.shares_received[i],
                                         out.published)
-                res = guessing_advantage(view, true_key, 8, require_exact=True)
+                res = guessing_advantage(view, true_key, 8)
                 assert res.exact and res.advantage == Fraction(0)
         print("\n[criterion 5] PASS: adversary and honest-path advantages "
               "exactly 0 under full disclosure")

@@ -1,8 +1,11 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdnet.adversary import (
     AdversaryConfig,
@@ -170,15 +173,16 @@ class TestGuessingAdvantage:
     def test_too_large_when_exact_required(self):
         view = AdversaryView(n_paths=2, share_bits=24)
         with pytest.raises(TooLarge):
-            guessing_advantage(view, BitString("0" * 24), 24, require_exact=True)
+            guessing_advantage(view, BitString("0" * 24), 24)
 
-    def test_monte_carlo_fallback_is_flagged(self):
-        view = AdversaryView(n_paths=2, share_bits=24)
-        res = guessing_advantage(
-            view, BitString("0" * 24), 24, mc_samples=2000, rng=random.Random(4)
-        )
-        assert not res.exact
-        assert 0.0 <= res.advantage < 0.01
+    @pytest.mark.parametrize("bits,unknown", [(17, 1), (11, 2), (7, 3), (3, 7)])
+    def test_past_exact_limit_raises_too_large(self, bits, unknown):
+        # key_len > 16, or u * key_len > EXACT_LIMIT_BITS (20): no
+        # sampling fallback, the call raises.
+        view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
+        view.record_share(0, BitString("1" * bits))
+        with pytest.raises(TooLarge):
+            guessing_advantage(view, BitString("0" * bits), bits)
 
     @pytest.mark.parametrize("bits,ell", [(4, 2), (6, 2), (4, 3), (8, 3)])
     def test_any_missing_share_exact_zero_exhaustive(self, bits, ell):
@@ -194,6 +198,70 @@ class TestGuessingAdvantage:
                     view.record_share(i, shares[i])
                 res = guessing_advantage(view, key, bits)
                 assert res.exact and res.advantage == Fraction(0)
+
+
+def advantage_reference(view, key_len):
+    """Per-assignment enumeration: the scalar loop the vectorised
+    ``guessing_advantage`` replaced."""
+    known = [view.known_share(i) for i in range(view.n_paths)]
+    unknown = sum(1 for share in known if share is None)
+    base = 0
+    for share in known:
+        if share is not None:
+            base ^= share.value
+    uniform = Fraction(1, 1 << key_len)
+    if unknown == 0:
+        return Fraction(1) - uniform
+    counts = [0] * (1 << key_len)
+    total = 1 << (unknown * key_len)
+    mask = (1 << key_len) - 1
+    for assignment in range(total):
+        k = base
+        a = assignment
+        for _ in range(unknown):
+            k ^= a & mask
+            a >>= key_len
+        counts[k] += 1
+    return Fraction(max(counts), total) - uniform
+
+
+@st.composite
+def advantage_views(draw):
+    key_len = draw(st.integers(1, 8))
+    unknown = draw(st.integers(0, min(3, 12 // key_len)))
+    n_known = draw(st.integers(0 if unknown else 1, 3))
+    n_paths = n_known + unknown
+    known = draw(st.permutations(range(n_paths)))[:n_known]
+    view = AdversaryView(n_paths, key_len)
+    for i in known:
+        value = draw(st.integers(0, (1 << key_len) - 1))
+        view.record_share(i, BitString.from_int(value, key_len))
+    return view, key_len
+
+
+class TestGuessingAdvantageEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(advantage_views())
+    def test_matches_per_assignment_loop(self, case):
+        view, key_len = case
+        res = guessing_advantage(view, BitString.zeros(key_len), key_len)
+        assert res.exact
+        assert res.advantage == advantage_reference(view, key_len)
+
+    @pytest.mark.parametrize("bits,unknown", [(10, 2), (5, 4), (4, 5)])
+    def test_peak_memory_is_one_block(self, bits, unknown):
+        # 2^20 assignments: the whole table as uint32 would be 4 MiB;
+        # blocks of 2^16 keep the numpy buffers near 1.3 MiB.
+        view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
+        view.record_share(0, BitString("1" * bits))
+        tracemalloc.start()
+        try:
+            res = guessing_advantage(view, BitString("0" * bits), bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.advantage == Fraction(0)
+        assert peak < 2 << 20
 
 
 class TestHonestButCurious:

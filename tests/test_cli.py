@@ -4,7 +4,8 @@ import pytest
 
 from qkdnet.cli import main
 from qkdnet.errors import ValidationError
-from qkdnet.sim import load_scenario
+from qkdnet.protocol import SecurityParams
+from qkdnet.sim import exact_oracles, load_scenario
 
 
 PARAMS = {"n": 64, "s": 16, "m": 4, "ell": 2, "w": 8}
@@ -117,6 +118,25 @@ class TestOracle:
         assert rc == 0
         assert "all exact" in out
         assert "parity_miss" in out
+
+    @pytest.mark.parametrize("bits", ["2", "9", "20", "-1"])
+    def test_max_bits_out_of_range_exits_2(self, bits, capsys):
+        rc = main(["oracle", "--max-bits", bits, "--configs", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--max-bits" in captured.err
+
+    def test_negative_configs_exits_2(self, capsys):
+        rc = main(["oracle", "--max-bits", "3", "--configs", "-5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "dpa_configs" in captured.err
+
+    def test_exact_oracles_rejects_negative_configs(self):
+        with pytest.raises(ValidationError):
+            exact_oracles(SecurityParams(n=11, s=4, m=2, ell=2), dpa_configs=-1)
 
 
 def _run_malformed(tmp_path, capsys, doc):

@@ -8,11 +8,14 @@ such a change must say why and record the new digests.
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from qkdnet.cli import main
+from qkdnet.protocol import full_session
+from qkdnet.sim import derive_trial_seed, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -75,3 +78,32 @@ def test_run_report_is_byte_identical(name, tmp_path, capsys):
     assert rc == 0
     assert _sha256(out / "trials.jsonl") == trials_digest
     assert _sha256(out / "summary.json") == summary_digest
+
+
+# The run reports hold no MAC value: sender and receiver share the tag
+# function, so a wrong hash still verifies.  The transcript holds the
+# challenge and response payloads with their tags bit for bit.
+TRANSCRIPTS = {
+    "two_chains": (
+        50,
+        "2aae5c2e75bbcfa5a81e1d80fad4d3194725b3e144197408a4894d12d111385a",
+    ),
+    "w16": (
+        20,
+        "fa3eeeb02d89e0662e7b29a9d5c165c0371a1cccb673cdb99c64b3d4d58c30b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
+def test_auth_transcripts_are_byte_identical(name, tmp_path):
+    trials, digest = TRANSCRIPTS[name]
+    scenario = load_scenario(_scenario_path(name, tmp_path))
+    h = hashlib.sha256()
+    for i in range(trials):
+        outcome = full_session(
+            scenario.graph, scenario.a, scenario.b, scenario.params,
+            scenario.adversary, random.Random(derive_trial_seed(scenario.seed, i)),
+        )
+        h.update(outcome.transcript.serialize().encode())
+    assert h.hexdigest() == digest

@@ -302,7 +302,8 @@ class TestParityOracles:
             assert parity_miss_rate_exact(8, 3, diff) == Fraction(1, 8)
 
     def test_tuple_enumeration_matches_factorized(self):
-        for bits, m, diff in [(4, 2, 0b1010), (4, 3, 1), (5, 2, 0b10001)]:
+        cases = [(4, m, diff) for m in (1, 2, 3) for diff in range(1, 16)]
+        for bits, m, diff in cases + [(5, 2, 0b10001)]:
             assert parity_miss_rate_tuple_enumeration(bits, m, diff) == \
                 parity_miss_rate_exact(bits, m, diff)
 
@@ -344,6 +345,19 @@ class TestMacForgeryOracle:
     def test_bound_holds(self, w):
         best = mac_forgery_exact(w, w)
         assert best <= Fraction(2, 1 << w)
+
+    @pytest.mark.parametrize("w,message_bits,best", [
+        (1, 1, "1/2"), (1, 2, "1"),
+        (2, 1, "1/2"), (2, 2, "1/2"), (2, 3, "3/4"), (2, 4, "3/4"),
+        (3, 1, "1/4"), (3, 2, "1/4"), (3, 3, "1/4"),
+        (3, 4, "3/8"), (3, 5, "3/8"), (3, 6, "3/8"),
+        (4, 1, "1/8"), (4, 2, "1/8"), (4, 3, "1/8"), (4, 4, "1/8"),
+        (4, 5, "3/16"),
+    ])
+    def test_pinned_values(self, w, message_bits, best):
+        # recorded from the per-key enumeration that re-tagged every
+        # key's class once per key
+        assert mac_forgery_exact(w, message_bits) == Fraction(best)
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
