@@ -34,18 +34,7 @@ from .network import (
     required_paths,
     vertex_disjoint_paths,
 )
-from .protocol import (
-    Challenge,
-    SecurityParams,
-    SessionOutcome,
-    deterministic_pa,
-    full_session,
-    make_challenge,
-    make_response,
-    multipath_establish,
-    verify_challenge,
-    verify_response,
-)
+from .protocol import SecurityParams, SessionOutcome, deterministic_pa, full_session
 from .sim import (
     Scenario,
     Stats,
@@ -56,11 +45,6 @@ from .sim import (
     run_monte_carlo,
     run_trial,
 )
-from .transport import (
-    LinkKeyPool,
-    classical_send,
-    path_forward_key,
-    qkd_generate,
-)
+from .transport import LinkKeyPool, qkd_generate
 
 __version__ = "0.1.0"

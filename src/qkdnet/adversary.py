@@ -214,8 +214,8 @@ class ScriptedAdversary:
 class AdvantageResult:
     """Exact guessing advantage in [0, 1] as a Fraction.
 
-    ``exact`` is always True; trial records carry it as
-    ``advantage_exact``.
+    ``exact`` is always True: past the enumeration limits the call
+    raises instead of estimating.
     """
 
     advantage: object
@@ -229,11 +229,7 @@ EXACT_LIMIT_BITS = 20
 _BLOCK_BITS = 16
 
 
-def guessing_advantage(
-    view: AdversaryView,
-    true_key: BitString,
-    key_len: int,
-) -> AdvantageResult:
+def guessing_advantage(view: AdversaryView, key_len: int) -> AdvantageResult:
     """Advantage of ``view`` at guessing the XOR of all path shares.
 
     Enumerates every assignment of the u unknown shares, 2^(u*key_len)

@@ -22,19 +22,14 @@ A session between two endpoints runs in four phases:
 The reserved MAC prefix is 2s bits (two independent sub-keys of s bits,
 one per direction), so the tested remainder has n - 2s bits.
 
-:func:`full_session` runs the four phases on plain integers: the XOR of
-the shares, the key parts from :func:`_key_parts` (first sub-key, second
-sub-key, remainder) and the wire payloads of the challenge and the
-response never become objects.  The phase helpers ``_make_challenge``,
-``_verify_challenge``, ``_make_response`` and ``_verify_response`` take
-those integers, and the challenge message is built and parsed only by
-``_encode_challenge`` / ``_decode_challenge``.  The public
-:class:`BitString` API (:func:`make_challenge`, :func:`verify_challenge`,
-:func:`make_response`, :func:`verify_response`,
-:func:`multipath_establish`, :func:`split_session_key`,
-:func:`encode_challenge`, :func:`decode_challenge`) converts its
-arguments once and calls the same helpers, so both levels compute the
-same bits.
+:func:`full_session` is the one implementation of a session and runs
+the four phases on plain integers: the XOR of the shares, the key parts
+from :func:`_key_parts` (first sub-key, second sub-key, remainder) and
+the wire payloads of the challenge and the response never become
+objects.  The phase helpers ``_make_challenge``, ``_verify_challenge``,
+``_make_response`` and ``_verify_response`` take those integers, and the
+challenge message is built and parsed only by ``_encode_challenge`` /
+``_decode_challenge``.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from .adversary import (
 )
 from .bits import BitString
 from .errors import LengthMismatch, OutOfRange, ParameterViolation
-from .mac import MacKey, MacParams, Tag, _tag_value
+from .mac import MacParams, _tag_value
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
 from .network import NetworkGraph, PathSet, vertex_disjoint_paths
 from .transport import (
@@ -127,9 +122,6 @@ class SecurityParams:
         return self.n + self.challenge_bits + 8 * w + 1
 
 
-# --- integer-level kernel ---------------------------------------------------
-
-
 def _key_parts(key: int, params: SecurityParams) -> tuple[int, int, int]:
     """(first sub-key, second sub-key, remainder) of an n-bit key value.
 
@@ -181,6 +173,15 @@ def _make_challenge(auth_first: int, remainder: int, params: SecurityParams, rng
 
 def _verify_challenge(received, auth_first: int, remainder: int,
                       params: SecurityParams) -> ChallengeOutcome:
+    """Scan per-path copies in ascending index; the first copy whose tag
+    authenticates under ``auth_first`` is checked against the parities of
+    ``remainder``.
+
+    ``received`` holds one payload (or None for a dropped copy) per
+    path; a copy of the wrong length never authenticates.  result=1 iff
+    an authenticated copy exists and every embedded parity matches; any
+    other outcome gives result=0.
+    """
     w = params.word_bits
     cb = params.challenge_bits
     tag_mask = (1 << w) - 1
@@ -220,6 +221,8 @@ def _make_response(result: int, auth_second: int, params: SecurityParams) -> int
 
 def _verify_response(received, auth_second: int,
                      params: SecurityParams) -> ResponseOutcome:
+    """result' is the bit of the first copy (ascending path index) that
+    authenticates under ``auth_second``; 0 when no copy authenticates."""
     w = params.word_bits
     tag_mask = (1 << w) - 1
     for h, payload in enumerate(received):
@@ -235,117 +238,11 @@ def _verify_response(received, auth_second: int,
     return ResponseOutcome(0, None, frozenset())
 
 
-def _establish(hop_lists, n: int, w: int, rng, interceptor):
-    """One fresh n-bit share per path, drawn and forwarded in path order.
-
-    Returns the sent share values and the received shares (bit strings,
-    possibly substituted in length by an interceptor).
-    """
-    sent = []
-    received = []
-    for i, hops in enumerate(hop_lists):
-        share = rng.getrandbits(n)
-        sent.append(share)
-        received.append(_forward_key_over(hops, share, n, w, interceptor, i))
-    return sent, received
-
-
 def _xor_values(values) -> int:
     acc = 0
     for v in values:
         acc ^= v
     return acc
-
-
-# --- public BitString API -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SessionKeyParts:
-    """A full key split into the two MAC sub-keys and the remainder."""
-
-    auth_first: MacKey
-    auth_second: MacKey
-    remainder: BitString
-
-
-def _full_key_parts(full_key: BitString, params: SecurityParams):
-    if full_key.length != params.n:
-        raise OutOfRange(
-            f"full key has {full_key.length} bits, params require {params.n}"
-        )
-    return _key_parts(full_key.value, params)
-
-
-def split_session_key(full_key: BitString, params: SecurityParams) -> SessionKeyParts:
-    first, second, remainder = _full_key_parts(full_key, params)
-    s = params.s
-    return SessionKeyParts(
-        MacKey(BitString.from_int(first, s)),
-        MacKey(BitString.from_int(second, s)),
-        BitString.from_int(remainder, params.test_bits),
-    )
-
-
-@dataclass(frozen=True)
-class Challenge:
-    """Parity challenge: m vectors, their remainder parities, and a tag."""
-
-    lambdas: tuple
-    parities: tuple
-    message: BitString
-    tag: Tag
-
-    def payload(self) -> BitString:
-        """Wire form: message || tag."""
-        return self.message.concat(self.tag.value)
-
-
-def encode_challenge(lambdas, parities, test_bits: int) -> BitString:
-    return BitString.from_int(
-        _encode_challenge([lam.value for lam in lambdas], parities, test_bits),
-        len(lambdas) * (test_bits + 1),
-    )
-
-
-def decode_challenge(message: BitString, params: SecurityParams):
-    """Inverse of encode_challenge; None if the length is malformed."""
-    if message.length != params.challenge_bits:
-        return None
-    tb = params.test_bits
-    values, parities = _decode_challenge(message.value, tb, params.m)
-    return (
-        tuple(BitString.from_int(lam, tb) for lam in values),
-        tuple(parities),
-    )
-
-
-def make_challenge(full_key: BitString, params: SecurityParams, rng) -> Challenge:
-    """Draw m parity vectors against the key remainder and tag the bundle.
-
-    Vectors are sampled in index order from ``rng`` for reproducibility.
-    """
-    first, _, remainder = _full_key_parts(full_key, params)
-    lambdas, payload = _make_challenge(first, remainder, params, rng)
-    message, tag = split_challenge_payload(
-        BitString.from_int(payload, params.challenge_bits + params.word_bits),
-        params,
-    )
-    _, parities = _decode_challenge(message.value, params.test_bits, params.m)
-    return Challenge(lambdas, tuple(parities), message, tag)
-
-
-def split_challenge_payload(payload: BitString, params: SecurityParams):
-    """Split a wire payload into (message, tag); None if malformed."""
-    w = params.word_bits
-    cb = params.challenge_bits
-    if payload.length != cb + w:
-        return None
-    pv = payload.value
-    return (
-        BitString.from_int(pv >> w, cb),
-        Tag(BitString.from_int(pv & ((1 << w) - 1), w)),
-    )
 
 
 @dataclass(frozen=True)
@@ -358,38 +255,11 @@ class ChallengeOutcome:
     identified_dishonest: frozenset
 
 
-def verify_challenge(received, full_key: BitString, params: SecurityParams) -> ChallengeOutcome:
-    """Scan per-path copies in ascending index; the first copy whose tag
-    authenticates is checked against the local remainder parities.
-
-    ``received`` holds one payload (or None for a dropped copy) per
-    path.  result=1 iff an authenticated copy exists and every embedded
-    parity matches; any other outcome gives result=0.
-    """
-    first, _, remainder = _full_key_parts(full_key, params)
-    return _verify_challenge(received, first, remainder, params)
-
-
-def make_response(result: int, full_key: BitString, params: SecurityParams) -> BitString:
-    """One-bit verdict tagged under the second MAC sub-key (wire form)."""
-    _, second, _ = _full_key_parts(full_key, params)
-    return BitString.from_int(
-        _make_response(result, second, params), 1 + params.word_bits
-    )
-
-
 @dataclass(frozen=True)
 class ResponseOutcome:
     result_prime: int
     accepted_path: int | None
     identified_dishonest: frozenset
-
-
-def verify_response(received, full_key: BitString, params: SecurityParams) -> ResponseOutcome:
-    """result' is the bit of the first properly authenticated copy
-    (ascending path index); 0 when no copy authenticates."""
-    _, second, _ = _full_key_parts(full_key, params)
-    return _verify_response(received, second, params)
 
 
 def deterministic_pa(key: BitString, lambdas) -> tuple[BitString, frozenset]:
@@ -470,15 +340,6 @@ class AuthTranscript:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class EstablishResult:
-    key_a: BitString
-    key_b: BitString
-    shares_sent: tuple
-    shares_received: tuple
-    paths: PathSet
-
-
 def provision_pools(graph: NetworkGraph, paths: PathSet, bits_per_link: int, rng):
     """One fresh epoch per link used by ``paths``, in deterministic order."""
     pools = {}
@@ -490,44 +351,6 @@ def provision_pools(graph: NetworkGraph, paths: PathSet, bits_per_link: int, rng
                 qkd_generate(pool, bits_per_link, rng)
                 pools[key] = pool
     return pools
-
-
-def multipath_establish(
-    graph: NetworkGraph,
-    a: str,
-    b: str,
-    params: SecurityParams,
-    rng,
-    interceptor=None,
-    paths: PathSet | None = None,
-    pools=None,
-) -> EstablishResult:
-    """Transport one fresh n-bit share per disjoint path and XOR them.
-
-    With no active adversary the two ends compute identical keys; a
-    tampering node on any path desynchronizes them without either party
-    noticing at this layer.
-    """
-    if paths is None:
-        paths = vertex_disjoint_paths(graph, a, b, params.ell)
-    if pools is None:
-        pools = provision_pools(
-            graph, paths, params.n + 2 * params.word_bits, rng
-        )
-    n = params.n
-    sent, received = _establish(
-        [_path_hops(p, pools) for p in paths.paths], n, params.word_bits,
-        rng, interceptor,
-    )
-    return EstablishResult(
-        key_a=BitString.from_int(_xor_values(sent), n),
-        key_b=BitString.from_int(
-            _xor_values(r.value for r in received), n
-        ),
-        shares_sent=tuple(BitString.from_int(v, n) for v in sent),
-        shares_received=tuple(received),
-        paths=paths,
-    )
 
 
 @dataclass(frozen=True)
@@ -545,12 +368,10 @@ class SessionOutcome:
     transcript: AuthTranscript
     shares_sent: tuple
     shares_received: tuple
-    challenge_lambdas: tuple
     paths: PathSet
     view: AdversaryView
     published: PublishedBundle | None
     leaked_epochs: int
-    parity_bits_disclosed: int
 
     @property
     def succeeded(self) -> bool:
@@ -588,7 +409,12 @@ def full_session(
 
     w = params.word_bits
     n = params.n
-    sent, received = _establish(hop_lists, n, w, rng, interceptor)
+    sent = []
+    received = []     # bit strings: an interceptor may change the length
+    for i, hops in enumerate(hop_lists):
+        share = rng.getrandbits(n)
+        sent.append(share)
+        received.append(_forward_key_over(hops, share, n, w, interceptor, i))
     key_a = _xor_values(sent)
     key_b = _xor_values(r.value for r in received)
     first_a, second_a, rem_a = _key_parts(key_a, params)
@@ -644,10 +470,8 @@ def full_session(
         transcript=transcript,
         shares_sent=tuple(BitString.from_int(v, n) for v in sent),
         shares_received=tuple(received),
-        challenge_lambdas=lambdas,
         paths=paths,
         view=view,
         published=published,
         leaked_epochs=len(view.compromised_link_bits),
-        parity_bits_disclosed=params.m,
     )

@@ -35,7 +35,7 @@ from .adversary import (
     corrupt,
     guessing_advantage,
 )
-from .bits import BitString, xor_combine
+from .bits import BitString
 from .errors import (
     InsufficientConnectivity,
     ParameterViolation,
@@ -237,8 +237,7 @@ class TrialResult:
     final_key_len: int | None
     trash_size: int | None
     leaked_epochs: int
-    advantage: float | None
-    advantage_exact: bool | None
+    advantage: float
     failure_tags: tuple
 
 
@@ -267,16 +266,12 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
         scenario.graph, scenario.a, scenario.b, scenario.params,
         scenario.adversary, rng, paths=paths,
     )
-    advantage = None
-    exact = None
-    n = scenario.params.n
-    known = sum(1 for obs in outcome.view.learned_shares.values() if obs)
-    unknown = len(outcome.paths) - known
-    if n <= 16 and unknown * n <= 12:
-        res = guessing_advantage(
-            outcome.view, xor_combine(list(outcome.shares_sent)), n
-        )
-        advantage, exact = float(res.advantage), res.exact
+    # Closed form of the exact guessing advantage: one unobserved uniform
+    # share makes the XOR uniform (advantage 0); with every share observed
+    # the key is determined (advantage 1 - 2^-n).
+    view = outcome.view
+    observed = all(view.known_share(i) is not None for i in range(view.n_paths))
+    advantage = 1.0 - 2.0 ** -scenario.params.n if observed else 0.0
     final_len = (
         outcome.final_key_a.length if outcome.final_key_a is not None else None
     )
@@ -292,7 +287,6 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
         trash_size=len(outcome.trash_a) if outcome.trash_a is not None else None,
         leaked_epochs=outcome.leaked_epochs,
         advantage=advantage,
-        advantage_exact=exact,
         failure_tags=_failure_tags(outcome),
     )
 
@@ -520,12 +514,11 @@ def share_privacy_exact(key_bits: int, ell: int, shares) -> bool:
     """Every (ell-1)-subset of shares leaves advantage exactly zero."""
     import itertools
 
-    key = xor_combine(list(shares))
     for known in itertools.combinations(range(ell), ell - 1):
         view = AdversaryView(n_paths=ell, share_bits=key_bits)
         for i in known:
             view.record_share(i, shares[i])
-        res = guessing_advantage(view, key, key_bits)
+        res = guessing_advantage(view, key_bits)
         if res.advantage != 0:
             return False
     return True

@@ -4,15 +4,18 @@ Each link maintains a :class:`LinkKeyPool` of bits shared by its two
 endpoints, grown in epochs by :func:`qkd_generate`.  Under the
 epsilon-ideal model an epoch is uniform and fresh, but with probability
 ``link.epsilon`` it is flagged compromised (the adversary learns its
-bits).  Hop transmission one-time-pads the payload and authenticates the
-ciphertext with a fresh per-hop MAC key drawn from the same pool, so no
-pool bit is ever used twice.
+bits).  One hop, :func:`_hop_transfer`, one-time-pads the payload and
+authenticates the ciphertext with a fresh per-hop MAC key drawn from the
+same pool, so no pool bit is ever used twice.
 
-Intermediate nodes of a path see forwarded key material in plaintext
-(the trusted-repeater property); an ``interceptor`` hook lets corrupted
-nodes record and substitute values.  Classical messages on honest paths
-are always delivered within the trial, which discretizes the
-eventual-delivery assumption.
+A path is the tuple of its hops (:func:`_path_hops`).  Key shares cross
+it with :func:`_forward_key_over` and classical protocol messages with
+:func:`_classical_over`; the session engine in :mod:`qkdnet.protocol`
+is their caller.  Intermediate nodes of a path see forwarded key
+material in plaintext (the trusted-repeater property); an
+``interceptor`` hook lets corrupted nodes record and substitute values.
+Classical messages on honest paths are always delivered within the
+trial, which discretizes the eventual-delivery assumption.
 """
 
 from __future__ import annotations
@@ -151,6 +154,14 @@ def _path_hops(path, pools):
 
 
 def _forward_key_over(hops, value, nbits, w, interceptor, path_index):
+    """Relay a key share hop by hop over ``hops``; return what B receives.
+
+    ``hops`` comes from :func:`_path_hops`.  Every intermediate node
+    observes the share in plaintext.  The ``interceptor`` (when given) is
+    consulted at each intermediate node via ``on_key_hop(path_index,
+    node, value) -> value`` and may record or substitute; epsilon-leaked
+    hops are reported via ``on_hop_leak(path_index, link, value)``.
+    """
     for pool, stop in hops:
         value, leaked = _hop_transfer(pool, value, nbits, w)
         if interceptor is not None:
@@ -167,6 +178,14 @@ def _forward_key_over(hops, value, nbits, w, interceptor, path_index):
 
 
 def _classical_over(hops, value, nbits, w, interceptor, path_index, kind):
+    """Deliver a classical protocol message over ``hops``.
+
+    On a path with no corrupted node the message always arrives
+    unmodified (eventual delivery, discretized to same-trial delivery).
+    At corrupted nodes the interceptor's ``on_classical_hop(path_index,
+    node, kind, message)`` chooses what to relay; returning None drops
+    the message, making the delivery ⊥ (None).
+    """
     for pool, stop in hops:
         value, _ = _hop_transfer(pool, value, nbits, w)
         if stop is not None and interceptor is not None:
@@ -177,48 +196,3 @@ def _classical_over(hops, value, nbits, w, interceptor, path_index, kind):
                 return None
             value, nbits = out.value, out.length
     return BitString.from_int(value, nbits)
-
-
-def path_forward_key(
-    path,
-    share: BitString,
-    pools,
-    word_bits: int,
-    interceptor=None,
-    path_index: int = 0,
-) -> BitString:
-    """Relay a key share hop-by-hop along ``path``; return what B receives.
-
-    Every intermediate node observes the share in plaintext.  The
-    ``interceptor`` (when given) is consulted at each intermediate node
-    via ``on_key_hop(path_index, node, value) -> value`` and may record
-    or substitute; epsilon-leaked hops are reported via
-    ``on_hop_leak(path_index, link, value)``.
-    """
-    return _forward_key_over(
-        _path_hops(path, pools), share.value, share.length,
-        word_bits, interceptor, path_index,
-    )
-
-
-def classical_send(
-    path,
-    message: BitString,
-    pools,
-    word_bits: int,
-    interceptor=None,
-    path_index: int = 0,
-    kind: str = "",
-) -> BitString | None:
-    """Deliver a classical protocol message along ``path``.
-
-    On a path with no corrupted node the message always arrives
-    unmodified (eventual delivery, discretized to same-trial delivery).
-    At corrupted nodes the interceptor's
-    ``on_classical_hop(path_index, node, kind, message)`` chooses what to
-    relay; returning None drops the message, making the delivery ⊥.
-    """
-    return _classical_over(
-        _path_hops(path, pools), message.value, message.length,
-        word_bits, interceptor, path_index, kind,
-    )

@@ -34,24 +34,24 @@ from qkdnet.adversary import (
     guessing_advantage,
     honest_path_view,
 )
-from qkdnet.bits import BitString, inner_product, xor_combine
+from qkdnet.bits import BitString, inner_product
 from qkdnet.mac import (
     MacKey,
     MacParams,
+    _tag_value,
     impersonation_bound,
     split_for_two_messages,
     tag as mac_tag,
 )
 from qkdnet.network import required_paths
 from qkdnet.protocol import (
-    Challenge,
     SecurityParams,
+    _encode_challenge,
+    _key_parts,
+    _make_challenge,
+    _verify_challenge,
     deterministic_pa,
-    encode_challenge,
     full_session,
-    make_challenge,
-    split_session_key,
-    verify_challenge,
 )
 from qkdnet.sim import (
     clopper_pearson,
@@ -105,17 +105,17 @@ class TestCriterion1ParityMissRate:
         # production path: keys equal on the MAC prefix, differing in the
         # remainder; every possible single vector, miss count exactly half
         params = SecurityParams(n=8, s=2, m=1, ell=2)
-        key_a = BitString("1100" + "1010")
-        key_b = BitString("1100" + "0011")
-        parts = split_session_key(key_a, params)
+        w, cb = params.word_bits, params.challenge_bits
+        first_a, _, rem_a = _key_parts(0b1100_1010, params)
+        first_b, _, rem_b = _key_parts(0b1100_0011, params)
         misses = 0
         for lv in range(16):
             lam = BitString.from_int(lv, 4)
-            parity = inner_product(lam, parts.remainder)
-            message = encode_challenge([lam], [parity], 4)
-            ch = Challenge((lam,), (parity,), message,
-                           mac_tag(parts.auth_first, message))
-            misses += verify_challenge([ch.payload()], key_b, params).result
+            parity = inner_product(lam, BitString.from_int(rem_a, 4))
+            message = _encode_challenge([lv], [parity], 4)
+            payload = (message << w) | _tag_value(w, first_a, message, cb)
+            copy = BitString.from_int(payload, cb + w)
+            misses += _verify_challenge([copy], first_b, rem_b, params).result
         assert misses == 8
         print("\n[criterion 1a] PASS: exhaustive miss rate exactly 2^-m")
 
@@ -123,15 +123,18 @@ class TestCriterion1ParityMissRate:
         # 64 test bits, m=8, 1e5 trials through the production
         # challenge/verify path; 99% CP interval must contain 2^-8.
         params = SecurityParams(n=96, s=16, m=8, ell=2)
+        copy_bits = params.challenge_bits + params.word_bits
         rng = random.Random(20250810)
         trials = 100_000
         misses = 0
         for _ in range(trials):
-            key_a = BitString.random(96, rng)
+            key_a = BitString.random(96, rng).value
             diff = rng.randrange(1, 1 << 64)
-            key_b = key_a ^ BitString.from_int(diff, 96)
-            ch = make_challenge(key_a, params, rng)
-            misses += verify_challenge([ch.payload()], key_b, params).result
+            first_a, _, rem_a = _key_parts(key_a, params)
+            first_b, _, rem_b = _key_parts(key_a ^ diff, params)
+            _, payload = _make_challenge(first_a, rem_a, params, rng)
+            copy = BitString.from_int(payload, copy_bits)
+            misses += _verify_challenge([copy], first_b, rem_b, params).result
         low, high = clopper_pearson(misses, trials, 0.99)
         assert low <= 2.0 ** -8 <= high, (misses, low, high)
         print(f"[criterion 1b] PASS: {misses}/{trials} misses, "
@@ -146,12 +149,11 @@ class TestCriterion2SharePrivacy:
                 for _ in range(10):
                     shares = [BitString.random(bits, rng) for _ in range(ell)]
                     assert share_privacy_exact(bits, ell, shares)
-                    key = xor_combine(shares)
                     for known in itertools.combinations(range(ell), ell - 1):
                         view = AdversaryView(ell, bits)
                         for i in known:
                             view.record_share(i, shares[i])
-                        res = guessing_advantage(view, key, bits)
+                        res = guessing_advantage(view, bits)
                         assert res.exact and res.advantage == Fraction(0)
         print("\n[criterion 2] PASS: any ell-1 shares give advantage exactly 0")
 
@@ -217,8 +219,7 @@ class TestCriterion5PrivacyUnderDisclosure:
             out = full_session(three_path_graph, "alice", "bob", params,
                                cfg, random.Random(seed))
             assert out.published is not None
-            true_key = xor_combine(list(out.shares_sent))
-            adv = guessing_advantage(out.view, true_key, 8)
+            adv = guessing_advantage(out.view, 8)
             assert adv.exact and adv.advantage == Fraction(0)
             controlled = set(out.published.shares)
             for i in range(3):
@@ -226,7 +227,7 @@ class TestCriterion5PrivacyUnderDisclosure:
                     continue
                 view = honest_path_view(3, i, out.shares_received[i],
                                         out.published)
-                res = guessing_advantage(view, true_key, 8)
+                res = guessing_advantage(view, 8)
                 assert res.exact and res.advantage == Fraction(0)
         print("\n[criterion 5] PASS: adversary and honest-path advantages "
               "exactly 0 under full disclosure")

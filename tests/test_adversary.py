@@ -17,7 +17,7 @@ from qkdnet.adversary import (
     guessing_advantage,
     honest_path_view,
 )
-from qkdnet.bits import BitString, xor_combine
+from qkdnet.bits import BitString
 from qkdnet.errors import (
     BoundExceeded,
     EndpointCorruption,
@@ -156,24 +156,24 @@ class TestGuessingAdvantage:
     def test_missing_share_gives_exact_zero(self):
         view = AdversaryView(n_paths=2, share_bits=4)
         view.record_share(0, BitString("1010"))
-        res = guessing_advantage(view, BitString("0110"), 4)
+        res = guessing_advantage(view, 4)
         assert res.exact and res.advantage == Fraction(0)
 
     def test_all_shares_determine_key(self):
         view = AdversaryView(n_paths=2, share_bits=4)
         view.record_share(0, BitString("1010"))
         view.record_share(1, BitString("0011"))
-        res = guessing_advantage(view, BitString("1001"), 4)
+        res = guessing_advantage(view, 4)
         assert res.exact and res.advantage == Fraction(1) - Fraction(1, 16)
 
     def test_empty_view_is_zero(self):
-        res = guessing_advantage(AdversaryView(3, 4), BitString("1010"), 4)
+        res = guessing_advantage(AdversaryView(3, 4), 4)
         assert res.exact and res.advantage == Fraction(0)
 
     def test_too_large_when_exact_required(self):
         view = AdversaryView(n_paths=2, share_bits=24)
         with pytest.raises(TooLarge):
-            guessing_advantage(view, BitString("0" * 24), 24)
+            guessing_advantage(view, 24)
 
     @pytest.mark.parametrize("bits,unknown", [(17, 1), (11, 2), (7, 3), (3, 7)])
     def test_past_exact_limit_raises_too_large(self, bits, unknown):
@@ -182,7 +182,7 @@ class TestGuessingAdvantage:
         view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
         view.record_share(0, BitString("1" * bits))
         with pytest.raises(TooLarge):
-            guessing_advantage(view, BitString("0" * bits), bits)
+            guessing_advantage(view, bits)
 
     @pytest.mark.parametrize("bits,ell", [(4, 2), (6, 2), (4, 3), (8, 3)])
     def test_any_missing_share_exact_zero_exhaustive(self, bits, ell):
@@ -191,12 +191,11 @@ class TestGuessingAdvantage:
         rng = random.Random(5)
         for _ in range(10):
             shares = [BitString.random(bits, rng) for _ in range(ell)]
-            key = xor_combine(shares)
             for known in itertools.combinations(range(ell), ell - 1):
                 view = AdversaryView(n_paths=ell, share_bits=bits)
                 for i in known:
                     view.record_share(i, shares[i])
-                res = guessing_advantage(view, key, bits)
+                res = guessing_advantage(view, bits)
                 assert res.exact and res.advantage == Fraction(0)
 
 
@@ -244,7 +243,7 @@ class TestGuessingAdvantageEnumeration:
     @given(advantage_views())
     def test_matches_per_assignment_loop(self, case):
         view, key_len = case
-        res = guessing_advantage(view, BitString.zeros(key_len), key_len)
+        res = guessing_advantage(view, key_len)
         assert res.exact
         assert res.advantage == advantage_reference(view, key_len)
 
@@ -256,7 +255,7 @@ class TestGuessingAdvantageEnumeration:
         view.record_share(0, BitString("1" * bits))
         tracemalloc.start()
         try:
-            res = guessing_advantage(view, BitString("0" * bits), bits)
+            res = guessing_advantage(view, bits)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -270,23 +269,21 @@ class TestHonestButCurious:
         # path still has exact advantage 0.
         rng = random.Random(6)
         shares = [BitString.random(4, rng) for _ in range(3)]
-        key = xor_combine(shares)
         adv_view = AdversaryView(n_paths=3, share_bits=4)
         adv_view.record_share(0, shares[0])
         bundle = disclose(adv_view)
         for honest in (1, 2):
             view = honest_path_view(3, honest, shares[honest], bundle)
-            res = guessing_advantage(view, key, 4)
+            res = guessing_advantage(view, 4)
             assert res.exact and res.advantage == Fraction(0)
 
     def test_single_honest_path_reconstructs_after_disclosure(self):
         rng = random.Random(7)
         shares = [BitString.random(4, rng) for _ in range(3)]
-        key = xor_combine(shares)
         adv_view = AdversaryView(n_paths=3, share_bits=4)
         adv_view.record_share(0, shares[0])
         adv_view.record_share(1, shares[1])
         bundle = disclose(adv_view)
         view = honest_path_view(3, 2, shares[2], bundle)
-        res = guessing_advantage(view, key, 4)
+        res = guessing_advantage(view, 4)
         assert res.exact and res.advantage == Fraction(1) - Fraction(1, 16)

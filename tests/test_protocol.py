@@ -14,37 +14,42 @@ from qkdnet.errors import (
     OutOfRange,
     ParameterViolation,
 )
-from qkdnet.mac import tag as mac_tag
+from qkdnet.mac import _tag_value
 from qkdnet.protocol import (
-    Challenge,
     SecurityParams,
-    decode_challenge,
+    _decode_challenge,
+    _encode_challenge,
+    _key_parts,
+    _make_challenge,
+    _make_response,
+    _verify_challenge,
+    _verify_response,
     deterministic_pa,
-    encode_challenge,
     full_session,
-    make_challenge,
-    make_response,
-    multipath_establish,
-    split_challenge_payload,
-    split_session_key,
-    verify_challenge,
-    verify_response,
 )
 
 # Small parameter set: w=1, s=2, reserved 4, remainder 4 bits.
 TINY = SecurityParams(n=8, s=2, m=2, ell=2)
 # Production-ish set: w=8, s=16, reserved 32, remainder 32 bits.
 STD = SecurityParams(n=64, s=16, m=4, ell=2)
+# Wire lengths of a challenge copy and a response copy (message || tag).
+TINY_CH = TINY.challenge_bits + TINY.word_bits
+STD_CH = STD.challenge_bits + STD.word_bits
+STD_RESP = 1 + STD.word_bits
 
 
-def keyed_challenge(full_key, params, lambdas):
-    """Challenge with chosen parity vectors (same construction as
-    make_challenge, with the random draw replaced)."""
-    parts = split_session_key(full_key, params)
-    parities = tuple(inner_product(lam, parts.remainder) for lam in lambdas)
-    message = encode_challenge(lambdas, parities, params.test_bits)
-    return Challenge(tuple(lambdas), parities, message,
-                     mac_tag(parts.auth_first, message))
+def keyed_challenge(key, params, lambdas):
+    """Challenge payload with chosen parity vectors (same construction as
+    _make_challenge, with the random draw replaced)."""
+    first, _, remainder = _key_parts(key, params)
+    tb = params.test_bits
+    parities = [
+        inner_product(BitString.from_int(lam, tb), BitString.from_int(remainder, tb))
+        for lam in lambdas
+    ]
+    message = _encode_challenge(lambdas, parities, tb)
+    w = params.word_bits
+    return (message << w) | _tag_value(w, first, message, params.challenge_bits)
 
 
 class TestSecurityParams:
@@ -74,117 +79,151 @@ class TestSecurityParams:
 
 class TestSplitSessionKey:
     def test_slices(self):
-        key = BitString("10110100")
-        parts = split_session_key(key, TINY)
-        assert str(parts.auth_first.material) == "10"
-        assert str(parts.auth_second.material) == "11"
-        assert str(parts.remainder) == "0100"
-
-    def test_wrong_length(self):
-        with pytest.raises(OutOfRange):
-            split_session_key(BitString("101"), TINY)
+        assert _key_parts(0b10110100, TINY) == (0b10, 0b11, 0b0100)
 
 
 class TestMakeChallenge:
     def test_message_length_is_m_times_testbits_plus_one(self):
         # test_bits=4, m=2 -> 2 * 5 = 10 bits on the wire before the tag
         rng = random.Random(0)
-        ch = make_challenge(BitString.random(8, rng), TINY, rng)
-        assert ch.message.length == 10
-        assert ch.payload().length == 10 + TINY.word_bits
+        key = rng.getrandbits(8)
+        first, _, remainder = _key_parts(key, TINY)
+        lambdas, payload = _make_challenge(first, remainder, TINY, rng)
+        assert TINY.challenge_bits == 10
+        assert 0 <= payload < 1 << (10 + TINY.word_bits)
+        assert [lam.length for lam in lambdas] == [4, 4]
+        copy = BitString.from_int(payload, TINY_CH)
+        assert _verify_challenge([copy], first, remainder, TINY).result == 1
 
     def test_zero_remainder_gives_zero_parities(self):
         rng = random.Random(1)
-        key = BitString("1011" + "0000")
-        ch = make_challenge(key, TINY, rng)
-        assert ch.parities == (0, 0)
+        first, _, remainder = _key_parts(0b1011_0000, TINY)
+        _, payload = _make_challenge(first, remainder, TINY, rng)
+        _, parities = _decode_challenge(payload >> TINY.word_bits, 4, 2)
+        assert parities == [0, 0]
 
     def test_parity_by_hand(self):
-        key = BitString("0000" + "1010")
-        ch = keyed_challenge(key, TINY, [BitString("1100"), BitString("0010")])
-        assert ch.parities == (1, 1)
+        payload = keyed_challenge(0b0000_1010, TINY, [0b1100, 0b0010])
+        _, parities = _decode_challenge(payload >> TINY.word_bits, 4, 2)
+        assert parities == [1, 1]
 
     def test_parities_match_inner_products(self):
         rng = random.Random(2)
-        key = BitString.random(64, rng)
-        ch = make_challenge(key, STD, rng)
-        rem = split_session_key(key, STD).remainder
-        assert ch.parities == tuple(inner_product(l, rem) for l in ch.lambdas)
+        first, _, remainder = _key_parts(rng.getrandbits(64), STD)
+        lambdas, payload = _make_challenge(first, remainder, STD, rng)
+        _, parities = _decode_challenge(payload >> STD.word_bits,
+                                        STD.test_bits, STD.m)
+        rem = BitString.from_int(remainder, STD.test_bits)
+        assert parities == [inner_product(l, rem) for l in lambdas]
 
     def test_encode_decode_round_trip(self):
         rng = random.Random(3)
-        ch = make_challenge(BitString.random(64, rng), STD, rng)
-        assert decode_challenge(ch.message, STD) == (ch.lambdas, ch.parities)
+        first, _, remainder = _key_parts(rng.getrandbits(64), STD)
+        lambdas, payload = _make_challenge(first, remainder, STD, rng)
+        message = payload >> STD.word_bits
+        values, parities = _decode_challenge(message, STD.test_bits, STD.m)
+        assert values == [lam.value for lam in lambdas]
+        assert _encode_challenge(values, parities, STD.test_bits) == message
 
     def test_split_payload_is_message_and_tag(self):
         rng = random.Random(3)
-        ch = make_challenge(BitString.random(64, rng), STD, rng)
-        assert split_challenge_payload(ch.payload(), STD) == (ch.message, ch.tag)
+        first, _, remainder = _key_parts(rng.getrandbits(64), STD)
+        _, payload = _make_challenge(first, remainder, STD, rng)
+        w = STD.word_bits
+        message, tag = payload >> w, payload & ((1 << w) - 1)
+        assert message < 1 << STD.challenge_bits
+        assert tag == _tag_value(w, first, message, STD.challenge_bits)
 
     def test_decode_rejects_wrong_length(self):
-        assert decode_challenge(BitString("10101"), STD) is None
-        assert split_challenge_payload(BitString("101"), STD) is None
+        # A copy one bit short or long is never decoded: it is skipped
+        # like a forged copy and its path identified.
+        rng = random.Random(4)
+        key = rng.getrandbits(64)
+        first, second, remainder = _key_parts(key, STD)
+        _, payload = _make_challenge(first, remainder, STD, rng)
+        genuine = BitString.from_int(payload, STD_CH)
+        for bad in (BitString.from_int(payload >> 1, genuine.length - 1),
+                    BitString.from_int(payload << 1, genuine.length + 1)):
+            out = _verify_challenge([bad, genuine], first, remainder, STD)
+            assert out.result == 1 and out.accepted_path == 1
+            assert out.identified_dishonest == frozenset({0})
+            assert _verify_challenge([bad], first, remainder, STD).result == 0
+        response = _make_response(1, second, STD)
+        genuine = BitString.from_int(response, STD_RESP)
+        for bad in (BitString.from_int(response >> 1, genuine.length - 1),
+                    BitString.from_int(response, genuine.length + 1)):
+            out = _verify_response([bad, genuine], second, STD)
+            assert out.result_prime == 1 and out.accepted_path == 1
+            assert out.identified_dishonest == frozenset({0})
+            assert _verify_response([bad], second, STD).accepted_path is None
 
 
 class TestVerifyChallenge:
     def test_honest_run_accepts_lowest_path(self):
         rng = random.Random(4)
-        key = BitString.random(64, rng)
-        ch = make_challenge(key, STD, rng)
-        payload = ch.payload()
-        out = verify_challenge([payload, payload], key, STD)
+        key = rng.getrandbits(64)
+        first, _, remainder = _key_parts(key, STD)
+        lambdas, payload = _make_challenge(first, remainder, STD, rng)
+        copy = BitString.from_int(payload, STD_CH)
+        out = _verify_challenge([copy, copy], first, remainder, STD)
         assert out.result == 1
         assert out.accepted_path == 0
-        assert out.lambdas == ch.lambdas
+        assert out.lambdas == lambdas
         assert out.identified_dishonest == frozenset()
 
     def test_differing_prefix_rejects_all_copies(self):
         rng = random.Random(5)
-        key_a = BitString.random(64, rng)
-        key_b = key_a ^ BitString.from_int(1 << 63, 64)  # flip a prefix bit
-        ch = make_challenge(key_a, STD, rng)
-        out = verify_challenge([ch.payload(), ch.payload()], key_b, STD)
+        key_a = rng.getrandbits(64)
+        key_b = key_a ^ (1 << 63)  # flip a prefix bit
+        first_a, _, rem_a = _key_parts(key_a, STD)
+        first_b, _, rem_b = _key_parts(key_b, STD)
+        _, payload = _make_challenge(first_a, rem_a, STD, rng)
+        copy = BitString.from_int(payload, STD_CH)
+        out = _verify_challenge([copy, copy], first_b, rem_b, STD)
         assert out.result == 0 and out.accepted_path is None
 
     def test_remainder_mismatch_caught_by_chosen_vector(self):
         # kappa prefixes equal, remainders differ in bit 1; a vector
         # probing that bit flags the mismatch deterministically.
-        key_a = BitString("0000" + "1010")
-        key_b = BitString("0000" + "0010")
-        ch = keyed_challenge(key_a, TINY, [BitString("1000"), BitString("0001")])
-        out = verify_challenge([ch.payload()], key_b, TINY)
+        payload = keyed_challenge(0b0000_1010, TINY, [0b1000, 0b0001])
+        first_b, _, rem_b = _key_parts(0b0000_0010, TINY)
+        out = _verify_challenge([BitString.from_int(payload, TINY_CH)],
+                                first_b, rem_b, TINY)
         assert out.result == 0 and out.accepted_path == 0
 
     def test_miss_rate_exhaustive_single_vector(self):
         # kappa equal, remainders differ by d != 0: over all 16 vectors
         # exactly half miss (parities agree), the 2^-m rate at m=1.
         params = SecurityParams(n=8, s=2, m=1, ell=2)
-        key_a = BitString("1100" + "1010")
-        key_b = BitString("1100" + "0110")
+        first_b, _, rem_b = _key_parts(0b1100_0110, params)
         misses = 0
-        for lv in range(16):
-            lam = BitString.from_int(lv, 4)
-            ch = keyed_challenge(key_a, params, [lam])
-            out = verify_challenge([ch.payload()], key_b, params)
-            misses += out.result
+        for lam in range(16):
+            payload = keyed_challenge(0b1100_1010, params, [lam])
+            copy = BitString.from_int(payload, params.challenge_bits
+                                      + params.word_bits)
+            misses += _verify_challenge([copy], first_b, rem_b, params).result
         assert misses == 8
 
     def test_dropped_copies_are_mac_failures(self):
         rng = random.Random(6)
-        key = BitString.random(64, rng)
-        ch = make_challenge(key, STD, rng)
-        out = verify_challenge([None, ch.payload()], key, STD)
+        key = rng.getrandbits(64)
+        first, _, remainder = _key_parts(key, STD)
+        _, payload = _make_challenge(first, remainder, STD, rng)
+        copy = BitString.from_int(payload, STD_CH)
+        out = _verify_challenge([None, copy], first, remainder, STD)
         assert out.result == 1 and out.accepted_path == 1
         assert out.identified_dishonest == frozenset({0})
-        out_all_dropped = verify_challenge([None, None], key, STD)
+        out_all_dropped = _verify_challenge([None, None], first, remainder, STD)
         assert out_all_dropped.result == 0
 
     def test_unauthentic_copy_skipped_and_identified(self):
         rng = random.Random(7)
-        key = BitString.random(64, rng)
-        ch = make_challenge(key, STD, rng)
-        forged = BitString.random(ch.payload().length, rng)
-        out = verify_challenge([forged, ch.payload()], key, STD)
+        key = rng.getrandbits(64)
+        first, _, remainder = _key_parts(key, STD)
+        _, payload = _make_challenge(first, remainder, STD, rng)
+        genuine = BitString.from_int(payload, STD_CH)
+        forged = BitString.random(genuine.length, rng)
+        out = _verify_challenge([forged, genuine], first, remainder, STD)
         assert out.result == 1 and out.accepted_path == 1
         assert out.identified_dishonest == frozenset({0})
 
@@ -192,34 +231,34 @@ class TestVerifyChallenge:
 class TestResponse:
     def test_round_trip_when_keys_equal(self):
         rng = random.Random(8)
-        key = BitString.random(64, rng)
+        _, second, _ = _key_parts(rng.getrandbits(64), STD)
         for bit in (0, 1):
-            payload = make_response(bit, key, STD)
-            out = verify_response([payload, payload], key, STD)
+            copy = BitString.from_int(_make_response(bit, second, STD), STD_RESP)
+            out = _verify_response([copy, copy], second, STD)
             assert out.result_prime == bit
             assert out.accepted_path == 0
 
     def test_differing_keys_reject(self):
         rng = random.Random(9)
-        key_a = BitString.random(64, rng)
-        key_b = BitString.random(64, rng)
-        payload = make_response(1, key_b, STD)
-        out = verify_response([payload, payload], key_a, STD)
+        _, second_a, _ = _key_parts(rng.getrandbits(64), STD)
+        _, second_b, _ = _key_parts(rng.getrandbits(64), STD)
+        copy = BitString.from_int(_make_response(1, second_b, STD), STD_RESP)
+        out = _verify_response([copy, copy], second_a, STD)
         assert out.result_prime == 0 and out.accepted_path is None
 
     def test_forged_copy_identified_next_to_genuine(self):
         rng = random.Random(10)
-        key = BitString.random(64, rng)
-        genuine = make_response(1, key, STD)
+        _, second, _ = _key_parts(rng.getrandbits(64), STD)
+        genuine = BitString.from_int(_make_response(1, second, STD), STD_RESP)
         forged = BitString.random(genuine.length, rng)
-        out = verify_response([forged, genuine], key, STD)
+        out = _verify_response([forged, genuine], second, STD)
         assert out.result_prime == 1
         assert out.accepted_path == 1
         assert out.identified_dishonest == frozenset({0})
 
     def test_non_bit_result_rejected(self):
         with pytest.raises(OutOfRange):
-            make_response(2, BitString.zeros(64), STD)
+            _make_response(2, 0, STD)
 
 
 class TestDeterministicPa:
@@ -371,9 +410,9 @@ class TestDistillRunCopy:
 
 
 class TestIntegerSessionMatchesWrappers:
-    """``full_session`` (integer level) and the public BitString wrappers
-    give the same payloads, verdicts and vectors for the same keys and
-    RNG state."""
+    """``full_session`` gives the same payloads, verdicts, vectors and
+    final keys as its phase helpers called one at a time on the
+    session's keys and RNG state."""
 
     @pytest.mark.parametrize("strategy", [
         None, "passive", "tamper_shares", "forge_auth", "drop_auth"])
@@ -392,97 +431,94 @@ class TestIntegerSessionMatchesWrappers:
             strategies=(strategy,))
         out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
                            random.Random(seed))
-        key_a = xor_combine(list(out.shares_sent))
-        key_b = xor_combine(list(out.shares_received))
+        key_a = xor_combine(list(out.shares_sent)).value
+        key_b = xor_combine(list(out.shares_received)).value
+        first_a, second_a, rem_a = _key_parts(key_a, STD)
+        first_b, second_b, rem_b = _key_parts(key_b, STD)
         challenges = out.transcript.challenge_copies
         responses = out.transcript.response_copies
 
         rng = random.Random()
         rng.setstate(states[0])
-        ch = make_challenge(key_a, STD, rng)
-        assert ch.lambdas == out.challenge_lambdas
-        assert challenges[1] == ch.payload()   # path 1 avoids n1
+        lambdas, payload = _make_challenge(first_a, rem_a, STD, rng)
+        assert challenges[1] == BitString.from_int(payload, STD_CH)  # avoids n1
 
-        cv = verify_challenge(challenges, key_b, STD)
+        cv = _verify_challenge(challenges, first_b, rem_b, STD)
         assert cv.result == out.result
-        assert responses[1] == make_response(cv.result, key_b, STD)
-        rv = verify_response(responses, key_a, STD)
+        response = _make_response(cv.result, second_b, STD)
+        assert responses[1] == BitString.from_int(response, STD_RESP)
+        rv = _verify_response(responses, second_a, STD)
         assert rv.result_prime == out.result_prime
         assert (cv.identified_dishonest | rv.identified_dishonest
                 == out.transcript.identified_dishonest)
-        assert out.keys_equal == (
-            split_session_key(key_a, STD).remainder
-            == split_session_key(key_b, STD).remainder)
+        assert out.keys_equal == (rem_a == rem_b)
         assert out.full_keys_equal == (key_a == key_b)
 
+        tb = STD.test_bits
         if out.result == 1:
-            assert deterministic_pa(split_session_key(key_b, STD).remainder,
+            assert deterministic_pa(BitString.from_int(rem_b, tb),
                                     cv.lambdas) == (out.final_key_b, out.trash_b)
         if out.result_prime == 1:
-            assert deterministic_pa(split_session_key(key_a, STD).remainder,
-                                    ch.lambdas) == (out.final_key_a, out.trash_a)
+            assert deterministic_pa(BitString.from_int(rem_a, tb),
+                                    lambdas) == (out.final_key_a, out.trash_a)
 
 
 class TestMultipathEstablish:
+    """The establish phase, observed through ``full_session``."""
+
     def test_honest_keys_equal_and_are_share_xor(self, two_chains_graph):
-        rng = random.Random(12)
-        est = multipath_establish(two_chains_graph, "alice", "bob", STD, rng)
-        assert est.key_a == est.key_b
-        assert est.key_a == xor_combine(list(est.shares_sent))
-        assert est.shares_received == est.shares_sent
+        out = full_session(two_chains_graph, "alice", "bob", STD, None,
+                           random.Random(12))
+        assert out.full_keys_equal
+        assert out.shares_received == out.shares_sent
+        # the challenge authenticates, and the final key distils, under
+        # the XOR of the shares
+        first, _, remainder = _key_parts(
+            xor_combine(list(out.shares_sent)).value, STD)
+        cv = _verify_challenge(out.transcript.challenge_copies, first,
+                               remainder, STD)
+        assert cv.result == 1
+        assert deterministic_pa(BitString.from_int(remainder, STD.test_bits),
+                                cv.lambdas) == (out.final_key_a, out.trash_a)
 
     def test_insufficient_connectivity(self, two_chains_graph):
         params = SecurityParams(n=64, s=16, m=4, ell=3)
         with pytest.raises(InsufficientConnectivity):
-            multipath_establish(two_chains_graph, "alice", "bob", params, random.Random(0))
+            full_session(two_chains_graph, "alice", "bob", params, None,
+                         random.Random(0))
 
     def test_tampering_desynchronizes_silently(self, two_chains_graph):
-        from qkdnet.adversary import AdversaryView, ScriptedAdversary
-
-        rng = random.Random(13)
         cfg = corrupt(two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
                       strategies=("tamper_shares",))
-        view = AdversaryView(2, STD.n)
-        est = multipath_establish(
-            two_chains_graph, "alice", "bob", STD, rng,
-            interceptor=ScriptedAdversary(cfg, view, rng),
-        )
-        assert est.key_a != est.key_b
+        out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
+                           random.Random(13))
+        assert out.shares_received[0] != out.shares_sent[0]   # via n1
+        assert out.shares_received[1] == out.shares_sent[1]
+        assert not out.full_keys_equal
 
     def test_ell_minus_one_controlled_keeps_key_private(self, three_path_graph):
         # 8-bit keys, adversary passively owns 2 of 3 paths: exact
         # posterior over the full key stays uniform.
-        from qkdnet.adversary import AdversaryView, ScriptedAdversary
-
         params = SecurityParams(n=8, s=2, m=2, ell=3)
-        rng = random.Random(14)
         cfg = corrupt(three_path_graph, {"x1", "x2"}, 2,
                       endpoints=("alice", "bob"))
-        view = AdversaryView(3, 8)
-        est = multipath_establish(
-            three_path_graph, "alice", "bob", params, rng,
-            interceptor=ScriptedAdversary(cfg, view, rng),
-        )
-        res = guessing_advantage(view, est.key_a, 8)
+        out = full_session(three_path_graph, "alice", "bob", params, cfg,
+                           random.Random(14))
+        assert set(out.view.learned_shares) == {0, 1}
+        res = guessing_advantage(out.view, 8)
         assert res.exact and res.advantage == Fraction(0)
 
     def test_observed_shares_are_exactly_the_controlled_paths(self, three_path_graph):
         # paths sort x1, x2, x3; the adversary on x1/x3 sees those two
         # shares verbatim and nothing from the honest middle path.
-        from qkdnet.adversary import AdversaryView, ScriptedAdversary
-
         params = SecurityParams(n=16, s=2, m=2, ell=3)
-        rng = random.Random(15)
         cfg = corrupt(three_path_graph, {"x1", "x3"}, 2,
                       endpoints=("alice", "bob"))
-        view = AdversaryView(3, 16)
-        est = multipath_establish(
-            three_path_graph, "alice", "bob", params, rng,
-            interceptor=ScriptedAdversary(cfg, view, rng),
-        )
-        assert set(view.learned_shares) == {0, 2}
-        assert view.learned_shares[0] == [est.shares_sent[0]]
-        assert view.learned_shares[2] == [est.shares_sent[2]]
+        out = full_session(three_path_graph, "alice", "bob", params, cfg,
+                           random.Random(15))
+        assert set(out.view.learned_shares) == {0, 2}
+        assert out.view.learned_shares[0] == [out.shares_sent[0]]
+        assert out.view.learned_shares[2] == [out.shares_sent[2]]
 
 
 class TestFullSession:

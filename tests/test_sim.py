@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from qkdnet.adversary import guessing_advantage
 from qkdnet.bits import BitString
 from qkdnet.errors import ParseError, TooLarge, ValidationError
-from qkdnet.protocol import SecurityParams
+from qkdnet.protocol import SecurityParams, full_session
 from qkdnet.sim import (
     aggregate,
     check_bounds,
@@ -153,12 +154,40 @@ class TestRunTrial:
         assert detected >= 170
 
     def test_small_keys_carry_exact_advantage(self):
-        doc = two_chains_doc(params={"n": 12, "s": 2, "m": 2, "ell": 2, "w": 1},
-                       adversary={"corrupted": ["n1"], "t": 1,
-                                  "strategies": ["passive"]})
+        # The closed form in run_trial equals the exact enumeration on
+        # every view the session produces.  Leaky links (epsilon 0.5)
+        # expose the honest path's share often enough that views with
+        # every share known occur next to views with one unknown.
+        doc = two_chains_doc(
+            params={"n": 8, "s": 2, "m": 2, "ell": 2, "w": 1},
+            adversary={"corrupted": ["n1"], "t": 1,
+                       "strategies": ["forge_auth", "disclose_all"]})
+        for link in doc["links"]:
+            link["epsilon"] = 0.5
         sc = load_scenario(doc)
-        r = run_trial(sc, derive_trial_seed(0, 0))
-        assert r.advantage == 0.0 and r.advantage_exact
+        seen = set()
+        for i in range(60):
+            seed = derive_trial_seed(sc.seed, i)
+            r = run_trial(sc, seed, index=i)
+            out = full_session(sc.graph, sc.a, sc.b, sc.params,
+                               sc.adversary, random.Random(seed))
+            exact = guessing_advantage(out.view, sc.params.n)
+            assert r.advantage == float(exact.advantage)
+            seen.add(r.advantage)
+        assert seen == {0.0, 1.0 - 2.0 ** -8}
+
+    @pytest.mark.parametrize("epsilon,advantage", [(0.0, 0.0), (1.0, 1.0)])
+    def test_long_keys_carry_closed_form_advantage(self, epsilon, advantage):
+        # n=256 is far past exhaustive enumeration; the closed form still
+        # gives every trial its advantage (1 - 2^-256 rounds to 1.0).
+        doc = two_chains_doc(
+            params={"n": 256, "s": 16, "m": 4, "ell": 2, "w": 8},
+            adversary={"corrupted": ["n1"], "t": 1, "strategies": ["passive"]})
+        for link in doc["links"]:
+            link["epsilon"] = epsilon
+        sc = load_scenario(doc)
+        r = run_trial(sc, derive_trial_seed(sc.seed, 0))
+        assert r.advantage == advantage
 
 
 class TestClopperPearson:

@@ -7,9 +7,10 @@ from qkdnet.errors import InsufficientKey, LinkDown
 from qkdnet.network import QkdLink
 from qkdnet.transport import (
     LinkKeyPool,
+    _classical_over,
+    _forward_key_over,
     _hop_transfer,
-    classical_send,
-    path_forward_key,
+    _path_hops,
     qkd_generate,
 )
 
@@ -174,8 +175,8 @@ class TestHopSend:
         with pytest.raises(InsufficientKey):
             _hop_transfer(down, 0b1010, 4, W)
         with pytest.raises(InsufficientKey):
-            path_forward_key(("u", "v"), BitString("1010"),
-                             {("u", "v"): down}, W)
+            _forward_key_over(_path_hops(("u", "v"), {("u", "v"): down}),
+                              0b1010, 4, W, None, 0)
 
 
 class TestPathForwardKey:
@@ -185,7 +186,8 @@ class TestPathForwardKey:
         pools = chain_pools(path)
         share = BitString.random(64, rng)
         rec = Recorder()
-        out = path_forward_key(path, share, pools, W, interceptor=rec)
+        out = _forward_key_over(_path_hops(path, pools), share.value,
+                                share.length, W, rec, 0)
         assert out == share
         assert [(i, n) for i, n, _ in rec.key_hops] == [(0, "x"), (0, "y")]
         assert all(v == share for _, _, v in rec.key_hops)
@@ -196,7 +198,8 @@ class TestPathForwardKey:
         pools = chain_pools(path)
         share = BitString.random(32, rng)
         rec = Recorder(corrupted={"x"})
-        out = path_forward_key(path, share, pools, W, interceptor=rec)
+        out = _forward_key_over(_path_hops(path, pools), share.value,
+                                share.length, W, rec, 0)
         assert out == share
         assert rec.key_hops[0][2] == share
 
@@ -207,7 +210,8 @@ class TestPathForwardKey:
         share = BitString.random(32, rng)
         mask = BitString.from_int(0b101, 32)
         rec = Recorder(corrupted={"x"}, tamper=lambda v: v ^ mask)
-        out = path_forward_key(path, share, pools, W, interceptor=rec)
+        out = _forward_key_over(_path_hops(path, pools), share.value,
+                                share.length, W, rec, 0)
         assert out == share ^ mask  # no exception: transport cannot tell
 
     def test_epsilon_leak_reported(self):
@@ -216,7 +220,8 @@ class TestPathForwardKey:
         pools = chain_pools(path, epsilon=1.0)
         share = BitString.random(16, rng)
         rec = Recorder()
-        out = path_forward_key(path, share, pools, W, interceptor=rec)
+        out = _forward_key_over(_path_hops(path, pools), share.value,
+                                share.length, W, rec, 0)
         assert out == share
         assert len(rec.leaks) == 2  # both hops leaked
         assert rec.leaks[0][2] == share
@@ -229,13 +234,16 @@ class TestClassicalSend:
         pools = chain_pools(path, bits=100_000)
         for _ in range(50):
             m = BitString.random(rng.randrange(1, 200), rng)
-            assert classical_send(path, m, pools, W) == m
+            out = _classical_over(_path_hops(path, pools), m.value, m.length,
+                                  W, None, 0, "challenge")
+            assert out == m
 
     def test_drop_yields_bottom(self):
         path = ("a", "x", "b")
         pools = chain_pools(path)
         rec = Recorder(corrupted={"x"}, classical=lambda m: None)
-        out = classical_send(path, BitString("1101"), pools, W, interceptor=rec)
+        out = _classical_over(_path_hops(path, pools), 0b1101, 4, W, rec, 0,
+                              "response")
         assert out is None
 
     def test_substitution_delivers_adversary_choice(self):
@@ -243,13 +251,13 @@ class TestClassicalSend:
         pools = chain_pools(path)
         fake = BitString("0000")
         rec = Recorder(corrupted={"x"}, classical=lambda m: fake)
-        out = classical_send(path, BitString("1101"), pools, W, interceptor=rec)
+        out = _classical_over(_path_hops(path, pools), 0b1101, 4, W, rec, 0,
+                              "challenge")
         assert out == fake
 
     def test_kind_is_passed_to_interceptor(self):
         path = ("a", "x", "b")
         pools = chain_pools(path)
         rec = Recorder()
-        classical_send(path, BitString("1"), pools, W,
-                       interceptor=rec, kind="challenge")
+        _classical_over(_path_hops(path, pools), 1, 1, W, rec, 0, "challenge")
         assert rec.classical_hops[0][2] == "challenge"
