@@ -13,7 +13,7 @@ from .adversary import (
     guessing_advantage,
     honest_path_view,
 )
-from .bits import BitString, inner_product, split_key, xor_combine
+from .bits import BitString
 from .mac import (
     MacKey,
     MacParams,

@@ -3,12 +3,14 @@
 Corruption is static per trial: a :class:`AdversaryConfig` fixes which
 nodes are Byzantine and which scripted strategies they run.  During a
 session a :class:`ScriptedAdversary` plugs into the transport layer as
-its interceptor, recording everything corrupted nodes see into an
+its interceptor (the hook contract is in :mod:`qkdnet.transport`),
+recording everything corrupted nodes see into an
 :class:`AdversaryView` and applying the scripted behaviors:
 
 * ``passive``        observe and forward faithfully
 * ``tamper_shares``  XOR a random nonzero mask into relayed key shares
 * ``forge_auth``     replace classical payloads with uniform random bits
+                     of the same length
                      (a random well-formed message plus a uniform tag,
                      i.e. one impersonation attempt per interception)
 * ``drop_auth``      deliver ⊥ for classical payloads
@@ -20,6 +22,10 @@ the unknown shares are enumerated (vectorised, in bounded numpy blocks)
 and the advantage is the maximum posterior probability of any final key
 minus the uniform 2^-k.  There is no sampling fallback: an instance past
 the enumeration limit raises :class:`TooLarge`.
+
+Shares and messages are held as plain integers: a view's shares are
+``view.share_bits`` wide, and a transcript entry carries its message's
+width.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bits import BitString
 from .errors import (
     BoundExceeded,
     EndpointCorruption,
@@ -113,24 +118,27 @@ class AdversaryView:
     ``learned_shares`` maps a path index to the share values observed on
     it, in observation order (the first entry is the value the sender
     put on the path).  The map gains an entry only when the path crosses
-    a corrupted node or an epsilon-compromised hop.
+    a corrupted node or an epsilon-compromised hop.  ``transcripts``
+    holds one ``(path_index, kind, node, value, nbits)`` entry per
+    classical message a corrupted node relayed, and ``leaked_epochs``
+    counts the hops that crossed a compromised epoch.
     """
 
     __slots__ = ("n_paths", "share_bits", "learned_shares", "transcripts",
-                 "compromised_link_bits", "published")
+                 "leaked_epochs", "published")
 
-    def __init__(self, n_paths: int, share_bits: int = 0):
+    def __init__(self, n_paths: int, share_bits: int):
         self.n_paths = n_paths
         self.share_bits = share_bits
-        self.learned_shares: dict[int, list[BitString]] = {}
+        self.learned_shares: dict[int, list[int]] = {}
         self.transcripts: list[tuple] = []
-        self.compromised_link_bits: list[tuple] = []
+        self.leaked_epochs = 0
         self.published: PublishedBundle | None = None
 
-    def record_share(self, path_index: int, value: BitString):
+    def record_share(self, path_index: int, value: int):
         self.learned_shares.setdefault(path_index, []).append(value)
 
-    def known_share(self, path_index: int) -> BitString | None:
+    def known_share(self, path_index: int) -> int | None:
         obs = self.learned_shares.get(path_index)
         return obs[0] if obs else None
 
@@ -148,12 +156,13 @@ def disclose(view: AdversaryView) -> PublishedBundle:
 def honest_path_view(
     n_paths: int,
     own_index: int,
-    own_share: BitString,
+    own_share: int,
+    share_bits: int,
     published: PublishedBundle | None = None,
 ) -> AdversaryView:
-    """View of an honest-but-curious path: its own share plus anything
-    adversarial paths have published."""
-    view = AdversaryView(n_paths, own_share.length)
+    """View of an honest-but-curious path: its own ``share_bits``-bit
+    share plus anything adversarial paths have published."""
+    view = AdversaryView(n_paths, share_bits)
     view.record_share(own_index, own_share)
     if published is not None:
         for i, obs in published.shares.items():
@@ -186,27 +195,26 @@ class ScriptedAdversary:
     def discloses(self) -> bool:
         return "disclose_all" in self.config.strategies
 
-    def on_key_hop(self, path_index, node, value):
+    def on_key_hop(self, path_index, node, value, nbits):
         if node not in self.corrupted:
             return value
         self.view.record_share(path_index, value)
         if self._tamper:
-            mask = self.rng.randrange(1, 1 << value.length)
-            value = value ^ BitString.from_int(mask, value.length)
+            value ^= self.rng.randrange(1, 1 << nbits)
         return value
 
-    def on_classical_hop(self, path_index, node, kind, message):
+    def on_classical_hop(self, path_index, node, kind, value, nbits):
         if node not in self.corrupted:
-            return message
-        self.view.transcripts.append((path_index, kind, node, message))
+            return value
+        self.view.transcripts.append((path_index, kind, node, value, nbits))
         if self._drop:
             return None
         if self._forge:
-            return BitString.random(message.length, self.rng)
-        return message
+            return self.rng.getrandbits(nbits)
+        return value
 
     def on_hop_leak(self, path_index, link, value):
-        self.view.compromised_link_bits.append((link.key, value))
+        self.view.leaked_epochs += 1
         self.view.record_share(path_index, value)
 
 
@@ -238,24 +246,22 @@ def guessing_advantage(view: AdversaryView, key_len: int) -> AdvantageResult:
     histogram of the resulting keys to a running count.  Returns the
     maximum posterior probability minus 2^-key_len as a Fraction; 0
     means perfect privacy.  Raises :class:`TooLarge` when key_len > 16
-    or u*key_len > ``EXACT_LIMIT_BITS``.
+    or u*key_len > ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` when
+    the view's shares are not key_len bits wide.
     """
     if key_len < 1:
         raise OutOfRange(f"key_len must be >= 1, got {key_len}")
-    known = []
+    if view.share_bits != key_len:
+        raise OutOfRange(
+            f"view holds {view.share_bits}-bit shares, expected {key_len}"
+        )
+    unknown = view.n_paths
+    base = 0
     for i in range(view.n_paths):
         share = view.known_share(i)
         if share is not None:
-            if share.length != key_len:
-                raise OutOfRange(
-                    f"share on path {i} has {share.length} bits, "
-                    f"expected {key_len}"
-                )
-            known.append(share.value)
-    unknown = view.n_paths - len(known)
-    base = 0
-    for v in known:
-        base ^= v
+            unknown -= 1
+            base ^= share
 
     uniform = Fraction(1, 1 << key_len)
     if unknown == 0:

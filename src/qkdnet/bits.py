@@ -1,7 +1,8 @@
-"""Bit-string primitives: XOR combination, inner product mod 2, slicing.
+"""Bit-string primitive: a fixed-length binary string with slicing.
 
-All protocol material (keys, challenges, tags) is carried as
-:class:`BitString` values.  Indexing is 1-based throughout the public
+The public MAC API, distillation and the exact oracles carry
+:class:`BitString` values; a session and its adversary run on plain
+integers and never build one.  Indexing is 1-based throughout the public
 API: bit 1 is the leftmost character of the textual form, so
 ``BitString("0101").bit(1) == 0`` and ``.bit(4) == 1``.  The textual
 encoding used in files and logs is the plain ASCII '0'/'1' string.
@@ -9,7 +10,7 @@ encoding used in files and logs is the plain ASCII '0'/'1' string.
 
 from __future__ import annotations
 
-from .errors import EmptyInput, LengthMismatch, OutOfRange
+from .errors import LengthMismatch, OutOfRange
 
 _VALID_CHARS = frozenset("01")
 
@@ -112,50 +113,3 @@ class BitString:
 
     def __repr__(self) -> str:
         return f"BitString({str(self)!r})"
-
-
-def xor_combine(shares: list[BitString]) -> BitString:
-    """Bitwise XOR of a non-empty list of equal-length bit strings.
-
-    Raises
-    ------
-    EmptyInput
-        If ``shares`` is empty.
-    LengthMismatch
-        If the shares do not all have the same length.
-    """
-    if not shares:
-        raise EmptyInput("xor_combine requires at least one share")
-    length = shares[0].length
-    acc = 0
-    for s in shares:
-        if s.length != length:
-            raise LengthMismatch(
-                f"share lengths differ: {s.length} != {length}"
-            )
-        acc ^= s.value
-    return BitString.from_int(acc, length)
-
-
-def inner_product(a: BitString, b: BitString) -> int:
-    """Inner product mod 2 of two equal-length bit strings."""
-    if a.length != b.length:
-        raise LengthMismatch(
-            f"inner_product lengths differ: {a.length} != {b.length}"
-        )
-    return (a.value & b.value).bit_count() & 1
-
-
-def split_key(k: BitString, s: int) -> tuple[BitString, BitString]:
-    """Split ``k`` into its s-bit prefix and the remaining suffix.
-
-    ``prefix.concat(rest)`` reconstructs ``k``.  ``s`` may be 0 or
-    ``len(k)``; anything outside ``0..len(k)`` raises :class:`OutOfRange`.
-    """
-    if not 0 <= s <= k.length:
-        raise OutOfRange(f"split point {s} outside 0..{k.length}")
-    if s == 0:
-        return BitString.zeros(0), k
-    if s == k.length:
-        return k, BitString.zeros(0)
-    return k.slice(1, s), k.slice(s + 1, k.length)

@@ -13,10 +13,6 @@ class LengthMismatch(QkdNetError):
     """Operands that must share a bit length do not."""
 
 
-class EmptyInput(QkdNetError):
-    """An operation requiring at least one element received none."""
-
-
 class OutOfRange(QkdNetError):
     """An index, split point, or key length is outside its valid range."""
 

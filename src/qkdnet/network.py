@@ -39,7 +39,7 @@ class QkdLink:
     def __post_init__(self):
         if self.a == self.b:
             raise ValidationError(f"link endpoints must differ, got {self.a!r}")
-        if self.distance_km < 0:
+        if not self.distance_km >= 0:   # also rejects NaN
             raise ValidationError(f"distance_km must be >= 0, got {self.distance_km}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")

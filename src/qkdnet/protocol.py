@@ -25,8 +25,8 @@ one per direction), so the tested remainder has n - 2s bits.
 :func:`full_session` is the one implementation of a session and runs
 the four phases on plain integers: the XOR of the shares, the key parts
 from :func:`_key_parts` (first sub-key, second sub-key, remainder) and
-the wire payloads of the challenge and the response never become
-objects.  The phase helpers ``_make_challenge``, ``_verify_challenge``,
+the wire payloads of the challenge and the response never become bit
+strings.  The phase helpers ``_make_challenge``, ``_verify_challenge``,
 ``_make_response`` and ``_verify_response`` take those integers, and the
 challenge message is built and parsed only by ``_encode_challenge`` /
 ``_decode_challenge``.
@@ -177,10 +177,10 @@ def _verify_challenge(received, auth_first: int, remainder: int,
     authenticates under ``auth_first`` is checked against the parities of
     ``remainder``.
 
-    ``received`` holds one payload (or None for a dropped copy) per
-    path; a copy of the wrong length never authenticates.  result=1 iff
-    an authenticated copy exists and every embedded parity matches; any
-    other outcome gives result=0.
+    ``received`` holds one ``(value, nbits)`` payload (or None for a
+    dropped copy) per path; a copy of the wrong length never
+    authenticates.  result=1 iff an authenticated copy exists and every
+    embedded parity matches; any other outcome gives result=0.
     """
     w = params.word_bits
     cb = params.challenge_bits
@@ -188,9 +188,11 @@ def _verify_challenge(received, auth_first: int, remainder: int,
     accepted = None
     message = 0
     for h, payload in enumerate(received):
-        if payload is None or payload.length != cb + w:
+        if payload is None:
             continue
-        pv = payload.value
+        pv, nbits = payload
+        if nbits != cb + w:
+            continue
         message = pv >> w
         if _tag_value(w, auth_first, message, cb) == pv & tag_mask:
             accepted = h
@@ -221,14 +223,17 @@ def _make_response(result: int, auth_second: int, params: SecurityParams) -> int
 
 def _verify_response(received, auth_second: int,
                      params: SecurityParams) -> ResponseOutcome:
-    """result' is the bit of the first copy (ascending path index) that
-    authenticates under ``auth_second``; 0 when no copy authenticates."""
+    """result' is the bit of the first ``(value, nbits)`` copy (ascending
+    path index) that authenticates under ``auth_second``; 0 when no copy
+    authenticates."""
     w = params.word_bits
     tag_mask = (1 << w) - 1
     for h, payload in enumerate(received):
-        if payload is None or payload.length != 1 + w:
+        if payload is None:
             continue
-        pv = payload.value
+        pv, nbits = payload
+        if nbits != 1 + w:
+            continue
         bit = pv >> w
         if _tag_value(w, auth_second, bit, 1) == pv & tag_mask:
             identified = frozenset(
@@ -236,13 +241,6 @@ def _verify_response(received, auth_second: int,
             )
             return ResponseOutcome(bit, h, identified)
     return ResponseOutcome(0, None, frozenset())
-
-
-def _xor_values(values) -> int:
-    acc = 0
-    for v in values:
-        acc ^= v
-    return acc
 
 
 @dataclass(frozen=True)
@@ -317,7 +315,8 @@ def deterministic_pa(key: BitString, lambdas) -> tuple[BitString, frozenset]:
 class AuthTranscript:
     """Audit record of the authentication round trip.
 
-    Per-path copies hold the verbatim wire payloads (None for ⊥).
+    Per-path copies hold the verbatim wire payloads as ``(value,
+    nbits)`` pairs (None for ⊥).
     """
 
     challenge_copies: tuple
@@ -334,7 +333,8 @@ class AuthTranscript:
             ("response", self.response_copies),
         ):
             for i, payload in enumerate(copies):
-                bits = str(payload) if payload is not None else "bottom"
+                bits = ("bottom" if payload is None
+                        else format(payload[0], f"0{payload[1]}b"))
                 lines.append(f"{direction} path={i} bits={bits}")
         lines.append(f"result={self.result} result_prime={self.result_prime}")
         return "\n".join(lines) + "\n"
@@ -366,8 +366,7 @@ class SessionOutcome:
     trash_a: frozenset | None
     trash_b: frozenset | None
     transcript: AuthTranscript
-    shares_sent: tuple
-    shares_received: tuple
+    shares_received: tuple    # n-bit share values, one per path
     paths: PathSet
     view: AdversaryView
     published: PublishedBundle | None
@@ -394,9 +393,9 @@ def full_session(
     epochs in path/hop order, then per-path shares, then the parity
     vectors, with adversary draws interleaved at interception points),
     so a seeded generator reproduces the trial bit-for-bit.  Protocol
-    failures surface as result=0 outcomes, never exceptions.  Keys, key
-    parts and wire payloads stay integers; bit strings are built only
-    for what the outcome records and for distillation.
+    failures surface as result=0 outcomes, never exceptions.  Shares,
+    keys, key parts and wire payloads stay integers; bit strings are
+    built only for distillation and the final keys.
     """
     if paths is None:
         paths = vertex_disjoint_paths(graph, a, b, params.ell)
@@ -409,14 +408,14 @@ def full_session(
 
     w = params.word_bits
     n = params.n
-    sent = []
-    received = []     # bit strings: an interceptor may change the length
+    key_a = key_b = 0
+    received = []
     for i, hops in enumerate(hop_lists):
         share = rng.getrandbits(n)
-        sent.append(share)
-        received.append(_forward_key_over(hops, share, n, w, interceptor, i))
-    key_a = _xor_values(sent)
-    key_b = _xor_values(r.value for r in received)
+        key_a ^= share
+        got = _forward_key_over(hops, share, n, w, interceptor, i)
+        key_b ^= got
+        received.append(got)
     first_a, second_a, rem_a = _key_parts(key_a, params)
     first_b, second_b, rem_b = _key_parts(key_b, params)
 
@@ -468,10 +467,9 @@ def full_session(
         trash_a=trash_a,
         trash_b=trash_b,
         transcript=transcript,
-        shares_sent=tuple(BitString.from_int(v, n) for v in sent),
         shares_received=tuple(received),
         paths=paths,
         view=view,
         published=published,
-        leaked_epochs=len(view.compromised_link_bits),
+        leaked_epochs=view.leaked_epochs,
     )

@@ -108,21 +108,21 @@ def load_scenario(source) -> Scenario:
     if isinstance(source, dict):
         doc = source
     else:
-        text = None
-        if isinstance(source, Path):
-            text = source.read_text()
-        elif isinstance(source, str):
-            stripped = source.lstrip()
-            if stripped.startswith("{"):
-                text = source
-            else:
-                text = Path(source).read_text()
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            text = source
+        elif isinstance(source, (str, Path)):
+            try:
+                text = Path(source).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"scenario is not UTF-8 text: {exc}") from exc
         else:
             raise ParseError(f"unsupported scenario source {type(source)!r}")
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"scenario is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError("scenario JSON is nested too deeply") from exc
 
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
@@ -143,6 +143,9 @@ def load_scenario(source) -> Scenario:
         _require(isinstance(entry, dict), "each link must be an object")
         _known_keys(entry, _LINK_KEYS, "link")
         _require("a" in entry and "b" in entry, "link needs endpoints a and b")
+        _require(isinstance(entry["a"], str) and isinstance(entry["b"], str),
+                 f"link endpoints must be node names, got "
+                 f"{entry['a']!r}-{entry['b']!r}")
         alive = entry.get("alive", True)
         _require(isinstance(alive, bool),
                  f"link 'alive' must be true or false, got {alive!r}")
@@ -157,8 +160,9 @@ def load_scenario(source) -> Scenario:
 
     endpoints = doc["endpoints"]
     _require(
-        isinstance(endpoints, list) and len(endpoints) == 2,
-        "endpoints must be a two-element list",
+        isinstance(endpoints, list) and len(endpoints) == 2
+        and all(isinstance(v, str) for v in endpoints),
+        "endpoints must be a list of two node names",
     )
     a, b = endpoints
     _require(a in graph.nodes and b in graph.nodes, "endpoints must be graph nodes")
@@ -511,7 +515,8 @@ def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
 
 
 def share_privacy_exact(key_bits: int, ell: int, shares) -> bool:
-    """Every (ell-1)-subset of shares leaves advantage exactly zero."""
+    """Every (ell-1)-subset of the ``key_bits``-bit integer ``shares``
+    leaves advantage exactly zero."""
     import itertools
 
     for known in itertools.combinations(range(ell), ell - 1):
@@ -584,7 +589,7 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 100,
     ok = all(
         share_privacy_exact(
             params.n, params.ell,
-            [BitString.random(params.n, rng) for _ in range(params.ell)],
+            [rng.getrandbits(params.n) for _ in range(params.ell)],
         )
         for _ in range(20)
     )

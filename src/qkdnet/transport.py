@@ -13,14 +13,24 @@ it with :func:`_forward_key_over` and classical protocol messages with
 :func:`_classical_over`; the session engine in :mod:`qkdnet.protocol`
 is their caller.  Intermediate nodes of a path see forwarded key
 material in plaintext (the trusted-repeater property); an
-``interceptor`` hook lets corrupted nodes record and substitute values.
+``interceptor`` lets corrupted nodes record and substitute values.
 Classical messages on honest paths are always delivered within the
 trial, which discretizes the eventual-delivery assumption.
+
+Interceptor contract.  Payloads are plain integers of ``nbits`` bits,
+first-sent bit most significant; a hook never changes the length.
+
+* ``on_key_hop(path_index, node, value, nbits) -> int``: the share as
+  the next hop will carry it, at each intermediate node of a key path.
+* ``on_classical_hop(path_index, node, kind, value, nbits) -> int |
+  None``: the message to relay (``kind`` is ``"challenge"`` or
+  ``"response"``), or None to drop it.
+* ``on_hop_leak(path_index, link, value)``: the share crossed an
+  epsilon-compromised epoch of ``link``.
 """
 
 from __future__ import annotations
 
-from .bits import BitString
 from .errors import InsufficientKey, LinkDown
 from .mac import _tag_value
 from .network import QkdLink
@@ -158,41 +168,35 @@ def _forward_key_over(hops, value, nbits, w, interceptor, path_index):
 
     ``hops`` comes from :func:`_path_hops`.  Every intermediate node
     observes the share in plaintext.  The ``interceptor`` (when given) is
-    consulted at each intermediate node via ``on_key_hop(path_index,
-    node, value) -> value`` and may record or substitute; epsilon-leaked
-    hops are reported via ``on_hop_leak(path_index, link, value)``.
+    consulted at each intermediate node via ``on_key_hop`` and may
+    record or substitute; epsilon-leaked hops are reported via
+    ``on_hop_leak``.
     """
     for pool, stop in hops:
         value, leaked = _hop_transfer(pool, value, nbits, w)
         if interceptor is not None:
             if leaked:
-                interceptor.on_hop_leak(
-                    path_index, pool.link, BitString.from_int(value, nbits)
-                )
+                interceptor.on_hop_leak(path_index, pool.link, value)
             if stop is not None:
-                out = interceptor.on_key_hop(
-                    path_index, stop, BitString.from_int(value, nbits)
-                )
-                value, nbits = out.value, out.length
-    return BitString.from_int(value, nbits)
+                value = interceptor.on_key_hop(path_index, stop, value, nbits)
+    return value
 
 
 def _classical_over(hops, value, nbits, w, interceptor, path_index, kind):
     """Deliver a classical protocol message over ``hops``.
 
-    On a path with no corrupted node the message always arrives
-    unmodified (eventual delivery, discretized to same-trial delivery).
-    At corrupted nodes the interceptor's ``on_classical_hop(path_index,
-    node, kind, message)`` chooses what to relay; returning None drops
-    the message, making the delivery ⊥ (None).
+    Returns the copy B receives as a ``(value, nbits)`` pair.  On a path
+    with no corrupted node the message always arrives unmodified
+    (eventual delivery, discretized to same-trial delivery).  At
+    corrupted nodes the interceptor's ``on_classical_hop`` chooses what
+    to relay; returning None drops the message, making the delivery ⊥
+    (None).
     """
     for pool, stop in hops:
         value, _ = _hop_transfer(pool, value, nbits, w)
         if stop is not None and interceptor is not None:
-            out = interceptor.on_classical_hop(
-                path_index, stop, kind, BitString.from_int(value, nbits)
-            )
-            if out is None:
+            value = interceptor.on_classical_hop(path_index, stop, kind,
+                                                 value, nbits)
+            if value is None:
                 return None
-            value, nbits = out.value, out.length
-    return BitString.from_int(value, nbits)
+    return value, nbits

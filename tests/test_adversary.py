@@ -17,10 +17,10 @@ from qkdnet.adversary import (
     guessing_advantage,
     honest_path_view,
 )
-from qkdnet.bits import BitString
 from qkdnet.errors import (
     BoundExceeded,
     EndpointCorruption,
+    OutOfRange,
     TooLarge,
     ValidationError,
 )
@@ -90,15 +90,15 @@ class TestControlledPaths:
 class TestDisclose:
     def test_copies_view_into_bundle(self):
         view = AdversaryView(n_paths=2, share_bits=4)
-        view.record_share(0, BitString("1010"))
-        view.transcripts.append((0, "challenge", "n1", BitString("1")))
+        view.record_share(0, 0b1010)
+        view.transcripts.append((0, "challenge", "n1", 1, 1))
         bundle = disclose(view)
-        assert bundle.shares == {0: (BitString("1010"),)}
+        assert bundle.shares == {0: (0b1010,)}
         assert len(bundle.transcripts) == 1
         assert view.published is bundle
 
     def test_empty_view_empty_bundle(self):
-        bundle = disclose(AdversaryView(n_paths=3))
+        bundle = disclose(AdversaryView(n_paths=3, share_bits=4))
         assert bundle.shares == {} and bundle.transcripts == ()
 
 
@@ -108,20 +108,19 @@ class TestScriptedAdversary:
         adv = ScriptedAdversary(
             AdversaryConfig(frozenset({"x"}), 1), view, random.Random(0)
         )
-        share = BitString("10101010")
-        assert adv.on_key_hop(0, "x", share) == share
+        share = 0b10101010
+        assert adv.on_key_hop(0, "x", share, 8) == share
         assert view.learned_shares[0] == [share]
-        msg = BitString("1111")
-        assert adv.on_classical_hop(0, "x", "challenge", msg) == msg
-        assert view.transcripts[0][3] == msg
+        assert adv.on_classical_hop(0, "x", "challenge", 0b1111, 4) == 0b1111
+        assert view.transcripts == [(0, "challenge", "x", 0b1111, 4)]
 
     def test_honest_node_hops_not_recorded(self):
         view = AdversaryView(2, 8)
         adv = ScriptedAdversary(
             AdversaryConfig(frozenset({"x"}), 1), view, random.Random(0)
         )
-        adv.on_key_hop(0, "y", BitString("10101010"))
-        adv.on_classical_hop(0, "y", "challenge", BitString("1111"))
+        adv.on_key_hop(0, "y", 0b10101010, 8)
+        adv.on_classical_hop(0, "y", "challenge", 0b1111, 4)
         assert not view.learned_shares and not view.transcripts
 
     def test_tamper_always_changes_value(self):
@@ -130,9 +129,10 @@ class TestScriptedAdversary:
             AdversaryConfig(frozenset({"x"}), 1, ("tamper_shares",)),
             view, random.Random(1),
         )
-        share = BitString("10101010")
+        share = 0b10101010
         for _ in range(100):
-            assert adv.on_key_hop(0, "x", share) != share
+            out = adv.on_key_hop(0, "x", share, 8)
+            assert out != share and 0 <= out < 1 << 8
 
     def test_drop_beats_forge(self):
         view = AdversaryView(1, 8)
@@ -140,7 +140,7 @@ class TestScriptedAdversary:
             AdversaryConfig(frozenset({"x"}), 1, ("forge_auth", "drop_auth")),
             view, random.Random(2),
         )
-        assert adv.on_classical_hop(0, "x", "challenge", BitString("1111")) is None
+        assert adv.on_classical_hop(0, "x", "challenge", 0b1111, 4) is None
 
     def test_forge_replaces_with_same_length(self):
         view = AdversaryView(1, 8)
@@ -148,27 +148,34 @@ class TestScriptedAdversary:
             AdversaryConfig(frozenset({"x"}), 1, ("forge_auth",)),
             view, random.Random(3),
         )
-        out = adv.on_classical_hop(0, "x", "response", BitString("1" * 40))
-        assert out is not None and out.length == 40
+        out = adv.on_classical_hop(0, "x", "response", (1 << 40) - 1, 40)
+        assert out is not None and 0 <= out < 1 << 40
 
 
 class TestGuessingAdvantage:
     def test_missing_share_gives_exact_zero(self):
         view = AdversaryView(n_paths=2, share_bits=4)
-        view.record_share(0, BitString("1010"))
+        view.record_share(0, 0b1010)
         res = guessing_advantage(view, 4)
         assert res.exact and res.advantage == Fraction(0)
 
     def test_all_shares_determine_key(self):
         view = AdversaryView(n_paths=2, share_bits=4)
-        view.record_share(0, BitString("1010"))
-        view.record_share(1, BitString("0011"))
+        view.record_share(0, 0b1010)
+        view.record_share(1, 0b0011)
         res = guessing_advantage(view, 4)
         assert res.exact and res.advantage == Fraction(1) - Fraction(1, 16)
 
     def test_empty_view_is_zero(self):
         res = guessing_advantage(AdversaryView(3, 4), 4)
         assert res.exact and res.advantage == Fraction(0)
+
+    @pytest.mark.parametrize("share_bits", [3, 5])
+    def test_share_width_must_match_key_len(self, share_bits):
+        view = AdversaryView(n_paths=2, share_bits=share_bits)
+        view.record_share(0, 0b101)
+        with pytest.raises(OutOfRange):
+            guessing_advantage(view, 4)
 
     def test_too_large_when_exact_required(self):
         view = AdversaryView(n_paths=2, share_bits=24)
@@ -180,7 +187,7 @@ class TestGuessingAdvantage:
         # key_len > 16, or u * key_len > EXACT_LIMIT_BITS (20): no
         # sampling fallback, the call raises.
         view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
-        view.record_share(0, BitString("1" * bits))
+        view.record_share(0, (1 << bits) - 1)
         with pytest.raises(TooLarge):
             guessing_advantage(view, bits)
 
@@ -190,7 +197,7 @@ class TestGuessingAdvantage:
         # hidden: advantage exactly 0 for every share assignment tested.
         rng = random.Random(5)
         for _ in range(10):
-            shares = [BitString.random(bits, rng) for _ in range(ell)]
+            shares = [rng.getrandbits(bits) for _ in range(ell)]
             for known in itertools.combinations(range(ell), ell - 1):
                 view = AdversaryView(n_paths=ell, share_bits=bits)
                 for i in known:
@@ -207,7 +214,7 @@ def advantage_reference(view, key_len):
     base = 0
     for share in known:
         if share is not None:
-            base ^= share.value
+            base ^= share
     uniform = Fraction(1, 1 << key_len)
     if unknown == 0:
         return Fraction(1) - uniform
@@ -234,7 +241,7 @@ def advantage_views(draw):
     view = AdversaryView(n_paths, key_len)
     for i in known:
         value = draw(st.integers(0, (1 << key_len) - 1))
-        view.record_share(i, BitString.from_int(value, key_len))
+        view.record_share(i, value)
     return view, key_len
 
 
@@ -252,7 +259,7 @@ class TestGuessingAdvantageEnumeration:
         # 2^20 assignments: the whole table as uint32 would be 4 MiB;
         # blocks of 2^16 keep the numpy buffers near 1.3 MiB.
         view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
-        view.record_share(0, BitString("1" * bits))
+        view.record_share(0, (1 << bits) - 1)
         tracemalloc.start()
         try:
             res = guessing_advantage(view, bits)
@@ -268,22 +275,22 @@ class TestHonestButCurious:
         # ell=3, adversary controls path 0 and publishes; each honest
         # path still has exact advantage 0.
         rng = random.Random(6)
-        shares = [BitString.random(4, rng) for _ in range(3)]
+        shares = [rng.getrandbits(4) for _ in range(3)]
         adv_view = AdversaryView(n_paths=3, share_bits=4)
         adv_view.record_share(0, shares[0])
         bundle = disclose(adv_view)
         for honest in (1, 2):
-            view = honest_path_view(3, honest, shares[honest], bundle)
+            view = honest_path_view(3, honest, shares[honest], 4, bundle)
             res = guessing_advantage(view, 4)
             assert res.exact and res.advantage == Fraction(0)
 
     def test_single_honest_path_reconstructs_after_disclosure(self):
         rng = random.Random(7)
-        shares = [BitString.random(4, rng) for _ in range(3)]
+        shares = [rng.getrandbits(4) for _ in range(3)]
         adv_view = AdversaryView(n_paths=3, share_bits=4)
         adv_view.record_share(0, shares[0])
         adv_view.record_share(1, shares[1])
         bundle = disclose(adv_view)
-        view = honest_path_view(3, 2, shares[2], bundle)
+        view = honest_path_view(3, 2, shares[2], 4, bundle)
         res = guessing_advantage(view, 4)
         assert res.exact and res.advantage == Fraction(1) - Fraction(1, 16)

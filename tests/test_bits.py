@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkdnet.bits import BitString, inner_product, split_key, xor_combine
-from qkdnet.errors import EmptyInput, LengthMismatch, OutOfRange
+from qkdnet.bits import BitString
+from qkdnet.errors import LengthMismatch, OutOfRange
 
 bitstrings = st.text(alphabet="01", max_size=64).map(BitString)
 
@@ -62,91 +62,55 @@ class TestBitString:
 
 
 class TestXorCombine:
+    """Combining bit strings with ``^``."""
+
     def test_two_shares(self):
-        assert xor_combine([bs("0101"), bs("0011")]) == bs("0110")
+        assert bs("0101") ^ bs("0011") == bs("0110")
 
     def test_single_share_is_identity(self):
-        assert xor_combine([bs("1011")]) == bs("1011")
+        assert bs("1011") ^ bs("0000") == bs("1011")
 
     def test_odd_repetition(self):
-        assert xor_combine([bs("1111")] * 3) == bs("1111")
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            xor_combine([])
+        assert bs("1111") ^ bs("1111") ^ bs("1111") == bs("1111")
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            xor_combine([bs("01"), bs("011")])
+            bs("01") ^ bs("011")
 
     @given(bitstrings)
     def test_self_inverse(self, x):
-        assert xor_combine([x, x]).is_zero()
+        assert (x ^ x).is_zero() and (x ^ x).length == x.length
 
     @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
     def test_associative_commutative(self, a, b, c):
-        xs = [BitString.from_int(v, 8) for v in (a, b, c)]
-        assert xor_combine(xs) == xor_combine(list(reversed(xs)))
-        assert xor_combine([xor_combine(xs[:2]), xs[2]]) == xor_combine(xs)
-
-
-class TestInnerProduct:
-    def test_hand_values(self):
-        assert inner_product(bs("1100"), bs("1010")) == 1
-        assert inner_product(bs("0000"), bs("1111")) == 0
-        assert inner_product(bs("1111"), bs("1111")) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            inner_product(bs("110"), bs("1010"))
-
-    @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1),
-           st.integers(0, 2**16 - 1))
-    def test_bilinear_over_gf2(self, a, a2, b):
-        n = 16
-        x = BitString.from_int(a, n)
-        x2 = BitString.from_int(a2, n)
-        y = BitString.from_int(b, n)
-        assert inner_product(x ^ x2, y) == (
-            inner_product(x, y) ^ inner_product(x2, y)
-        )
-
-    @pytest.mark.parametrize("n,d", [(4, 0b1000), (6, 0b010110),
-                                     (10, 0b1111111111), (16, 0x8001)])
-    def test_balanced_against_fixed_nonzero_vector(self, n, d):
-        # Exhaustive: exactly half of all length-n vectors have odd
-        # overlap with any fixed nonzero d.
-        dv = BitString.from_int(d, n)
-        ones = sum(
-            inner_product(BitString.from_int(lam, n), dv)
-            for lam in range(1 << n)
-        )
-        assert ones == 1 << (n - 1)
+        x, y, z = (BitString.from_int(v, 8) for v in (a, b, c))
+        assert x ^ y ^ z == z ^ y ^ x
+        assert (x ^ y) ^ z == x ^ (y ^ z)
 
 
 class TestSplitKey:
+    """Splitting a key with ``slice`` and rejoining it with ``concat``."""
+
     def test_direct_slice(self):
-        prefix, rest = split_key(bs("10110"), 2)
-        assert (str(prefix), str(rest)) == ("10", "110")
+        k = bs("10110")
+        assert (str(k.slice(1, 2)), str(k.slice(3, 5))) == ("10", "110")
 
     def test_empty_prefix(self):
-        prefix, rest = split_key(bs("10110"), 0)
-        assert (str(prefix), str(rest)) == ("", "10110")
+        assert bs("").concat(bs("10110")) == bs("10110")
 
     def test_full_prefix(self):
-        prefix, rest = split_key(bs("10110"), 5)
-        assert (str(prefix), str(rest)) == ("10110", "")
+        assert bs("10110").concat(bs("")) == bs("10110")
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            split_key(bs("10110"), 6)
+            bs("10110").slice(1, 6)
         with pytest.raises(OutOfRange):
-            split_key(bs("10110"), -1)
+            bs("10110").slice(0, 5)
 
-    @given(bitstrings, st.integers(0, 64))
+    @given(bitstrings, st.integers(1, 63))
     def test_concat_reconstructs(self, k, s):
-        if s > k.length:
+        if s >= k.length:
             return
-        prefix, rest = split_key(k, s)
+        prefix, rest = k.slice(1, s), k.slice(s + 1, k.length)
         assert prefix.length == s
         assert prefix.concat(rest) == k

@@ -216,6 +216,37 @@ class TestMalformedScenario:
             "corrupted": ["n1"], "t": 1, "strategy": ["tamper_shares"]}})
         assert "unknown field 'strategy' in adversary" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"endpoints": [["alice"], "bob"]},
+        {"endpoints": ["alice", {"n": "bob"}]},
+        _with_link_field("a", ["alice"]),
+        _with_link_field("b", ["n1"]),
+    ])
+    def test_node_name_must_be_a_string(self, tmp_path, capsys, doc):
+        # a list used to reach a set lookup and raise TypeError: unhashable
+        _run_malformed(tmp_path, capsys, doc)
+
+    def test_nan_distance_rejected(self, tmp_path, capsys):
+        err = _run_malformed(tmp_path, capsys,
+                             _with_link_field("distance_km", float("nan")))
+        assert "distance_km" in err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        rc = main(["run", "--scenario", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "UTF-8" in err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        rc = main(["run", "--scenario", str(deep)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "nested too deeply" in err
+
     def test_load_scenario_raises_validation_error(self):
         with pytest.raises(ValidationError, match="params 'n'"):
             load_scenario({

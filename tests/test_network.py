@@ -78,6 +78,13 @@ class TestQkdLink:
         with pytest.raises(ValidationError):
             QkdLink("x", "y", epsilon=1.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", math.nan), ("distance_km", -1.0), ("distance_km", math.nan),
+    ])
+    def test_nan_and_negative_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            QkdLink("x", "y", **{field: value})
+
     def test_canonical_key_is_sorted(self):
         assert QkdLink("b", "a").key == ("a", "b")
 

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from qkdnet import protocol
 from qkdnet.adversary import corrupt, guessing_advantage
-from qkdnet.bits import BitString, inner_product, xor_combine
+from qkdnet.bits import BitString
 from qkdnet.errors import (
     InsufficientConnectivity,
     LengthMismatch,
@@ -43,10 +45,7 @@ def keyed_challenge(key, params, lambdas):
     _make_challenge, with the random draw replaced)."""
     first, _, remainder = _key_parts(key, params)
     tb = params.test_bits
-    parities = [
-        inner_product(BitString.from_int(lam, tb), BitString.from_int(remainder, tb))
-        for lam in lambdas
-    ]
+    parities = [(lam & remainder).bit_count() & 1 for lam in lambdas]
     message = _encode_challenge(lambdas, parities, tb)
     w = params.word_bits
     return (message << w) | _tag_value(w, first, message, params.challenge_bits)
@@ -92,7 +91,7 @@ class TestMakeChallenge:
         assert TINY.challenge_bits == 10
         assert 0 <= payload < 1 << (10 + TINY.word_bits)
         assert [lam.length for lam in lambdas] == [4, 4]
-        copy = BitString.from_int(payload, TINY_CH)
+        copy = (payload, TINY_CH)
         assert _verify_challenge([copy], first, remainder, TINY).result == 1
 
     def test_zero_remainder_gives_zero_parities(self):
@@ -113,8 +112,8 @@ class TestMakeChallenge:
         lambdas, payload = _make_challenge(first, remainder, STD, rng)
         _, parities = _decode_challenge(payload >> STD.word_bits,
                                         STD.test_bits, STD.m)
-        rem = BitString.from_int(remainder, STD.test_bits)
-        assert parities == [inner_product(l, rem) for l in lambdas]
+        assert parities == [(l.value & remainder).bit_count() & 1
+                            for l in lambdas]
 
     def test_encode_decode_round_trip(self):
         rng = random.Random(3)
@@ -141,17 +140,15 @@ class TestMakeChallenge:
         key = rng.getrandbits(64)
         first, second, remainder = _key_parts(key, STD)
         _, payload = _make_challenge(first, remainder, STD, rng)
-        genuine = BitString.from_int(payload, STD_CH)
-        for bad in (BitString.from_int(payload >> 1, genuine.length - 1),
-                    BitString.from_int(payload << 1, genuine.length + 1)):
+        genuine = (payload, STD_CH)
+        for bad in ((payload >> 1, STD_CH - 1), (payload << 1, STD_CH + 1)):
             out = _verify_challenge([bad, genuine], first, remainder, STD)
             assert out.result == 1 and out.accepted_path == 1
             assert out.identified_dishonest == frozenset({0})
             assert _verify_challenge([bad], first, remainder, STD).result == 0
         response = _make_response(1, second, STD)
-        genuine = BitString.from_int(response, STD_RESP)
-        for bad in (BitString.from_int(response >> 1, genuine.length - 1),
-                    BitString.from_int(response, genuine.length + 1)):
+        genuine = (response, STD_RESP)
+        for bad in ((response >> 1, STD_RESP - 1), (response, STD_RESP + 1)):
             out = _verify_response([bad, genuine], second, STD)
             assert out.result_prime == 1 and out.accepted_path == 1
             assert out.identified_dishonest == frozenset({0})
@@ -164,7 +161,7 @@ class TestVerifyChallenge:
         key = rng.getrandbits(64)
         first, _, remainder = _key_parts(key, STD)
         lambdas, payload = _make_challenge(first, remainder, STD, rng)
-        copy = BitString.from_int(payload, STD_CH)
+        copy = (payload, STD_CH)
         out = _verify_challenge([copy, copy], first, remainder, STD)
         assert out.result == 1
         assert out.accepted_path == 0
@@ -178,7 +175,7 @@ class TestVerifyChallenge:
         first_a, _, rem_a = _key_parts(key_a, STD)
         first_b, _, rem_b = _key_parts(key_b, STD)
         _, payload = _make_challenge(first_a, rem_a, STD, rng)
-        copy = BitString.from_int(payload, STD_CH)
+        copy = (payload, STD_CH)
         out = _verify_challenge([copy, copy], first_b, rem_b, STD)
         assert out.result == 0 and out.accepted_path is None
 
@@ -187,7 +184,7 @@ class TestVerifyChallenge:
         # probing that bit flags the mismatch deterministically.
         payload = keyed_challenge(0b0000_1010, TINY, [0b1000, 0b0001])
         first_b, _, rem_b = _key_parts(0b0000_0010, TINY)
-        out = _verify_challenge([BitString.from_int(payload, TINY_CH)],
+        out = _verify_challenge([(payload, TINY_CH)],
                                 first_b, rem_b, TINY)
         assert out.result == 0 and out.accepted_path == 0
 
@@ -199,8 +196,7 @@ class TestVerifyChallenge:
         misses = 0
         for lam in range(16):
             payload = keyed_challenge(0b1100_1010, params, [lam])
-            copy = BitString.from_int(payload, params.challenge_bits
-                                      + params.word_bits)
+            copy = (payload, params.challenge_bits + params.word_bits)
             misses += _verify_challenge([copy], first_b, rem_b, params).result
         assert misses == 8
 
@@ -209,7 +205,7 @@ class TestVerifyChallenge:
         key = rng.getrandbits(64)
         first, _, remainder = _key_parts(key, STD)
         _, payload = _make_challenge(first, remainder, STD, rng)
-        copy = BitString.from_int(payload, STD_CH)
+        copy = (payload, STD_CH)
         out = _verify_challenge([None, copy], first, remainder, STD)
         assert out.result == 1 and out.accepted_path == 1
         assert out.identified_dishonest == frozenset({0})
@@ -221,8 +217,8 @@ class TestVerifyChallenge:
         key = rng.getrandbits(64)
         first, _, remainder = _key_parts(key, STD)
         _, payload = _make_challenge(first, remainder, STD, rng)
-        genuine = BitString.from_int(payload, STD_CH)
-        forged = BitString.random(genuine.length, rng)
+        genuine = (payload, STD_CH)
+        forged = (rng.getrandbits(STD_CH), STD_CH)
         out = _verify_challenge([forged, genuine], first, remainder, STD)
         assert out.result == 1 and out.accepted_path == 1
         assert out.identified_dishonest == frozenset({0})
@@ -233,7 +229,7 @@ class TestResponse:
         rng = random.Random(8)
         _, second, _ = _key_parts(rng.getrandbits(64), STD)
         for bit in (0, 1):
-            copy = BitString.from_int(_make_response(bit, second, STD), STD_RESP)
+            copy = (_make_response(bit, second, STD), STD_RESP)
             out = _verify_response([copy, copy], second, STD)
             assert out.result_prime == bit
             assert out.accepted_path == 0
@@ -242,15 +238,15 @@ class TestResponse:
         rng = random.Random(9)
         _, second_a, _ = _key_parts(rng.getrandbits(64), STD)
         _, second_b, _ = _key_parts(rng.getrandbits(64), STD)
-        copy = BitString.from_int(_make_response(1, second_b, STD), STD_RESP)
+        copy = (_make_response(1, second_b, STD), STD_RESP)
         out = _verify_response([copy, copy], second_a, STD)
         assert out.result_prime == 0 and out.accepted_path is None
 
     def test_forged_copy_identified_next_to_genuine(self):
         rng = random.Random(10)
         _, second, _ = _key_parts(rng.getrandbits(64), STD)
-        genuine = BitString.from_int(_make_response(1, second, STD), STD_RESP)
-        forged = BitString.random(genuine.length, rng)
+        genuine = (_make_response(1, second, STD), STD_RESP)
+        forged = (rng.getrandbits(STD_RESP), STD_RESP)
         out = _verify_response([forged, genuine], second, STD)
         assert out.result_prime == 1
         assert out.accepted_path == 1
@@ -335,7 +331,7 @@ class TestDeterministicPa:
         groups = {}
         for kv in range(64):
             key = BitString.from_int(kv, 6)
-            parities = tuple(inner_product(l, key) for l in lambdas)
+            parities = tuple((l.value & kv).bit_count() & 1 for l in lambdas)
             kstar, trash = deterministic_pa(key, lambdas)
             groups.setdefault(parities, []).append(kstar)
         for members in groups.values():
@@ -409,6 +405,19 @@ class TestDistillRunCopy:
         assert got == (BitString(out), frozenset(trash))
 
 
+def spy_sent_shares(monkeypatch):
+    """Record the share each ``_forward_key_over`` call puts on its path."""
+    sent = []
+    real = protocol._forward_key_over
+
+    def spy(hops, value, nbits, w, interceptor, path_index):
+        sent.append(value)
+        return real(hops, value, nbits, w, interceptor, path_index)
+
+    monkeypatch.setattr(protocol, "_forward_key_over", spy)
+    return sent
+
+
 class TestIntegerSessionMatchesWrappers:
     """``full_session`` gives the same payloads, verdicts, vectors and
     final keys as its phase helpers called one at a time on the
@@ -426,13 +435,14 @@ class TestIntegerSessionMatchesWrappers:
             return real(auth_first, remainder, params, rng)
 
         monkeypatch.setattr(protocol, "_make_challenge", spy)
+        sent = spy_sent_shares(monkeypatch)
         cfg = None if strategy is None else corrupt(
             two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
             strategies=(strategy,))
         out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
                            random.Random(seed))
-        key_a = xor_combine(list(out.shares_sent)).value
-        key_b = xor_combine(list(out.shares_received)).value
+        key_a = reduce(xor, sent)
+        key_b = reduce(xor, out.shares_received)
         first_a, second_a, rem_a = _key_parts(key_a, STD)
         first_b, second_b, rem_b = _key_parts(key_b, STD)
         challenges = out.transcript.challenge_copies
@@ -441,12 +451,12 @@ class TestIntegerSessionMatchesWrappers:
         rng = random.Random()
         rng.setstate(states[0])
         lambdas, payload = _make_challenge(first_a, rem_a, STD, rng)
-        assert challenges[1] == BitString.from_int(payload, STD_CH)  # avoids n1
+        assert challenges[1] == (payload, STD_CH)  # avoids n1
 
         cv = _verify_challenge(challenges, first_b, rem_b, STD)
         assert cv.result == out.result
         response = _make_response(cv.result, second_b, STD)
-        assert responses[1] == BitString.from_int(response, STD_RESP)
+        assert responses[1] == (response, STD_RESP)
         rv = _verify_response(responses, second_a, STD)
         assert rv.result_prime == out.result_prime
         assert (cv.identified_dishonest | rv.identified_dishonest
@@ -466,15 +476,16 @@ class TestIntegerSessionMatchesWrappers:
 class TestMultipathEstablish:
     """The establish phase, observed through ``full_session``."""
 
-    def test_honest_keys_equal_and_are_share_xor(self, two_chains_graph):
+    def test_honest_keys_equal_and_are_share_xor(self, two_chains_graph,
+                                                 monkeypatch):
+        sent = spy_sent_shares(monkeypatch)
         out = full_session(two_chains_graph, "alice", "bob", STD, None,
                            random.Random(12))
         assert out.full_keys_equal
-        assert out.shares_received == out.shares_sent
+        assert list(out.shares_received) == sent
         # the challenge authenticates, and the final key distils, under
         # the XOR of the shares
-        first, _, remainder = _key_parts(
-            xor_combine(list(out.shares_sent)).value, STD)
+        first, _, remainder = _key_parts(reduce(xor, sent), STD)
         cv = _verify_challenge(out.transcript.challenge_copies, first,
                                remainder, STD)
         assert cv.result == 1
@@ -487,13 +498,15 @@ class TestMultipathEstablish:
             full_session(two_chains_graph, "alice", "bob", params, None,
                          random.Random(0))
 
-    def test_tampering_desynchronizes_silently(self, two_chains_graph):
+    def test_tampering_desynchronizes_silently(self, two_chains_graph,
+                                               monkeypatch):
+        sent = spy_sent_shares(monkeypatch)
         cfg = corrupt(two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
                       strategies=("tamper_shares",))
         out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
                            random.Random(13))
-        assert out.shares_received[0] != out.shares_sent[0]   # via n1
-        assert out.shares_received[1] == out.shares_sent[1]
+        assert out.shares_received[0] != sent[0]   # via n1
+        assert out.shares_received[1] == sent[1]
         assert not out.full_keys_equal
 
     def test_ell_minus_one_controlled_keeps_key_private(self, three_path_graph):
@@ -508,17 +521,19 @@ class TestMultipathEstablish:
         res = guessing_advantage(out.view, 8)
         assert res.exact and res.advantage == Fraction(0)
 
-    def test_observed_shares_are_exactly_the_controlled_paths(self, three_path_graph):
+    def test_observed_shares_are_exactly_the_controlled_paths(
+            self, three_path_graph, monkeypatch):
         # paths sort x1, x2, x3; the adversary on x1/x3 sees those two
         # shares verbatim and nothing from the honest middle path.
         params = SecurityParams(n=16, s=2, m=2, ell=3)
+        sent = spy_sent_shares(monkeypatch)
         cfg = corrupt(three_path_graph, {"x1", "x3"}, 2,
                       endpoints=("alice", "bob"))
         out = full_session(three_path_graph, "alice", "bob", params, cfg,
                            random.Random(15))
         assert set(out.view.learned_shares) == {0, 2}
-        assert out.view.learned_shares[0] == [out.shares_sent[0]]
-        assert out.view.learned_shares[2] == [out.shares_sent[2]]
+        assert out.view.learned_shares[0] == [sent[0]]
+        assert out.view.learned_shares[2] == [sent[2]]
 
 
 class TestFullSession:
@@ -532,12 +547,13 @@ class TestFullSession:
         assert out.final_key_a.length == STD.test_bits - len(out.trash_a)
         assert out.succeeded
 
-    def test_deterministic_replay(self, two_chains_graph):
+    def test_deterministic_replay(self, two_chains_graph, monkeypatch):
+        sent = spy_sent_shares(monkeypatch)
         a = full_session(two_chains_graph, "alice", "bob", STD, None, random.Random(16))
         b = full_session(two_chains_graph, "alice", "bob", STD, None, random.Random(16))
         assert a.final_key_a == b.final_key_a
         assert a.transcript.serialize() == b.transcript.serialize()
-        assert a.shares_sent == b.shares_sent
+        assert sent[:STD.ell] == sent[STD.ell:]
 
     def test_tampered_share_fails_both_sides(self, two_chains_graph):
         cfg = corrupt(two_chains_graph, {"n2"}, 1, endpoints=("alice", "bob"),

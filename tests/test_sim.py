@@ -365,7 +365,7 @@ class TestSharePrivacyOracle:
     def test_random_assignments(self):
         rng = random.Random(10)
         for _ in range(5):
-            shares = [BitString.random(6, rng) for _ in range(3)]
+            shares = [rng.getrandbits(6) for _ in range(3)]
             assert share_privacy_exact(6, 3, shares)
 
 

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from qkdnet.bits import BitString
 from qkdnet.errors import InsufficientKey, LinkDown
 from qkdnet.network import QkdLink
 from qkdnet.transport import (
@@ -36,7 +35,10 @@ def chain_pools(path, bits=4096, rng=None, epsilon=0.0):
 
 
 class Recorder:
-    """Minimal interceptor stub: records, optionally rewrites."""
+    """Minimal interceptor stub: records, optionally rewrites.
+
+    Follows the integer hook contract of :mod:`qkdnet.transport`.
+    """
 
     def __init__(self, corrupted=(), tamper=None, classical=None):
         self.corrupted = set(corrupted)
@@ -46,17 +48,17 @@ class Recorder:
         self.classical_hops = []
         self.leaks = []
 
-    def on_key_hop(self, path_index, node, value):
-        self.key_hops.append((path_index, node, value))
+    def on_key_hop(self, path_index, node, value, nbits):
+        self.key_hops.append((path_index, node, value, nbits))
         if node in self.corrupted and self.tamper:
             return self.tamper(value)
         return value
 
-    def on_classical_hop(self, path_index, node, kind, message):
-        self.classical_hops.append((path_index, node, kind, message))
+    def on_classical_hop(self, path_index, node, kind, value, nbits):
+        self.classical_hops.append((path_index, node, kind, value, nbits))
         if node in self.corrupted and self.classical:
-            return self.classical(message)
-        return message
+            return self.classical(value)
+        return value
 
     def on_hop_leak(self, path_index, link, value):
         self.leaks.append((path_index, link.key, value))
@@ -137,10 +139,10 @@ class TestHopSend:
     def test_round_trip_and_pool_accounting(self):
         rng = random.Random(6)
         pool = fresh_pool(rng=rng)
-        payload = BitString.random(96, rng)
+        payload = rng.getrandbits(96)
         before = pool.available
-        received, leaked = _hop_transfer(pool, payload.value, 96, W)
-        assert received == payload.value
+        received, leaked = _hop_transfer(pool, payload, 96, W)
+        assert received == payload
         assert not leaked
         assert before - pool.available == 96 + 2 * W
         assert pool.consumed == 96 + 2 * W
@@ -148,11 +150,11 @@ class TestHopSend:
     def test_sequential_sends_use_disjoint_segments(self):
         rng = random.Random(9)
         pool = fresh_pool(rng=rng)
-        p1 = BitString.random(40, rng)
-        p2 = BitString.random(40, rng)
-        r1, _ = _hop_transfer(pool, p1.value, 40, W)
-        r2, _ = _hop_transfer(pool, p2.value, 40, W)
-        assert (r1, r2) == (p1.value, p2.value)
+        p1 = rng.getrandbits(40)
+        p2 = rng.getrandbits(40)
+        r1, _ = _hop_transfer(pool, p1, 40, W)
+        r2, _ = _hop_transfer(pool, p2, 40, W)
+        assert (r1, r2) == (p1, p2)
         assert pool.consumed == 2 * (40 + 2 * W)
         # the next bits come right after both hops' pads and MAC keys
         whole = fresh_pool(rng=random.Random(9))
@@ -184,22 +186,19 @@ class TestPathForwardKey:
         rng = random.Random(11)
         path = ("a", "x", "y", "b")
         pools = chain_pools(path)
-        share = BitString.random(64, rng)
+        share = rng.getrandbits(64)
         rec = Recorder()
-        out = _forward_key_over(_path_hops(path, pools), share.value,
-                                share.length, W, rec, 0)
+        out = _forward_key_over(_path_hops(path, pools), share, 64, W, rec, 0)
         assert out == share
-        assert [(i, n) for i, n, _ in rec.key_hops] == [(0, "x"), (0, "y")]
-        assert all(v == share for _, _, v in rec.key_hops)
+        assert rec.key_hops == [(0, "x", share, 64), (0, "y", share, 64)]
 
     def test_passive_corruption_sees_share(self):
         rng = random.Random(12)
         path = ("a", "x", "b")
         pools = chain_pools(path)
-        share = BitString.random(32, rng)
+        share = rng.getrandbits(32)
         rec = Recorder(corrupted={"x"})
-        out = _forward_key_over(_path_hops(path, pools), share.value,
-                                share.length, W, rec, 0)
+        out = _forward_key_over(_path_hops(path, pools), share, 32, W, rec, 0)
         assert out == share
         assert rec.key_hops[0][2] == share
 
@@ -207,21 +206,18 @@ class TestPathForwardKey:
         rng = random.Random(13)
         path = ("a", "x", "b")
         pools = chain_pools(path)
-        share = BitString.random(32, rng)
-        mask = BitString.from_int(0b101, 32)
-        rec = Recorder(corrupted={"x"}, tamper=lambda v: v ^ mask)
-        out = _forward_key_over(_path_hops(path, pools), share.value,
-                                share.length, W, rec, 0)
-        assert out == share ^ mask  # no exception: transport cannot tell
+        share = rng.getrandbits(32)
+        rec = Recorder(corrupted={"x"}, tamper=lambda v: v ^ 0b101)
+        out = _forward_key_over(_path_hops(path, pools), share, 32, W, rec, 0)
+        assert out == share ^ 0b101  # no exception: transport cannot tell
 
     def test_epsilon_leak_reported(self):
         rng = random.Random(14)
         path = ("a", "x", "b")
         pools = chain_pools(path, epsilon=1.0)
-        share = BitString.random(16, rng)
+        share = rng.getrandbits(16)
         rec = Recorder()
-        out = _forward_key_over(_path_hops(path, pools), share.value,
-                                share.length, W, rec, 0)
+        out = _forward_key_over(_path_hops(path, pools), share, 16, W, rec, 0)
         assert out == share
         assert len(rec.leaks) == 2  # both hops leaked
         assert rec.leaks[0][2] == share
@@ -233,10 +229,11 @@ class TestClassicalSend:
         path = ("a", "x", "y", "b")
         pools = chain_pools(path, bits=100_000)
         for _ in range(50):
-            m = BitString.random(rng.randrange(1, 200), rng)
-            out = _classical_over(_path_hops(path, pools), m.value, m.length,
+            nbits = rng.randrange(1, 200)
+            m = rng.getrandbits(nbits)
+            out = _classical_over(_path_hops(path, pools), m, nbits,
                                   W, None, 0, "challenge")
-            assert out == m
+            assert out == (m, nbits)
 
     def test_drop_yields_bottom(self):
         path = ("a", "x", "b")
@@ -249,11 +246,11 @@ class TestClassicalSend:
     def test_substitution_delivers_adversary_choice(self):
         path = ("a", "x", "b")
         pools = chain_pools(path)
-        fake = BitString("0000")
-        rec = Recorder(corrupted={"x"}, classical=lambda m: fake)
+        rec = Recorder(corrupted={"x"}, classical=lambda m: 0b0000)
         out = _classical_over(_path_hops(path, pools), 0b1101, 4, W, rec, 0,
                               "challenge")
-        assert out == fake
+        assert out == (0b0000, 4)
+        assert rec.classical_hops == [(0, "x", "challenge", 0b1101, 4)]
 
     def test_kind_is_passed_to_interceptor(self):
         path = ("a", "x", "b")
