@@ -18,8 +18,6 @@ from fractions import Fraction
 
 from qkdnet import (
     BitString,
-    MacParams,
-    Tag,
     impersonation_bound,
     split_for_two_messages,
     tag,
@@ -37,7 +35,7 @@ for w in (1, 2, 3, 4):
 print()
 print("impersonation bound grows with message length (w=8):")
 for bits in (0, 16, 64, 132, 520):
-    print(f"  {bits:>4} bits -> {impersonation_bound(MacParams(8), bits):.6f}")
+    print(f"  {bits:>4} bits -> {impersonation_bound(8, bits):.6f}")
 
 print()
 print("split-key two-message round trip")
@@ -61,7 +59,7 @@ for _ in range(trials):
     ka, kb = split_for_two_messages(BitString.random(4 * w, rng))
     tag(ka, challenge)  # the pair the forger observed
     forged_bit = BitString.from_int(rng.getrandbits(1), 1)
-    forged_tag = Tag(BitString.random(w, rng))
+    forged_tag = BitString.random(w, rng)
     hits += verify(kb, forged_bit, forged_tag)
 print(f"  accepted {hits}/{trials} "
-      f"(p_im for a 1-bit message = {impersonation_bound(MacParams(w), 1):.4f})")
+      f"(p_im for a 1-bit message = {impersonation_bound(w, 1):.4f})")

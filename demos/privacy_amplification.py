@@ -13,44 +13,54 @@ leak.
 
 import random
 
-from qkdnet import BitString, deterministic_pa
+from qkdnet import deterministic_pa
 from qkdnet.sim import dpa_uniformity_exact
 
-key = BitString("101101")
+N = 6
+key = 0b101101
+
+
+def bits(value, width=N):
+    """A key or vector as its '0'/'1' text, position 1 leftmost."""
+    return format(value, f"0{width}b") if width else ""
+
+
+def distill(lambdas):
+    kstar, trash = deterministic_pa(key, N, lambdas)
+    return sorted(trash), bits(kstar, N - len(trash))
+
 
 print("independent vectors: one pivot each")
-lambdas = [BitString("100010"), BitString("010001")]
-kstar, trash = deterministic_pa(key, lambdas)
-print(f"  key={key} vectors={[str(l) for l in lambdas]}")
-print(f"  trash={sorted(trash)} distilled={kstar}")
+lambdas = [0b100010, 0b010001]
+trash, kstar = distill(lambdas)
+print(f"  key={bits(key)} vectors={[bits(v) for v in lambdas]}")
+print(f"  trash={trash} distilled={kstar}")
 
 print()
 print("dependent vector: reduces to a fresh pivot")
-lambdas = [BitString("011000"), BitString("010000")]
-kstar, trash = deterministic_pa(key, lambdas)
-print(f"  vectors={[str(l) for l in lambdas]}")
+lambdas = [0b011000, 0b010000]
+trash, kstar = distill(lambdas)
+print(f"  vectors={[bits(v) for v in lambdas]}")
 print(f"  010000 reduces against 011000 to 001000, so position 3 is"
       f" trashed too")
-print(f"  trash={sorted(trash)} distilled={kstar}")
+print(f"  trash={trash} distilled={kstar}")
 
 print()
 print("repeated vector: second copy says nothing new")
-lambdas = [BitString("011000"), BitString("011000")]
-kstar, trash = deterministic_pa(key, lambdas)
-print(f"  trash={sorted(trash)} distilled={kstar}")
+trash, kstar = distill([0b011000, 0b011000])
+print(f"  trash={trash} distilled={kstar}")
 
 print()
 print("the cancellation trap: raw-pivot greedy would trash {1,2,4} here,")
 print("leaving (v1 xor v3) = 001010 on surviving positions 3 and 5")
-lambdas = [BitString("011101"), BitString("100111"), BitString("010111")]
-kstar, trash = deterministic_pa(key, lambdas)
-print(f"  reduced pivots give trash={sorted(trash)} distilled={kstar}")
+trash, kstar = distill([0b011101, 0b100111, 0b010111])
+print(f"  reduced pivots give trash={trash} distilled={kstar}")
 
 print()
 print("exhaustive uniformity over all 2^10 keys, 30 random vector sets:")
 rng = random.Random(3)
 ok = all(
-    dpa_uniformity_exact(10, [BitString.random(10, rng) for _ in range(4)])
+    dpa_uniformity_exact(10, [rng.getrandbits(10) for _ in range(4)])
     for _ in range(30)
 )
 print(f"  conditional distribution of the distilled key uniform: {ok}")

@@ -33,8 +33,9 @@ out = full_session(graph, "alice", "bob", params, None, random.Random(7))
 print(f"paths: {[' -> '.join(p) for p in out.paths.paths]}")
 print(f"result={out.result} result'={out.result_prime} "
       f"keys_equal={out.keys_equal}")
-print(f"alice final key ({out.final_key_a.length} bits): {out.final_key_a}")
-print(f"bob   final key ({out.final_key_b.length} bits): {out.final_key_b}")
+width = params.test_bits - len(out.trash_a)   # keys are plain integers
+print(f"alice final key ({width} bits): {out.final_key_a:0{width}b}")
+print(f"bob   final key ({width} bits): {out.final_key_b:0{width}b}")
 print(f"trashed positions: {sorted(out.trash_a)}")
 print()
 print("transcript:")

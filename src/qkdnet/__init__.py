@@ -16,8 +16,6 @@ from .adversary import (
 from .bits import BitString
 from .mac import (
     MacKey,
-    MacParams,
-    Tag,
     impersonation_bound,
     reduction_polynomial,
     split_for_two_messages,

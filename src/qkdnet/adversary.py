@@ -4,7 +4,7 @@ Corruption is static per trial: a :class:`AdversaryConfig` fixes which
 nodes are Byzantine and which scripted strategies they run.  During a
 session a :class:`ScriptedAdversary` plugs into the transport layer as
 its interceptor (the hook contract is in :mod:`qkdnet.transport`),
-recording everything corrupted nodes see into an
+recording the key shares corrupted nodes and leaked hops reveal into an
 :class:`AdversaryView` and applying the scripted behaviors:
 
 * ``passive``        observe and forward faithfully
@@ -24,8 +24,7 @@ minus the uniform 2^-k.  There is no sampling fallback: an instance past
 the enumeration limit raises :class:`TooLarge`.
 
 Shares and messages are held as plain integers: a view's shares are
-``view.share_bits`` wide, and a transcript entry carries its message's
-width.
+``view.share_bits`` wide.
 """
 
 from __future__ import annotations
@@ -109,7 +108,6 @@ class PublishedBundle:
     """Material a disclosing adversary has posted for everyone to read."""
 
     shares: dict = field(default_factory=dict)
-    transcripts: tuple = ()
 
 
 class AdversaryView:
@@ -118,20 +116,17 @@ class AdversaryView:
     ``learned_shares`` maps a path index to the share values observed on
     it, in observation order (the first entry is the value the sender
     put on the path).  The map gains an entry only when the path crosses
-    a corrupted node or an epsilon-compromised hop.  ``transcripts``
-    holds one ``(path_index, kind, node, value, nbits)`` entry per
-    classical message a corrupted node relayed, and ``leaked_epochs``
+    a corrupted node or an epsilon-compromised hop.  ``leaked_epochs``
     counts the hops that crossed a compromised epoch.
     """
 
-    __slots__ = ("n_paths", "share_bits", "learned_shares", "transcripts",
-                 "leaked_epochs", "published")
+    __slots__ = ("n_paths", "share_bits", "learned_shares", "leaked_epochs",
+                 "published")
 
     def __init__(self, n_paths: int, share_bits: int):
         self.n_paths = n_paths
         self.share_bits = share_bits
         self.learned_shares: dict[int, list[int]] = {}
-        self.transcripts: list[tuple] = []
         self.leaked_epochs = 0
         self.published: PublishedBundle | None = None
 
@@ -147,7 +142,6 @@ def disclose(view: AdversaryView) -> PublishedBundle:
     """Post the view's secrets publicly (denial-of-service style leak)."""
     bundle = PublishedBundle(
         shares={i: tuple(obs) for i, obs in view.learned_shares.items() if obs},
-        transcripts=tuple(view.transcripts),
     )
     view.published = bundle
     return bundle
@@ -206,14 +200,13 @@ class ScriptedAdversary:
     def on_classical_hop(self, path_index, node, kind, value, nbits):
         if node not in self.corrupted:
             return value
-        self.view.transcripts.append((path_index, kind, node, value, nbits))
         if self._drop:
             return None
         if self._forge:
             return self.rng.getrandbits(nbits)
         return value
 
-    def on_hop_leak(self, path_index, link, value):
+    def on_hop_leak(self, path_index, value):
         self.view.leaked_epochs += 1
         self.view.record_share(path_index, value)
 

@@ -1,16 +1,17 @@
 """Bit-string primitive: a fixed-length binary string with slicing.
 
-The public MAC API, distillation and the exact oracles carry
-:class:`BitString` values; a session and its adversary run on plain
-integers and never build one.  Indexing is 1-based throughout the public
-API: bit 1 is the leftmost character of the textual form, so
-``BitString("0101").bit(1) == 0`` and ``.bit(4) == 1``.  The textual
-encoding used in files and logs is the plain ASCII '0'/'1' string.
+Only the public MAC API (keys, messages and tags) and the exhaustive
+MAC forgery oracle carry :class:`BitString` values; a session, its
+adversary, distillation and the other oracles run on plain integers and
+never build one.  Positions are 1-based: bit 1 is the leftmost character
+of the textual form, so ``BitString("0110").slice(1, 2)`` is ``"01"``.
+The textual encoding used in files and logs is the plain ASCII '0'/'1'
+string.
 """
 
 from __future__ import annotations
 
-from .errors import LengthMismatch, OutOfRange
+from .errors import OutOfRange
 
 _VALID_CHARS = frozenset("01")
 
@@ -19,8 +20,8 @@ class BitString:
     """Immutable fixed-length binary string.
 
     Backed by a non-negative integer whose most significant bit (within
-    ``length``) is bit 1, so that integer XOR realizes bitwise XOR and
-    shifts realize slicing.  Values are hashable and compare by content.
+    ``length``) is bit 1, so that shifts realize slicing.  Values are
+    hashable and compare by value and length.
     """
 
     __slots__ = ("_value", "_length")
@@ -66,12 +67,6 @@ class BitString:
     def __len__(self) -> int:
         return self._length
 
-    def bit(self, i: int) -> int:
-        """Return bit ``i`` (1-based; bit 1 is the leftmost)."""
-        if not 1 <= i <= self._length:
-            raise OutOfRange(f"bit index {i} outside 1..{self._length}")
-        return (self._value >> (self._length - i)) & 1
-
     def slice(self, a: int, b: int) -> "BitString":
         """Return bits ``a..b`` inclusive (1-based); length is b-a+1."""
         if not 1 <= a or not a <= b or not b <= self._length:
@@ -80,25 +75,6 @@ class BitString:
         return BitString.from_int(
             (self._value >> (self._length - b)) & ((1 << width) - 1), width
         )
-
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString.from_int(
-            (self._value << other._length) | other._value,
-            self._length + other._length,
-        )
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if self._length != other._length:
-            raise LengthMismatch(
-                f"cannot XOR lengths {self._length} and {other._length}"
-            )
-        return BitString.from_int(self._value ^ other._value, self._length)
-
-    def popcount(self) -> int:
-        return self._value.bit_count()
-
-    def is_zero(self) -> bool:
-        return self._value == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):

@@ -19,10 +19,16 @@ import argparse
 import sys
 
 from .errors import QkdNetError, ValidationError
-from .mac import MacParams, impersonation_bound
 from .network import required_paths, vertex_disjoint_paths
 from .protocol import SecurityParams
-from .sim import check_bounds, emit_report, exact_oracles, load_scenario, run_monte_carlo
+from .sim import (
+    check_bounds,
+    emit_report,
+    exact_oracles,
+    load_scenario,
+    protocol_impersonation_bound,
+    run_monte_carlo,
+)
 
 
 def _cmd_run(args) -> int:
@@ -56,7 +62,7 @@ def _cmd_bounds(args) -> int:
         return 2
     params = SecurityParams(n=args.n, s=args.s, m=args.m, ell=args.ell,
                             epsilon=args.eps)
-    p_im = impersonation_bound(MacParams(args.w), params.challenge_bits)
+    p_im = protocol_impersonation_bound(params)
     agreement, privacy = check_bounds(params, p_im)
     print(f"p_im: {p_im:.6g}")
     print(f"agreement_bound: {agreement:.6f}")

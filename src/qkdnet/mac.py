@@ -14,6 +14,11 @@ L / 2^w.  One reserved key segment authenticates two messages via
 :func:`split_for_two_messages` (disjoint halves, so the two-message
 impersonation probability is at most twice the single-message one).
 
+The public API (:class:`MacKey`, :func:`tag`, :func:`verify`,
+:func:`split_for_two_messages`) takes and returns :class:`BitString`
+values; a tag is the w-bit string itself.  The session and the
+transport call :func:`_tag_value`, the same tag on plain integers.
+
 Reduction polynomials are fixed per word size for bit-exact interop; see
 :data:`REDUCTION_POLYNOMIALS`.  Word sizes without a table entry use the
 lexicographically smallest irreducible polynomial of that degree.
@@ -201,37 +206,12 @@ def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
 def _tag_value(w: int, key2w: int, value: int, nbits: int) -> int:
     """Tag of ``nbits`` message bits under a 2w-bit key, all as integers.
 
-    Hot-path form used by the transport layer; :func:`tag` is the
-    public wrapper over BitString values.
+    Hot-path form used by the session and the transport layer;
+    :func:`tag` is the public wrapper over BitString values.
     """
     x = key2w >> w
     y = key2w & ((1 << w) - 1)
     return _hash_value(w, x, value, nbits) ^ y
-
-
-@dataclass(frozen=True)
-class MacParams:
-    """Parameters of the polynomial-evaluation MAC family.
-
-    ``word_bits`` is the field size exponent w; tags are w bits and each
-    authenticated message consumes a fresh 2w-bit key.
-    """
-
-    word_bits: int
-
-    def __post_init__(self):
-        if self.word_bits < 1:
-            raise ParameterViolation(
-                f"word_bits must be >= 1, got {self.word_bits}"
-            )
-
-    @property
-    def tag_bits(self) -> int:
-        return self.word_bits
-
-    @property
-    def key_bits_per_message(self) -> int:
-        return 2 * self.word_bits
 
 
 @dataclass(frozen=True)
@@ -252,29 +232,20 @@ class MacKey:
         return self.material.length // 2
 
 
-@dataclass(frozen=True)
-class Tag:
-    """A w-bit authentication tag."""
-
-    value: BitString
-
-
-def tag(key: MacKey, message: BitString) -> Tag:
-    """Authentication tag of ``message`` under ``key``.
+def tag(key: MacKey, message: BitString) -> BitString:
+    """The w-bit authentication tag of ``message`` under ``key``.
 
     Deterministic; the word size w is inferred from the key material
     length (2w bits).
     """
     w = key.word_bits
-    return Tag(BitString.from_int(
+    return BitString.from_int(
         _tag_value(w, key.material.value, message.value, message.length), w
-    ))
+    )
 
 
-def verify(key: MacKey, message: BitString, t: Tag) -> bool:
-    """Accept iff ``t`` equals the tag of ``message`` under ``key``."""
-    if t.value.length != key.word_bits:
-        return False
+def verify(key: MacKey, message: BitString, t: BitString) -> bool:
+    """Accept iff ``t`` (value and length) equals the tag of ``message``."""
     return tag(key, message) == t
 
 
@@ -293,15 +264,17 @@ def split_for_two_messages(key2: BitString) -> tuple[MacKey, MacKey]:
     return MacKey(key2.slice(1, half)), MacKey(key2.slice(half + 1, key2.length))
 
 
-def impersonation_bound(params: MacParams, message_bits: int) -> float:
-    """Forgery probability bound L / 2^w with L = ceil(message_bits/w) + 1.
+def impersonation_bound(w: int, message_bits: int) -> float:
+    """Forgery probability bound L / 2^w with L = ceil(message_bits/w) + 1
+    for word size ``w``.
 
     L counts the w-bit blocks of the padded message including the length
     block.  Clamped to 1.0, since for tiny word sizes the formula can
     exceed a probability.
     """
+    if w < 1:
+        raise OutOfRange(f"word size must be >= 1, got {w}")
     if message_bits < 0:
         raise OutOfRange(f"message_bits must be >= 0, got {message_bits}")
-    w = params.word_bits
     blocks = -(-message_bits // w) + 1
     return min(1.0, blocks / (1 << w))

@@ -209,8 +209,8 @@ def vertex_disjoint_paths(
     if count < 1:
         raise OutOfRange(f"path count must be >= 1, got {count}")
     flow, residual, forward = _split_graph_max_flow(graph, a, b, count)
-    if flow < count:
-        raise InsufficientConnectivity(count, max_disjoint_paths(graph, a, b))
+    if flow < count:   # no augmenting path remains: flow is the maximum
+        raise InsufficientConnectivity(count, flow)
 
     # Unit capacities: an original edge carries net flow iff its residual
     # is exhausted.  Walk used edges from the source; vertex capacities
@@ -270,7 +270,7 @@ class RateModel:
 
 def link_rate(distance_km: float, model: RateModel = RateModel()) -> float:
     """Secret bits per second of a link at the given distance."""
-    if distance_km < 0:
+    if not distance_km >= 0:   # also rejects NaN
         raise OutOfRange(f"distance must be >= 0, got {distance_km}")
     if distance_km >= model.max_km:
         return 0.0

@@ -23,12 +23,15 @@ The reserved MAC prefix is 2s bits (two independent sub-keys of s bits,
 one per direction), so the tested remainder has n - 2s bits.
 
 :func:`full_session` is the one implementation of a session and runs
-the four phases on plain integers: the XOR of the shares, the key parts
-from :func:`_key_parts` (first sub-key, second sub-key, remainder) and
-the wire payloads of the challenge and the response never become bit
-strings.  The phase helpers ``_make_challenge``, ``_verify_challenge``,
-``_make_response`` and ``_verify_response`` take those integers, and the
-challenge message is built and parsed only by ``_encode_challenge`` /
+all four phases on plain integers: the XOR of the shares, the key parts
+from :func:`_key_parts` (first sub-key, second sub-key, remainder), the
+wire payloads of the challenge and the response, the parity vectors and
+the distilled final keys.  A value's width is fixed by the parameters
+(an n-bit key, test_bits-bit remainder and vectors) or travels beside
+it as ``nbits``; position 1 is the most significant bit.  The phase
+helpers ``_make_challenge``, ``_verify_challenge``, ``_make_response``
+and ``_verify_response`` take those integers, and the challenge message
+is built and parsed only by ``_encode_challenge`` /
 ``_decode_challenge``.
 """
 
@@ -43,9 +46,8 @@ from .adversary import (
     ScriptedAdversary,
     disclose,
 )
-from .bits import BitString
 from .errors import LengthMismatch, OutOfRange, ParameterViolation
-from .mac import MacParams, _tag_value
+from .mac import _tag_value
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
 from .network import NetworkGraph, PathSet, vertex_disjoint_paths
 from .transport import (
@@ -97,10 +99,6 @@ class SecurityParams:
         return self.s // 2
 
     @property
-    def mac(self) -> MacParams:
-        return MacParams(self.word_bits)
-
-    @property
     def reserved_bits(self) -> int:
         """Key bits consumed by the two MAC sub-keys."""
         return 2 * self.s
@@ -142,32 +140,31 @@ def _encode_challenge(lambdas, parities, test_bits: int) -> int:
 
 
 def _decode_challenge(message: int, test_bits: int, m: int):
-    """Inverse of :func:`_encode_challenge`: (vectors, parities) lists."""
+    """Inverse of :func:`_encode_challenge`: (vectors tuple, parities list)."""
     chunk_mask = (1 << (test_bits + 1)) - 1
     lambdas, parities = [], []
     for v in range(m - 1, -1, -1):
         chunk = (message >> (v * (test_bits + 1))) & chunk_mask
         lambdas.append(chunk >> 1)
         parities.append(chunk & 1)
-    return lambdas, parities
+    return tuple(lambdas), parities
 
 
 def _make_challenge(auth_first: int, remainder: int, params: SecurityParams, rng):
     """Draw m parity vectors (index order) against ``remainder``.
 
-    Returns the vectors as bit strings and the wire payload, message ||
-    tag under ``auth_first``, as an integer of challenge_bits + w bits.
+    Returns the vectors as a tuple of test_bits-bit integers and the wire
+    payload, message || tag under ``auth_first``, as an integer of
+    challenge_bits + w bits.
     """
     tb = params.test_bits
     w = params.word_bits
-    values = [rng.getrandbits(tb) for _ in range(params.m)]
+    lambdas = tuple(rng.getrandbits(tb) for _ in range(params.m))
     message = _encode_challenge(
-        values, [(lam & remainder).bit_count() & 1 for lam in values], tb
+        lambdas, [(lam & remainder).bit_count() & 1 for lam in lambdas], tb
     )
-    tag = _tag_value(w, auth_first, message, params.challenge_bits)
-    return (
-        tuple(BitString.from_int(lam, tb) for lam in values),
-        (message << w) | tag,
+    return lambdas, (message << w) | _tag_value(
+        w, auth_first, message, params.challenge_bits
     )
 
 
@@ -203,13 +200,11 @@ def _verify_challenge(received, auth_first: int, remainder: int,
         i for i, payload in enumerate(received)
         if payload != received[accepted]
     )
-    tb = params.test_bits
-    values, parities = _decode_challenge(message, tb, params.m)
+    lambdas, parities = _decode_challenge(message, params.test_bits, params.m)
     ok = all(
         (lam & remainder).bit_count() & 1 == p
-        for lam, p in zip(values, parities)
+        for lam, p in zip(lambdas, parities)
     )
-    lambdas = tuple(BitString.from_int(lam, tb) for lam in values)
     return ChallengeOutcome(1 if ok else 0, accepted, lambdas, identified)
 
 
@@ -245,7 +240,8 @@ def _verify_response(received, auth_second: int,
 
 @dataclass(frozen=True)
 class ChallengeOutcome:
-    """Responder verdict: result bit, accepted path, decoded vectors."""
+    """Responder verdict: result bit, accepted path, decoded vectors
+    (a tuple of test_bits-bit integers, None when nothing was accepted)."""
 
     result: int
     accepted_path: int | None
@@ -260,17 +256,18 @@ class ResponseOutcome:
     identified_dishonest: frozenset
 
 
-def deterministic_pa(key: BitString, lambdas) -> tuple[BitString, frozenset]:
-    """Deterministic privacy amplification.
+def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
+    """Deterministic privacy amplification of the ``nbits``-bit ``key``.
 
-    Maintains a row-reduced basis of the disclosed parity vectors,
-    processed in order: each vector is reduced against the pivots chosen
-    so far, a vector surviving reduction trashes the leading (smallest
-    1-based) position of its reduced form, and a vector reducing to zero
-    discloses nothing fresh and trashes nothing.  The chosen positions
-    support a triangular, hence invertible, system in the trashed bits,
-    so conditioned on every disclosed parity the surviving bits remain
-    exactly uniform.
+    ``lambdas`` are ``nbits``-bit integer parity vectors; position 1 is
+    the most significant bit.  Maintains a row-reduced basis of the
+    disclosed vectors, processed in order: each vector is reduced
+    against the pivots chosen so far, a vector surviving reduction
+    trashes the leading (smallest) position of its reduced form, and a
+    vector reducing to zero discloses nothing fresh and trashes nothing.
+    The chosen positions support a triangular, hence invertible, system
+    in the trashed bits, so conditioned on every disclosed parity the
+    surviving bits remain exactly uniform.
 
     Note the pivot must come from the *reduced* vector: trashing the
     leading not-yet-trashed position of the raw vector leaves linear
@@ -278,37 +275,35 @@ def deterministic_pa(key: BitString, lambdas) -> tuple[BitString, frozenset]:
     entirely on surviving positions, which would leak.
 
     Returns the key with trashed positions deleted (original order
-    preserved) and the 1-based trash set.  At most one position is
-    trashed per vector, and both ends compute identical outputs from
-    identical vectors without communication.  The output is assembled
-    from the runs of surviving bits between sorted trashed positions,
-    at most m + 1 shift-and-mask steps.
+    preserved), an integer of ``nbits - len(trash)`` bits, and the
+    1-based trash set.  At most one position is trashed per vector, and
+    both ends compute identical outputs from identical vectors without
+    communication.  The output is assembled from the runs of surviving
+    bits between sorted trashed positions, at most m + 1 shift-and-mask
+    steps.  A vector wider than ``nbits`` raises :class:`LengthMismatch`.
     """
-    nb = key.length
     basis: dict[int, int] = {}
-    for lam in lambdas:
-        if lam.length != nb:
+    for v in lambdas:
+        if v >> nbits:
             raise LengthMismatch(
-                f"parity vector has {lam.length} bits, key has {nb}"
+                f"parity vector {v:#b} is wider than the {nbits}-bit key"
             )
-        v = lam.value
         while v:
-            pos = nb - v.bit_length() + 1
+            pos = nbits - v.bit_length() + 1
             row = basis.get(pos)
             if row is None:
                 basis[pos] = v
                 break
             v ^= row
-    kv = key.value
     out = 0
     prev = 0
     for pos in sorted(basis):
         run = pos - prev - 1    # surviving bits prev+1 .. pos-1
-        out = (out << run) | ((kv >> (nb - pos + 1)) & ((1 << run) - 1))
+        out = (out << run) | ((key >> (nbits - pos + 1)) & ((1 << run) - 1))
         prev = pos
-    run = nb - prev
-    out = (out << run) | (kv & ((1 << run) - 1))
-    return BitString.from_int(out, nb - len(basis)), frozenset(basis)
+    run = nbits - prev
+    out = (out << run) | (key & ((1 << run) - 1))
+    return out, frozenset(basis)
 
 
 @dataclass(frozen=True)
@@ -361,8 +356,8 @@ class SessionOutcome:
     result_prime: int
     keys_equal: bool          # delta over the remainder keys
     full_keys_equal: bool
-    final_key_a: BitString | None
-    final_key_b: BitString | None
+    final_key_a: int | None   # test_bits - len(trash_a) bits
+    final_key_b: int | None
     trash_a: frozenset | None
     trash_b: frozenset | None
     transcript: AuthTranscript
@@ -394,8 +389,8 @@ def full_session(
     vectors, with adversary draws interleaved at interception points),
     so a seeded generator reproduces the trial bit-for-bit.  Protocol
     failures surface as result=0 outcomes, never exceptions.  Shares,
-    keys, key parts and wire payloads stay integers; bit strings are
-    built only for distillation and the final keys.
+    keys, key parts, wire payloads, parity vectors and the final keys
+    are all integers.
     """
     if paths is None:
         paths = vertex_disjoint_paths(graph, a, b, params.ell)
@@ -438,13 +433,9 @@ def full_session(
     trash_a = trash_b = None
     tb = params.test_bits
     if rv.result_prime == 1:
-        final_a, trash_a = deterministic_pa(
-            BitString.from_int(rem_a, tb), lambdas
-        )
+        final_a, trash_a = deterministic_pa(rem_a, tb, lambdas)
     if cv.result == 1:
-        final_b, trash_b = deterministic_pa(
-            BitString.from_int(rem_b, tb), cv.lambdas
-        )
+        final_b, trash_b = deterministic_pa(rem_b, tb, cv.lambdas)
 
     published = None
     if interceptor is not None and interceptor.discloses:

@@ -68,12 +68,17 @@ def _require(condition, message):
 
 
 def _coerce(kind, value, what):
-    """``kind(value)``, with a malformed value reported as ValidationError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{what} must be {noun}, got {value!r}") from exc
+    """``kind(value)``: an int field takes a JSON integer and a float field
+    any JSON number; anything else (a bool, a string, a fraction for an
+    int field) is a ValidationError naming the field."""
+    accepted = int if kind is int else (int, float)
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ValidationError(f"{what} must be {noun}, got {value!r}")
 
 
 #: Every key a scenario document may use, per object.
@@ -253,10 +258,9 @@ def _failure_tags(outcome) -> tuple:
         tags.append("challenge_rejected")
     if outcome.result_prime != outcome.result:
         tags.append("response_mismatch")
-    if (
-        outcome.result == 1
-        and outcome.result_prime == 1
-        and outcome.final_key_a != outcome.final_key_b
+    if outcome.result == 1 and outcome.result_prime == 1 and (
+        outcome.final_key_a != outcome.final_key_b
+        or len(outcome.trash_a) != len(outcome.trash_b)
     ):
         tags.append("final_key_mismatch")
     return tuple(tags)
@@ -276,9 +280,7 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
     view = outcome.view
     observed = all(view.known_share(i) is not None for i in range(view.n_paths))
     advantage = 1.0 - 2.0 ** -scenario.params.n if observed else 0.0
-    final_len = (
-        outcome.final_key_a.length if outcome.final_key_a is not None else None
-    )
+    trash = outcome.trash_a
     return TrialResult(
         index=index,
         seed=trial_seed,
@@ -287,8 +289,10 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
         keys_equal=outcome.keys_equal,
         full_keys_equal=outcome.full_keys_equal,
         succeeded=outcome.succeeded,
-        final_key_len=final_len,
-        trash_size=len(outcome.trash_a) if outcome.trash_a is not None else None,
+        final_key_len=(
+            None if trash is None else scenario.params.test_bits - len(trash)
+        ),
+        trash_size=None if trash is None else len(trash),
         leaked_epochs=outcome.leaked_epochs,
         advantage=advantage,
         failure_tags=_failure_tags(outcome),
@@ -313,7 +317,7 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.99):
 
 def protocol_impersonation_bound(params: SecurityParams) -> float:
     """p_im for the session's larger authenticated message (the challenge)."""
-    return impersonation_bound(params.mac, params.challenge_bits)
+    return impersonation_bound(params.word_bits, params.challenge_bits)
 
 
 def check_bounds(params: SecurityParams, p_im: float):
@@ -477,7 +481,8 @@ def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Frac
 
 
 def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
-    """Exhaustive check of distillation uniformity for one vector set.
+    """Exhaustive check of distillation uniformity for one set of
+    ``key_bits``-bit integer parity vectors.
 
     Enumerates all 2^key_bits keys, groups them by their parity vector,
     and requires the distilled keys within every non-empty group to
@@ -487,9 +492,9 @@ def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
     keys = np.arange(1 << key_bits, dtype=np.uint64)
     sigma = np.zeros_like(keys)
     for lam in lambdas:
-        parity = np.bitwise_count(keys & np.uint64(lam.value)) % np.uint64(2)
+        parity = np.bitwise_count(keys & np.uint64(lam)) % np.uint64(2)
         sigma = (sigma << np.uint64(1)) | parity
-    _, trash = deterministic_pa(BitString.zeros(key_bits), lambdas)
+    _, trash = deterministic_pa(0, key_bits, lambdas)
     kstar = np.zeros_like(keys)
     for pos in range(1, key_bits + 1):
         if pos in trash:
@@ -498,10 +503,8 @@ def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
         kstar = (kstar << np.uint64(1)) | bit
     # spot-check the vectorized gather against the production operation
     for kv in (0, 1, (1 << key_bits) - 1, 0b1010 % (1 << key_bits)):
-        scalar_kstar, scalar_trash = deterministic_pa(
-            BitString.from_int(kv, key_bits), lambdas
-        )
-        if scalar_trash != trash or scalar_kstar.value != int(kstar[kv]):
+        scalar_kstar, scalar_trash = deterministic_pa(kv, key_bits, lambdas)
+        if scalar_trash != trash or scalar_kstar != int(kstar[kv]):
             return False
     survivors = key_bits - len(trash)
     combined = (sigma << np.uint64(survivors)) | kstar
@@ -623,14 +626,12 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 100,
     # (c) distillation uniformity over random and adversarial vector sets
     ok = True
     for _ in range(dpa_configs):
-        lambdas = [BitString.random(tb, rng) for _ in range(params.m)]
+        lambdas = [rng.getrandbits(tb) for _ in range(params.m)]
         ok = ok and dpa_uniformity_exact(tb, lambdas)
-    repeated = [BitString.from_int(1 << (tb - 1), tb)] * params.m
-    disjoint = [
-        BitString.from_int(1 << (tb - 1 - i), tb) for i in range(params.m)
-    ]
-    all_zero = [BitString.zeros(tb)] * params.m
-    all_ones = [BitString.from_int((1 << tb) - 1, tb)] * params.m
+    repeated = [1 << (tb - 1)] * params.m
+    disjoint = [1 << (tb - 1 - i) for i in range(params.m)]
+    all_zero = [0] * params.m
+    all_ones = [(1 << tb) - 1] * params.m
     for lambdas in (repeated, disjoint, all_zero, all_ones):
         ok = ok and dpa_uniformity_exact(tb, lambdas)
     checks.append(OracleCheck(

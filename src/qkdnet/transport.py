@@ -25,8 +25,8 @@ first-sent bit most significant; a hook never changes the length.
 * ``on_classical_hop(path_index, node, kind, value, nbits) -> int |
   None``: the message to relay (``kind`` is ``"challenge"`` or
   ``"response"``), or None to drop it.
-* ``on_hop_leak(path_index, link, value)``: the share crossed an
-  epsilon-compromised epoch of ``link``.
+* ``on_hop_leak(path_index, value)``: the share crossed an
+  epsilon-compromised epoch of a link on the path.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def _forward_key_over(hops, value, nbits, w, interceptor, path_index):
         value, leaked = _hop_transfer(pool, value, nbits, w)
         if interceptor is not None:
             if leaked:
-                interceptor.on_hop_leak(path_index, pool.link, value)
+                interceptor.on_hop_leak(path_index, value)
             if stop is not None:
                 value = interceptor.on_key_hop(path_index, stop, value, nbits)
     return value

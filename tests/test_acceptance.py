@@ -37,7 +37,6 @@ from qkdnet.adversary import (
 from qkdnet.bits import BitString
 from qkdnet.mac import (
     MacKey,
-    MacParams,
     _tag_value,
     impersonation_bound,
     split_for_two_messages,
@@ -184,24 +183,21 @@ class TestCriterion4DistillationExactness:
         tb, m = 12, 4
         rng = random.Random(4)
         configs = [
-            [BitString.random(tb, rng) for _ in range(m)]
+            [rng.getrandbits(tb) for _ in range(m)]
             for _ in range(100)
         ]
-        configs.append([BitString.from_int(1 << (tb - 1), tb)] * m)  # repeated
-        configs.append([BitString.from_int(1 << (tb - 1 - i), tb)
-                        for i in range(m)])                          # disjoint
-        configs.append([BitString.zeros(tb)] * m)                    # all-zero
-        configs.append([BitString.from_int((1 << tb) - 1, tb)] * m)  # all-ones
+        configs.append([1 << (tb - 1)] * m)                          # repeated
+        configs.append([1 << (tb - 1 - i) for i in range(m)])        # disjoint
+        configs.append([0] * m)                                      # all-zero
+        configs.append([(1 << tb) - 1] * m)                          # all-ones
         # cancellation pattern that defeats raw-vector greedy pivoting
-        configs.append([
-            BitString("011101" + "0" * 6), BitString("100111" + "0" * 6),
-            BitString("010111" + "0" * 6), BitString("000001" + "0" * 6),
-        ])
+        configs.append([v << 6 for v in (0b011101, 0b100111, 0b010111,
+                                         0b000001)])
         for lambdas in configs:
             assert dpa_uniformity_exact(tb, lambdas)
-            kstar, trash = deterministic_pa(BitString.zeros(tb), lambdas)
+            kstar, trash = deterministic_pa(0, tb, lambdas)
             assert len(trash) <= m
-            assert kstar.length == tb - len(trash)
+            assert kstar.bit_length() <= tb - len(trash)
         print(f"\n[criterion 4] PASS: {len(configs)} vector sets, "
               f"conditional distribution exactly uniform")
 
@@ -243,7 +239,7 @@ class TestCriterion6MacBound:
         # 4w-bit split keys; after seeing one pair per direction the best
         # forgery against either direction stays within 2 * p_im.
         w = 2
-        p_im = Fraction(impersonation_bound(MacParams(w), 2)).limit_denominator()
+        p_im = Fraction(impersonation_bound(w, 2)).limit_denominator()
         msg_a = BitString("10")
         msg_b = BitString("1")
         candidates = [

@@ -91,15 +91,13 @@ class TestDisclose:
     def test_copies_view_into_bundle(self):
         view = AdversaryView(n_paths=2, share_bits=4)
         view.record_share(0, 0b1010)
-        view.transcripts.append((0, "challenge", "n1", 1, 1))
         bundle = disclose(view)
         assert bundle.shares == {0: (0b1010,)}
-        assert len(bundle.transcripts) == 1
         assert view.published is bundle
 
     def test_empty_view_empty_bundle(self):
         bundle = disclose(AdversaryView(n_paths=3, share_bits=4))
-        assert bundle.shares == {} and bundle.transcripts == ()
+        assert bundle.shares == {}
 
 
 class TestScriptedAdversary:
@@ -112,7 +110,6 @@ class TestScriptedAdversary:
         assert adv.on_key_hop(0, "x", share, 8) == share
         assert view.learned_shares[0] == [share]
         assert adv.on_classical_hop(0, "x", "challenge", 0b1111, 4) == 0b1111
-        assert view.transcripts == [(0, "challenge", "x", 0b1111, 4)]
 
     def test_honest_node_hops_not_recorded(self):
         view = AdversaryView(2, 8)
@@ -121,7 +118,7 @@ class TestScriptedAdversary:
         )
         adv.on_key_hop(0, "y", 0b10101010, 8)
         adv.on_classical_hop(0, "y", "challenge", 0b1111, 4)
-        assert not view.learned_shares and not view.transcripts
+        assert not view.learned_shares
 
     def test_tamper_always_changes_value(self):
         view = AdversaryView(1, 8)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkdnet.bits import BitString
-from qkdnet.errors import LengthMismatch, OutOfRange
+from qkdnet.errors import OutOfRange
 
 bitstrings = st.text(alphabet="01", max_size=64).map(BitString)
 
@@ -25,11 +25,11 @@ class TestBitString:
 
     def test_one_based_bit_access(self):
         k = bs("0101")
-        assert [k.bit(i) for i in range(1, 5)] == [0, 1, 0, 1]
+        assert [k.slice(i, i).value for i in range(1, 5)] == [0, 1, 0, 1]
         with pytest.raises(OutOfRange):
-            k.bit(0)
+            k.slice(0, 0)
         with pytest.raises(OutOfRange):
-            k.bit(5)
+            k.slice(5, 5)
 
     def test_slice_is_inclusive_one_based(self):
         k = bs("10110")
@@ -61,45 +61,15 @@ class TestBitString:
         assert a == b and a.length == 32
 
 
-class TestXorCombine:
-    """Combining bit strings with ``^``."""
-
-    def test_two_shares(self):
-        assert bs("0101") ^ bs("0011") == bs("0110")
-
-    def test_single_share_is_identity(self):
-        assert bs("1011") ^ bs("0000") == bs("1011")
-
-    def test_odd_repetition(self):
-        assert bs("1111") ^ bs("1111") ^ bs("1111") == bs("1111")
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            bs("01") ^ bs("011")
-
-    @given(bitstrings)
-    def test_self_inverse(self, x):
-        assert (x ^ x).is_zero() and (x ^ x).length == x.length
-
-    @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-    def test_associative_commutative(self, a, b, c):
-        x, y, z = (BitString.from_int(v, 8) for v in (a, b, c))
-        assert x ^ y ^ z == z ^ y ^ x
-        assert (x ^ y) ^ z == x ^ (y ^ z)
-
-
 class TestSplitKey:
-    """Splitting a key with ``slice`` and rejoining it with ``concat``."""
+    """Splitting a key with ``slice``."""
 
     def test_direct_slice(self):
         k = bs("10110")
         assert (str(k.slice(1, 2)), str(k.slice(3, 5))) == ("10", "110")
 
-    def test_empty_prefix(self):
-        assert bs("").concat(bs("10110")) == bs("10110")
-
     def test_full_prefix(self):
-        assert bs("10110").concat(bs("")) == bs("10110")
+        assert bs("10110").slice(1, 5) == bs("10110")
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -112,5 +82,5 @@ class TestSplitKey:
         if s >= k.length:
             return
         prefix, rest = k.slice(1, s), k.slice(s + 1, k.length)
-        assert prefix.length == s
-        assert prefix.concat(rest) == k
+        assert prefix.length == s and rest.length == k.length - s
+        assert (prefix.value << rest.length) | rest.value == k.value

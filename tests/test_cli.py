@@ -163,6 +163,22 @@ class TestMalformedScenario:
                              {"params": {**PARAMS, field: value}})
         assert f"params '{field}'" in err
 
+    @pytest.mark.parametrize("doc,field", [
+        ({"params": {**PARAMS, "n": 64.9}}, "params 'n'"),
+        ({"params": {**PARAMS, "ell": 2.5}}, "params 'ell'"),
+        ({"params": {**PARAMS, "m": True}}, "params 'm'"),
+        ({"params": {**PARAMS, "epsilon": True}}, "params 'epsilon'"),
+        ({"trials": 1.7}, "'trials'"),
+        ({"trials": "100"}, "'trials'"),
+        (_with_link_field("epsilon", "0.5"), "link 'epsilon'"),
+    ], ids=["n_fraction", "ell_fraction", "m_bool", "epsilon_bool",
+            "trials_fraction", "trials_string", "link_epsilon_string"])
+    def test_numbers_are_strict(self, tmp_path, capsys, doc, field):
+        # each used to be truncated (64.9 -> 64, true -> 1) or parsed
+        # from its string and run
+        err = _run_malformed(tmp_path, capsys, doc)
+        assert field in err
+
     @pytest.mark.parametrize("field,value", [
         ("trials", "many"), ("seed", {"s": 1}),
     ])

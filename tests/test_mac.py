@@ -9,8 +9,6 @@ from qkdnet.bits import BitString
 from qkdnet.errors import OutOfRange
 from qkdnet.mac import (
     MacKey,
-    MacParams,
-    Tag,
     _hash_value,
     _log_tables,
     _mul_generic,
@@ -76,7 +74,7 @@ class TestTagVerify:
         key = random_key(8, rng)
         msg = BitString.random(24, rng)
         t = tag(key, msg)
-        flipped = Tag(t.value ^ BitString("00000001"))
+        flipped = BitString.from_int(t.value ^ 1, 8)
         assert not verify(key, msg, flipped)
 
     def test_message_bit_flip_rejected(self):
@@ -84,12 +82,13 @@ class TestTagVerify:
         key = random_key(8, rng)
         msg = BitString.random(24, rng)
         t = tag(key, msg)
-        assert not verify(key, msg ^ BitString.from_int(1, 24), t)
+        assert not verify(key, BitString.from_int(msg.value ^ 1, 24), t)
 
     def test_wrong_tag_length_rejected(self):
         key = MacKey(BitString("10110100"))
         msg = BitString("1010")
-        assert not verify(key, msg, Tag(BitString("101")))
+        assert not verify(key, msg, BitString("101"))
+        assert not verify(key, msg, BitString.from_int(tag(key, msg).value, 5))
 
     def test_acceptance_iff_tag_equal_exhaustive(self):
         # w=2: all keys x all 0..4-bit messages x all 4 candidate tags.
@@ -97,7 +96,7 @@ class TestTagVerify:
             for msg in all_messages(4):
                 true_tag = tag(key, msg)
                 for tv in range(4):
-                    cand = Tag(BitString.from_int(tv, 2))
+                    cand = BitString.from_int(tv, 2)
                     assert verify(key, msg, cand) == (cand == true_tag)
 
     def test_random_key_acceptance_rate(self):
@@ -112,26 +111,30 @@ class TestTagVerify:
         hits = sum(
             verify(random_key(w, rng), msg, t) for _ in range(trials)
         )
-        assert hits / trials <= impersonation_bound(MacParams(w), 16)
+        assert hits / trials <= impersonation_bound(w, 16)
 
 
 class TestImpersonationBound:
     def test_frozen_values(self):
-        assert impersonation_bound(MacParams(8), 16) == 3 / 256
-        assert impersonation_bound(MacParams(8), 0) == 1 / 256
-        assert impersonation_bound(MacParams(16), 16) == 2 / 65536
+        assert impersonation_bound(8, 16) == 3 / 256
+        assert impersonation_bound(8, 0) == 1 / 256
+        assert impersonation_bound(16, 16) == 2 / 65536
 
     def test_monotone_in_message_length(self):
-        p = MacParams(8)
-        bounds = [impersonation_bound(p, n) for n in range(0, 257, 8)]
+        bounds = [impersonation_bound(8, n) for n in range(0, 257, 8)]
         assert bounds == sorted(bounds)
 
     def test_clamped_to_probability(self):
-        assert impersonation_bound(MacParams(1), 1000) == 1.0
+        assert impersonation_bound(1, 1000) == 1.0
 
     def test_negative_length_rejected(self):
         with pytest.raises(OutOfRange):
-            impersonation_bound(MacParams(8), -1)
+            impersonation_bound(8, -1)
+
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_word_size_must_be_positive(self, w):
+        with pytest.raises(OutOfRange):
+            impersonation_bound(w, 8)
 
 
 def forgery_success(w, observed_msg, forged_msgs):
@@ -202,7 +205,8 @@ class TestTwoMessageSplit:
         rng = random.Random(6)
         key2 = BitString.random(32, rng)
         k1, k2 = split_for_two_messages(key2)
-        assert k1.material.concat(k2.material) == key2
+        assert k1.material.length == k2.material.length == 16
+        assert (k1.material.value << 16) | k2.material.value == key2.value
 
     def test_wrong_length(self):
         with pytest.raises(OutOfRange):
@@ -215,7 +219,7 @@ class TestTwoMessageSplit:
         # acceptance frequency stays below p_im for the 1-bit message.
         rng = random.Random(7)
         w = 8
-        p_im = impersonation_bound(MacParams(w), 1)
+        p_im = impersonation_bound(w, 1)
         trials = 100_000
         hits = 0
         for _ in range(trials):
@@ -224,7 +228,7 @@ class TestTwoMessageSplit:
             msg = BitString.random(16, rng)
             _ = tag(ka, msg)  # observed by the adversary, unused below
             forged_res = BitString.from_int(rng.getrandbits(1), 1)
-            forged_tag = Tag(BitString.random(w, rng))
+            forged_tag = BitString.random(w, rng)
             hits += verify(kb, forged_res, forged_tag)
         assert hits / trials <= p_im
 

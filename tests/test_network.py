@@ -182,8 +182,9 @@ class TestVertexDisjointPaths:
                 for path in ps.paths:
                     for u, v in zip(path[:-1], path[1:]):
                         g.link_between(u, v)
-                with pytest.raises(InsufficientConnectivity):
-                    vertex_disjoint_paths(g, "a", "b", expected + 1)
+            with pytest.raises(InsufficientConnectivity) as exc:
+                vertex_disjoint_paths(g, "a", "b", expected + 1)
+            assert exc.value.max_paths == expected
 
 
 class TestRequiredPaths:
@@ -250,3 +251,8 @@ class TestLinkRate:
     def test_negative_distance_rejected(self):
         with pytest.raises(OutOfRange):
             link_rate(-1.0)
+
+    def test_nan_distance_rejected(self):
+        # NaN compares false with everything, so `distance_km < 0` let it through
+        with pytest.raises(OutOfRange):
+            link_rate(float("nan"))

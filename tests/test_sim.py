@@ -2,14 +2,15 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from qkdnet.adversary import guessing_advantage
-from qkdnet.bits import BitString
 from qkdnet.errors import ParseError, TooLarge, ValidationError
 from qkdnet.protocol import SecurityParams, full_session
 from qkdnet.sim import (
+    _failure_tags,
     aggregate,
     check_bounds,
     clopper_pearson,
@@ -134,6 +135,19 @@ class TestRunTrial:
         assert r.failure_tags == ()
         assert r.final_key_len is not None
         assert sc.params.test_bits - sc.params.m <= r.final_key_len
+
+    def test_final_keys_compare_value_and_width(self):
+        # Final keys are integers of test_bits - len(trash) bits: equal
+        # values of different widths (an accepted forged challenge gives
+        # the two sides different trash sets) are still a mismatch.
+        def outcome(trash_b):
+            return SimpleNamespace(result=1, result_prime=1, keys_equal=True,
+                                   final_key_a=0b1, final_key_b=0b1,
+                                   trash_a=frozenset({1}), trash_b=trash_b)
+
+        assert _failure_tags(outcome(frozenset({2}))) == ()
+        assert _failure_tags(outcome(frozenset({1, 2}))) == (
+            "final_key_mismatch",)
 
     def test_replay_is_identical(self):
         sc = load_scenario(two_chains_doc())
@@ -349,14 +363,13 @@ class TestDpaOracle:
     def test_uniform_for_random_configs(self):
         rng = random.Random(9)
         for _ in range(20):
-            lambdas = [BitString.random(6, rng) for _ in range(3)]
+            lambdas = [rng.getrandbits(6) for _ in range(3)]
             assert dpa_uniformity_exact(6, lambdas)
 
     def test_adversarial_configs(self):
-        rep = [BitString("100000")] * 4
-        disj = [BitString("100000"), BitString("010000"),
-                BitString("001000"), BitString("000100")]
-        zero = [BitString("000000")] * 2
+        rep = [0b100000] * 4
+        disj = [0b100000, 0b010000, 0b001000, 0b000100]
+        zero = [0] * 2
         for lambdas in (rep, disj, zero):
             assert dpa_uniformity_exact(6, lambdas)
 

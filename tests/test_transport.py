@@ -60,8 +60,8 @@ class Recorder:
             return self.classical(value)
         return value
 
-    def on_hop_leak(self, path_index, link, value):
-        self.leaks.append((path_index, link.key, value))
+    def on_hop_leak(self, path_index, value):
+        self.leaks.append((path_index, value))
 
 
 class TestQkdGenerate:
@@ -220,7 +220,7 @@ class TestPathForwardKey:
         out = _forward_key_over(_path_hops(path, pools), share, 16, W, rec, 0)
         assert out == share
         assert len(rec.leaks) == 2  # both hops leaked
-        assert rec.leaks[0][2] == share
+        assert rec.leaks[0][1] == share
 
 
 class TestClassicalSend:
