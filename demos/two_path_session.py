@@ -39,7 +39,7 @@ print(f"bob   final key ({width} bits): {out.final_key_b:0{width}b}")
 print(f"trashed positions: {sorted(out.trash_a)}")
 print()
 print("transcript:")
-print(out.transcript.serialize())
+print(out.transcript())
 
 print("== one repeater tampers with its share ==")
 config = corrupt(graph, {"n1"}, t=1, endpoints=("alice", "bob"),

@@ -28,7 +28,6 @@ from .network import (
     QkdLink,
     RateModel,
     link_rate,
-    max_disjoint_paths,
     required_paths,
     vertex_disjoint_paths,
 )

@@ -120,15 +120,13 @@ class AdversaryView:
     counts the hops that crossed a compromised epoch.
     """
 
-    __slots__ = ("n_paths", "share_bits", "learned_shares", "leaked_epochs",
-                 "published")
+    __slots__ = ("n_paths", "share_bits", "learned_shares", "leaked_epochs")
 
     def __init__(self, n_paths: int, share_bits: int):
         self.n_paths = n_paths
         self.share_bits = share_bits
         self.learned_shares: dict[int, list[int]] = {}
         self.leaked_epochs = 0
-        self.published: PublishedBundle | None = None
 
     def record_share(self, path_index: int, value: int):
         self.learned_shares.setdefault(path_index, []).append(value)
@@ -140,11 +138,9 @@ class AdversaryView:
 
 def disclose(view: AdversaryView) -> PublishedBundle:
     """Post the view's secrets publicly (denial-of-service style leak)."""
-    bundle = PublishedBundle(
+    return PublishedBundle(
         shares={i: tuple(obs) for i, obs in view.learned_shares.items() if obs},
     )
-    view.published = bundle
-    return bundle
 
 
 def honest_path_view(

@@ -186,15 +186,6 @@ def _split_graph_max_flow(graph: NetworkGraph, a: NodeId, b: NodeId, want: int):
     return flow, residual, forward
 
 
-def max_disjoint_paths(graph: NetworkGraph, a: NodeId, b: NodeId) -> int:
-    """Menger-maximal count of internally vertex-disjoint a-b paths."""
-    if a == b or a not in graph.nodes or b not in graph.nodes:
-        raise ValidationError(f"endpoints {a!r}, {b!r} must be distinct graph nodes")
-    upper = len(graph.nodes)  # flow value can never exceed node count
-    flow, _, _ = _split_graph_max_flow(graph, a, b, upper)
-    return flow
-
-
 def vertex_disjoint_paths(
     graph: NetworkGraph, a: NodeId, b: NodeId, count: int
 ) -> PathSet:

@@ -30,9 +30,12 @@ the distilled final keys.  A value's width is fixed by the parameters
 (an n-bit key, test_bits-bit remainder and vectors) or travels beside
 it as ``nbits``; position 1 is the most significant bit.  The phase
 helpers ``_make_challenge``, ``_verify_challenge``, ``_make_response``
-and ``_verify_response`` take those integers, and the challenge message
-is built and parsed only by ``_encode_challenge`` /
-``_decode_challenge``.
+and ``_verify_response`` take those integers and return plain tuples.
+The challenge message is built and parsed only by ``_encode_challenge``
+/ ``_decode_challenge``, and both authenticated messages travel in the
+one frame ``message || w-bit tag``, sealed only by ``_seal`` and opened
+only by ``_open_first``.  :class:`SessionOutcome` keeps the per-path
+copies of both messages; its ``transcript()`` renders them.
 """
 
 from __future__ import annotations
@@ -99,11 +102,6 @@ class SecurityParams:
         return self.s // 2
 
     @property
-    def reserved_bits(self) -> int:
-        """Key bits consumed by the two MAC sub-keys."""
-        return 2 * self.s
-
-    @property
     def test_bits(self) -> int:
         """Length of the remainder key probed by the parity challenges."""
         return self.n - 2 * self.s
@@ -150,110 +148,75 @@ def _decode_challenge(message: int, test_bits: int, m: int):
     return tuple(lambdas), parities
 
 
+def _seal(key2w: int, message: int, nbits: int, w: int) -> tuple[int, int]:
+    """Wire copy ``(message || tag, nbits + w)`` of an ``nbits``-bit
+    message, tagged under the 2w-bit MAC key ``key2w``."""
+    return (message << w) | _tag_value(w, key2w, message, nbits), nbits + w
+
+
+def _open_first(copies, key2w: int, nbits: int, w: int):
+    """``(path index, message)`` of the first copy, in ascending path
+    order, that is ``nbits + w`` bits wide and whose tag authenticates
+    under ``key2w``; ``(None, None)`` when no copy does.  A dropped copy
+    is None."""
+    width = nbits + w
+    tag_mask = (1 << w) - 1
+    for h, copy in enumerate(copies):
+        if copy is not None and copy[1] == width:
+            message = copy[0] >> w
+            if _tag_value(w, key2w, message, nbits) == copy[0] & tag_mask:
+                return h, message
+    return None, None
+
+
 def _make_challenge(auth_first: int, remainder: int, params: SecurityParams, rng):
     """Draw m parity vectors (index order) against ``remainder``.
 
     Returns the vectors as a tuple of test_bits-bit integers and the wire
-    payload, message || tag under ``auth_first``, as an integer of
-    challenge_bits + w bits.
+    copy of the challenge message sealed under ``auth_first``.
     """
     tb = params.test_bits
-    w = params.word_bits
     lambdas = tuple(rng.getrandbits(tb) for _ in range(params.m))
     message = _encode_challenge(
         lambdas, [(lam & remainder).bit_count() & 1 for lam in lambdas], tb
     )
-    return lambdas, (message << w) | _tag_value(
-        w, auth_first, message, params.challenge_bits
-    )
+    return lambdas, _seal(auth_first, message, params.challenge_bits,
+                          params.word_bits)
 
 
 def _verify_challenge(received, auth_first: int, remainder: int,
-                      params: SecurityParams) -> ChallengeOutcome:
-    """Scan per-path copies in ascending index; the first copy whose tag
-    authenticates under ``auth_first`` is checked against the parities of
-    ``remainder``.
+                      params: SecurityParams):
+    """``(result, accepted path, vectors)`` for the per-path copies
+    ``received``: the first copy that opens under ``auth_first`` is
+    checked against the parities of ``remainder``.
 
-    ``received`` holds one ``(value, nbits)`` payload (or None for a
-    dropped copy) per path; a copy of the wrong length never
-    authenticates.  result=1 iff an authenticated copy exists and every
-    embedded parity matches; any other outcome gives result=0.
+    result=1 iff an authenticated copy exists and every embedded parity
+    matches; accepted path and vectors are None when no copy opens.
     """
-    w = params.word_bits
-    cb = params.challenge_bits
-    tag_mask = (1 << w) - 1
-    accepted = None
-    message = 0
-    for h, payload in enumerate(received):
-        if payload is None:
-            continue
-        pv, nbits = payload
-        if nbits != cb + w:
-            continue
-        message = pv >> w
-        if _tag_value(w, auth_first, message, cb) == pv & tag_mask:
-            accepted = h
-            break
+    accepted, message = _open_first(received, auth_first,
+                                    params.challenge_bits, params.word_bits)
     if accepted is None:
-        return ChallengeOutcome(0, None, None, frozenset())
-    identified = frozenset(
-        i for i, payload in enumerate(received)
-        if payload != received[accepted]
-    )
+        return 0, None, None
     lambdas, parities = _decode_challenge(message, params.test_bits, params.m)
     ok = all(
         (lam & remainder).bit_count() & 1 == p
         for lam, p in zip(lambdas, parities)
     )
-    return ChallengeOutcome(1 if ok else 0, accepted, lambdas, identified)
+    return (1 if ok else 0), accepted, lambdas
 
 
-def _make_response(result: int, auth_second: int, params: SecurityParams) -> int:
-    """Wire payload (result bit || tag under ``auth_second``) as an integer."""
+def _make_response(result: int, auth_second: int, params: SecurityParams):
+    """Wire copy of the result bit sealed under ``auth_second``."""
     if result not in (0, 1):
         raise OutOfRange(f"result must be a bit, got {result}")
-    w = params.word_bits
-    return (result << w) | _tag_value(w, auth_second, result, 1)
+    return _seal(auth_second, result, 1, params.word_bits)
 
 
-def _verify_response(received, auth_second: int,
-                     params: SecurityParams) -> ResponseOutcome:
-    """result' is the bit of the first ``(value, nbits)`` copy (ascending
-    path index) that authenticates under ``auth_second``; 0 when no copy
-    authenticates."""
-    w = params.word_bits
-    tag_mask = (1 << w) - 1
-    for h, payload in enumerate(received):
-        if payload is None:
-            continue
-        pv, nbits = payload
-        if nbits != 1 + w:
-            continue
-        bit = pv >> w
-        if _tag_value(w, auth_second, bit, 1) == pv & tag_mask:
-            identified = frozenset(
-                i for i, p in enumerate(received) if p != payload
-            )
-            return ResponseOutcome(bit, h, identified)
-    return ResponseOutcome(0, None, frozenset())
-
-
-@dataclass(frozen=True)
-class ChallengeOutcome:
-    """Responder verdict: result bit, accepted path, decoded vectors
-    (a tuple of test_bits-bit integers, None when nothing was accepted)."""
-
-    result: int
-    accepted_path: int | None
-    lambdas: tuple | None
-    identified_dishonest: frozenset
-
-
-@dataclass(frozen=True)
-class ResponseOutcome:
-    result_prime: int
-    accepted_path: int | None
-    identified_dishonest: frozenset
+def _verify_response(received, auth_second: int, params: SecurityParams):
+    """``(result', accepted path)``: result' is the bit of the first copy
+    that opens under ``auth_second``, or 0 when no copy opens."""
+    accepted, bit = _open_first(received, auth_second, 1, params.word_bits)
+    return (0 if accepted is None else bit), accepted
 
 
 def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
@@ -306,35 +269,6 @@ def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
     return out, frozenset(basis)
 
 
-@dataclass(frozen=True)
-class AuthTranscript:
-    """Audit record of the authentication round trip.
-
-    Per-path copies hold the verbatim wire payloads as ``(value,
-    nbits)`` pairs (None for ⊥).
-    """
-
-    challenge_copies: tuple
-    response_copies: tuple
-    result: int
-    result_prime: int
-    identified_dishonest: frozenset
-
-    def serialize(self) -> str:
-        """One line per message: direction, path index, verbatim bits."""
-        lines = []
-        for direction, copies in (
-            ("challenge", self.challenge_copies),
-            ("response", self.response_copies),
-        ):
-            for i, payload in enumerate(copies):
-                bits = ("bottom" if payload is None
-                        else format(payload[0], f"0{payload[1]}b"))
-                lines.append(f"{direction} path={i} bits={bits}")
-        lines.append(f"result={self.result} result_prime={self.result_prime}")
-        return "\n".join(lines) + "\n"
-
-
 def provision_pools(graph: NetworkGraph, paths: PathSet, bits_per_link: int, rng):
     """One fresh epoch per link used by ``paths``, in deterministic order."""
     pools = {}
@@ -350,27 +284,47 @@ def provision_pools(graph: NetworkGraph, paths: PathSet, bits_per_link: int, rng
 
 @dataclass(frozen=True)
 class SessionOutcome:
-    """Everything a trial records about one full session."""
+    """Everything a trial records about one full session.
+
+    The per-path copies hold the verbatim wire payloads as ``(value,
+    nbits)`` pairs (None for ⊥); a path is identified as dishonest when
+    its copy differs from an accepted one.
+    """
 
     result: int
     result_prime: int
     keys_equal: bool          # delta over the remainder keys
-    full_keys_equal: bool
     final_key_a: int | None   # test_bits - len(trash_a) bits
     final_key_b: int | None
     trash_a: frozenset | None
     trash_b: frozenset | None
-    transcript: AuthTranscript
+    challenge_copies: tuple
+    response_copies: tuple
+    identified_dishonest: frozenset
     shares_received: tuple    # n-bit share values, one per path
     paths: PathSet
     view: AdversaryView
     published: PublishedBundle | None
-    leaked_epochs: int
 
     @property
     def succeeded(self) -> bool:
         """The agreement event: result = result' = delta."""
         return self.result == self.result_prime == int(self.keys_equal)
+
+    def transcript(self) -> str:
+        """Audit record of the authentication round trip: one line per
+        copy (direction, path index, verbatim bits), then the verdicts."""
+        lines = []
+        for direction, copies in (
+            ("challenge", self.challenge_copies),
+            ("response", self.response_copies),
+        ):
+            for i, payload in enumerate(copies):
+                bits = ("bottom" if payload is None
+                        else format(payload[0], f"0{payload[1]}b"))
+                lines.append(f"{direction} path={i} bits={bits}")
+        lines.append(f"result={self.result} result_prime={self.result_prime}")
+        return "\n".join(lines) + "\n"
 
 
 def full_session(
@@ -414,53 +368,53 @@ def full_session(
     first_a, second_a, rem_a = _key_parts(key_a, params)
     first_b, second_b, rem_b = _key_parts(key_b, params)
 
-    lambdas, payload = _make_challenge(first_a, rem_a, params, rng)
+    lambdas, copy = _make_challenge(first_a, rem_a, params, rng)
     challenge_copies = tuple(
-        _classical_over(hops, payload, params.challenge_bits + w,
-                        w, interceptor, i, "challenge")
+        _classical_over(hops, *copy, w, interceptor, i, "challenge")
         for i, hops in enumerate(hop_lists)
     )
-    cv = _verify_challenge(challenge_copies, first_b, rem_b, params)
+    result, accepted_b, lambdas_b = _verify_challenge(
+        challenge_copies, first_b, rem_b, params)
 
-    response = _make_response(cv.result, second_b, params)
+    copy = _make_response(result, second_b, params)
     response_copies = tuple(
-        _classical_over(hops, response, 1 + w, w, interceptor, i, "response")
+        _classical_over(hops, *copy, w, interceptor, i, "response")
         for i, hops in enumerate(hop_lists)
     )
-    rv = _verify_response(response_copies, second_a, params)
+    result_prime, accepted_a = _verify_response(response_copies, second_a,
+                                                params)
 
     final_a = final_b = None
     trash_a = trash_b = None
     tb = params.test_bits
-    if rv.result_prime == 1:
+    if result_prime == 1:
         final_a, trash_a = deterministic_pa(rem_a, tb, lambdas)
-    if cv.result == 1:
-        final_b, trash_b = deterministic_pa(rem_b, tb, cv.lambdas)
+    if result == 1:
+        final_b, trash_b = deterministic_pa(rem_b, tb, lambdas_b)
 
     published = None
     if interceptor is not None and interceptor.discloses:
         published = disclose(view)
 
-    transcript = AuthTranscript(
-        challenge_copies=challenge_copies,
-        response_copies=response_copies,
-        result=cv.result,
-        result_prime=rv.result_prime,
-        identified_dishonest=cv.identified_dishonest | rv.identified_dishonest,
-    )
     return SessionOutcome(
-        result=cv.result,
-        result_prime=rv.result_prime,
+        result=result,
+        result_prime=result_prime,
         keys_equal=rem_a == rem_b,
-        full_keys_equal=key_a == key_b,
         final_key_a=final_a,
         final_key_b=final_b,
         trash_a=trash_a,
         trash_b=trash_b,
-        transcript=transcript,
+        challenge_copies=challenge_copies,
+        response_copies=response_copies,
+        identified_dishonest=frozenset(
+            i
+            for copies, h in ((challenge_copies, accepted_b),
+                              (response_copies, accepted_a))
+            if h is not None
+            for i, c in enumerate(copies) if c != copies[h]
+        ),
         shares_received=tuple(received),
         paths=paths,
         view=view,
         published=published,
-        leaked_epochs=view.leaked_epochs,
     )

@@ -194,9 +194,10 @@ def load_scenario(source) -> Scenario:
         )
 
     adversary = None
-    if "adversary" in doc and doc["adversary"]:
-        adv = doc["adversary"]
-        _require(isinstance(adv, dict), "adversary must be an object")
+    adv = doc.get("adversary")
+    _require(adv is None or isinstance(adv, dict),
+             f"'adversary' must be an object or null, got {adv!r}")
+    if adv:
         _known_keys(adv, _ADVERSARY_KEYS, "adversary")
         corrupted = _strings(adv.get("corrupted", []), "adversary 'corrupted'")
         strategies = _strings(adv.get("strategies", ["passive"]),
@@ -210,6 +211,8 @@ def load_scenario(source) -> Scenario:
     trials = _coerce(int, doc.get("trials", 1000), "'trials'")
     _require(trials >= 1, "trials must be >= 1")
     seed = _coerce(int, doc.get("seed", 0), "'seed'")
+    name = doc.get("name", "unnamed")
+    _require(isinstance(name, str), f"'name' must be a string, got {name!r}")
 
     try:
         vertex_disjoint_paths(graph, a, b, params.ell)
@@ -220,7 +223,7 @@ def load_scenario(source) -> Scenario:
         ) from exc
 
     return Scenario(
-        name=str(doc.get("name", "unnamed")),
+        name=name,
         graph=graph, a=a, b=b, params=params,
         adversary=adversary, trials=trials, seed=seed,
     )
@@ -241,7 +244,6 @@ class TrialResult:
     result: int
     result_prime: int
     keys_equal: bool
-    full_keys_equal: bool
     succeeded: bool
     final_key_len: int | None
     trash_size: int | None
@@ -287,13 +289,12 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
         result=outcome.result,
         result_prime=outcome.result_prime,
         keys_equal=outcome.keys_equal,
-        full_keys_equal=outcome.full_keys_equal,
         succeeded=outcome.succeeded,
         final_key_len=(
             None if trash is None else scenario.params.test_bits - len(trash)
         ),
         trash_size=None if trash is None else len(trash),
-        leaked_epochs=outcome.leaked_epochs,
+        leaked_epochs=view.leaked_epochs,
         advantage=advantage,
         failure_tags=_failure_tags(outcome),
     )

@@ -64,11 +64,6 @@ class LinkKeyPool:
         self._head = 0
         self._head_used = 0
 
-    @property
-    def epochs(self) -> list[tuple[int, bool]]:
-        """(nbits, compromised) for every epoch ever generated."""
-        return [(e.nbits, e.compromised) for e in self._epochs]
-
     def _append_epoch(self, value: int, nbits: int, compromised: bool):
         self._epochs.append(_Epoch(value, nbits, compromised))
         self.available += nbits

@@ -113,7 +113,7 @@ class TestCriterion1ParityMissRate:
             message = _encode_challenge([lv], [parity], 4)
             payload = (message << w) | _tag_value(w, first_a, message, cb)
             copy = (payload, cb + w)
-            misses += _verify_challenge([copy], first_b, rem_b, params).result
+            misses += _verify_challenge([copy], first_b, rem_b, params)[0]
         assert misses == 8
         print("\n[criterion 1a] PASS: exhaustive miss rate exactly 2^-m")
 
@@ -121,7 +121,6 @@ class TestCriterion1ParityMissRate:
         # 64 test bits, m=8, 1e5 trials through the production
         # challenge/verify path; 99% CP interval must contain 2^-8.
         params = SecurityParams(n=96, s=16, m=8, ell=2)
-        copy_bits = params.challenge_bits + params.word_bits
         rng = random.Random(20250810)
         trials = 100_000
         misses = 0
@@ -130,9 +129,8 @@ class TestCriterion1ParityMissRate:
             diff = rng.randrange(1, 1 << 64)
             first_a, _, rem_a = _key_parts(key_a, params)
             first_b, _, rem_b = _key_parts(key_a ^ diff, params)
-            _, payload = _make_challenge(first_a, rem_a, params, rng)
-            copy = (payload, copy_bits)
-            misses += _verify_challenge([copy], first_b, rem_b, params).result
+            _, copy = _make_challenge(first_a, rem_a, params, rng)
+            misses += _verify_challenge([copy], first_b, rem_b, params)[0]
         low, high = clopper_pearson(misses, trials, 0.99)
         assert low <= 2.0 ** -8 <= high, (misses, low, high)
         print(f"[criterion 1b] PASS: {misses}/{trials} misses, "

@@ -213,6 +213,26 @@ class TestMalformedScenario:
         err = _run_malformed(tmp_path, capsys, _with_link_field("alive", value))
         assert "link 'alive' must be true or false" in err
 
+    @pytest.mark.parametrize("value", [[], 0, "", False],
+                             ids=["list", "zero", "empty_string", "false"])
+    def test_falsy_adversary_is_not_absent(self, tmp_path, capsys, value):
+        # each used to run as "no adversary"
+        err = _run_malformed(tmp_path, capsys, {"adversary": value})
+        assert "'adversary' must be an object or null" in err
+
+    @pytest.mark.parametrize("value", [{"a": 1}, 7, None, True, ["x"]],
+                             ids=["object", "int", "null", "bool", "list"])
+    def test_name_must_be_a_string(self, tmp_path, capsys, value):
+        # each used to reach summary.json as its Python repr
+        err = _run_malformed(tmp_path, capsys, {"name": value})
+        assert "'name' must be a string" in err
+
+    @pytest.mark.parametrize("doc", [{"adversary": None}, {"adversary": {}}, {}],
+                             ids=["null", "empty_object", "omitted"])
+    def test_no_adversary_forms(self, tmp_path, doc):
+        path = two_chains_scenario_file(tmp_path, **doc)
+        assert load_scenario(path).adversary is None
+
     def test_unknown_top_level_key(self, tmp_path, capsys):
         # a misspelt "trials" used to run the default 1000 trials
         err = _run_malformed(tmp_path, capsys, {"trails": 5})

@@ -24,6 +24,8 @@ from qkdnet.protocol import (
     _key_parts,
     _make_challenge,
     _make_response,
+    _open_first,
+    _seal,
     _verify_challenge,
     _verify_response,
     deterministic_pa,
@@ -71,7 +73,6 @@ class TestSecurityParams:
     def test_derived_sizes(self):
         p = SecurityParams(n=64, s=16, m=4, ell=3)
         assert p.word_bits == 8
-        assert p.reserved_bits == 32
         assert p.test_bits == 32
         assert p.challenge_bits == 4 * 33
 
@@ -87,18 +88,19 @@ class TestMakeChallenge:
         rng = random.Random(0)
         key = rng.getrandbits(8)
         first, _, remainder = _key_parts(key, TINY)
-        lambdas, payload = _make_challenge(first, remainder, TINY, rng)
+        lambdas, copy = _make_challenge(first, remainder, TINY, rng)
         assert TINY.challenge_bits == 10
-        assert 0 <= payload < 1 << (10 + TINY.word_bits)
+        assert copy[1] == 10 + TINY.word_bits
+        assert 0 <= copy[0] < 1 << (10 + TINY.word_bits)
         assert isinstance(lambdas, tuple) and len(lambdas) == 2
         assert all(0 <= lam < 1 << 4 for lam in lambdas)
-        copy = (payload, TINY_CH)
-        assert _verify_challenge([copy], first, remainder, TINY).result == 1
+        assert _verify_challenge([copy], first, remainder, TINY) == (
+            1, 0, lambdas)
 
     def test_zero_remainder_gives_zero_parities(self):
         rng = random.Random(1)
         first, _, remainder = _key_parts(0b1011_0000, TINY)
-        _, payload = _make_challenge(first, remainder, TINY, rng)
+        _, (payload, _) = _make_challenge(first, remainder, TINY, rng)
         _, parities = _decode_challenge(payload >> TINY.word_bits, 4, 2)
         assert parities == [0, 0]
 
@@ -110,7 +112,7 @@ class TestMakeChallenge:
     def test_parities_match_inner_products(self):
         rng = random.Random(2)
         first, _, remainder = _key_parts(rng.getrandbits(64), STD)
-        lambdas, payload = _make_challenge(first, remainder, STD, rng)
+        lambdas, (payload, _) = _make_challenge(first, remainder, STD, rng)
         _, parities = _decode_challenge(payload >> STD.word_bits,
                                         STD.test_bits, STD.m)
         assert parities == [(lam & remainder).bit_count() & 1
@@ -119,7 +121,7 @@ class TestMakeChallenge:
     def test_encode_decode_round_trip(self):
         rng = random.Random(3)
         first, _, remainder = _key_parts(rng.getrandbits(64), STD)
-        lambdas, payload = _make_challenge(first, remainder, STD, rng)
+        lambdas, (payload, _) = _make_challenge(first, remainder, STD, rng)
         message = payload >> STD.word_bits
         values, parities = _decode_challenge(message, STD.test_bits, STD.m)
         assert values == lambdas
@@ -128,7 +130,7 @@ class TestMakeChallenge:
     def test_split_payload_is_message_and_tag(self):
         rng = random.Random(3)
         first, _, remainder = _key_parts(rng.getrandbits(64), STD)
-        _, payload = _make_challenge(first, remainder, STD, rng)
+        _, (payload, _) = _make_challenge(first, remainder, STD, rng)
         w = STD.word_bits
         message, tag = payload >> w, payload & ((1 << w) - 1)
         assert message < 1 << STD.challenge_bits
@@ -136,24 +138,22 @@ class TestMakeChallenge:
 
     def test_decode_rejects_wrong_length(self):
         # A copy one bit short or long is never decoded: it is skipped
-        # like a forged copy and its path identified.
+        # like a forged copy.
         rng = random.Random(4)
         key = rng.getrandbits(64)
         first, second, remainder = _key_parts(key, STD)
-        _, payload = _make_challenge(first, remainder, STD, rng)
-        genuine = (payload, STD_CH)
+        lambdas, genuine = _make_challenge(first, remainder, STD, rng)
+        payload = genuine[0]
         for bad in ((payload >> 1, STD_CH - 1), (payload << 1, STD_CH + 1)):
             out = _verify_challenge([bad, genuine], first, remainder, STD)
-            assert out.result == 1 and out.accepted_path == 1
-            assert out.identified_dishonest == frozenset({0})
-            assert _verify_challenge([bad], first, remainder, STD).result == 0
-        response = _make_response(1, second, STD)
-        genuine = (response, STD_RESP)
+            assert out == (1, 1, lambdas)
+            assert _verify_challenge([bad], first, remainder, STD) == (
+                0, None, None)
+        genuine = _make_response(1, second, STD)
+        response = genuine[0]
         for bad in ((response >> 1, STD_RESP - 1), (response, STD_RESP + 1)):
-            out = _verify_response([bad, genuine], second, STD)
-            assert out.result_prime == 1 and out.accepted_path == 1
-            assert out.identified_dishonest == frozenset({0})
-            assert _verify_response([bad], second, STD).accepted_path is None
+            assert _verify_response([bad, genuine], second, STD) == (1, 1)
+            assert _verify_response([bad], second, STD) == (0, None)
 
 
 class TestVerifyChallenge:
@@ -161,13 +161,9 @@ class TestVerifyChallenge:
         rng = random.Random(4)
         key = rng.getrandbits(64)
         first, _, remainder = _key_parts(key, STD)
-        lambdas, payload = _make_challenge(first, remainder, STD, rng)
-        copy = (payload, STD_CH)
+        lambdas, copy = _make_challenge(first, remainder, STD, rng)
         out = _verify_challenge([copy, copy], first, remainder, STD)
-        assert out.result == 1
-        assert out.accepted_path == 0
-        assert out.lambdas == lambdas
-        assert out.identified_dishonest == frozenset()
+        assert out == (1, 0, lambdas)
 
     def test_differing_prefix_rejects_all_copies(self):
         rng = random.Random(5)
@@ -175,19 +171,18 @@ class TestVerifyChallenge:
         key_b = key_a ^ (1 << 63)  # flip a prefix bit
         first_a, _, rem_a = _key_parts(key_a, STD)
         first_b, _, rem_b = _key_parts(key_b, STD)
-        _, payload = _make_challenge(first_a, rem_a, STD, rng)
-        copy = (payload, STD_CH)
+        _, copy = _make_challenge(first_a, rem_a, STD, rng)
         out = _verify_challenge([copy, copy], first_b, rem_b, STD)
-        assert out.result == 0 and out.accepted_path is None
+        assert out == (0, None, None)
 
     def test_remainder_mismatch_caught_by_chosen_vector(self):
         # kappa prefixes equal, remainders differ in bit 1; a vector
         # probing that bit flags the mismatch deterministically.
         payload = keyed_challenge(0b0000_1010, TINY, [0b1000, 0b0001])
         first_b, _, rem_b = _key_parts(0b0000_0010, TINY)
-        out = _verify_challenge([(payload, TINY_CH)],
-                                first_b, rem_b, TINY)
-        assert out.result == 0 and out.accepted_path == 0
+        result, accepted, _ = _verify_challenge([(payload, TINY_CH)],
+                                                first_b, rem_b, TINY)
+        assert result == 0 and accepted == 0
 
     def test_miss_rate_exhaustive_single_vector(self):
         # kappa equal, remainders differ by d != 0: over all 16 vectors
@@ -198,31 +193,27 @@ class TestVerifyChallenge:
         for lam in range(16):
             payload = keyed_challenge(0b1100_1010, params, [lam])
             copy = (payload, params.challenge_bits + params.word_bits)
-            misses += _verify_challenge([copy], first_b, rem_b, params).result
+            misses += _verify_challenge([copy], first_b, rem_b, params)[0]
         assert misses == 8
 
     def test_dropped_copies_are_mac_failures(self):
         rng = random.Random(6)
         key = rng.getrandbits(64)
         first, _, remainder = _key_parts(key, STD)
-        _, payload = _make_challenge(first, remainder, STD, rng)
-        copy = (payload, STD_CH)
+        lambdas, copy = _make_challenge(first, remainder, STD, rng)
         out = _verify_challenge([None, copy], first, remainder, STD)
-        assert out.result == 1 and out.accepted_path == 1
-        assert out.identified_dishonest == frozenset({0})
+        assert out == (1, 1, lambdas)
         out_all_dropped = _verify_challenge([None, None], first, remainder, STD)
-        assert out_all_dropped.result == 0
+        assert out_all_dropped == (0, None, None)
 
     def test_unauthentic_copy_skipped_and_identified(self):
         rng = random.Random(7)
         key = rng.getrandbits(64)
         first, _, remainder = _key_parts(key, STD)
-        _, payload = _make_challenge(first, remainder, STD, rng)
-        genuine = (payload, STD_CH)
+        lambdas, genuine = _make_challenge(first, remainder, STD, rng)
         forged = (rng.getrandbits(STD_CH), STD_CH)
         out = _verify_challenge([forged, genuine], first, remainder, STD)
-        assert out.result == 1 and out.accepted_path == 1
-        assert out.identified_dishonest == frozenset({0})
+        assert out == (1, 1, lambdas)
 
 
 class TestResponse:
@@ -230,32 +221,51 @@ class TestResponse:
         rng = random.Random(8)
         _, second, _ = _key_parts(rng.getrandbits(64), STD)
         for bit in (0, 1):
-            copy = (_make_response(bit, second, STD), STD_RESP)
-            out = _verify_response([copy, copy], second, STD)
-            assert out.result_prime == bit
-            assert out.accepted_path == 0
+            copy = _make_response(bit, second, STD)
+            assert copy[1] == STD_RESP
+            assert _verify_response([copy, copy], second, STD) == (bit, 0)
 
     def test_differing_keys_reject(self):
         rng = random.Random(9)
         _, second_a, _ = _key_parts(rng.getrandbits(64), STD)
         _, second_b, _ = _key_parts(rng.getrandbits(64), STD)
-        copy = (_make_response(1, second_b, STD), STD_RESP)
-        out = _verify_response([copy, copy], second_a, STD)
-        assert out.result_prime == 0 and out.accepted_path is None
+        copy = _make_response(1, second_b, STD)
+        assert _verify_response([copy, copy], second_a, STD) == (0, None)
 
     def test_forged_copy_identified_next_to_genuine(self):
         rng = random.Random(10)
         _, second, _ = _key_parts(rng.getrandbits(64), STD)
-        genuine = (_make_response(1, second, STD), STD_RESP)
+        genuine = _make_response(1, second, STD)
         forged = (rng.getrandbits(STD_RESP), STD_RESP)
-        out = _verify_response([forged, genuine], second, STD)
-        assert out.result_prime == 1
-        assert out.accepted_path == 1
-        assert out.identified_dishonest == frozenset({0})
+        assert _verify_response([forged, genuine], second, STD) == (1, 1)
 
     def test_non_bit_result_rejected(self):
         with pytest.raises(OutOfRange):
             _make_response(2, 0, STD)
+
+
+class TestFrame:
+    """``_seal``/``_open_first``, the one ``message || w-bit tag`` codec."""
+
+    @pytest.mark.parametrize("w", range(1, 17))
+    def test_opens_only_at_its_width_with_an_intact_tag(self, w):
+        rng = random.Random(w)
+        key2w = rng.getrandbits(2 * w)
+        for nbits in (1, 2 * w + 3):
+            message = rng.getrandbits(nbits)
+            copy = _seal(key2w, message, nbits, w)
+            assert copy[1] == nbits + w
+            assert _open_first([copy], key2w, nbits, w) == (0, message)
+            assert _open_first([None, copy], key2w, nbits, w) == (1, message)
+            for other in (nbits - 1, nbits + 1):
+                assert _open_first([copy], key2w, other, w) == (None, None)
+                assert _open_first([(copy[0], other + w)], key2w, nbits,
+                                   w) == (None, None)
+            for b in range(w):
+                flipped = (copy[0] ^ (1 << b), copy[1])
+                assert _open_first([flipped], key2w, nbits, w) == (None, None)
+                assert _open_first([flipped, copy], key2w, nbits, w) == (
+                    1, message)
 
 
 class TestDeterministicPa:
@@ -433,28 +443,33 @@ class TestIntegerSessionMatchesWrappers:
         key_b = reduce(xor, out.shares_received)
         first_a, second_a, rem_a = _key_parts(key_a, STD)
         first_b, second_b, rem_b = _key_parts(key_b, STD)
-        challenges = out.transcript.challenge_copies
-        responses = out.transcript.response_copies
+        challenges = out.challenge_copies
+        responses = out.response_copies
 
         rng = random.Random()
         rng.setstate(states[0])
-        lambdas, payload = _make_challenge(first_a, rem_a, STD, rng)
-        assert challenges[1] == (payload, STD_CH)  # avoids n1
+        lambdas, copy = _make_challenge(first_a, rem_a, STD, rng)
+        assert challenges[1] == copy  # avoids n1
 
-        cv = _verify_challenge(challenges, first_b, rem_b, STD)
-        assert cv.result == out.result
-        response = _make_response(cv.result, second_b, STD)
-        assert responses[1] == (response, STD_RESP)
-        rv = _verify_response(responses, second_a, STD)
-        assert rv.result_prime == out.result_prime
-        assert (cv.identified_dishonest | rv.identified_dishonest
-                == out.transcript.identified_dishonest)
+        result, accepted_b, lambdas_b = _verify_challenge(
+            challenges, first_b, rem_b, STD)
+        assert result == out.result
+        assert responses[1] == _make_response(result, second_b, STD)
+        result_prime, accepted_a = _verify_response(responses, second_a, STD)
+        assert result_prime == out.result_prime
+        # a path is dishonest when its copy differs from an accepted copy
+        identified = set()
+        for copies, accepted in ((challenges, accepted_b),
+                                 (responses, accepted_a)):
+            if accepted is not None:
+                identified |= {i for i, c in enumerate(copies)
+                               if c != copies[accepted]}
+        assert out.identified_dishonest == identified
         assert out.keys_equal == (rem_a == rem_b)
-        assert out.full_keys_equal == (key_a == key_b)
 
         tb = STD.test_bits
         if out.result == 1:
-            assert deterministic_pa(rem_b, tb, cv.lambdas) == (
+            assert deterministic_pa(rem_b, tb, lambdas_b) == (
                 out.final_key_b, out.trash_b)
         if out.result_prime == 1:
             assert deterministic_pa(rem_a, tb, lambdas) == (
@@ -469,15 +484,14 @@ class TestMultipathEstablish:
         sent = spy_sent_shares(monkeypatch)
         out = full_session(two_chains_graph, "alice", "bob", STD, None,
                            random.Random(12))
-        assert out.full_keys_equal
         assert list(out.shares_received) == sent
         # the challenge authenticates, and the final key distils, under
         # the XOR of the shares
         first, _, remainder = _key_parts(reduce(xor, sent), STD)
-        cv = _verify_challenge(out.transcript.challenge_copies, first,
-                               remainder, STD)
-        assert cv.result == 1
-        assert deterministic_pa(remainder, STD.test_bits, cv.lambdas) == (
+        result, _, lambdas = _verify_challenge(out.challenge_copies, first,
+                                               remainder, STD)
+        assert result == 1
+        assert deterministic_pa(remainder, STD.test_bits, lambdas) == (
             out.final_key_a, out.trash_a)
 
     def test_insufficient_connectivity(self, two_chains_graph):
@@ -495,7 +509,7 @@ class TestMultipathEstablish:
                            random.Random(13))
         assert out.shares_received[0] != sent[0]   # via n1
         assert out.shares_received[1] == sent[1]
-        assert not out.full_keys_equal
+        assert reduce(xor, out.shares_received) != reduce(xor, sent)
 
     def test_ell_minus_one_controlled_keeps_key_private(self, three_path_graph):
         # 8-bit keys, adversary passively owns 2 of 3 paths: exact
@@ -528,7 +542,8 @@ class TestFullSession:
     def test_honest_session(self, two_chains_graph):
         out = full_session(two_chains_graph, "alice", "bob", STD, None, random.Random(15))
         assert out.result == 1 and out.result_prime == 1
-        assert out.keys_equal and out.full_keys_equal
+        assert out.keys_equal
+        assert out.identified_dishonest == frozenset()
         assert out.final_key_a == out.final_key_b
         assert out.trash_a == out.trash_b
         assert len(out.trash_a) <= STD.m
@@ -540,7 +555,7 @@ class TestFullSession:
         a = full_session(two_chains_graph, "alice", "bob", STD, None, random.Random(16))
         b = full_session(two_chains_graph, "alice", "bob", STD, None, random.Random(16))
         assert a.final_key_a == b.final_key_a
-        assert a.transcript.serialize() == b.transcript.serialize()
+        assert a.transcript() == b.transcript()
         assert sent[:STD.ell] == sent[STD.ell:]
 
     def test_tampered_share_fails_both_sides(self, two_chains_graph):
@@ -564,10 +579,13 @@ class TestFullSession:
         assert out.result == 1 and out.result_prime == 1
         assert out.keys_equal and out.succeeded
         assert out.final_key_a == out.final_key_b
+        # path 0 crosses n1: both of its classical copies are dropped
+        assert out.challenge_copies[0] is None
+        assert out.identified_dishonest == frozenset({0})
 
     def test_transcript_serialization_layout(self, two_chains_graph):
         out = full_session(two_chains_graph, "alice", "bob", STD, None, random.Random(18))
-        lines = out.transcript.serialize().splitlines()
+        lines = out.transcript().splitlines()
         assert len(lines) == 2 * STD.ell + 1
         assert lines[0].startswith("challenge path=0 bits=")
         assert lines[-1] == "result=1 result_prime=1"

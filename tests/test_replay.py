@@ -105,5 +105,5 @@ def test_auth_transcripts_are_byte_identical(name, tmp_path):
             scenario.graph, scenario.a, scenario.b, scenario.params,
             scenario.adversary, random.Random(derive_trial_seed(scenario.seed, i)),
         )
-        h.update(outcome.transcript.serialize().encode())
+        h.update(outcome.transcript().encode())
     assert h.hexdigest() == digest

@@ -70,14 +70,15 @@ class TestQkdGenerate:
         pool = LinkKeyPool(QkdLink("u", "v", epsilon=0.0))
         qkd_generate(pool, 128, rng)
         assert pool.available == 128
-        assert pool.epochs == [(128, False)]
+        _, leaked = pool.take(128)
+        assert not leaked
 
     def test_always_compromised_at_epsilon_one(self):
         rng = random.Random(2)
         pool = LinkKeyPool(QkdLink("u", "v", epsilon=1.0))
         for _ in range(20):
             qkd_generate(pool, 8, rng)
-        assert all(flag for _, flag in pool.epochs)
+        assert all(pool.take(8)[1] for _ in range(20))
 
     def test_link_down(self):
         pool = LinkKeyPool(QkdLink("u", "v", alive=False))
@@ -91,7 +92,7 @@ class TestQkdGenerate:
         n = 100_000
         for _ in range(n):
             qkd_generate(pool, 1, rng)
-        frac = sum(flag for _, flag in pool.epochs) / n
+        frac = sum(pool.take(1)[1] for _ in range(n)) / n
         sigma = (0.01 * 0.99 / n) ** 0.5
         assert abs(frac - 0.01) <= 3 * sigma
 
