@@ -30,6 +30,24 @@ primitive element of the field (Plank, Greenan & Miller, FAST 2013); a
 zero tail in ``exp`` makes zero operands need no branch.  The tables
 cost about 0.2 ms at w = 8 and 2-5 ms and 0.75 MB at w = 16.  Word
 sizes above 16 use the bit-serial shift-and-add multiply.
+
+A w = 16 message of at least :data:`_CLOSED_FORM_MIN_BLOCKS` content
+blocks is hashed in closed form instead, in one numpy pass.  Expanding
+Horner's rule over the content blocks c_1 .. c_nb gives
+
+    h = XOR_i exp[log c_i + ((nb + 2 - i) * log x mod (2^16 - 1))]
+        ^ exp[log L + log x]
+
+with L = nbits mod 2^16 the length block.  A zero block's log points
+into the zero tail of ``exp``, so it adds nothing; x = 0 gives h = 0.
+The lookups run on ``np.frombuffer`` views of the same two tables, so
+the path adds no table and no memory.  The pass costs a roughly fixed
+7-11 us against about 0.15 us per block for the table loop, and the
+two cross at about 48 blocks (2-vCPU Xeon, Python 3.11, numpy 2.4:
+7.8 us either way at 48 blocks, 29.3 -> 10.9 us at 194).  At w = 8 the
+crossover is near 200 blocks, far beyond any frame the session sends
+at that width, so every other word size and every shorter message
+keeps the loop.
 """
 
 from __future__ import annotations
@@ -173,8 +191,37 @@ def _log_tables(w: int):
             array("I", log.astype(np.uintc).tobytes()))
 
 
+#: Shortest w = 16 message, in content blocks, that :func:`_hash_value`
+#: evaluates in closed form; the measured crossover with the table loop.
+_CLOSED_FORM_MIN_BLOCKS = 48
+
+
+@lru_cache(maxsize=None)
+def _table_views(w: int):
+    """Zero-copy numpy views (exp, log) of the ``_log_tables(w)`` arrays."""
+    exp, log = _log_tables(w)
+    return np.frombuffer(exp, np.ushort), np.frombuffer(log, np.uintc)
+
+
+@lru_cache(maxsize=64)
+def _exponent_ramp(nb: int):
+    """``[nb + 1, nb, ..., 2]``: the power of x that multiplies block c_i."""
+    ramp = np.arange(nb + 1, 1, -1, dtype=np.int64)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
-    """Polynomial hash (no pad key) of ``nbits`` bits held in ``value``."""
+    """Polynomial hash (no pad key) of ``nbits`` bits held in ``value``.
+
+    Horner's rule over the content blocks c_1 .. c_nb and the length
+    block L = nbits mod 2^w, with one multiply by x per block.  At w = 16
+    a message of at least :data:`_CLOSED_FORM_MIN_BLOCKS` content blocks
+    (the measured crossover with the loop) is instead evaluated in closed
+    form, ``XOR_i exp[log c_i + ((nb + 2 - i) * log x mod (2^16 - 1))]
+    ^ exp[log L + log x]``, in one numpy pass over zero-copy views of the
+    same log/antilog tables; x = 0 gives 0.  Both give the same value.
+    """
     mask = (1 << w) - 1
     nb = (nbits + w - 1) // w
     padded = value << (nb * w - nbits) if nbits else 0
@@ -187,6 +234,14 @@ def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
         return _mul_generic(acc, x, w, poly)
     exp, log = _log_tables(w)
     lx = log[x]
+    if w == 16 and nb >= _CLOSED_FORM_MIN_BLOCKS:
+        if not x:
+            return 0
+        exp_v, log_v = _table_views(16)
+        e = _exponent_ramp(nb) * lx
+        e %= mask
+        e += log_v[np.frombuffer(padded.to_bytes(2 * nb, "big"), ">u2")]
+        return int(np.bitwise_xor.reduce(exp_v[e])) ^ exp[log[nbits & mask] + lx]
     acc = 0
     if w & 7:
         for i in range((nb - 1) * w, -1, -w):

@@ -27,7 +27,9 @@ class QkdLink:
 
     ``epsilon`` is the per-key failure probability of keys generated on
     this link (the epsilon-ideal key source model); ``alive`` models
-    eavesdropping-induced abort of the link.
+    eavesdropping-induced abort of the link.  ``distance_km`` only feeds
+    :func:`link_rate`, the key-rate model, when a caller passes it there:
+    no session, trial record or summary reads it, so it changes no result.
     """
 
     a: NodeId

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qkdnet.bits import BitString
 from qkdnet.errors import OutOfRange
 from qkdnet.mac import (
+    _CLOSED_FORM_MIN_BLOCKS,
     MacKey,
     _hash_value,
     _log_tables,
@@ -312,11 +313,51 @@ def hash_inputs(draw):
     return w, x, value, nbits
 
 
+@st.composite
+def long_w16_inputs(draw):
+    nbits = draw(st.integers((_CLOSED_FORM_MIN_BLOCKS - 1) * 16, 4000))
+    x = draw(st.integers(0, (1 << 16) - 1))
+    value = draw(st.integers(0, (1 << nbits) - 1))
+    return 16, x, value, nbits
+
+
 class TestHashKernel:
     @settings(max_examples=400, deadline=None)
     @given(hash_inputs())
     def test_matches_bit_serial_reference(self, args):
         assert _hash_value(*args) == horner_reference(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_w16_inputs())
+    def test_long_w16_matches_bit_serial_reference(self, args):
+        assert _hash_value(*args) == horner_reference(*args)
+
+    # Both sides of the closed-form threshold, the challenge (3088 bits)
+    # and hop (3104 bits) frames of the long-key benchmark, and a length
+    # block of nbits mod 2^16 == 0.
+    @pytest.mark.parametrize("nbits", [
+        (_CLOSED_FORM_MIN_BLOCKS - 1) * 16,
+        _CLOSED_FORM_MIN_BLOCKS * 16,
+        (_CLOSED_FORM_MIN_BLOCKS + 1) * 16,
+        3088,
+        3104,
+        1 << 16,
+    ])
+    def test_long_w16_edge_cases(self, nbits):
+        ones = (1 << 16) - 1
+        rng = random.Random(nbits)
+        partial = nbits - 5                      # same block count, partial last block
+        cases = [(x, value, length)
+                 for x in (0, 1, ones, rng.randrange(2, ones))
+                 for value, length in [
+                     (0, nbits),                 # all-zero message
+                     ((1 << nbits) - 1, nbits),  # all-ones message
+                     (rng.getrandbits(nbits), nbits),
+                     (rng.getrandbits(partial), partial),
+                 ]]
+        for x, value, length in cases:
+            assert _hash_value(16, x, value, length) == horner_reference(
+                16, x, value, length), (x, length)
 
     @pytest.mark.parametrize("w", range(1, 18))
     def test_edge_cases_every_word_size(self, w):
