@@ -16,6 +16,7 @@ only when every exhaustive check is exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import QkdNetError, ValidationError
@@ -139,8 +140,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(make_parser)
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except QkdNetError as exc:

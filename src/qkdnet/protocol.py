@@ -41,6 +41,7 @@ copies of both messages; its ``transcript()`` renders them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .adversary import (
     AdversaryConfig,
@@ -269,26 +270,39 @@ def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
     return out, frozenset(basis)
 
 
-def provision_pools(graph: NetworkGraph, paths: PathSet, bits_per_link: int, rng):
-    """One fresh epoch per link used by ``paths``, in deterministic order."""
-    pools = {}
+@lru_cache(maxsize=64)
+def _link_plan(graph: NetworkGraph, paths: PathSet):
+    """(links in path/hop order of first use, each path's ``(link index,
+    receiver)`` hops), cached per graph object and path-set value."""
+    index = {}
     for i in range(len(paths)):
         for u, v in paths.hops(i):
-            key = (u, v) if u <= v else (v, u)
-            if key not in pools:
-                pool = LinkKeyPool(graph.link_between(u, v))
-                qkd_generate(pool, bits_per_link, rng)
-                pools[key] = pool
-    return pools
+            index.setdefault((u, v) if u <= v else (v, u), len(index))
+    links = tuple(graph.link_between(*key) for key in index)
+    return links, tuple(_path_hops(p, index) for p in paths.paths)
 
 
-@dataclass(frozen=True)
+def provision_pools(graph: NetworkGraph, paths: PathSet, bits_per_link: int, rng):
+    """Draw one fresh epoch per link of ``paths``, in path/hop order of
+    first use, through :func:`qkd_generate` (a dead link raises
+    :class:`LinkDown`); return each path's ``(pool, receiver)`` hops.
+    The links are resolved once per graph and path set (:func:`_link_plan`).
+    """
+    links, routes = _link_plan(graph, paths)
+    pools = [LinkKeyPool(link) for link in links]
+    for pool in pools:
+        qkd_generate(pool, bits_per_link, rng)
+    return [[(pools[j], stop) for j, stop in route] for route in routes]
+
+
+@dataclass(slots=True)
 class SessionOutcome:
-    """Everything a trial records about one full session.
+    """Everything a trial records about one full session (slotted).
 
     The per-path copies hold the verbatim wire payloads as ``(value,
-    nbits)`` pairs (None for ⊥); a path is identified as dishonest when
-    its copy differs from an accepted one.
+    nbits)`` pairs (None for ⊥).  ``accepted_b`` and ``accepted_a`` are
+    the paths whose challenge and response copies were accepted (None
+    when no copy opened).
     """
 
     result: int
@@ -300,11 +314,23 @@ class SessionOutcome:
     trash_b: frozenset | None
     challenge_copies: tuple
     response_copies: tuple
-    identified_dishonest: frozenset
+    accepted_b: int | None
+    accepted_a: int | None
     shares_received: tuple    # n-bit share values, one per path
     paths: PathSet
     view: AdversaryView
     published: PublishedBundle | None
+
+    @property
+    def identified_dishonest(self) -> frozenset:
+        """Paths whose copy differs from an accepted copy (built on read)."""
+        return frozenset(
+            i
+            for copies, h in ((self.challenge_copies, self.accepted_b),
+                              (self.response_copies, self.accepted_a))
+            if h is not None
+            for i, c in enumerate(copies) if c != copies[h]
+        )
 
     @property
     def succeeded(self) -> bool:
@@ -352,8 +378,7 @@ def full_session(
     interceptor = (
         ScriptedAdversary(adversary, view, rng) if adversary is not None else None
     )
-    pools = provision_pools(graph, paths, params.session_demand_bits, rng)
-    hop_lists = [_path_hops(p, pools) for p in paths.paths]
+    hop_lists = provision_pools(graph, paths, params.session_demand_bits, rng)
 
     w = params.word_bits
     n = params.n
@@ -406,13 +431,8 @@ def full_session(
         trash_b=trash_b,
         challenge_copies=challenge_copies,
         response_copies=response_copies,
-        identified_dishonest=frozenset(
-            i
-            for copies, h in ((challenge_copies, accepted_b),
-                              (response_copies, accepted_a))
-            if h is not None
-            for i, c in enumerate(copies) if c != copies[h]
-        ),
+        accepted_b=accepted_b,
+        accepted_a=accepted_a,
         shares_received=tuple(received),
         paths=paths,
         view=view,

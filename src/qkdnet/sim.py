@@ -235,9 +235,10 @@ def derive_trial_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrialResult:
-    """One deterministic trial record."""
+    """One deterministic trial record (slotted, unfrozen); ``emit_report``
+    writes every field except ``advantage``."""
 
     index: int
     seed: int
@@ -280,7 +281,7 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
     # share makes the XOR uniform (advantage 0); with every share observed
     # the key is determined (advantage 1 - 2^-n).
     view = outcome.view
-    observed = all(view.known_share(i) is not None for i in range(view.n_paths))
+    observed = len(view.learned_shares) == view.n_paths
     advantage = 1.0 - 2.0 ** -scenario.params.n if observed else 0.0
     trash = outcome.trash_a
     return TrialResult(
@@ -660,35 +661,32 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 100,
 # --- reporting -------------------------------------------------------------
 
 
-def _trial_record(r: TrialResult) -> dict:
-    return {
-        "index": r.index,
-        "seed": r.seed,
-        "result": r.result,
-        "result_prime": r.result_prime,
-        "delta": int(r.keys_equal),
-        "succeeded": int(r.succeeded),
-        "final_key_len": r.final_key_len,
-        "trash_size": r.trash_size,
-        "leaked_epochs": r.leaked_epochs,
-        "tags": list(r.failure_tags),
-    }
-
-
 def emit_report(stats: Stats, results, destination, scenario_name="unnamed",
                 master_seed=0) -> None:
     """Write one JSON line per trial plus a summary document.
 
-    Output depends only on the inputs (no timestamps, sorted keys), so a
-    replay of the same scenario and seed is byte-identical.
+    Each trial line is one f-string with its keys in sorted order, the
+    bytes ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+    would give (failure tags are plain identifiers: nothing to escape).
+    Output depends only on the inputs (no timestamps,
+    sorted keys), so a replay of the same scenario and seed is
+    byte-identical.
     """
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
     with open(dest / "trials.jsonl", "w") as fh:
         for r in results:
-            fh.write(json.dumps(_trial_record(r), sort_keys=True,
-                                separators=(",", ":")))
-            fh.write("\n")
+            tags = r.failure_tags
+            tags = '["' + '","'.join(tags) + '"]' if tags else "[]"
+            fh.write(
+                f'{{"delta":{int(r.keys_equal)},"final_key_len":'
+                f'{"null" if r.final_key_len is None else r.final_key_len},'
+                f'"index":{r.index},"leaked_epochs":{r.leaked_epochs},'
+                f'"result":{r.result},"result_prime":{r.result_prime},'
+                f'"seed":{r.seed},"succeeded":{int(r.succeeded)},'
+                f'"tags":{tags},"trash_size":'
+                f'{"null" if r.trash_size is None else r.trash_size}}}\n'
+            )
     summary = {
         "scenario": scenario_name,
         "master_seed": master_seed,

@@ -146,7 +146,8 @@ def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int):
 
 
 def _path_hops(path, pools):
-    """Per-hop (pool, intermediate receiver) pairs for a path.
+    """Per-hop ``(pools[link key], intermediate receiver)`` pairs for a
+    path; the session's link plan passes link indices as ``pools``.
 
     The receiver entry is None on the final hop (delivery to the
     endpoint is not an interception point).

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qkdnet import cli
 from qkdnet.cli import main
 from qkdnet.errors import ValidationError
 from qkdnet.protocol import SecurityParams
@@ -109,6 +110,40 @@ class TestRun:
         rc = main(["run", "--scenario", str(bad)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    def test_consecutive_calls_match_fresh_parsers(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # Each subcommand runs with and then without its options, so a
+        # value left behind by the previous call would show.
+        scenario = two_chains_scenario_file(tmp_path)
+        calls = (
+            ["run", "--scenario", scenario, "--trials", "5", "--seed", "9"],
+            ["run", "--scenario", scenario],
+            ["paths", "--scenario", scenario, "--ell", "3"],
+            ["paths", "--scenario", scenario],
+            ["plan", "--t", "2", "--u", "1", "--mode", "feedback"],
+            ["plan", "--t", "2"],
+            ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2",
+             "--w", "8", "--eps", "0.01"],
+            ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2",
+             "--w", "8"],
+        )
+
+        def outputs():
+            got = []
+            for argv in calls:
+                rc = main(list(argv))
+                captured = capsys.readouterr()
+                got.append((rc, captured.out, captured.err))
+            return got
+
+        shared = outputs()
+        assert cli._shared_parser() is cli._shared_parser()
+        monkeypatch.setattr(cli, "_shared_parser", cli.make_parser)
+        assert outputs() == shared
+        assert [rc for rc, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0]
 
 
 class TestOracle:

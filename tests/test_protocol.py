@@ -13,10 +13,12 @@ from qkdnet.bits import BitString
 from qkdnet.errors import (
     InsufficientConnectivity,
     LengthMismatch,
+    LinkDown,
     OutOfRange,
     ParameterViolation,
 )
 from qkdnet.mac import _tag_value
+from qkdnet.network import NetworkGraph, PathSet, QkdLink
 from qkdnet.protocol import (
     SecurityParams,
     _decode_challenge,
@@ -613,3 +615,36 @@ class TestFullSession:
                            random.Random(19))
         assert out.published is not None
         assert 0 in out.published.shares
+
+
+class TestLinkPlan:
+    """``provision_pools`` resolves links once per graph and path set;
+    the cached plan must not change what a session sees."""
+
+    PATHS = PathSet("alice", "bob", (("alice", "x", "bob"),
+                                     ("alice", "y", "bob")))
+
+    @staticmethod
+    def graph(**link_kw):
+        return NetworkGraph(
+            {"alice", "bob", "x", "y"},
+            [QkdLink("alice", "x", **link_kw), QkdLink("x", "bob", **link_kw),
+             QkdLink("alice", "y"), QkdLink("y", "bob")])
+
+    def test_dead_link_raises_with_a_warm_plan(self):
+        graph = self.graph(alive=False)
+        for seed in (1, 2):
+            with pytest.raises(LinkDown):
+                full_session(graph, "alice", "bob", TINY, None,
+                             random.Random(seed), paths=self.PATHS)
+
+    @pytest.mark.parametrize("first", [0.0, 1.0])
+    def test_graphs_differing_in_epsilon_do_not_share_a_plan(self, first):
+        cfg = corrupt(self.graph(), set(), 0, endpoints=("alice", "bob"))
+        leaked = {}
+        for eps in (first, 1.0 - first):
+            out = full_session(self.graph(epsilon=eps), "alice", "bob", TINY,
+                               cfg, random.Random(7), paths=self.PATHS)
+            leaked[eps] = out.view.leaked_epochs
+        # epsilon 1 flags both links of path 0 compromised
+        assert leaked == {0.0: 0, 1.0: 2}

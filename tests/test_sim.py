@@ -1,15 +1,20 @@
 import json
 import random
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdnet.adversary import guessing_advantage
 from qkdnet.errors import ParseError, TooLarge, ValidationError
 from qkdnet.protocol import SecurityParams, full_session
 from qkdnet.sim import (
+    Stats,
+    TrialResult,
     _failure_tags,
     aggregate,
     check_bounds,
@@ -447,3 +452,71 @@ class TestEmitReport:
         run = run_monte_carlo(sc)
         with pytest.raises(OSError):
             emit_report(run.stats, run.results, blocker / "sub")
+
+
+FAILURE_TAGS = ("parity_miss", "challenge_rejected", "response_mismatch",
+                "final_key_mismatch")
+STATS = Stats(trials=1, successes=1, empirical=1.0, ci_low=0.0, ci_high=1.0,
+              confidence=0.99, p_im=0.0, agreement_bound=0.5,
+              privacy_bound=0.5, verdict="PASS", degenerate=True)
+
+
+def reference_line(r):
+    """The trial line as ``json.dumps`` writes the record's dict."""
+    record = {
+        "index": r.index,
+        "seed": r.seed,
+        "result": r.result,
+        "result_prime": r.result_prime,
+        "delta": int(r.keys_equal),
+        "succeeded": int(r.succeeded),
+        "final_key_len": r.final_key_len,
+        "trash_size": r.trash_size,
+        "leaked_epochs": r.leaked_epochs,
+        "tags": list(r.failure_tags),
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+trial_results = st.builds(
+    TrialResult,
+    index=st.integers(0, 10**9),
+    seed=st.integers(0, 2**64 - 1),
+    result=st.integers(0, 1),
+    result_prime=st.integers(0, 1),
+    keys_equal=st.booleans(),
+    succeeded=st.booleans(),
+    final_key_len=st.none() | st.integers(0, 4096),
+    trash_size=st.none() | st.integers(0, 64),
+    leaked_epochs=st.integers(0, 2**40),
+    advantage=st.sampled_from([0.0, 1.0 - 2.0 ** -64]),
+    failure_tags=st.sets(st.sampled_from(FAILURE_TAGS)).map(
+        lambda tags: tuple(t for t in FAILURE_TAGS if t in tags)),
+)
+
+
+class TestTrialLineWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(trial_results, min_size=1, max_size=8))
+    def test_lines_match_sorted_json_dumps(self, results):
+        with tempfile.TemporaryDirectory() as out:
+            emit_report(STATS, results, out)
+            with open(Path(out) / "trials.jsonl", newline="") as fh:
+                lines = fh.readlines()
+        assert lines == [reference_line(r) for r in results]
+
+    def test_every_tag_subset_is_written(self):
+        # The Monte-Carlo runs never write parity_miss or
+        # final_key_mismatch, so cover all 16 subsets explicitly.
+        results = [
+            TrialResult(index=i, seed=i, result=0, result_prime=0,
+                        keys_equal=False, succeeded=True, final_key_len=None,
+                        trash_size=None, leaked_epochs=0, advantage=0.0,
+                        failure_tags=tuple(t for j, t in enumerate(FAILURE_TAGS)
+                                           if i >> j & 1))
+            for i in range(16)
+        ]
+        with tempfile.TemporaryDirectory() as out:
+            emit_report(STATS, results, out)
+            text = (Path(out) / "trials.jsonl").read_text()
+        assert text == "".join(reference_line(r) for r in results)
