@@ -207,18 +207,6 @@ class ScriptedAdversary:
         self.view.record_share(path_index, value)
 
 
-@dataclass(frozen=True)
-class AdvantageResult:
-    """Exact guessing advantage in [0, 1] as a Fraction.
-
-    ``exact`` is always True: past the enumeration limits the call
-    raises instead of estimating.
-    """
-
-    advantage: object
-    exact: bool
-
-
 #: Exhaustive enumeration limits: u unknown shares of k bits are
 #: enumerated when k <= 16 and u*k <= EXACT_LIMIT_BITS.
 EXACT_LIMIT_BITS = 20
@@ -226,24 +214,22 @@ EXACT_LIMIT_BITS = 20
 _BLOCK_BITS = 16
 
 
-def guessing_advantage(view: AdversaryView, key_len: int) -> AdvantageResult:
-    """Advantage of ``view`` at guessing the XOR of all path shares.
+def guessing_advantage(view: AdversaryView) -> Fraction:
+    """Exact advantage of ``view`` at guessing the XOR of all path shares.
 
-    Enumerates every assignment of the u unknown shares, 2^(u*key_len)
-    in all, in blocks of at most 2^16: each block XOR-folds its u
-    key_len-bit chunks into the known shares' XOR and adds the
-    histogram of the resulting keys to a running count.  Returns the
-    maximum posterior probability minus 2^-key_len as a Fraction; 0
-    means perfect privacy.  Raises :class:`TooLarge` when key_len > 16
-    or u*key_len > ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` when
-    the view's shares are not key_len bits wide.
+    The key is ``key_len = view.share_bits`` bits wide.  Enumerates every
+    assignment of the u unknown shares, 2^(u*key_len) in all, in blocks
+    of at most 2^16: each block XOR-folds its u key_len-bit chunks into
+    the known shares' XOR and adds the histogram of the resulting keys
+    to a running count.  Returns the maximum posterior probability minus
+    2^-key_len as a Fraction; 0 means perfect privacy.  There is no
+    estimate: raises :class:`TooLarge` when key_len > 16 or u*key_len >
+    ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` when the view's shares
+    are narrower than one bit.
     """
+    key_len = view.share_bits
     if key_len < 1:
-        raise OutOfRange(f"key_len must be >= 1, got {key_len}")
-    if view.share_bits != key_len:
-        raise OutOfRange(
-            f"view holds {view.share_bits}-bit shares, expected {key_len}"
-        )
+        raise OutOfRange(f"view shares must be >= 1 bit, got {key_len}")
     unknown = view.n_paths
     base = 0
     for i in range(view.n_paths):
@@ -254,7 +240,7 @@ def guessing_advantage(view: AdversaryView, key_len: int) -> AdvantageResult:
 
     uniform = Fraction(1, 1 << key_len)
     if unknown == 0:
-        return AdvantageResult(Fraction(1) - uniform, True)
+        return Fraction(1) - uniform
     bits = unknown * key_len
     if key_len > 16 or bits > EXACT_LIMIT_BITS:
         raise TooLarge(
@@ -272,5 +258,4 @@ def guessing_advantage(view: AdversaryView, key_len: int) -> AdvantageResult:
             k ^= a & mask
             a >>= shift
         counts += np.bincount(k, minlength=1 << key_len)
-    advantage = Fraction(int(counts.max()), 1 << bits) - uniform
-    return AdvantageResult(advantage, True)
+    return Fraction(int(counts.max()), 1 << bits) - uniform

@@ -53,12 +53,11 @@ class QkdLink:
 
 
 class NetworkGraph:
-    """Immutable node/link collection with sorted adjacency."""
+    """Immutable node/link collection."""
 
     def __init__(self, nodes, links):
         self.nodes = frozenset(nodes)
         self._links: dict[tuple[NodeId, NodeId], QkdLink] = {}
-        adjacency: dict[NodeId, set[NodeId]] = {v: set() for v in self.nodes}
         for link in links:
             if link.a not in self.nodes or link.b not in self.nodes:
                 raise ValidationError(
@@ -67,9 +66,6 @@ class NetworkGraph:
             if link.key in self._links:
                 raise ValidationError(f"duplicate link {link.key}")
             self._links[link.key] = link
-            adjacency[link.a].add(link.b)
-            adjacency[link.b].add(link.a)
-        self._adjacency = {v: tuple(sorted(nbrs)) for v, nbrs in adjacency.items()}
 
     @property
     def links(self) -> tuple[QkdLink, ...]:
@@ -81,13 +77,6 @@ class NetworkGraph:
             return self._links[key]
         except KeyError:
             raise ValidationError(f"no link between {u!r} and {v!r}") from None
-
-    def neighbors(self, v: NodeId, alive_only: bool = True):
-        if alive_only:
-            return tuple(
-                u for u in self._adjacency[v] if self.link_between(v, u).alive
-            )
-        return self._adjacency[v]
 
 
 @dataclass(frozen=True)

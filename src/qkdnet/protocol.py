@@ -371,13 +371,16 @@ def full_session(
     failures surface as result=0 outcomes, never exceptions.  Shares,
     keys, key parts, wire payloads, parity vectors and the final keys
     are all integers.
+
+    Every session runs one :class:`ScriptedAdversary`; ``adversary=None``
+    is the empty config (no corrupted node, t=0), which draws nothing
+    from ``rng`` and still records each epsilon-leaked hop in the view.
     """
+    adversary = AdversaryConfig(frozenset(), 0) if adversary is None else adversary
     if paths is None:
         paths = vertex_disjoint_paths(graph, a, b, params.ell)
     view = AdversaryView(len(paths), params.n)
-    interceptor = (
-        ScriptedAdversary(adversary, view, rng) if adversary is not None else None
-    )
+    interceptor = ScriptedAdversary(adversary, view, rng)
     hop_lists = provision_pools(graph, paths, params.session_demand_bits, rng)
 
     w = params.word_bits
@@ -417,9 +420,7 @@ def full_session(
     if result == 1:
         final_b, trash_b = deterministic_pa(rem_b, tb, lambdas_b)
 
-    published = None
-    if interceptor is not None and interceptor.discloses:
-        published = disclose(view)
+    published = disclose(view) if interceptor.discloses else None
 
     return SessionOutcome(
         result=result,

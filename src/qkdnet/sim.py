@@ -57,7 +57,7 @@ class Scenario:
     a: str
     b: str
     params: SecurityParams
-    adversary: AdversaryConfig | None
+    adversary: AdversaryConfig
     trials: int
     seed: int
 
@@ -193,20 +193,20 @@ def load_scenario(source) -> Scenario:
             f"w={p['w']} inconsistent with s={params.s} (s = 2w required)",
         )
 
-    adversary = None
+    # An omitted or null block is the empty adversary: no corrupted node.
     adv = doc.get("adversary")
     _require(adv is None or isinstance(adv, dict),
              f"'adversary' must be an object or null, got {adv!r}")
-    if adv:
-        _known_keys(adv, _ADVERSARY_KEYS, "adversary")
-        corrupted = _strings(adv.get("corrupted", []), "adversary 'corrupted'")
-        strategies = _strings(adv.get("strategies", ["passive"]),
-                              "adversary 'strategies'")
-        adversary = corrupt(
-            graph, corrupted,
-            _coerce(int, adv.get("t", len(corrupted)), "adversary 't'"),
-            endpoints=(a, b), strategies=tuple(strategies) or ("passive",),
-        )
+    adv = adv or {}
+    _known_keys(adv, _ADVERSARY_KEYS, "adversary")
+    corrupted = _strings(adv.get("corrupted", []), "adversary 'corrupted'")
+    strategies = _strings(adv.get("strategies", ["passive"]),
+                          "adversary 'strategies'")
+    adversary = corrupt(
+        graph, corrupted,
+        _coerce(int, adv.get("t", len(corrupted)), "adversary 't'"),
+        endpoints=(a, b), strategies=tuple(strategies) or ("passive",),
+    )
 
     trials = _coerce(int, doc.get("trials", 1000), "'trials'")
     _require(trials >= 1, "trials must be >= 1")
@@ -528,8 +528,7 @@ def share_privacy_exact(key_bits: int, ell: int, shares) -> bool:
         view = AdversaryView(n_paths=ell, share_bits=key_bits)
         for i in known:
             view.record_share(i, shares[i])
-        res = guessing_advantage(view, key_bits)
-        if res.advantage != 0:
+        if guessing_advantage(view) != 0:
             return False
     return True
 

@@ -17,16 +17,20 @@ material in plaintext (the trusted-repeater property); an
 Classical messages on honest paths are always delivered within the
 trial, which discretizes the eventual-delivery assumption.
 
-Interceptor contract.  Payloads are plain integers of ``nbits`` bits,
-first-sent bit most significant; a hook never changes the length.
+Interceptor contract.  Every session passes one interceptor, with or
+without corrupted nodes.  Payloads are plain integers of ``nbits``
+bits, first-sent bit most significant; a hook never changes the length.
+The two relay hooks are called at every intermediate node and return
+the value unchanged at an honest one.
 
 * ``on_key_hop(path_index, node, value, nbits) -> int``: the share as
   the next hop will carry it, at each intermediate node of a key path.
 * ``on_classical_hop(path_index, node, kind, value, nbits) -> int |
   None``: the message to relay (``kind`` is ``"challenge"`` or
   ``"response"``), or None to drop it.
-* ``on_hop_leak(path_index, value)``: the share crossed an
-  epsilon-compromised epoch of a link on the path.
+* ``on_hop_leak(path_index, value)``: fires for each hop of a key
+  share that crossed an epsilon-compromised epoch of its link, whether
+  or not any node is corrupted.
 """
 
 from __future__ import annotations
@@ -163,18 +167,16 @@ def _forward_key_over(hops, value, nbits, w, interceptor, path_index):
     """Relay a key share hop by hop over ``hops``; return what B receives.
 
     ``hops`` comes from :func:`_path_hops`.  Every intermediate node
-    observes the share in plaintext.  The ``interceptor`` (when given) is
-    consulted at each intermediate node via ``on_key_hop`` and may
-    record or substitute; epsilon-leaked hops are reported via
-    ``on_hop_leak``.
+    observes the share in plaintext.  The ``interceptor`` is consulted
+    at each intermediate node via ``on_key_hop`` and may record or
+    substitute; epsilon-leaked hops are reported via ``on_hop_leak``.
     """
     for pool, stop in hops:
         value, leaked = _hop_transfer(pool, value, nbits, w)
-        if interceptor is not None:
-            if leaked:
-                interceptor.on_hop_leak(path_index, value)
-            if stop is not None:
-                value = interceptor.on_key_hop(path_index, stop, value, nbits)
+        if leaked:
+            interceptor.on_hop_leak(path_index, value)
+        if stop is not None:
+            value = interceptor.on_key_hop(path_index, stop, value, nbits)
     return value
 
 
@@ -190,7 +192,7 @@ def _classical_over(hops, value, nbits, w, interceptor, path_index, kind):
     """
     for pool, stop in hops:
         value, _ = _hop_transfer(pool, value, nbits, w)
-        if stop is not None and interceptor is not None:
+        if stop is not None:
             value = interceptor.on_classical_hop(path_index, stop, kind,
                                                  value, nbits)
             if value is None:

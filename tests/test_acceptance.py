@@ -149,8 +149,8 @@ class TestCriterion2SharePrivacy:
                         view = AdversaryView(ell, bits)
                         for i in known:
                             view.record_share(i, shares[i])
-                        res = guessing_advantage(view, bits)
-                        assert res.exact and res.advantage == Fraction(0)
+                        res = guessing_advantage(view)
+                        assert res == Fraction(0)
         print("\n[criterion 2] PASS: any ell-1 shares give advantage exactly 0")
 
 
@@ -212,16 +212,16 @@ class TestCriterion5PrivacyUnderDisclosure:
             out = full_session(three_path_graph, "alice", "bob", params,
                                cfg, random.Random(seed))
             assert out.published is not None
-            adv = guessing_advantage(out.view, 8)
-            assert adv.exact and adv.advantage == Fraction(0)
+            adv = guessing_advantage(out.view)
+            assert adv == Fraction(0)
             controlled = set(out.published.shares)
             for i in range(3):
                 if i in controlled:
                     continue
                 view = honest_path_view(3, i, out.shares_received[i], 8,
                                         out.published)
-                res = guessing_advantage(view, 8)
-                assert res.exact and res.advantage == Fraction(0)
+                res = guessing_advantage(view)
+                assert res == Fraction(0)
         print("\n[criterion 5] PASS: adversary and honest-path advantages "
               "exactly 0 under full disclosure")
 

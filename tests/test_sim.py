@@ -60,7 +60,10 @@ class TestLoadScenario:
         sc = load_scenario(two_chains_doc())
         assert sc.params.ell == 2
         assert sc.a == "alice" and sc.b == "bob"
-        assert sc.adversary is None
+        # no adversary block: the empty adversary, see test_cli's
+        # test_no_adversary_forms
+        assert sc.adversary == load_scenario(
+            two_chains_doc(adversary={"corrupted": []})).adversary
         assert len(sc.graph.links) == 6
 
     def test_accepts_json_text_and_file(self, tmp_path):
@@ -190,8 +193,8 @@ class TestRunTrial:
             r = run_trial(sc, seed, index=i)
             out = full_session(sc.graph, sc.a, sc.b, sc.params,
                                sc.adversary, random.Random(seed))
-            exact = guessing_advantage(out.view, sc.params.n)
-            assert r.advantage == float(exact.advantage)
+            exact = guessing_advantage(out.view)
+            assert r.advantage == float(exact)
             seen.add(r.advantage)
         assert seen == {0.0, 1.0 - 2.0 ** -8}
 

@@ -179,7 +179,7 @@ class TestHopSend:
             _hop_transfer(down, 0b1010, 4, W)
         with pytest.raises(InsufficientKey):
             _forward_key_over(_path_hops(("u", "v"), {("u", "v"): down}),
-                              0b1010, 4, W, None, 0)
+                              0b1010, 4, W, Recorder(), 0)
 
 
 class TestPathForwardKey:
@@ -233,7 +233,7 @@ class TestClassicalSend:
             nbits = rng.randrange(1, 200)
             m = rng.getrandbits(nbits)
             out = _classical_over(_path_hops(path, pools), m, nbits,
-                                  W, None, 0, "challenge")
+                                  W, Recorder(), 0, "challenge")
             assert out == (m, nbits)
 
     def test_drop_yields_bottom(self):
