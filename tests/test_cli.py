@@ -262,19 +262,20 @@ class TestMalformedScenario:
         err = _run_malformed(tmp_path, capsys, {"name": value})
         assert "'name' must be a string" in err
 
-    def test_no_adversary_forms(self, tmp_path, capsys):
-        # Every form is the one empty adversary.  With every link at
-        # epsilon 1 each trial leaks all 6 hops of the two key shares;
-        # the first three forms used to record none of them.
+    @pytest.mark.parametrize("doc", [{"adversary": None}, {"adversary": {}}, {}],
+                             ids=["null", "empty_object", "omitted"])
+    def test_no_adversary_forms(self, tmp_path, capsys, doc):
+        # Each form is the one empty adversary, the same as an explicit
+        # empty corrupted list.  With every link at epsilon 1 each trial
+        # leaks all 6 hops of the two key shares; these forms used to
+        # record none of them.
         leaky = [{**link, "epsilon": 1.0} for link in CHAIN_LINKS]
-        forms = {"omitted": {}, "null": {"adversary": None},
-                 "empty_object": {"adversary": {}},
-                 "no_corrupted": {"adversary": {"corrupted": []}}}
+        forms = {"form": doc, "no_corrupted": {"adversary": {"corrupted": []}}}
         configs, reports = [], []
-        for name, doc in forms.items():
+        for name, form in forms.items():
             (tmp_path / name).mkdir()
             path = two_chains_scenario_file(tmp_path / name, links=leaky,
-                                            trials=50, **doc)
+                                            trials=50, **form)
             configs.append(load_scenario(path).adversary)
             out = tmp_path / name / "report"
             assert main(["run", "--scenario", path, "--out", str(out)]) == 1
@@ -284,8 +285,8 @@ class TestMalformedScenario:
                       for line in report.splitlines()]
             assert leaked == [6] * 50, name
             reports.append(report)
-        assert all(r == reports[0] for r in reports)
-        assert all(c == configs[0] for c in configs)
+        assert reports[0] == reports[1]
+        assert configs[0] == configs[1]
         assert not configs[0].corrupted
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
