@@ -113,10 +113,10 @@ class PublishedBundle:
 class AdversaryView:
     """Everything one observer has learned during a single trial.
 
-    ``learned_shares`` maps a path index to the share values observed on
-    it, in observation order (the first entry is the value the sender
-    put on the path).  The map gains an entry only when the path crosses
-    a corrupted node or an epsilon-compromised hop.  ``leaked_epochs``
+    ``learned_shares`` maps a path index to the distinct share values
+    seen on it, in order (the first is the value the sender put on the
+    path).  The map gains an entry only when the path crosses a
+    corrupted node or an epsilon-compromised hop.  ``leaked_epochs``
     counts the hops that crossed a compromised epoch.
     """
 
@@ -129,7 +129,9 @@ class AdversaryView:
         self.leaked_epochs = 0
 
     def record_share(self, path_index: int, value: int):
-        self.learned_shares.setdefault(path_index, []).append(value)
+        obs = self.learned_shares.setdefault(path_index, [])
+        if value not in obs:
+            obs.append(value)
 
     def known_share(self, path_index: int) -> int | None:
         obs = self.learned_shares.get(path_index)

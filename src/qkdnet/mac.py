@@ -24,12 +24,13 @@ Reduction polynomials are fixed per word size for bit-exact interop; see
 lexicographically smallest irreducible polynomial of that degree.
 
 Every Horner step ``acc = acc*x + c`` is one multiply by the fixed hash
-key x.  For w <= 16 it is a log/antilog lookup,
-``exp[log[acc] + log[x]]``, over tables built once per word size from a
-primitive element of the field (Plank, Greenan & Miller, FAST 2013); a
-zero tail in ``exp`` makes zero operands need no branch.  The tables
-cost about 0.2 ms at w = 8 and 2-5 ms and 0.75 MB at w = 16.  Word
-sizes above 16 use the bit-serial shift-and-add multiply.
+key x.  For w <= 8 it is one lookup in a multiplication row,
+``_mul_rows(w)[x][acc]`` (w = 8: 256 rows of 256, under 2 ms and
+0.55 MB); up to w = 16 it is ``exp[log[acc] + log[x]]`` over log/antilog
+tables built once per word size from a primitive element (Plank, Greenan
+& Miller, FAST 2013), whose zero tail in ``exp`` makes zero operands
+need no branch (2-5 ms and 0.75 MB at w = 16).  Word sizes above 16 use
+the bit-serial shift-and-add multiply.
 
 A w = 16 message of at least :data:`_CLOSED_FORM_MIN_BLOCKS` content
 blocks is hashed in closed form instead, in one numpy pass.  Expanding
@@ -38,16 +39,14 @@ Horner's rule over the content blocks c_1 .. c_nb gives
     h = XOR_i exp[log c_i + ((nb + 2 - i) * log x mod (2^16 - 1))]
         ^ exp[log L + log x]
 
-with L = nbits mod 2^16 the length block.  A zero block's log points
-into the zero tail of ``exp``, so it adds nothing; x = 0 gives h = 0.
-The lookups run on ``np.frombuffer`` views of the same two tables, so
-the path adds no table and no memory.  The pass costs a roughly fixed
-7-11 us against about 0.15 us per block for the table loop, and the
-two cross at about 48 blocks (2-vCPU Xeon, Python 3.11, numpy 2.4:
-7.8 us either way at 48 blocks, 29.3 -> 10.9 us at 194).  At w = 8 the
-crossover is near 200 blocks, far beyond any frame the session sends
-at that width, so every other word size and every shorter message
-keeps the loop.
+with L = nbits mod 2^16.  The blocks are read as little-endian words
+(``"<u2"``, last block first) against an ascending exponent ramp and
+gathered with ``take`` from ``np.frombuffer`` views of the same tables;
+a zero block's log points into the zero tail of ``exp``, and x = 0 gives
+h = 0.  The pass costs a roughly fixed 6-8 us against about 0.15 us per
+block for the loop, so the two cross at about 44 blocks (2-vCPU Xeon,
+Python 3.11, numpy 2.4); at 194 blocks it takes about 8 us against the
+loop's 29.  Other word sizes and shorter messages keep the loop.
 """
 
 from __future__ import annotations
@@ -71,9 +70,6 @@ REDUCTION_POLYNOMIALS = {
     8: 0x11B,
     16: 0x1002B,
 }
-
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
 
 def _mul_generic(a: int, b: int, w: int, poly: int) -> int:
     acc = 0
@@ -162,8 +158,7 @@ def _log_tables(w: int):
     ``log[a]`` is the discrete log of a != 0; ``log[0]`` points at a zero
     tail of ``exp`` long enough that ``exp[log[a] + log[b]] == a*b``
     holds for zero operands too.  The powers are filled by doubling
-    (``exp[n:2n] = exp[:n] * g^n``, vectorised).  Lists for w <= 8,
-    compact arrays above.
+    (``exp[n:2n] = exp[:n] * g^n``, vectorised).
     """
     poly = reduction_polynomial(w)
     order = (1 << w) - 1
@@ -185,15 +180,13 @@ def _log_tables(w: int):
     log = np.zeros(1 << w, np.uint32)
     log[exp[:order]] = np.arange(order, dtype=np.uint32)
     log[0] = zero
-    if w <= 8:
-        return exp.tolist(), log.tolist()
     return (array("H", exp.astype(np.ushort).tobytes()),
             array("I", log.astype(np.uintc).tobytes()))
 
 
 #: Shortest w = 16 message, in content blocks, that :func:`_hash_value`
 #: evaluates in closed form; the measured crossover with the table loop.
-_CLOSED_FORM_MIN_BLOCKS = 48
+_CLOSED_FORM_MIN_BLOCKS = 44
 
 
 @lru_cache(maxsize=None)
@@ -205,26 +198,42 @@ def _table_views(w: int):
 
 @lru_cache(maxsize=64)
 def _exponent_ramp(nb: int):
-    """``[nb + 1, nb, ..., 2]``: the power of x that multiplies block c_i."""
-    ramp = np.arange(nb + 1, 1, -1, dtype=np.int64)
+    """``[2, ..., nb + 1]``: the power of x of each block, last block first."""
+    ramp = np.arange(2, nb + 2, dtype=np.int64)
     ramp.flags.writeable = False
     return ramp
+
+
+@lru_cache(maxsize=None)
+def _mul_rows(w: int):
+    """GF(2^w) multiplication rows for w <= 8: ``rows[x][a] == a*x``."""
+    exp, log = _table_views(w)
+    return exp[log + log[:, None]].tolist()
 
 
 def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
     """Polynomial hash (no pad key) of ``nbits`` bits held in ``value``.
 
     Horner's rule over the content blocks c_1 .. c_nb and the length
-    block L = nbits mod 2^w, with one multiply by x per block.  At w = 16
-    a message of at least :data:`_CLOSED_FORM_MIN_BLOCKS` content blocks
-    (the measured crossover with the loop) is instead evaluated in closed
-    form, ``XOR_i exp[log c_i + ((nb + 2 - i) * log x mod (2^16 - 1))]
-    ^ exp[log L + log x]``, in one numpy pass over zero-copy views of the
-    same log/antilog tables; x = 0 gives 0.  Both give the same value.
+    block L = nbits mod 2^w, with one multiply by x per block (the
+    kernels are described in the module docstring).  At w = 16 a message
+    of at least :data:`_CLOSED_FORM_MIN_BLOCKS` content blocks is
+    evaluated in closed form instead, in one numpy pass; both give the
+    same value.
     """
     mask = (1 << w) - 1
     nb = (nbits + w - 1) // w
     padded = value << (nb * w - nbits) if nbits else 0
+    if w <= 8:
+        row = _mul_rows(w)[x]
+        acc = 0
+        if w == 8:
+            for c in padded.to_bytes(nb, "big"):
+                acc = row[acc] ^ c
+        else:
+            for i in range((nb - 1) * w, -1, -w):
+                acc = row[acc] ^ ((padded >> i) & mask)
+        return row[row[acc] ^ (nbits & mask)]
     if w > 16:
         poly = reduction_polynomial(w)
         acc = 0
@@ -238,22 +247,20 @@ def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
         if not x:
             return 0
         exp_v, log_v = _table_views(16)
+        # little-endian read: element j is block c_(nb - j), power j + 2
+        blocks = np.frombuffer(padded.to_bytes(2 * nb, "little"), "<u2")
         e = _exponent_ramp(nb) * lx
         e %= mask
-        e += log_v[np.frombuffer(padded.to_bytes(2 * nb, "big"), ">u2")]
-        return int(np.bitwise_xor.reduce(exp_v[e])) ^ exp[log[nbits & mask] + lx]
+        e += log_v.take(blocks)
+        h = int(np.bitwise_xor.reduce(exp_v.take(e)))
+        return h ^ exp[log[nbits & mask] + lx]
     acc = 0
-    if w & 7:
+    if w == 16:     # native words hold the blocks last first
+        for c in reversed(array("H", padded.to_bytes(2 * nb, sys.byteorder))):
+            acc = exp[log[acc] + lx] ^ c
+    else:
         for i in range((nb - 1) * w, -1, -w):
             acc = exp[log[acc] + lx] ^ ((padded >> i) & mask)
-    else:  # w is 8 or 16: whole bytes, read as big-endian blocks
-        blocks = padded.to_bytes(nb * (w >> 3), "big")
-        if w == 16:
-            blocks = array("H", blocks)
-            if _LITTLE_ENDIAN:
-                blocks.byteswap()
-        for c in blocks:
-            acc = exp[log[acc] + lx] ^ c
     acc = exp[log[acc] + lx] ^ (nbits & mask)
     return exp[log[acc] + lx]
 

@@ -220,6 +220,33 @@ def _verify_response(received, auth_second: int, params: SecurityParams):
     return (0 if accepted is None else bit), accepted
 
 
+@lru_cache(maxsize=8)
+def _pivot_basis(lambdas: tuple, nbits: int):
+    """``(copy steps, trash set)`` of :func:`deterministic_pa`; a copy
+    step is ``(shift, mask, run)`` for one run of surviving bits."""
+    basis: dict[int, int] = {}
+    for v in lambdas:
+        if v >> nbits:
+            raise LengthMismatch(
+                f"parity vector {v:#b} is wider than the {nbits}-bit key"
+            )
+        while v:
+            pos = nbits - v.bit_length() + 1
+            row = basis.get(pos)
+            if row is None:
+                basis[pos] = v
+                break
+            v ^= row
+    steps = []
+    prev = 0
+    for pos in (*sorted(basis), nbits + 1):
+        run = pos - prev - 1    # surviving bits prev+1 .. pos-1
+        if run:
+            steps.append((nbits - pos + 1, (1 << run) - 1, run))
+        prev = pos
+    return tuple(steps), frozenset(basis)
+
+
 def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
     """Deterministic privacy amplification of the ``nbits``-bit ``key``.
 
@@ -242,32 +269,16 @@ def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
     preserved), an integer of ``nbits - len(trash)`` bits, and the
     1-based trash set.  At most one position is trashed per vector, and
     both ends compute identical outputs from identical vectors without
-    communication.  The output is assembled from the runs of surviving
-    bits between sorted trashed positions, at most m + 1 shift-and-mask
+    communication.  The pivots depend only on the vectors, so they are
+    memoised (:func:`_pivot_basis`) and the second end of a session
+    reuses the first end's; the key costs at most m + 1 shift-and-mask
     steps.  A vector wider than ``nbits`` raises :class:`LengthMismatch`.
     """
-    basis: dict[int, int] = {}
-    for v in lambdas:
-        if v >> nbits:
-            raise LengthMismatch(
-                f"parity vector {v:#b} is wider than the {nbits}-bit key"
-            )
-        while v:
-            pos = nbits - v.bit_length() + 1
-            row = basis.get(pos)
-            if row is None:
-                basis[pos] = v
-                break
-            v ^= row
+    steps, trash = _pivot_basis(tuple(lambdas), nbits)
     out = 0
-    prev = 0
-    for pos in sorted(basis):
-        run = pos - prev - 1    # surviving bits prev+1 .. pos-1
-        out = (out << run) | ((key >> (nbits - pos + 1)) & ((1 << run) - 1))
-        prev = pos
-    run = nbits - prev
-    out = (out << run) | (key & ((1 << run) - 1))
-    return out, frozenset(basis)
+    for shift, mask, run in steps:
+        out = (out << run) | ((key >> shift) & mask)
+    return out, trash
 
 
 @lru_cache(maxsize=64)

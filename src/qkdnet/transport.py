@@ -1,12 +1,15 @@
 """Hop-by-hop key forwarding and classical message delivery.
 
-Each link maintains a :class:`LinkKeyPool` of bits shared by its two
-endpoints, grown in epochs by :func:`qkd_generate`.  Under the
-epsilon-ideal model an epoch is uniform and fresh, but with probability
-``link.epsilon`` it is flagged compromised (the adversary learns its
-bits).  One hop, :func:`_hop_transfer`, one-time-pads the payload and
-authenticates the ciphertext with a fresh per-hop MAC key drawn from the
-same pool, so no pool bit is ever used twice.
+Each link holds a :class:`LinkKeyPool`: one epoch of bits shared by its
+two endpoints, drawn by :func:`qkd_generate`.  A session gives every
+link of its paths exactly one epoch of ``session_demand_bits``, and the
+three transfers that cross the link (share, challenge, response) use it
+up.  Under the epsilon-ideal model an epoch is uniform and fresh, but
+with probability ``link.epsilon`` it is flagged compromised (the
+adversary learns its bits).  One hop, :func:`_hop_transfer`,
+one-time-pads the payload and authenticates the ciphertext with a fresh
+per-hop MAC key drawn from the same pool, so no pool bit is ever used
+twice.
 
 A path is the tuple of its hops (:func:`_path_hops`).  Key shares cross
 it with :func:`_forward_key_over` and classical protocol messages with
@@ -40,94 +43,52 @@ from .mac import _tag_value
 from .network import QkdLink
 
 
-class _Epoch:
-    __slots__ = ("value", "nbits", "compromised")
-
-    def __init__(self, value, nbits, compromised):
-        self.value = value
-        self.nbits = nbits
-        self.compromised = compromised
-
-
 class LinkKeyPool:
-    """Queue of key bits available identically to both link endpoints.
+    """The one epoch of key bits a link holds, identically at both ends.
 
     Both endpoints consume the same bits in the same order; ``take``
-    never returns a bit twice.  Epochs record their compromised flag so
-    consumers can account for epsilon-leaks.
+    never returns a bit twice.  The epoch's ``compromised`` flag lets
+    consumers account for epsilon-leaks.
     """
 
-    __slots__ = ("link", "consumed", "available", "_epochs", "_head",
-                 "_head_used")
+    __slots__ = ("link", "value", "available", "compromised")
 
     def __init__(self, link: QkdLink):
         self.link = link
-        self.consumed = 0
+        self.value = 0
         self.available = 0
-        self._epochs: list[_Epoch] = []
-        self._head = 0
-        self._head_used = 0
-
-    def _append_epoch(self, value: int, nbits: int, compromised: bool):
-        self._epochs.append(_Epoch(value, nbits, compromised))
-        self.available += nbits
+        self.compromised = False
 
     def take(self, nbits: int) -> tuple[int, bool]:
-        """Consume ``nbits`` from the pool front.
+        """Consume the next ``nbits`` bits of the epoch.
 
         Returns the bits as an integer (first-consumed bit most
-        significant) and whether any of them came from a compromised
-        epoch.  Raises :class:`InsufficientKey` when the pool is short.
+        significant) and the epoch's compromised flag.  Raises
+        :class:`InsufficientKey` when fewer than ``nbits`` are left.
         """
-        if nbits > self.available:
+        left = self.available - nbits
+        if left < 0:
             raise InsufficientKey(
                 f"pool on {self.link.key} has {self.available} bits, "
                 f"need {nbits}"
             )
-        self.consumed += nbits
-        self.available -= nbits
-        if nbits:
-            epoch = self._epochs[self._head]
-            left = epoch.nbits - self._head_used
-            if nbits <= left:   # one epoch serves it: one shift and mask
-                if nbits == left:
-                    self._head += 1
-                    self._head_used = 0
-                else:
-                    self._head_used += nbits
-                return ((epoch.value >> (left - nbits)) & ((1 << nbits) - 1),
-                        epoch.compromised)
-        out = 0
-        leaked = False
-        remaining = nbits
-        while remaining:
-            epoch = self._epochs[self._head]
-            left = epoch.nbits - self._head_used
-            grab = min(left, remaining)
-            shift = left - grab
-            chunk = (epoch.value >> shift) & ((1 << grab) - 1)
-            out = (out << grab) | chunk
-            leaked = leaked or epoch.compromised
-            self._head_used += grab
-            remaining -= grab
-            if self._head_used == epoch.nbits:
-                self._head += 1
-                self._head_used = 0
-        return out, leaked
+        self.available = left
+        return (self.value >> left) & ((1 << nbits) - 1), self.compromised
 
 
 def qkd_generate(pool: LinkKeyPool, nbits: int, rng) -> None:
-    """Grow the pool by one fresh epoch of ``nbits`` uniform bits.
+    """Give the pool its epoch: ``nbits`` fresh uniform bits.
 
     With probability ``link.epsilon`` the epoch is flagged compromised,
     which is the operational meaning of an epsilon-ideal key source.
-    Raises :class:`LinkDown` if the link has aborted.
+    Any bits left from an earlier epoch are discarded.  Raises
+    :class:`LinkDown` if the link has aborted.
     """
     if not pool.link.alive:
         raise LinkDown(f"link {pool.link.key} is down")
-    value = rng.getrandbits(nbits) if nbits else 0
-    compromised = rng.random() < pool.link.epsilon
-    pool._append_epoch(value, nbits, compromised)
+    pool.value = rng.getrandbits(nbits)
+    pool.compromised = rng.random() < pool.link.epsilon
+    pool.available = nbits
 
 
 def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int):
@@ -138,8 +99,11 @@ def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int):
     check provably passes.  The hop tag is still computed and then
     discarded: that work changes no result and is a known waste, kept
     for now because the benchmark pins the per-trial hash-call counts.
-    Consumes ``nbits + 2w`` pool bits in one call: the pad first, then
-    the 2w-bit hop MAC key, so no pool bit is used twice.
+    Consumes ``nbits + 2w`` bits of the link's one epoch in one call:
+    the pad first, then the 2w-bit hop MAC key, so no pool bit is used
+    twice.  A session's three transfers over a link use up exactly the
+    ``session_demand_bits`` it was provisioned with; the
+    :class:`InsufficientKey` guard in ``take`` still refuses a short pool.
     """
     combined, leaked = pool.take(nbits + 2 * w)
     mac_key = combined & ((1 << (2 * w)) - 1)

@@ -13,6 +13,7 @@ from qkdnet.mac import (
     _hash_value,
     _log_tables,
     _mul_generic,
+    _mul_rows,
     impersonation_bound,
     reduction_polynomial,
     split_for_two_messages,
@@ -332,21 +333,25 @@ class TestHashKernel:
     def test_long_w16_matches_bit_serial_reference(self, args):
         assert _hash_value(*args) == horner_reference(*args)
 
-    # Both sides of the closed-form threshold, the challenge (3088 bits)
-    # and hop (3104 bits) frames of the long-key benchmark, and a length
-    # block of nbits mod 2^16 == 0.
-    @pytest.mark.parametrize("nbits", [
+    # Both sides of the closed-form threshold, 47-49 blocks (where it
+    # was first measured), the challenge (3088 bits) and hop (3104 bits)
+    # frames of the long-key benchmark, and a length block of
+    # nbits mod 2^16 == 0.
+    @pytest.mark.parametrize("nbits", sorted({
         (_CLOSED_FORM_MIN_BLOCKS - 1) * 16,
         _CLOSED_FORM_MIN_BLOCKS * 16,
         (_CLOSED_FORM_MIN_BLOCKS + 1) * 16,
+        752, 768, 784,
         3088,
         3104,
         1 << 16,
-    ])
+    }))
     def test_long_w16_edge_cases(self, nbits):
         ones = (1 << 16) - 1
         rng = random.Random(nbits)
         partial = nbits - 5                      # same block count, partial last block
+        gaps = sum(rng.randrange(1, ones + 1) << (16 * i)
+                   for i in range(nbits // 16) if i % 3)
         cases = [(x, value, length)
                  for x in (0, 1, ones, rng.randrange(2, ones))
                  for value, length in [
@@ -354,10 +359,19 @@ class TestHashKernel:
                      ((1 << nbits) - 1, nbits),  # all-ones message
                      (rng.getrandbits(nbits), nbits),
                      (rng.getrandbits(partial), partial),
+                     (gaps, nbits),              # zero blocks among nonzero
                  ]]
         for x, value, length in cases:
             assert _hash_value(16, x, value, length) == horner_reference(
                 16, x, value, length), (x, length)
+
+    @pytest.mark.parametrize("w", range(1, 9))
+    def test_mul_rows_match_generic_multiply(self, w):
+        rows = _mul_rows(w)
+        poly = reduction_polynomial(w)
+        assert len(rows) == 1 << w
+        for x, row in enumerate(rows):
+            assert row == [_mul_generic(a, x, w, poly) for a in range(1 << w)]
 
     @pytest.mark.parametrize("w", range(1, 18))
     def test_edge_cases_every_word_size(self, w):

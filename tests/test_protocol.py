@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction
 from functools import reduce
 from operator import xor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,12 +29,16 @@ from qkdnet.protocol import (
     _make_challenge,
     _make_response,
     _open_first,
+    _pivot_basis,
     _seal,
     _verify_challenge,
     _verify_response,
     deterministic_pa,
     full_session,
 )
+from qkdnet.sim import derive_trial_seed, load_scenario, run_trial
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Small parameter set: w=1, s=2, reserved 4, remainder 4 bits.
 TINY = SecurityParams(n=8, s=2, m=2, ell=2)
@@ -315,8 +321,9 @@ class TestDeterministicPa:
         assert deterministic_pa(0b1011, 4, [0]) == (0b1011, frozenset())
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            deterministic_pa(0b101, 3, [0b1000])
+        for _ in range(2):   # a failure is not memoised
+            with pytest.raises(LengthMismatch):
+                deterministic_pa(0b101, 3, [0b1000])
 
     def test_trash_bounded_by_vector_count(self):
         rng = random.Random(11)
@@ -343,6 +350,33 @@ class TestDeterministicPa:
                 counts[kstar] = counts.get(kstar, 0) + 1
             assert len(set(counts.values())) == 1
             assert len(counts) == 1 << (6 - len(trash))
+
+
+class TestPivotMemo:
+    """The pivots are memoised per vector tuple; the memo must not change
+    what any call returns or raises."""
+
+    def test_lists_and_tuples_agree(self):
+        lambdas = [0b011101, 0b100111, 0b010111]
+        assert deterministic_pa(0b101010, 6, lambdas) == deterministic_pa(
+            0b101010, 6, tuple(lambdas))
+
+    def test_cold_and_warm_calls_agree(self):
+        lambdas = (0b0110, 0b0100)
+        _pivot_basis.cache_clear()
+        cold = deterministic_pa(0b1010, 4, lambdas)
+        warm = deterministic_pa(0b1010, 4, lambdas)
+        assert cold == warm == (0b10, frozenset({2, 3}))
+        assert _pivot_basis.cache_info().hits == 1
+
+    def test_ends_with_different_vectors_get_their_own_pivots(self):
+        rng = random.Random(3)
+        key = rng.getrandbits(32)
+        mine = [rng.getrandbits(32) for _ in range(4)]
+        theirs = [v ^ 1 for v in mine]
+        for lambdas in (mine, theirs, mine):
+            assert deterministic_pa(key, 32, lambdas) == distill_reference(
+                key, 32, lambdas)
 
 
 def distill_reference(key, nb, lambdas):
@@ -647,3 +681,73 @@ class TestLinkPlan:
             leaked[eps] = out.view.leaked_epochs
         # epsilon 1 flags both links of path 0 compromised
         assert leaked == {0.0: 0, 1.0: 2}
+
+
+class TestOneEpochPools:
+    """Every link gets one epoch of ``session_demand_bits`` per session;
+    the three transfers over it must fit that epoch exactly."""
+
+    @pytest.mark.parametrize("n,s,m", [
+        (8, 2, 2), (64, 16, 4), (48, 8, 7), (256, 32, 16), (200, 10, 30)])
+    def test_hop_demands_sum_to_session_demand(self, n, s, m):
+        params = SecurityParams(n=n, s=s, m=m, ell=2)
+        w = params.word_bits
+        share = n + 2 * w
+        challenge = params.challenge_bits + w + 2 * w   # frame + hop key
+        response = 1 + w + 2 * w
+        assert share + challenge + response == params.session_demand_bits
+
+    @staticmethod
+    def left_after_sessions(monkeypatch, doc, sessions=30):
+        """Bits left in each link's pool after each of ``sessions``
+        trials of ``doc``."""
+        captured = []
+        real = protocol.provision_pools
+
+        def spy(*args):
+            routes = real(*args)
+            captured.append([pool for route in routes for pool, _ in route])
+            return routes
+
+        monkeypatch.setattr(protocol, "provision_pools", spy)
+        scenario = load_scenario(doc)
+        left = []
+        for i in range(sessions):
+            run_trial(scenario, derive_trial_seed(scenario.seed, i), i)
+            left.append([pool.available for pool in captured[-1]])
+        return left
+
+    @pytest.mark.parametrize("doc", [
+        "demos/scenarios/two_chains.json",
+        "perfbench/inputs/long_keys_w16.json",
+        *(f"perfbench/inputs/criterion3_ell{ell}_{strategy}.json"
+          for ell in (2, 3)
+          for strategy in ("passive", "tamper_shares", "forge_auth")),
+    ])
+    def test_sessions_use_up_every_epoch(self, monkeypatch, doc):
+        left = self.left_after_sessions(
+            monkeypatch, json.loads((ROOT / doc).read_text()))
+        assert all(bits == 0 for trial in left for bits in trial)
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_dropped_messages_leave_bits_unused(self, monkeypatch, ell):
+        doc = json.loads((ROOT / "perfbench" / "inputs" /
+                          f"criterion3_ell{ell}_drop_auth.json").read_text())
+        # a drop at the relay leaves the relay's outgoing link with the
+        # challenge and response hops it never made (no InsufficientKey)
+        left = self.left_after_sessions(monkeypatch, doc)
+        assert all(bits >= 0 for trial in left for bits in trial)
+        assert {bits for trial in left for bits in trial} == {0, 181}
+
+
+class TestLeakedSharesRecordedOnce:
+    def test_two_chains_every_link_leaking(self, monkeypatch):
+        sent = spy_sent_shares(monkeypatch)
+        chain = ("alice", "n1", "n2", "bob"), ("alice", "n3", "n4", "bob")
+        graph = NetworkGraph(
+            {"alice", "n1", "n2", "n3", "n4", "bob"},
+            [QkdLink(u, v, epsilon=1.0)
+             for path in chain for u, v in zip(path[:-1], path[1:])])
+        out = full_session(graph, "alice", "bob", STD, None, random.Random(8))
+        assert out.view.learned_shares == {0: [sent[0]], 1: [sent[1]]}
+        assert out.view.leaked_epochs == 6

@@ -78,7 +78,7 @@ class TestQkdGenerate:
         pool = LinkKeyPool(QkdLink("u", "v", epsilon=1.0))
         for _ in range(20):
             qkd_generate(pool, 8, rng)
-        assert all(pool.take(8)[1] for _ in range(20))
+            assert pool.take(8)[1]
 
     def test_link_down(self):
         pool = LinkKeyPool(QkdLink("u", "v", alive=False))
@@ -90,38 +90,54 @@ class TestQkdGenerate:
         rng = random.Random(4)
         pool = LinkKeyPool(QkdLink("u", "v", epsilon=0.01))
         n = 100_000
+        hits = 0
         for _ in range(n):
             qkd_generate(pool, 1, rng)
-        frac = sum(pool.take(1)[1] for _ in range(n)) / n
+            hits += pool.take(1)[1]
+        frac = hits / n
         sigma = (0.01 * 0.99 / n) ** 0.5
         assert abs(frac - 0.01) <= 3 * sigma
 
+    def test_new_epoch_replaces_the_old(self):
+        pool = fresh_pool(bits=16, rng=random.Random(5))
+        pool.take(10)
+        qkd_generate(pool, 8, random.Random(6))
+        assert pool.available == 8
+        assert pool.take(8)[0] == random.Random(6).getrandbits(8)
+        with pytest.raises(InsufficientKey):
+            pool.take(1)
+
+
+def epoch_pool(value, nbits, compromised=False):
+    """A pool holding the given epoch."""
+    pool = LinkKeyPool(QkdLink("u", "v"))
+    pool.value, pool.available, pool.compromised = value, nbits, compromised
+    return pool
+
 
 class TestPoolTake:
-    def test_bits_in_order_across_epochs(self):
-        pool = LinkKeyPool(QkdLink("u", "v"))
-        pool._append_epoch(0b1011, 4, False)
-        pool._append_epoch(0b01, 2, True)
-        first, leaked1 = pool.take(3)
-        assert (first, leaked1) == (0b101, False)
-        second, leaked2 = pool.take(3)
-        assert (second, leaked2) == (0b101, True)  # straddles into epoch 2
-        assert pool.consumed == 6
+    def test_bits_in_order_within_the_epoch(self):
+        pool = epoch_pool(0b101101, 6, True)
+        assert pool.take(3) == (0b101, True)
+        assert pool.available == 3
+        assert pool.take(3) == (0b101, True)
         assert pool.available == 0
 
-    def test_whole_epochs_in_one_take_each(self):
-        pool = LinkKeyPool(QkdLink("u", "v"))
-        pool._append_epoch(0b1011, 4, False)
-        pool._append_epoch(0b01, 2, True)
-        assert pool.take(4) == (0b1011, False)   # ends exactly on the epoch
+    def test_whole_epoch_in_one_take(self):
+        pool = epoch_pool(0b101101, 6)
         assert pool.take(0) == (0, False)
-        assert pool.take(2) == (0b01, True)
-        assert (pool.consumed, pool.available) == (6, 0)
+        assert pool.take(6) == (0b101101, False)   # ends exactly on the epoch
+        assert pool.take(0) == (0, False)
+        assert pool.available == 0
 
     def test_insufficient_key(self):
         pool = fresh_pool(bits=16)
         with pytest.raises(InsufficientKey):
             pool.take(17)
+        assert pool.available == 16   # a refused take consumes nothing
+        pool.take(16)
+        with pytest.raises(InsufficientKey):
+            pool.take(1)
 
     def test_never_reuses_bits(self):
         rng = random.Random(5)
@@ -146,7 +162,6 @@ class TestHopSend:
         assert received == payload
         assert not leaked
         assert before - pool.available == 96 + 2 * W
-        assert pool.consumed == 96 + 2 * W
 
     def test_sequential_sends_use_disjoint_segments(self):
         rng = random.Random(9)
@@ -156,7 +171,7 @@ class TestHopSend:
         r1, _ = _hop_transfer(pool, p1, 40, W)
         r2, _ = _hop_transfer(pool, p2, 40, W)
         assert (r1, r2) == (p1, p2)
-        assert pool.consumed == 2 * (40 + 2 * W)
+        assert pool.available == 4096 - 2 * (40 + 2 * W)
         # the next bits come right after both hops' pads and MAC keys
         whole = fresh_pool(rng=random.Random(9))
         full, _ = whole.take(4096)
