@@ -15,7 +15,14 @@ round detects the mismatch and both sides reject.
 
 import random
 
-from qkdnet import NetworkGraph, QkdLink, SecurityParams, corrupt, full_session
+from qkdnet import (
+    AdversaryConfig,
+    NetworkGraph,
+    QkdLink,
+    SecurityParams,
+    corrupt,
+    full_session,
+)
 
 graph = NetworkGraph(
     {"alice", "n1", "n2", "n3", "n4", "bob"},
@@ -29,7 +36,8 @@ graph = NetworkGraph(
 params = SecurityParams(n=64, s=16, m=4, ell=2)
 
 print("== honest run ==")
-out = full_session(graph, "alice", "bob", params, None, random.Random(7))
+out = full_session(graph, "alice", "bob", params, AdversaryConfig(),
+                   random.Random(7))
 print(f"paths: {[' -> '.join(p) for p in out.paths.paths]}")
 print(f"result={out.result} result'={out.result_prime} "
       f"keys_equal={out.keys_equal}")

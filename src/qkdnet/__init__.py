@@ -6,10 +6,8 @@ harness for the analytic bounds."""
 from .adversary import (
     AdversaryConfig,
     AdversaryView,
-    PublishedBundle,
     controlled_paths,
     corrupt,
-    disclose,
     guessing_advantage,
     honest_path_view,
 )
@@ -18,9 +16,7 @@ from .mac import (
     MacKey,
     impersonation_bound,
     reduction_polynomial,
-    split_for_two_messages,
     tag,
-    verify,
 )
 from .network import (
     NetworkGraph,

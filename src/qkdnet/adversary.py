@@ -14,8 +14,9 @@ recording the key shares corrupted nodes and leaked hops reveal into an
                      (a random well-formed message plus a uniform tag,
                      i.e. one impersonation attempt per interception)
 * ``drop_auth``      deliver ⊥ for classical payloads
-* ``disclose_all``   publish the view afterwards for honest-but-curious
-                     evaluation
+* ``disclose_all``   publish the view's learned shares afterwards (the
+                     session's ``published`` mapping) for
+                     honest-but-curious evaluation
 
 Privacy is measured by exact Bayesian enumeration: all completions of
 the unknown shares are enumerated (vectorised, in bounded numpy blocks)
@@ -24,12 +25,13 @@ minus the uniform 2^-k.  There is no sampling fallback: an instance past
 the enumeration limit raises :class:`TooLarge`.
 
 Shares and messages are held as plain integers: a view's shares are
-``view.share_bits`` wide.
+``view.share_bits`` wide.  ``AdversaryConfig()`` is the empty adversary
+(no corrupted node, t = 0), the one form of "no adversary".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,10 +56,11 @@ STRATEGIES = (
 
 @dataclass(frozen=True)
 class AdversaryConfig:
-    """A static corruption pattern plus scripted strategies."""
+    """A static corruption pattern plus scripted strategies; the
+    defaults are the empty adversary."""
 
-    corrupted: frozenset
-    t_bound: int
+    corrupted: frozenset = frozenset()
+    t_bound: int = 0
     strategies: tuple = ("passive",)
 
     def __post_init__(self):
@@ -103,13 +106,6 @@ def controlled_paths(config: AdversaryConfig, paths: PathSet) -> frozenset:
     )
 
 
-@dataclass(frozen=True)
-class PublishedBundle:
-    """Material a disclosing adversary has posted for everyone to read."""
-
-    shares: dict = field(default_factory=dict)
-
-
 class AdversaryView:
     """Everything one observer has learned during a single trial.
 
@@ -138,28 +134,21 @@ class AdversaryView:
         return obs[0] if obs else None
 
 
-def disclose(view: AdversaryView) -> PublishedBundle:
-    """Post the view's secrets publicly (denial-of-service style leak)."""
-    return PublishedBundle(
-        shares={i: tuple(obs) for i, obs in view.learned_shares.items() if obs},
-    )
-
-
 def honest_path_view(
     n_paths: int,
     own_index: int,
     own_share: int,
     share_bits: int,
-    published: PublishedBundle | None = None,
+    published: dict[int, list[int]],
 ) -> AdversaryView:
     """View of an honest-but-curious path: its own ``share_bits``-bit
-    share plus anything adversarial paths have published."""
+    share plus the shares a disclosing adversary has published, a
+    ``learned_shares`` mapping (path index to the values seen on it)."""
     view = AdversaryView(n_paths, share_bits)
     view.record_share(own_index, own_share)
-    if published is not None:
-        for i, obs in published.shares.items():
-            for value in obs:
-                view.record_share(i, value)
+    for i, obs in published.items():
+        for value in obs:
+            view.record_share(i, value)
     return view
 
 

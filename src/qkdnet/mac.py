@@ -10,14 +10,15 @@ boundary, then one block carrying the message bit length mod 2^w), and
 Two distinct messages of L blocks disagree in some coefficient, so their
 tag difference is a nonzero polynomial in x with at most L roots: after
 one observed message-tag pair a forger succeeds with probability at most
-L / 2^w.  One reserved key segment authenticates two messages via
-:func:`split_for_two_messages` (disjoint halves, so the two-message
-impersonation probability is at most twice the single-message one).
+L / 2^w.  A session authenticates its two messages under two disjoint
+2w-bit sub-keys of one reserved key segment (``protocol._key_parts``),
+so the observed pair in one direction tells a forger nothing about the
+other direction's sub-key.
 
-The public API (:class:`MacKey`, :func:`tag`, :func:`verify`,
-:func:`split_for_two_messages`) takes and returns :class:`BitString`
-values; a tag is the w-bit string itself.  The session and the
-transport call :func:`_tag_value`, the same tag on plain integers.
+The session and the transport call :func:`_tag_value`, the tag on plain
+integers.  :class:`MacKey` and :func:`tag` are the same tag over
+:class:`BitString` values (a tag is the w-bit string itself); only the
+exhaustive forgery oracle, the demo and the benchmark use them.
 
 Reduction polynomials are fixed per word size for bit-exact interop; see
 :data:`REDUCTION_POLYNOMIALS`.  Word sizes without a table entry use the
@@ -304,26 +305,6 @@ def tag(key: MacKey, message: BitString) -> BitString:
     return BitString.from_int(
         _tag_value(w, key.material.value, message.value, message.length), w
     )
-
-
-def verify(key: MacKey, message: BitString, t: BitString) -> bool:
-    """Accept iff ``t`` (value and length) equals the tag of ``message``."""
-    return tag(key, message) == t
-
-
-def split_for_two_messages(key2: BitString) -> tuple[MacKey, MacKey]:
-    """Split a 4w-bit reserved segment into two independent MAC keys.
-
-    The first half authenticates the initiator's message and the second
-    half the responder's, giving impersonation probability at most
-    2 * p_im against the pair of message-tag exchanges.
-    """
-    if key2.length % 4 or key2.length == 0:
-        raise OutOfRange(
-            f"two-message key material must have length 4w, got {key2.length}"
-        )
-    half = key2.length // 2
-    return MacKey(key2.slice(1, half)), MacKey(key2.slice(half + 1, key2.length))
 
 
 def impersonation_bound(w: int, message_bits: int) -> float:

@@ -21,6 +21,11 @@ from .errors import InsufficientConnectivity, OutOfRange, ValidationError
 NodeId = str
 
 
+def link_key(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
+    """Canonical (sorted) endpoint pair naming the link between u and v."""
+    return (u, v) if u <= v else (v, u)
+
+
 @dataclass(frozen=True)
 class QkdLink:
     """An undirected QKD link between two distinct nodes.
@@ -49,7 +54,7 @@ class QkdLink:
     @property
     def key(self) -> tuple[NodeId, NodeId]:
         """Canonical (sorted) endpoint pair identifying this link."""
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+        return link_key(self.a, self.b)
 
 
 class NetworkGraph:
@@ -72,9 +77,8 @@ class NetworkGraph:
         return tuple(self._links[k] for k in sorted(self._links))
 
     def link_between(self, u: NodeId, v: NodeId) -> QkdLink:
-        key = (u, v) if u <= v else (v, u)
         try:
-            return self._links[key]
+            return self._links[link_key(u, v)]
         except KeyError:
             raise ValidationError(f"no link between {u!r} and {v!r}") from None
 

@@ -43,17 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .adversary import (
-    AdversaryConfig,
-    AdversaryView,
-    PublishedBundle,
-    ScriptedAdversary,
-    disclose,
-)
+from .adversary import AdversaryConfig, AdversaryView, ScriptedAdversary
 from .errors import LengthMismatch, OutOfRange, ParameterViolation
 from .mac import _tag_value
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
-from .network import NetworkGraph, PathSet, vertex_disjoint_paths
+from .network import NetworkGraph, PathSet, link_key, vertex_disjoint_paths
 from .transport import (
     LinkKeyPool,
     _classical_over,
@@ -288,7 +282,7 @@ def _link_plan(graph: NetworkGraph, paths: PathSet):
     index = {}
     for i in range(len(paths)):
         for u, v in paths.hops(i):
-            index.setdefault((u, v) if u <= v else (v, u), len(index))
+            index.setdefault(link_key(u, v), len(index))
     links = tuple(graph.link_between(*key) for key in index)
     return links, tuple(_path_hops(p, index) for p in paths.paths)
 
@@ -313,7 +307,8 @@ class SessionOutcome:
     The per-path copies hold the verbatim wire payloads as ``(value,
     nbits)`` pairs (None for ⊥).  ``accepted_b`` and ``accepted_a`` are
     the paths whose challenge and response copies were accepted (None
-    when no copy opened).
+    when no copy opened).  ``published`` is the view's
+    ``learned_shares`` mapping when the adversary discloses, else None.
     """
 
     result: int
@@ -330,7 +325,7 @@ class SessionOutcome:
     shares_received: tuple    # n-bit share values, one per path
     paths: PathSet
     view: AdversaryView
-    published: PublishedBundle | None
+    published: dict[int, list[int]] | None
 
     @property
     def identified_dishonest(self) -> frozenset:
@@ -369,7 +364,7 @@ def full_session(
     a: str,
     b: str,
     params: SecurityParams,
-    adversary: AdversaryConfig | None,
+    adversary: AdversaryConfig,
     rng,
     paths: PathSet | None = None,
 ) -> SessionOutcome:
@@ -383,11 +378,10 @@ def full_session(
     keys, key parts, wire payloads, parity vectors and the final keys
     are all integers.
 
-    Every session runs one :class:`ScriptedAdversary`; ``adversary=None``
-    is the empty config (no corrupted node, t=0), which draws nothing
-    from ``rng`` and still records each epsilon-leaked hop in the view.
+    Every session runs one :class:`ScriptedAdversary`; the empty
+    ``AdversaryConfig()`` (no corrupted node, t=0) draws nothing from
+    ``rng`` and still records each epsilon-leaked hop in the view.
     """
-    adversary = AdversaryConfig(frozenset(), 0) if adversary is None else adversary
     if paths is None:
         paths = vertex_disjoint_paths(graph, a, b, params.ell)
     view = AdversaryView(len(paths), params.n)
@@ -431,8 +425,6 @@ def full_session(
     if result == 1:
         final_b, trash_b = deterministic_pa(rem_b, tb, lambdas_b)
 
-    published = disclose(view) if interceptor.discloses else None
-
     return SessionOutcome(
         result=result,
         result_prime=result_prime,
@@ -448,5 +440,5 @@ def full_session(
         shares_received=tuple(received),
         paths=paths,
         view=view,
-        published=published,
+        published=view.learned_shares if interceptor.discloses else None,
     )

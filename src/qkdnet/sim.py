@@ -238,7 +238,7 @@ def derive_trial_seed(master_seed: int, index: int) -> int:
 @dataclass(slots=True)
 class TrialResult:
     """One deterministic trial record (slotted, unfrozen); ``emit_report``
-    writes every field except ``advantage``."""
+    writes every field."""
 
     index: int
     seed: int
@@ -249,7 +249,6 @@ class TrialResult:
     final_key_len: int | None
     trash_size: int | None
     leaked_epochs: int
-    advantage: float
     failure_tags: tuple
 
 
@@ -277,12 +276,6 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
         scenario.graph, scenario.a, scenario.b, scenario.params,
         scenario.adversary, rng, paths=paths,
     )
-    # Closed form of the exact guessing advantage: one unobserved uniform
-    # share makes the XOR uniform (advantage 0); with every share observed
-    # the key is determined (advantage 1 - 2^-n).
-    view = outcome.view
-    observed = len(view.learned_shares) == view.n_paths
-    advantage = 1.0 - 2.0 ** -scenario.params.n if observed else 0.0
     trash = outcome.trash_a
     return TrialResult(
         index=index,
@@ -295,8 +288,7 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
             None if trash is None else scenario.params.test_bits - len(trash)
         ),
         trash_size=None if trash is None else len(trash),
-        leaked_epochs=view.leaked_epochs,
-        advantage=advantage,
+        leaked_epochs=outcome.view.leaked_epochs,
         failure_tags=_failure_tags(outcome),
     )
 
@@ -360,7 +352,11 @@ class MonteCarloRun:
     results: tuple
 
 
-def aggregate(results, params: SecurityParams, confidence: float = 0.99) -> Stats:
+#: Confidence level of every run's Clopper-Pearson interval.
+CONFIDENCE = 0.99
+
+
+def aggregate(results, params: SecurityParams) -> Stats:
     """Order-independent merge of trial results into a verdict.
 
     The agreement bound is a one-sided lower bound on the success
@@ -371,7 +367,7 @@ def aggregate(results, params: SecurityParams, confidence: float = 0.99) -> Stat
     """
     trials = len(results)
     successes = sum(r.succeeded for r in results)
-    low, high = clopper_pearson(successes, trials, confidence)
+    low, high = clopper_pearson(successes, trials, CONFIDENCE)
     p_im = protocol_impersonation_bound(params)
     agreement, privacy = check_bounds(params, p_im)
     if agreement <= 0.0 or privacy >= 1.0:
@@ -384,7 +380,7 @@ def aggregate(results, params: SecurityParams, confidence: float = 0.99) -> Stat
         empirical=successes / trials,
         ci_low=low,
         ci_high=high,
-        confidence=confidence,
+        confidence=CONFIDENCE,
         p_im=p_im,
         agreement_bound=agreement,
         privacy_bound=privacy,
@@ -397,7 +393,6 @@ def run_monte_carlo(
     scenario: Scenario,
     trials: int | None = None,
     seed: int | None = None,
-    confidence: float = 0.99,
 ) -> MonteCarloRun:
     """Run independent trials and compare against the analytic bounds."""
     trials = scenario.trials if trials is None else trials
@@ -413,7 +408,7 @@ def run_monte_carlo(
             run_trial(scenario, derive_trial_seed(seed, i), index=i, paths=paths)
         )
     return MonteCarloRun(
-        stats=aggregate(results, scenario.params, confidence),
+        stats=aggregate(results, scenario.params),
         results=tuple(results),
     )
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from .errors import InsufficientKey, LinkDown
 from .mac import _tag_value
-from .network import QkdLink
+from .network import QkdLink, link_key
 
 
 class LinkKeyPool:
@@ -122,7 +122,7 @@ def _path_hops(path, pools):
     """
     last = path[-1]
     return tuple(
-        (pools[(u, v) if u <= v else (v, u)], v if v != last else None)
+        (pools[link_key(u, v)], v if v != last else None)
         for u, v in zip(path[:-1], path[1:])
     )
 

@@ -12,8 +12,9 @@
    test bits, m=4, 100 random + adversarial vector sets; |trash| <= m.
 5. Privacy after disclosure: forge+disclose at ell=3, t=1: the
    adversary's and every honest path's exact advantage is 0.
-6. MAC bound: exhaustive forgery success <= L/2^w at w <= 4; split-key
-   two-message game <= 2 p_im by enumeration at w=2.
+6. MAC bound: exhaustive forgery success <= L/2^w at w <= 4; the
+   two-message game on the session's own key split (``_key_parts``)
+   <= p_im by enumeration at w=2.
 7. Connectivity calculator: 3t+1 / 2t+1 values and the feedback formula
    against an independent evaluation grid.
 8. Relaxed delivery: with ell-1 paths dropping all classical traffic,
@@ -25,6 +26,7 @@ them; the suite is the gate either way).
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,14 +36,7 @@ from qkdnet.adversary import (
     guessing_advantage,
     honest_path_view,
 )
-from qkdnet.bits import BitString
-from qkdnet.mac import (
-    MacKey,
-    _tag_value,
-    impersonation_bound,
-    split_for_two_messages,
-    tag as mac_tag,
-)
+from qkdnet.mac import _tag_value, impersonation_bound
 from qkdnet.network import required_paths
 from qkdnet.protocol import (
     SecurityParams,
@@ -119,7 +114,8 @@ class TestCriterion1ParityMissRate:
 
     def test_monte_carlo_within_interval(self):
         # 64 test bits, m=8, 1e5 trials through the production
-        # challenge/verify path; 99% CP interval must contain 2^-8.
+        # _make_challenge / _verify_challenge path; 99% CP interval must
+        # contain 2^-8.
         params = SecurityParams(n=96, s=16, m=8, ell=2)
         rng = random.Random(20250810)
         trials = 100_000
@@ -214,7 +210,7 @@ class TestCriterion5PrivacyUnderDisclosure:
             assert out.published is not None
             adv = guessing_advantage(out.view)
             assert adv == Fraction(0)
-            controlled = set(out.published.shares)
+            controlled = set(out.published)
             for i in range(3):
                 if i in controlled:
                     continue
@@ -234,35 +230,30 @@ class TestCriterion6MacBound:
 
     def test_two_message_split_key_enumeration(self):
         # w=2: both messages pad to 2 blocks, p_im = 2/4.  Enumerate all
-        # 4w-bit split keys; after seeing one pair per direction the best
+        # 4w-bit reserved segments k, split by the session's own
+        # _key_parts; after seeing one pair per direction the best
         # forgery against either direction stays within 2 * p_im.
         w = 2
+        params = SecurityParams(n=10, s=4, m=1, ell=2)
         p_im = Fraction(impersonation_bound(w, 2)).limit_denominator()
-        msg_a = BitString("10")
-        msg_b = BitString("1")
-        candidates = [
-            BitString.from_int(v, nbits)
-            for nbits in (1, 2) for v in range(1 << nbits)
-        ]
-        all_keys = [BitString.from_int(v, 4 * w) for v in range(1 << (4 * w))]
+        msg_a, msg_b = (0b10, 2), (1, 1)
+        candidates = [(v, nbits) for nbits in (1, 2) for v in range(1 << nbits)]
+        sub_keys = [_key_parts(k << params.test_bits, params)[:2]
+                    for k in range(1 << (4 * w))]
         worst = Fraction(0)
-        for key2 in all_keys:
-            ka, kb = split_for_two_messages(key2)
-            ta, tb = mac_tag(ka, msg_a), mac_tag(kb, msg_b)
+        for ka, kb in sub_keys:
+            ta, tb = _tag_value(w, ka, *msg_a), _tag_value(w, kb, *msg_b)
             consistent = [
-                k2 for k2 in all_keys
-                if mac_tag(split_for_two_messages(k2)[0], msg_a) == ta
-                and mac_tag(split_for_two_messages(k2)[1], msg_b) == tb
+                pair for pair in sub_keys
+                if _tag_value(w, pair[0], *msg_a) == ta
+                and _tag_value(w, pair[1], *msg_b) == tb
             ]
             for direction, target in ((0, msg_a), (1, msg_b)):
                 for cand in candidates:
                     if cand == target:
                         continue
-                    counts = {}
-                    for k2 in consistent:
-                        sub = split_for_two_messages(k2)[direction]
-                        tv = mac_tag(sub, cand)
-                        counts[tv] = counts.get(tv, 0) + 1
+                    counts = Counter(_tag_value(w, pair[direction], *cand)
+                                     for pair in consistent)
                     worst = max(
                         worst, Fraction(max(counts.values()), len(consistent))
                     )

@@ -13,7 +13,6 @@ from qkdnet.adversary import (
     ScriptedAdversary,
     controlled_paths,
     corrupt,
-    disclose,
     guessing_advantage,
     honest_path_view,
 )
@@ -25,6 +24,7 @@ from qkdnet.errors import (
     ValidationError,
 )
 from qkdnet.network import NetworkGraph, PathSet, QkdLink
+from qkdnet.protocol import SecurityParams, full_session
 
 
 def two_chains_graph():
@@ -50,6 +50,7 @@ class TestCorrupt:
     def test_empty_corruption(self):
         cfg = corrupt(two_chains_graph(), set(), 0, endpoints=("alice", "bob"))
         assert controlled_paths(cfg, two_chains_paths()) == frozenset()
+        assert cfg == AdversaryConfig()
 
     def test_endpoint_corruption_rejected(self):
         with pytest.raises(EndpointCorruption):
@@ -88,15 +89,24 @@ class TestControlledPaths:
 
 
 class TestDisclose:
+    """A disclosing adversary publishes its view's ``learned_shares``
+    once the session has ended (``SessionOutcome.published``)."""
+
+    PARAMS = SecurityParams(n=8, s=2, m=2, ell=2)
+
+    def session(self, corrupted, strategies):
+        cfg = AdversaryConfig(frozenset(corrupted), len(corrupted), strategies)
+        return full_session(two_chains_graph(), "alice", "bob", self.PARAMS,
+                            cfg, random.Random(3))
+
     def test_copies_view_into_bundle(self):
-        view = AdversaryView(n_paths=2, share_bits=4)
-        view.record_share(0, 0b1010)
-        bundle = disclose(view)
-        assert bundle.shares == {0: (0b1010,)}
+        out = self.session({"n1"}, ("passive", "disclose_all"))
+        assert out.published == out.view.learned_shares
+        assert out.published == {0: [out.shares_received[0]]}
 
     def test_empty_view_empty_bundle(self):
-        bundle = disclose(AdversaryView(n_paths=3, share_bits=4))
-        assert bundle.shares == {}
+        assert self.session(set(), ("disclose_all",)).published == {}
+        assert self.session({"n1"}, ("passive",)).published is None
 
 
 class TestScriptedAdversary:
@@ -269,9 +279,9 @@ class TestHonestButCurious:
         shares = [rng.getrandbits(4) for _ in range(3)]
         adv_view = AdversaryView(n_paths=3, share_bits=4)
         adv_view.record_share(0, shares[0])
-        bundle = disclose(adv_view)
         for honest in (1, 2):
-            view = honest_path_view(3, honest, shares[honest], 4, bundle)
+            view = honest_path_view(3, honest, shares[honest], 4,
+                                    adv_view.learned_shares)
             res = guessing_advantage(view)
             assert res == Fraction(0)
 
@@ -281,7 +291,6 @@ class TestHonestButCurious:
         adv_view = AdversaryView(n_paths=3, share_bits=4)
         adv_view.record_share(0, shares[0])
         adv_view.record_share(1, shares[1])
-        bundle = disclose(adv_view)
-        view = honest_path_view(3, 2, shares[2], 4, bundle)
+        view = honest_path_view(3, 2, shares[2], 4, adv_view.learned_shares)
         res = guessing_advantage(view)
         assert res == Fraction(1) - Fraction(1, 16)

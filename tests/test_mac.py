@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet.bits import BitString
-from qkdnet.errors import OutOfRange
+from qkdnet.errors import OutOfRange, ParameterViolation
 from qkdnet.mac import (
     _CLOSED_FORM_MIN_BLOCKS,
     MacKey,
@@ -14,16 +15,20 @@ from qkdnet.mac import (
     _log_tables,
     _mul_generic,
     _mul_rows,
+    _tag_value,
     impersonation_bound,
     reduction_polynomial,
-    split_for_two_messages,
     tag,
-    verify,
 )
+from qkdnet.protocol import SecurityParams, _key_parts
+
+
+def random_bits(nbits, rng):
+    return BitString.from_int(rng.getrandbits(nbits), nbits)
 
 
 def random_key(w, rng):
-    return MacKey(BitString.random(2 * w, rng))
+    return MacKey(random_bits(2 * w, rng))
 
 
 def all_keys(w):
@@ -40,7 +45,7 @@ def all_messages(max_bits):
 class TestReductionPolynomials:
     def test_fixed_table_is_irreducible(self):
         # Independent check: an irreducible polynomial of degree w has no
-        # root generating a proper factor; verify by trial division over
+        # root generating a proper factor; check by trial division over
         # all lower-degree polynomials.
         for w in (1, 2, 3, 4, 8):
             poly = reduction_polynomial(w)
@@ -62,56 +67,60 @@ class TestTagVerify:
         for w in (1, 2, 4, 8):
             for _ in range(50):
                 key = random_key(w, rng)
-                msg = BitString.random(rng.randrange(0, 4 * w + 1), rng)
-                assert verify(key, msg, tag(key, msg))
+                msg = random_bits(rng.randrange(0, 4 * w + 1), rng)
+                t = tag(key, msg)
+                assert t.length == w
+                assert t.value == _tag_value(w, key.material.value,
+                                             msg.value, msg.length)
 
     def test_deterministic(self):
         rng = random.Random(2)
         key = random_key(8, rng)
-        msg = BitString.random(40, rng)
+        msg = random_bits(40, rng)
         assert tag(key, msg) == tag(key, msg)
 
     def test_tag_bit_flip_rejected(self):
         rng = random.Random(3)
         key = random_key(8, rng)
-        msg = BitString.random(24, rng)
+        msg = random_bits(24, rng)
         t = tag(key, msg)
         flipped = BitString.from_int(t.value ^ 1, 8)
-        assert not verify(key, msg, flipped)
+        assert tag(key, msg) != flipped
 
     def test_message_bit_flip_rejected(self):
         rng = random.Random(4)
         key = random_key(8, rng)
-        msg = BitString.random(24, rng)
+        msg = random_bits(24, rng)
         t = tag(key, msg)
-        assert not verify(key, BitString.from_int(msg.value ^ 1, 24), t)
+        assert tag(key, BitString.from_int(msg.value ^ 1, 24)) != t
 
     def test_wrong_tag_length_rejected(self):
-        key = MacKey(BitString("10110100"))
-        msg = BitString("1010")
-        assert not verify(key, msg, BitString("101"))
-        assert not verify(key, msg, BitString.from_int(tag(key, msg).value, 5))
+        key = MacKey(BitString.from_int(0b10110100, 8))
+        msg = BitString.from_int(0b1010, 4)
+        t = tag(key, msg)
+        assert t.length == 4
+        assert t != BitString.from_int(0b101, 3)
+        assert t != BitString.from_int(t.value, 5)
 
     def test_acceptance_iff_tag_equal_exhaustive(self):
         # w=2: all keys x all 0..4-bit messages x all 4 candidate tags.
         for key in all_keys(2):
             for msg in all_messages(4):
-                true_tag = tag(key, msg)
-                for tv in range(4):
-                    cand = BitString.from_int(tv, 2)
-                    assert verify(key, msg, cand) == (cand == true_tag)
+                t = tag(key, msg)
+                assert sum(t == BitString.from_int(tv, 2)
+                           for tv in range(4)) == 1
 
     def test_random_key_acceptance_rate(self):
-        # verify under an unrelated uniform key accepts with probability
+        # a tag under an unrelated uniform key matches with probability
         # exactly 2^-w, which is below the L/2^w bound.
         rng = random.Random(5)
         w = 8
         key = random_key(w, rng)
-        msg = BitString.random(16, rng)
+        msg = random_bits(16, rng)
         t = tag(key, msg)
         trials = 100_000
         hits = sum(
-            verify(random_key(w, rng), msg, t) for _ in range(trials)
+            tag(random_key(w, rng), msg) == t for _ in range(trials)
         )
         assert hits / trials <= impersonation_bound(w, 16)
 
@@ -198,21 +207,25 @@ class TestForgeryEnumeration:
 
 
 class TestTwoMessageSplit:
+    """The session's split of its reserved prefix (``_key_parts``) into
+    one 2w-bit MAC sub-key per direction."""
+
     def test_halves(self):
-        k1, k2 = split_for_two_messages(BitString("1011"))
-        assert str(k1.material) == "10"
-        assert str(k2.material) == "11"
+        params = SecurityParams(n=6, s=2, m=1, ell=2)   # w=1, 2 test bits
+        assert _key_parts(0b10_11_01, params) == (0b10, 0b11, 0b01)
 
     def test_concat_round_trip(self):
         rng = random.Random(6)
-        key2 = BitString.random(32, rng)
-        k1, k2 = split_for_two_messages(key2)
-        assert k1.material.length == k2.material.length == 16
-        assert (k1.material.value << 16) | k2.material.value == key2.value
+        params = SecurityParams(n=40, s=16, m=1, ell=2)
+        key = rng.getrandbits(40)
+        k1, k2, rest = _key_parts(key, params)
+        assert k1 >> 16 == k2 >> 16 == 0
+        assert (((k1 << 16) | k2) << params.test_bits) | rest == key
 
     def test_wrong_length(self):
-        with pytest.raises(OutOfRange):
-            split_for_two_messages(BitString("101010"))
+        # a reserved segment splits only into two 2w-bit sub-keys
+        with pytest.raises(ParameterViolation):
+            SecurityParams(n=13, s=3, m=1, ell=2)
 
     def test_cross_key_forgery_monte_carlo(self):
         # Adversary sees Alice's (M, T) under the first sub-key and tries
@@ -221,74 +234,30 @@ class TestTwoMessageSplit:
         # acceptance frequency stays below p_im for the 1-bit message.
         rng = random.Random(7)
         w = 8
+        params = SecurityParams(n=4 * w + 2, s=2 * w, m=1, ell=2)
         p_im = impersonation_bound(w, 1)
         trials = 100_000
         hits = 0
         for _ in range(trials):
-            key2 = BitString.random(4 * w, rng)
-            ka, kb = split_for_two_messages(key2)
-            msg = BitString.random(16, rng)
-            _ = tag(ka, msg)  # observed by the adversary, unused below
-            forged_res = BitString.from_int(rng.getrandbits(1), 1)
-            forged_tag = BitString.random(w, rng)
-            hits += verify(kb, forged_res, forged_tag)
+            ka, kb, _ = _key_parts(
+                rng.getrandbits(4 * w) << params.test_bits, params)
+            _tag_value(w, ka, rng.getrandbits(16), 16)  # observed, unused
+            forged_res = rng.getrandbits(1)
+            forged_tag = rng.getrandbits(w)
+            hits += _tag_value(w, kb, forged_res, 1) == forged_tag
         assert hits / trials <= p_im
-
-    def test_two_message_game_exhaustive_w2(self):
-        # Exhaustive over all 4w-bit split keys: after seeing one pair in
-        # each direction, the best forgery against either direction
-        # succeeds with probability <= 2 * p_im.
-        w = 2
-        msg_a = BitString.from_int(0b10, 2)
-        msg_b = BitString.from_int(1, 1)
-        p_im = Fraction(2, 1 << w)  # L=2 blocks for both messages
-        candidates = [m for m in all_messages(2) if m.length >= 1]
-        worst = Fraction(0)
-        for kv in range(1 << (4 * w)):
-            key2 = BitString.from_int(kv, 4 * w)
-            ka, kb = split_for_two_messages(key2)
-            ta, tb = tag(ka, msg_a), tag(kb, msg_b)
-            consistent = [
-                (BitString.from_int(v, 4 * w))
-                for v in range(1 << (4 * w))
-            ]
-            consistent = [
-                k2 for k2 in consistent
-                if tag(split_for_two_messages(k2)[0], msg_a) == ta
-                and tag(split_for_two_messages(k2)[1], msg_b) == tb
-            ]
-            best = Fraction(0)
-            for direction in (0, 1):
-                target = msg_a if direction == 0 else msg_b
-                for fm in candidates:
-                    if fm == target:
-                        continue
-                    counts = {}
-                    for k2 in consistent:
-                        sub = split_for_two_messages(k2)[direction]
-                        tv = tag(sub, fm)
-                        counts[tv] = counts.get(tv, 0) + 1
-                    best = max(
-                        best, Fraction(max(counts.values()), len(consistent))
-                    )
-            worst = max(worst, best)
-        assert worst <= 2 * p_im
 
     def test_sub_key_independence_exhaustive(self):
         # Conditioning on any tag under the first sub-key leaves the
         # second sub-key exactly uniform.
         w = 2
-        msg = BitString.from_int(0b11, 2)
+        params = SecurityParams(n=10, s=4, m=1, ell=2)
         by_tag = {}
-        for kv in range(1 << (4 * w)):
-            key2 = BitString.from_int(kv, 4 * w)
-            ka, kb = split_for_two_messages(key2)
-            t = tag(ka, msg)
-            by_tag.setdefault(t, []).append(kb.material)
+        for k in range(1 << (4 * w)):
+            ka, kb, _ = _key_parts(k << params.test_bits, params)
+            by_tag.setdefault(_tag_value(w, ka, 0b11, 2), []).append(kb)
         for group in by_tag.values():
-            counts = {}
-            for kb in group:
-                counts[kb] = counts.get(kb, 0) + 1
+            counts = Counter(group)
             assert len(counts) == 1 << (2 * w)
             assert len(set(counts.values())) == 1
 

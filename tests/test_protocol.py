@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet import protocol
-from qkdnet.adversary import STRATEGIES, corrupt, guessing_advantage
+from qkdnet.adversary import (
+    STRATEGIES,
+    AdversaryConfig,
+    corrupt,
+    guessing_advantage,
+)
 from qkdnet.bits import BitString
 from qkdnet.errors import (
     InsufficientConnectivity,
@@ -44,6 +49,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TINY = SecurityParams(n=8, s=2, m=2, ell=2)
 # Production-ish set: w=8, s=16, reserved 32, remainder 32 bits.
 STD = SecurityParams(n=64, s=16, m=4, ell=2)
+# The empty adversary: no corrupted node, t = 0.
+EMPTY = AdversaryConfig()
 # Wire lengths of a challenge copy and a response copy (message || tag).
 TINY_CH = TINY.challenge_bits + TINY.word_bits
 STD_CH = STD.challenge_bits + STD.word_bits
@@ -470,7 +477,7 @@ class TestIntegerSessionMatchesWrappers:
 
         monkeypatch.setattr(protocol, "_make_challenge", spy)
         sent = spy_sent_shares(monkeypatch)
-        cfg = None if strategy is None else corrupt(
+        cfg = EMPTY if strategy is None else corrupt(
             two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
             strategies=(strategy,))
         out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
@@ -518,7 +525,7 @@ class TestMultipathEstablish:
     def test_honest_keys_equal_and_are_share_xor(self, two_chains_graph,
                                                  monkeypatch):
         sent = spy_sent_shares(monkeypatch)
-        out = full_session(two_chains_graph, "alice", "bob", STD, None,
+        out = full_session(two_chains_graph, "alice", "bob", STD, EMPTY,
                            random.Random(12))
         assert list(out.shares_received) == sent
         # the challenge authenticates, and the final key distils, under
@@ -533,7 +540,7 @@ class TestMultipathEstablish:
     def test_insufficient_connectivity(self, two_chains_graph):
         params = SecurityParams(n=64, s=16, m=4, ell=3)
         with pytest.raises(InsufficientConnectivity):
-            full_session(two_chains_graph, "alice", "bob", params, None,
+            full_session(two_chains_graph, "alice", "bob", params, EMPTY,
                          random.Random(0))
 
     def test_tampering_desynchronizes_silently(self, two_chains_graph,
@@ -576,7 +583,7 @@ class TestMultipathEstablish:
 
 class TestFullSession:
     def test_honest_session(self, two_chains_graph):
-        out = full_session(two_chains_graph, "alice", "bob", STD, None, random.Random(15))
+        out = full_session(two_chains_graph, "alice", "bob", STD, EMPTY, random.Random(15))
         assert out.result == 1 and out.result_prime == 1
         assert out.keys_equal
         assert out.identified_dishonest == frozenset()
@@ -588,8 +595,8 @@ class TestFullSession:
 
     def test_deterministic_replay(self, two_chains_graph, monkeypatch):
         sent = spy_sent_shares(monkeypatch)
-        a = full_session(two_chains_graph, "alice", "bob", STD, None, random.Random(16))
-        b = full_session(two_chains_graph, "alice", "bob", STD, None, random.Random(16))
+        a = full_session(two_chains_graph, "alice", "bob", STD, EMPTY, random.Random(16))
+        b = full_session(two_chains_graph, "alice", "bob", STD, EMPTY, random.Random(16))
         assert a.final_key_a == b.final_key_a
         assert a.transcript() == b.transcript()
         assert sent[:STD.ell] == sent[STD.ell:]
@@ -620,7 +627,7 @@ class TestFullSession:
         assert out.identified_dishonest == frozenset({0})
 
     def test_transcript_serialization_layout(self, two_chains_graph):
-        out = full_session(two_chains_graph, "alice", "bob", STD, None, random.Random(18))
+        out = full_session(two_chains_graph, "alice", "bob", STD, EMPTY, random.Random(18))
         lines = out.transcript().splitlines()
         assert len(lines) == 2 * STD.ell + 1
         assert lines[0].startswith("challenge path=0 bits=")
@@ -634,7 +641,7 @@ class TestFullSession:
 
         monkeypatch.setattr(BitString, "__init__", refuse)
         monkeypatch.setattr(BitString, "from_int", classmethod(refuse))
-        cfg = None if strategy is None else corrupt(
+        cfg = EMPTY if strategy is None else corrupt(
             two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
             strategies=(strategy,))
         out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
@@ -648,7 +655,7 @@ class TestFullSession:
         out = full_session(three_path_graph, "alice", "bob", params, cfg,
                            random.Random(19))
         assert out.published is not None
-        assert 0 in out.published.shares
+        assert 0 in out.published
 
 
 class TestLinkPlan:
@@ -669,7 +676,7 @@ class TestLinkPlan:
         graph = self.graph(alive=False)
         for seed in (1, 2):
             with pytest.raises(LinkDown):
-                full_session(graph, "alice", "bob", TINY, None,
+                full_session(graph, "alice", "bob", TINY, EMPTY,
                              random.Random(seed), paths=self.PATHS)
 
     @pytest.mark.parametrize("first", [0.0, 1.0])
@@ -677,7 +684,7 @@ class TestLinkPlan:
         leaked = {}
         for eps in (first, 1.0 - first):
             out = full_session(self.graph(epsilon=eps), "alice", "bob", TINY,
-                               None, random.Random(7), paths=self.PATHS)
+                               EMPTY, random.Random(7), paths=self.PATHS)
             leaked[eps] = out.view.leaked_epochs
         # epsilon 1 flags both links of path 0 compromised
         assert leaked == {0.0: 0, 1.0: 2}
@@ -748,6 +755,6 @@ class TestLeakedSharesRecordedOnce:
             {"alice", "n1", "n2", "n3", "n4", "bob"},
             [QkdLink(u, v, epsilon=1.0)
              for path in chain for u, v in zip(path[:-1], path[1:])])
-        out = full_session(graph, "alice", "bob", STD, None, random.Random(8))
+        out = full_session(graph, "alice", "bob", STD, EMPTY, random.Random(8))
         assert out.view.learned_shares == {0: [sent[0]], 1: [sent[1]]}
         assert out.view.leaked_epochs == 6

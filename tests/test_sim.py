@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdnet.adversary import guessing_advantage
 from qkdnet.errors import ParseError, TooLarge, ValidationError
-from qkdnet.protocol import SecurityParams, full_session
+from qkdnet.protocol import SecurityParams
 from qkdnet.sim import (
     Stats,
     TrialResult,
@@ -174,42 +173,6 @@ class TestRunTrial:
             detected += r.result == 0
         # miss rate is 2^-4; expect ~187 detections, allow slack
         assert detected >= 170
-
-    def test_small_keys_carry_exact_advantage(self):
-        # The closed form in run_trial equals the exact enumeration on
-        # every view the session produces.  Leaky links (epsilon 0.5)
-        # expose the honest path's share often enough that views with
-        # every share known occur next to views with one unknown.
-        doc = two_chains_doc(
-            params={"n": 8, "s": 2, "m": 2, "ell": 2, "w": 1},
-            adversary={"corrupted": ["n1"], "t": 1,
-                       "strategies": ["forge_auth", "disclose_all"]})
-        for link in doc["links"]:
-            link["epsilon"] = 0.5
-        sc = load_scenario(doc)
-        seen = set()
-        for i in range(60):
-            seed = derive_trial_seed(sc.seed, i)
-            r = run_trial(sc, seed, index=i)
-            out = full_session(sc.graph, sc.a, sc.b, sc.params,
-                               sc.adversary, random.Random(seed))
-            exact = guessing_advantage(out.view)
-            assert r.advantage == float(exact)
-            seen.add(r.advantage)
-        assert seen == {0.0, 1.0 - 2.0 ** -8}
-
-    @pytest.mark.parametrize("epsilon,advantage", [(0.0, 0.0), (1.0, 1.0)])
-    def test_long_keys_carry_closed_form_advantage(self, epsilon, advantage):
-        # n=256 is far past exhaustive enumeration; the closed form still
-        # gives every trial its advantage (1 - 2^-256 rounds to 1.0).
-        doc = two_chains_doc(
-            params={"n": 256, "s": 16, "m": 4, "ell": 2, "w": 8},
-            adversary={"corrupted": ["n1"], "t": 1, "strategies": ["passive"]})
-        for link in doc["links"]:
-            link["epsilon"] = epsilon
-        sc = load_scenario(doc)
-        r = run_trial(sc, derive_trial_seed(sc.seed, 0))
-        assert r.advantage == advantage
 
 
 class TestClopperPearson:
@@ -492,7 +455,6 @@ trial_results = st.builds(
     final_key_len=st.none() | st.integers(0, 4096),
     trash_size=st.none() | st.integers(0, 64),
     leaked_epochs=st.integers(0, 2**40),
-    advantage=st.sampled_from([0.0, 1.0 - 2.0 ** -64]),
     failure_tags=st.sets(st.sampled_from(FAILURE_TAGS)).map(
         lambda tags: tuple(t for t in FAILURE_TAGS if t in tags)),
 )
@@ -514,7 +476,7 @@ class TestTrialLineWriter:
         results = [
             TrialResult(index=i, seed=i, result=0, result_prime=0,
                         keys_equal=False, succeeded=True, final_key_len=None,
-                        trash_size=None, leaked_epochs=0, advantage=0.0,
+                        trash_size=None, leaked_epochs=0,
                         failure_tags=tuple(t for j, t in enumerate(FAILURE_TAGS)
                                            if i >> j & 1))
             for i in range(16)
