@@ -9,14 +9,18 @@ whole game enumerable: condition the key on the observed pair, try every
 forgery, count.
 
 The same reserved key segment covers two messages by splitting into
-disjoint halves, one sub-key per direction; the cross-direction game
-shows the observed pair buys the forger nothing.
+disjoint halves, one sub-key per direction.  The sender tags with the
+public ``tag``; the receiver, holding the same segment, checks each tag
+with the integer kernel the session uses, and rejects a challenge with
+any one bit flipped.  The cross-direction game shows the observed pair
+buys the forger nothing.
 """
 
 import random
 from fractions import Fraction
 
 from qkdnet import BitString, MacKey, impersonation_bound, tag
+from qkdnet.mac import _tag_value
 from qkdnet.sim import mac_forgery_exact
 
 
@@ -28,9 +32,15 @@ def split(segment, w):
             MacKey(BitString.from_int(segment & mask, 2 * w)))
 
 
+def receiver_accepts(sub_key, message, sent, w):
+    """The receiver's check: the received tag against ``_tag_value`` of
+    the received message under its own copy of the sub-key."""
+    return _tag_value(w, sub_key, message.value, message.length) == sent.value
+
+
 print("single-pair forgery, exhaustive over keys and forgeries")
 print(f"{'w':>2} {'L':>2} {'bound L/2^w':>12} {'best forgery':>14}")
-for w in (1, 2, 3, 4):
+for w in (1, 2, 3, 4, 5, 6):
     best = mac_forgery_exact(w, w)  # one content block + length block
     bound = Fraction(2, 1 << w)
     print(f"{w:>2} {2:>2} {str(bound):>12} {str(best):>14}")
@@ -44,13 +54,21 @@ print()
 print("split-key two-message round trip")
 rng = random.Random(1)
 w = 8
-k_first, k_second = split(rng.getrandbits(4 * w), w)
+segment = rng.getrandbits(4 * w)
+k_first, k_second = split(segment, w)  # the sender's keys
+first, second = segment >> (2 * w), segment & ((1 << (2 * w)) - 1)
 challenge = BitString.from_int(rng.getrandbits(40), 40)
 response = BitString.from_int(1, 1)
 sent = tag(k_first, challenge)
-print(f"  challenge tag verifies: {tag(k_first, challenge) == sent}")
+print(f"  challenge tag verifies: "
+      f"{receiver_accepts(first, challenge, sent, w)}")
+flips = [BitString.from_int(challenge.value ^ (1 << i), challenge.length)
+         for i in range(challenge.length)]
+rejected = sum(not receiver_accepts(first, f, sent, w) for f in flips)
+print(f"  one-bit-flipped challenges rejected: {rejected}/{len(flips)}")
 sent = tag(k_second, response)
-print(f"  response  tag verifies: {tag(k_second, response) == sent}")
+print(f"  response  tag verifies: "
+      f"{receiver_accepts(second, response, sent, w)}")
 
 print()
 print("cross-direction forgery: the observed pair under the first half")

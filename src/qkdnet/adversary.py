@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,8 +202,21 @@ class ScriptedAdversary:
 #: Exhaustive enumeration limits: u unknown shares of k bits are
 #: enumerated when k <= 16 and u*k <= EXACT_LIMIT_BITS.
 EXACT_LIMIT_BITS = 20
-#: Assignments per numpy block (2^16 uint32 values, 256 KiB).
+#: Assignments per numpy block (2^16 values).
 _BLOCK_BITS = 16
+
+
+@lru_cache(maxsize=None)
+def _block_arrays(block_bits: int):
+    """The arrays of one :func:`guessing_advantage` block of
+    2^block_bits assignments: the read-only ramp ``[0, 1, ...]``
+    (uint32) and two work buffers, the assignments (uint32) and the keys
+    they fold to (intp, the index type ``bincount`` reads without a cast
+    copy).  Kept for the life of the process, so a warm call faults in
+    no fresh pages."""
+    ramp = np.arange(1 << block_bits, dtype=np.uint32)
+    ramp.flags.writeable = False
+    return ramp, np.empty_like(ramp), np.empty(ramp.size, np.intp)
 
 
 def guessing_advantage(view: AdversaryView) -> Fraction:
@@ -210,13 +224,15 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
 
     The key is ``key_len = view.share_bits`` bits wide.  Enumerates every
     assignment of the u unknown shares, 2^(u*key_len) in all, in blocks
-    of at most 2^16: each block XOR-folds its u key_len-bit chunks into
-    the known shares' XOR and adds the histogram of the resulting keys
-    to a running count.  Returns the maximum posterior probability minus
-    2^-key_len as a Fraction; 0 means perfect privacy.  There is no
-    estimate: raises :class:`TooLarge` when key_len > 16 or u*key_len >
+    of at most 2^16 written into reused work buffers: each block
+    XOR-folds its u key_len-bit chunks into the known shares' XOR and
+    adds the histogram of the resulting keys to a running count.
+    Returns the maximum posterior probability minus 2^-key_len as a
+    Fraction; 0 means perfect privacy.  There is no estimate: raises
+    :class:`TooLarge` when key_len > 16 or u*key_len >
     ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` when the view's shares
-    are narrower than one bit.
+    are narrower than one bit.  The work buffers are shared by the
+    calls of one process, so calls must not run concurrently in threads.
     """
     key_len = view.share_bits
     if key_len < 1:
@@ -238,15 +254,21 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
             f"{unknown} unknown shares of {key_len} bits exceed exact mode"
         )
 
-    mask = np.uint32((1 << key_len) - 1)
+    ramp, a, keys = _block_arrays(min(bits, _BLOCK_BITS))
     shift = np.uint32(key_len)
-    block = np.arange(1 << min(bits, _BLOCK_BITS), dtype=np.uint32)
-    counts = np.zeros(1 << key_len, dtype=np.int64)
-    for start in range(0, 1 << bits, block.size):
-        a = block + np.uint32(start)
-        k = np.full(block.size, base, dtype=np.uint32)
-        for _ in range(unknown):
-            k ^= a & mask
-            a >>= shift
-        counts += np.bincount(k, minlength=1 << key_len)
+    for start in range(0, 1 << bits, ramp.size):
+        np.add(ramp, np.uint32(start), out=a)
+        # the XOR of the u chunks of a is the low key_len bits of
+        # a ^ (a >> key_len) ^ (a >> 2*key_len) ^ ...
+        np.copyto(keys, a)
+        for _ in range(unknown - 1):
+            np.right_shift(a, shift, out=a)
+            np.bitwise_xor(keys, a, out=keys)
+        np.bitwise_and(keys, (1 << key_len) - 1, out=keys)
+        np.bitwise_xor(keys, base, out=keys)
+        hist = np.bincount(keys, minlength=1 << key_len)
+        if start:
+            counts += hist
+        else:
+            counts = hist
     return Fraction(int(counts.max()), 1 << bits) - uniform

@@ -1,9 +1,9 @@
 """Bit-string primitive: a fixed-length binary value.
 
-Only the public MAC API (keys, messages and tags) and the exhaustive
-MAC forgery oracle carry :class:`BitString` values; a session, its
-adversary, distillation and the other oracles run on plain integers and
-never build one.  A bit string is built from an integer and its length
+Only the public MAC API (keys, messages and tags) carries
+:class:`BitString` values; a session, its adversary, distillation and
+the exhaustive oracles run on plain integers and never build one.  A
+bit string is built from an integer and its length
 (:meth:`BitString.from_int`, :meth:`BitString.zeros`); bit 1 is the most
 significant bit of the value.
 """

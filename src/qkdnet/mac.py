@@ -16,9 +16,11 @@ so the observed pair in one direction tells a forger nothing about the
 other direction's sub-key.
 
 The session and the transport call :func:`_tag_value`, the tag on plain
-integers.  :class:`MacKey` and :func:`tag` are the same tag over
-:class:`BitString` values (a tag is the w-bit string itself); only the
-exhaustive forgery oracle, the demo and the benchmark use them.
+integers; the exhaustive forgery oracle (``sim.mac_forgery_exact``)
+tags whole key ranges at once on the tables below and checks them
+against :func:`_tag_value`.  :class:`MacKey` and :func:`tag` are the
+same tag over :class:`BitString` values (a tag is the w-bit string
+itself); only the demo and the benchmark use them.
 
 Reduction polynomials are fixed per word size for bit-exact interop; see
 :data:`REDUCTION_POLYNOMIALS`.  Word sizes without a table entry use the

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +34,6 @@ from .adversary import (
     corrupt,
     guessing_advantage,
 )
-from .bits import BitString
 from .errors import (
     InsufficientConnectivity,
     ParameterViolation,
@@ -43,7 +41,8 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .mac import MacKey, impersonation_bound, tag as mac_tag
+from .mac import _table_views, _tag_value, impersonation_bound
+from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
 from .network import NetworkGraph, QkdLink, vertex_disjoint_paths
 from .protocol import SecurityParams, deterministic_pa, full_session
 
@@ -528,41 +527,97 @@ def share_privacy_exact(key_bits: int, ell: int, shares) -> bool:
     return True
 
 
+#: Largest forgery table :func:`mac_forgery_exact` builds, in (key,
+#: message) entries: one block at w <= 6 and two blocks at w = 5 fit,
+#: one block at w = 8 (2^16 keys x 510 messages) does not.
+FORGERY_TABLE_LIMIT = 1 << 21
+
+
+def _forgery_table(w: int, message_bits: int):
+    """Every tag of the forgery game, in one numpy pass.
+
+    Returns ``(values, nbits, tags)``: column j is the message of
+    ``nbits[j]`` bits with value ``values[j]``, and ``tags[kv, j]`` is
+    its tag under the 2w-bit key kv.  Column 0 is the observed message
+    (value ``1 % 2^message_bits``); the others are every other message
+    that pads to the same block count.  Horner's rule runs over all
+    2^w hash keys x at once on the GF(2^w) multiplication rows of
+    :mod:`qkdnet.mac`, and the tag under x || y is that hash XOR the pad
+    key y.  Raises :class:`TooLarge` past :data:`FORGERY_TABLE_LIMIT`
+    (key, message) entries.
+    """
+    observed = 1 % (1 << message_bits)
+    content_blocks = -(-message_bits // w)
+    lo = max(1, (content_blocks - 1) * w + 1)
+    hi = content_blocks * w
+    n_messages = max(1, (1 << (hi + 1)) - (1 << lo))
+    if (n_messages << (2 * w)) > FORGERY_TABLE_LIMIT:
+        raise TooLarge(
+            f"forgery table of {1 << (2 * w)} keys x {n_messages} messages "
+            f"exceeds {FORGERY_TABLE_LIMIT} entries"
+        )
+    values = [np.array([observed])]
+    nbits = [np.array([message_bits])]
+    for nb in range(lo, hi + 1):
+        vs = np.arange(1 << nb)
+        if nb == message_bits:
+            vs = np.delete(vs, observed)
+        values.append(vs)
+        nbits.append(np.full(vs.size, nb))
+    values = np.concatenate(values)
+    nbits = np.concatenate(nbits)
+
+    mask = (1 << w) - 1
+    exp, log = _table_views(w)
+    rows = exp[log[:, None] + log]      # rows[x, a] == a*x, as in _mul_rows
+    xs = np.arange(1 << w)[:, None]
+    padded = values << (content_blocks * w - nbits)
+    acc = np.zeros((1 << w, values.size), dtype=np.int64)
+    for shift in range((content_blocks - 1) * w, -1, -w):
+        acc = rows[xs, acc] ^ ((padded >> shift) & mask)
+    acc = rows[xs, acc] ^ (nbits & mask)
+    hashes = rows[xs, acc]
+    pads = np.arange(1 << w, dtype=hashes.dtype)
+    tags = hashes[:, None, :] ^ pads[None, :, None]
+    return values, nbits, tags.reshape(1 << (2 * w), values.size)
+
+
 def mac_forgery_exact(w: int, message_bits: int) -> Fraction:
     """Optimal single-pair forgery success by exhaustive key posterior.
 
     Observes one (message, tag) pair and maximizes acceptance
-    probability over forged same-block-count messages and tags.  The
-    2^(2w) keys are grouped into classes by their tag on the observed
-    message (the key posterior given that tag is uniform on its class);
-    for each candidate message and each class the candidate's tag
-    values are counted once, and the best forgery is the largest count
-    over its class size.  Every (key, message) pair is tagged exactly
-    once through the public ``tag``.  Returns the maximum as an exact
-    Fraction.
+    probability over forged same-block-count messages and tags.  Every
+    (key, message) pair is tagged once, by :func:`_forgery_table`; its
+    observed-message column is checked against the scalar
+    ``_tag_value`` on every key, so a wrong kernel raises
+    ``RuntimeError`` instead of returning a value.  The 2^(2w) keys are
+    grouped into classes by their tag on the observed message (the key
+    posterior given that tag is uniform on its class); one ``bincount``
+    over (class, candidate, tag) counts every candidate's tag values
+    within every class, and the best forgery is the largest count over
+    its class size.  Returns the maximum as an exact Fraction; raises
+    :class:`TooLarge` past :data:`FORGERY_TABLE_LIMIT` (key, message)
+    entries.
     """
-    if w > 4:
-        raise TooLarge("forgery enumeration limited to w <= 4")
-    observed = BitString.from_int(1 % (1 << message_bits), message_bits)
-    content_blocks = -(-message_bits // w)
-    # candidate forgeries: all messages padding to the same block count
-    candidates = []
-    for nbits in range(max(1, (content_blocks - 1) * w + 1),
-                       content_blocks * w + 1):
-        for v in range(1 << nbits):
-            cand = BitString.from_int(v, nbits)
-            if cand != observed:
-                candidates.append(cand)
-    classes: dict = {}
-    for kv in range(1 << (2 * w)):
-        key = MacKey(BitString.from_int(kv, 2 * w))
-        classes.setdefault(mac_tag(key, observed), []).append(key)
-    best = Fraction(0)
-    for cand in candidates:
-        for consistent in classes.values():
-            counts = Counter(mac_tag(k, cand) for k in consistent)
-            best = max(best, Fraction(max(counts.values()), len(consistent)))
-    return best
+    values, _, tags = _forgery_table(w, message_bits)
+    scalar = [_tag_value(w, kv, int(values[0]), message_bits)
+              for kv in range(1 << (2 * w))]
+    if not np.array_equal(tags[:, 0], scalar):
+        raise RuntimeError(
+            f"forgery table disagrees with _tag_value at w={w}, "
+            f"message_bits={message_bits}"
+        )
+    n_cand = values.size - 1
+    if not n_cand:
+        return Fraction(0)
+    classes = tags[:, 0].astype(np.intp)
+    cells = classes[:, None] * n_cand + np.arange(n_cand)
+    cells <<= w
+    cells += tags[:, 1:]
+    counts = np.bincount(cells.ravel(), minlength=n_cand << (2 * w))
+    peaks = counts.reshape(1 << w, n_cand << w).max(axis=1)
+    sizes = np.bincount(classes, minlength=1 << w)
+    return max(Fraction(int(p), int(n)) for p, n in zip(peaks, sizes) if n)
 
 
 def exact_oracles(params: SecurityParams, dpa_configs: int = 100,
@@ -639,7 +694,7 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 100,
     ))
 
     # (d) MAC forgery bound at small word size
-    w = min(params.word_bits, 4)
+    w = params.word_bits
     msg_bits = w  # one content block
     bound = Fraction(2, 1 << w)
     best = mac_forgery_exact(w, msg_bits)

@@ -270,6 +270,43 @@ class TestGuessingAdvantageEnumeration:
         assert res == Fraction(0)
         assert peak < 2 << 20
 
+    def test_back_to_back_calls_reuse_buffers(self):
+        # calls of one block size share the work buffers whatever their
+        # key length and unknown count, and a TooLarge leaves them usable
+        rng = random.Random(11)
+        views = []
+        for key_len, unknown, known in [(8, 2, 1), (4, 4, 0), (16, 1, 1),
+                                        (2, 8, 2), (5, 3, 1), (6, 3, 1),
+                                        (3, 2, 0)]:
+            view = AdversaryView(n_paths=unknown + known, share_bits=key_len)
+            for i in range(known):
+                view.record_share(i, rng.getrandbits(key_len))
+            views.append(view)
+        for view in views:
+            assert guessing_advantage(view) == advantage_reference(
+                view, view.share_bits)
+        with pytest.raises(TooLarge):
+            guessing_advantage(AdversaryView(n_paths=2, share_bits=17))
+        for view in reversed(views):
+            assert guessing_advantage(view) == advantage_reference(
+                view, view.share_bits)
+
+    @pytest.mark.parametrize("bits,unknown", [(8, 2), (5, 4), (10, 2)])
+    def test_warm_call_allocates_no_block(self, bits, unknown):
+        # the ramp and work buffers are kept from the first call, so a
+        # warm call's peak stays below one 2^16 block of uint32 (256 KiB)
+        view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
+        view.record_share(0, 1)
+        guessing_advantage(view)
+        tracemalloc.start()
+        try:
+            res = guessing_advantage(view)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res == Fraction(0)
+        assert peak < 1 << 18
+
 
 class TestHonestButCurious:
     def test_two_honest_paths_resist_disclosure(self):

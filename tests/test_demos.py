@@ -34,4 +34,4 @@ def test_mac_forgery_game_stdout_is_pinned():
     proc = run_demo(ROOT / "demos" / "mac_forgery_game.py")
     assert proc.returncode == 0, proc.stderr[-2000:].decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == (
-        "3b038e65b9a7810f1c288b0f00073d574b8f7c43be57ca557dbceac3a0b6f6ef")
+        "fbc20116f593fd5b1e99d6cbc4f42940389b96961ba03f83a157b7abe1045bcf")

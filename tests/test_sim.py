@@ -9,12 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdnet import sim
+from qkdnet.bits import BitString
 from qkdnet.errors import ParseError, TooLarge, ValidationError
+from qkdnet.mac import MacKey, tag
 from qkdnet.protocol import SecurityParams
 from qkdnet.sim import (
     Stats,
     TrialResult,
     _failure_tags,
+    _forgery_table,
     aggregate,
     check_bounds,
     clopper_pearson,
@@ -365,7 +369,7 @@ class TestMacForgeryOracle:
         (3, 1, "1/4"), (3, 2, "1/4"), (3, 3, "1/4"),
         (3, 4, "3/8"), (3, 5, "3/8"), (3, 6, "3/8"),
         (4, 1, "1/8"), (4, 2, "1/8"), (4, 3, "1/8"), (4, 4, "1/8"),
-        (4, 5, "3/16"),
+        (4, 5, "3/16"), (4, 8, "3/16"),
     ])
     def test_pinned_values(self, w, message_bits, best):
         # recorded from the per-key enumeration that re-tagged every
@@ -375,6 +379,42 @@ class TestMacForgeryOracle:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             mac_forgery_exact(8, 8)
+
+    @pytest.mark.parametrize("w,message_bits", [(7, 7), (6, 12)])
+    def test_too_large_past_table_limit(self, w, message_bits):
+        # past 2^21 (key, message) entries: w=7 one block, w=6 two
+        # blocks; w=6 one block and w=5 two blocks fit
+        with pytest.raises(TooLarge):
+            mac_forgery_exact(w, message_bits)
+
+    @pytest.mark.parametrize("w,message_bits", [
+        (w, bits) for w in (1, 2, 3) for bits in range(1, 2 * w + 1)
+    ])
+    def test_table_matches_public_tag(self, w, message_bits):
+        values, nbits, tags = _forgery_table(w, message_bits)
+        messages = list(zip(values.tolist(), nbits.tolist()))
+        observed = (1 % (1 << message_bits), message_bits)
+        blocks = -(-message_bits // w)
+        expected = {(v, nb) for nb in range(1, blocks * w + 1)
+                    if -(-nb // w) == blocks for v in range(1 << nb)}
+        assert messages[0] == observed
+        assert len(messages) == len(expected)
+        assert set(messages) == expected
+        for kv in range(1 << (2 * w)):
+            key = MacKey(BitString.from_int(kv, 2 * w))
+            row = [tag(key, BitString.from_int(v, nb)).value
+                   for v, nb in messages]
+            assert tags[kv].tolist() == row
+
+    def test_wrong_kernel_raises(self, monkeypatch):
+        real = sim._tag_value
+
+        def one_key_wrong(w, key2w, value, nbits):
+            return real(w, key2w, value, nbits) ^ (key2w == 37)
+
+        monkeypatch.setattr(sim, "_tag_value", one_key_wrong)
+        with pytest.raises(RuntimeError):
+            mac_forgery_exact(4, 4)
 
 
 class TestExactOracles:
