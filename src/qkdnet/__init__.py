@@ -9,7 +9,6 @@ from .adversary import (
     controlled_paths,
     corrupt,
     guessing_advantage,
-    honest_path_view,
 )
 from .bits import BitString
 from .mac import (
@@ -38,6 +37,6 @@ from .sim import (
     run_monte_carlo,
     run_trial,
 )
-from .transport import LinkKeyPool, qkd_generate
+from .transport import LinkKeyPool
 
 __version__ = "0.1.0"

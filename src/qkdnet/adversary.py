@@ -14,9 +14,11 @@ recording the key shares corrupted nodes and leaked hops reveal into an
                      (a random well-formed message plus a uniform tag,
                      i.e. one impersonation attempt per interception)
 * ``drop_auth``      deliver ⊥ for classical payloads
-* ``disclose_all``   publish the view's learned shares afterwards (the
-                     session's ``published`` mapping) for
-                     honest-but-curious evaluation
+
+All the adversary knows is which paths' shares it holds: the view maps
+each such path to the share the sender put on it.  Disclosure to an
+honest-but-curious party is reading the session's ``view``; there is no
+separate disclosure step.
 
 Privacy is measured by exact Bayesian enumeration: all completions of
 the unknown shares are enumerated (vectorised, in bounded numpy blocks)
@@ -51,7 +53,6 @@ STRATEGIES = (
     "tamper_shares",
     "forge_auth",
     "drop_auth",
-    "disclose_all",
 )
 
 
@@ -110,11 +111,11 @@ def controlled_paths(config: AdversaryConfig, paths: PathSet) -> frozenset:
 class AdversaryView:
     """Everything one observer has learned during a single trial.
 
-    ``learned_shares`` maps a path index to the distinct share values
-    seen on it, in order (the first is the value the sender put on the
-    path).  The map gains an entry only when the path crosses a
-    corrupted node or an epsilon-compromised hop.  ``leaked_epochs``
-    counts the hops that crossed a compromised epoch.
+    ``learned_shares`` maps a path index to the first share value seen
+    on it, which is the value the sender put on the path.  The map
+    gains an entry only when the path crosses a corrupted node or an
+    epsilon-compromised hop.  ``leaked_epochs`` counts the hops that
+    crossed a compromised epoch.
     """
 
     __slots__ = ("n_paths", "share_bits", "learned_shares", "leaked_epochs")
@@ -122,35 +123,11 @@ class AdversaryView:
     def __init__(self, n_paths: int, share_bits: int):
         self.n_paths = n_paths
         self.share_bits = share_bits
-        self.learned_shares: dict[int, list[int]] = {}
+        self.learned_shares: dict[int, int] = {}
         self.leaked_epochs = 0
 
     def record_share(self, path_index: int, value: int):
-        obs = self.learned_shares.setdefault(path_index, [])
-        if value not in obs:
-            obs.append(value)
-
-    def known_share(self, path_index: int) -> int | None:
-        obs = self.learned_shares.get(path_index)
-        return obs[0] if obs else None
-
-
-def honest_path_view(
-    n_paths: int,
-    own_index: int,
-    own_share: int,
-    share_bits: int,
-    published: dict[int, list[int]],
-) -> AdversaryView:
-    """View of an honest-but-curious path: its own ``share_bits``-bit
-    share plus the shares a disclosing adversary has published, a
-    ``learned_shares`` mapping (path index to the values seen on it)."""
-    view = AdversaryView(n_paths, share_bits)
-    view.record_share(own_index, own_share)
-    for i, obs in published.items():
-        for value in obs:
-            view.record_share(i, value)
-    return view
+        self.learned_shares.setdefault(path_index, value)
 
 
 class ScriptedAdversary:
@@ -161,21 +138,15 @@ class ScriptedAdversary:
     replay bit-for-bit.
     """
 
-    __slots__ = ("config", "view", "rng", "corrupted",
-                 "_tamper", "_forge", "_drop")
+    __slots__ = ("view", "rng", "corrupted", "_tamper", "_forge", "_drop")
 
     def __init__(self, config: AdversaryConfig, view: AdversaryView, rng):
-        self.config = config
         self.view = view
         self.rng = rng
         self.corrupted = config.corrupted
         self._tamper = "tamper_shares" in config.strategies
         self._forge = "forge_auth" in config.strategies
         self._drop = "drop_auth" in config.strategies
-
-    @property
-    def discloses(self) -> bool:
-        return "disclose_all" in self.config.strategies
 
     def on_key_hop(self, path_index, node, value, nbits):
         if node not in self.corrupted:
@@ -240,7 +211,7 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
     unknown = view.n_paths
     base = 0
     for i in range(view.n_paths):
-        share = view.known_share(i)
+        share = view.learned_shares.get(i)
         if share is not None:
             unknown -= 1
             base ^= share

@@ -3,7 +3,7 @@
 Subcommands:
 
   run    --scenario F [--trials N] [--seed S] [--out DIR]
-  bounds --n N --s S --m M --ell L --w W [--eps E]
+  bounds --n N --s S --m M --ell L [--eps E]
   paths  --scenario F [--ell L]
   plan   --t T [--u U] --mode one_way|two_way|feedback
   oracle [--max-bits B] [--configs C]
@@ -58,9 +58,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.s != 2 * args.w:
-        print(f"error: s must equal 2w (s={args.s}, w={args.w})", file=sys.stderr)
-        return 2
     params = SecurityParams(n=args.n, s=args.s, m=args.m, ell=args.ell,
                             epsilon=args.eps)
     p_im = protocol_impersonation_bound(params)
@@ -117,7 +114,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.0)
     p.set_defaults(func=_cmd_bounds)
 

@@ -115,10 +115,6 @@ class PathSet:
     def interior(self, i: int) -> tuple[NodeId, ...]:
         return self.paths[i][1:-1]
 
-    def hops(self, i: int):
-        path = self.paths[i]
-        return tuple(zip(path[:-1], path[1:]))
-
 
 # Node-split graph vertices: (label, _IN) receives, (label, _OUT) sends.
 _IN, _OUT = 0, 1

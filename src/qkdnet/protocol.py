@@ -48,13 +48,7 @@ from .errors import LengthMismatch, OutOfRange, ParameterViolation
 from .mac import _tag_value
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
 from .network import NetworkGraph, PathSet, link_key, vertex_disjoint_paths
-from .transport import (
-    LinkKeyPool,
-    _classical_over,
-    _forward_key_over,
-    _path_hops,
-    qkd_generate,
-)
+from .transport import LinkKeyPool, _classical_over, _forward_key_over
 
 
 @dataclass(frozen=True)
@@ -266,7 +260,9 @@ def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
     communication.  The pivots depend only on the vectors, so they are
     memoised (:func:`_pivot_basis`) and the second end of a session
     reuses the first end's; the key costs at most m + 1 shift-and-mask
-    steps.  A vector wider than ``nbits`` raises :class:`LengthMismatch`.
+    steps.  Those steps work elementwise on a numpy uint64 array of keys
+    too, so the exhaustive oracle distills a whole key table in one
+    call.  A vector wider than ``nbits`` raises :class:`LengthMismatch`.
     """
     steps, trash = _pivot_basis(tuple(lambdas), nbits)
     out = 0
@@ -278,25 +274,29 @@ def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
 @lru_cache(maxsize=64)
 def _link_plan(graph: NetworkGraph, paths: PathSet):
     """(links in path/hop order of first use, each path's ``(link index,
-    receiver)`` hops), cached per graph object and path-set value."""
+    receiver)`` hops), cached per graph object and path-set value.  The
+    receiver is None on a path's final hop."""
     index = {}
-    for i in range(len(paths)):
-        for u, v in paths.hops(i):
-            index.setdefault(link_key(u, v), len(index))
+    routes = []
+    for path in paths.paths:
+        last = path[-1]
+        routes.append(tuple(
+            (index.setdefault(link_key(u, v), len(index)),
+             v if v != last else None)
+            for u, v in zip(path[:-1], path[1:])
+        ))
     links = tuple(graph.link_between(*key) for key in index)
-    return links, tuple(_path_hops(p, index) for p in paths.paths)
+    return links, tuple(routes)
 
 
 def provision_pools(graph: NetworkGraph, paths: PathSet, bits_per_link: int, rng):
-    """Draw one fresh epoch per link of ``paths``, in path/hop order of
-    first use, through :func:`qkd_generate` (a dead link raises
+    """Build one :class:`LinkKeyPool` per link of ``paths``, in path/hop
+    order of first use, each drawing its fresh epoch (a dead link raises
     :class:`LinkDown`); return each path's ``(pool, receiver)`` hops.
     The links are resolved once per graph and path set (:func:`_link_plan`).
     """
     links, routes = _link_plan(graph, paths)
-    pools = [LinkKeyPool(link) for link in links]
-    for pool in pools:
-        qkd_generate(pool, bits_per_link, rng)
+    pools = [LinkKeyPool(link, bits_per_link, rng) for link in links]
     return [[(pools[j], stop) for j, stop in route] for route in routes]
 
 
@@ -307,8 +307,9 @@ class SessionOutcome:
     The per-path copies hold the verbatim wire payloads as ``(value,
     nbits)`` pairs (None for ⊥).  ``accepted_b`` and ``accepted_a`` are
     the paths whose challenge and response copies were accepted (None
-    when no copy opened).  ``published`` is the view's
-    ``learned_shares`` mapping when the adversary discloses, else None.
+    when no copy opened).  ``view`` is what the adversary learned: the
+    share of each path it saw, which is also all a disclosing adversary
+    could publish.
     """
 
     result: int
@@ -325,7 +326,6 @@ class SessionOutcome:
     shares_received: tuple    # n-bit share values, one per path
     paths: PathSet
     view: AdversaryView
-    published: dict[int, list[int]] | None
 
     @property
     def identified_dishonest(self) -> frozenset:
@@ -440,5 +440,4 @@ def full_session(
         shares_received=tuple(received),
         paths=paths,
         view=view,
-        published=view.learned_shares if interceptor.discloses else None,
     )

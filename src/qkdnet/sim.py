@@ -480,9 +480,10 @@ def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
     """Exhaustive check of distillation uniformity for one set of
     ``key_bits``-bit integer parity vectors.
 
-    Enumerates all 2^key_bits keys, groups them by their parity vector,
-    and requires the distilled keys within every non-empty group to
-    cover each surviving value equally often.
+    Enumerates all 2^key_bits keys, distills the whole key table in one
+    call of the production :func:`deterministic_pa`, groups the keys by
+    their parity vector, and requires the distilled keys within every
+    non-empty group to cover each surviving value equally often.
     """
     m = len(lambdas)
     keys = np.arange(1 << key_bits, dtype=np.uint64)
@@ -490,18 +491,7 @@ def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
     for lam in lambdas:
         parity = np.bitwise_count(keys & np.uint64(lam)) % np.uint64(2)
         sigma = (sigma << np.uint64(1)) | parity
-    _, trash = deterministic_pa(0, key_bits, lambdas)
-    kstar = np.zeros_like(keys)
-    for pos in range(1, key_bits + 1):
-        if pos in trash:
-            continue
-        bit = (keys >> np.uint64(key_bits - pos)) & np.uint64(1)
-        kstar = (kstar << np.uint64(1)) | bit
-    # spot-check the vectorized gather against the production operation
-    for kv in (0, 1, (1 << key_bits) - 1, 0b1010 % (1 << key_bits)):
-        scalar_kstar, scalar_trash = deterministic_pa(kv, key_bits, lambdas)
-        if scalar_trash != trash or scalar_kstar != int(kstar[kv]):
-            return False
+    kstar, trash = deterministic_pa(keys, key_bits, lambdas)
     survivors = key_bits - len(trash)
     combined = (sigma << np.uint64(survivors)) | kstar
     counts = np.bincount(

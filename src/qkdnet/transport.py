@@ -1,7 +1,7 @@
 """Hop-by-hop key forwarding and classical message delivery.
 
 Each link holds a :class:`LinkKeyPool`: one epoch of bits shared by its
-two endpoints, drawn by :func:`qkd_generate`.  A session gives every
+two endpoints, drawn when the pool is built.  A session gives every
 link of its paths exactly one epoch of ``session_demand_bits``, and the
 three transfers that cross the link (share, challenge, response) use it
 up.  Under the epsilon-ideal model an epoch is uniform and fresh, but
@@ -11,14 +11,17 @@ one-time-pads the payload and authenticates the ciphertext with a fresh
 per-hop MAC key drawn from the same pool, so no pool bit is ever used
 twice.
 
-A path is the tuple of its hops (:func:`_path_hops`).  Key shares cross
-it with :func:`_forward_key_over` and classical protocol messages with
-:func:`_classical_over`; the session engine in :mod:`qkdnet.protocol`
-is their caller.  Intermediate nodes of a path see forwarded key
-material in plaintext (the trusted-repeater property); an
-``interceptor`` lets corrupted nodes record and substitute values.
-Classical messages on honest paths are always delivered within the
-trial, which discretizes the eventual-delivery assumption.
+A path is the sequence of its ``(pool, receiver)`` hops, built by
+``provision_pools`` in :mod:`qkdnet.protocol`; the receiver is None on
+the final hop (delivery to the endpoint is not an interception point).
+Key shares cross a path with :func:`_forward_key_over` and classical
+protocol messages with :func:`_classical_over`; the session engine in
+:mod:`qkdnet.protocol` is their caller.  Intermediate nodes of a path
+see forwarded key material in plaintext (the trusted-repeater
+property); an ``interceptor`` lets corrupted nodes record and
+substitute values.  Classical messages on honest paths are always
+delivered within the trial, which discretizes the eventual-delivery
+assumption.
 
 Interceptor contract.  Every session passes one interceptor, with or
 without corrupted nodes.  Payloads are plain integers of ``nbits``
@@ -40,12 +43,16 @@ from __future__ import annotations
 
 from .errors import InsufficientKey, LinkDown
 from .mac import _tag_value
-from .network import QkdLink, link_key
+from .network import QkdLink
 
 
 class LinkKeyPool:
     """The one epoch of key bits a link holds, identically at both ends.
 
+    Building the pool draws its epoch: ``nbits`` fresh uniform bits,
+    flagged compromised with probability ``link.epsilon``, which is the
+    operational meaning of an epsilon-ideal key source.  Raises
+    :class:`LinkDown` before drawing anything if the link has aborted.
     Both endpoints consume the same bits in the same order; ``take``
     never returns a bit twice.  The epoch's ``compromised`` flag lets
     consumers account for epsilon-leaks.
@@ -53,11 +60,13 @@ class LinkKeyPool:
 
     __slots__ = ("link", "value", "available", "compromised")
 
-    def __init__(self, link: QkdLink):
+    def __init__(self, link: QkdLink, nbits: int, rng):
+        if not link.alive:
+            raise LinkDown(f"link {link.key} is down")
         self.link = link
-        self.value = 0
-        self.available = 0
-        self.compromised = False
+        self.value = rng.getrandbits(nbits)
+        self.compromised = rng.random() < link.epsilon
+        self.available = nbits
 
     def take(self, nbits: int) -> tuple[int, bool]:
         """Consume the next ``nbits`` bits of the epoch.
@@ -74,21 +83,6 @@ class LinkKeyPool:
             )
         self.available = left
         return (self.value >> left) & ((1 << nbits) - 1), self.compromised
-
-
-def qkd_generate(pool: LinkKeyPool, nbits: int, rng) -> None:
-    """Give the pool its epoch: ``nbits`` fresh uniform bits.
-
-    With probability ``link.epsilon`` the epoch is flagged compromised,
-    which is the operational meaning of an epsilon-ideal key source.
-    Any bits left from an earlier epoch are discarded.  Raises
-    :class:`LinkDown` if the link has aborted.
-    """
-    if not pool.link.alive:
-        raise LinkDown(f"link {pool.link.key} is down")
-    pool.value = rng.getrandbits(nbits)
-    pool.compromised = rng.random() < pool.link.epsilon
-    pool.available = nbits
 
 
 def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int):
@@ -113,27 +107,14 @@ def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int):
     return cipher ^ otp, leaked
 
 
-def _path_hops(path, pools):
-    """Per-hop ``(pools[link key], intermediate receiver)`` pairs for a
-    path; the session's link plan passes link indices as ``pools``.
-
-    The receiver entry is None on the final hop (delivery to the
-    endpoint is not an interception point).
-    """
-    last = path[-1]
-    return tuple(
-        (pools[link_key(u, v)], v if v != last else None)
-        for u, v in zip(path[:-1], path[1:])
-    )
-
-
 def _forward_key_over(hops, value, nbits, w, interceptor, path_index):
     """Relay a key share hop by hop over ``hops``; return what B receives.
 
-    ``hops`` comes from :func:`_path_hops`.  Every intermediate node
-    observes the share in plaintext.  The ``interceptor`` is consulted
-    at each intermediate node via ``on_key_hop`` and may record or
-    substitute; epsilon-leaked hops are reported via ``on_hop_leak``.
+    ``hops`` are the path's ``(pool, receiver)`` pairs.  Every
+    intermediate node observes the share in plaintext.  The
+    ``interceptor`` is consulted at each intermediate node via
+    ``on_key_hop`` and may record or substitute; epsilon-leaked hops are
+    reported via ``on_hop_leak``.
     """
     for pool, stop in hops:
         value, leaked = _hop_transfer(pool, value, nbits, w)

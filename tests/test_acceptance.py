@@ -10,8 +10,10 @@
    confidence.
 4. Distillation exactness: exhaustive conditional-uniformity check at 12
    test bits, m=4, 100 random + adversarial vector sets; |trash| <= m.
-5. Privacy after disclosure: forge+disclose at ell=3, t=1: the
-   adversary's and every honest path's exact advantage is 0.
+5. Privacy after disclosure: forge_auth at ell=3, t=1, with the
+   adversary's whole view (its ``learned_shares``) disclosed to every
+   honest path: the adversary's and every honest path's exact advantage
+   is 0.
 6. MAC bound: exhaustive forgery success <= L/2^w for one block at
    w <= 6 and two blocks at w = 5; the two-message game on the
    session's own key split (``_key_parts``) <= p_im by enumeration at
@@ -32,11 +34,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkdnet.adversary import (
-    AdversaryView,
-    guessing_advantage,
-    honest_path_view,
-)
+from qkdnet.adversary import AdversaryView, guessing_advantage
 from qkdnet.mac import _tag_value, impersonation_bound
 from qkdnet.network import required_paths
 from qkdnet.protocol import (
@@ -203,20 +201,21 @@ class TestCriterion5PrivacyUnderDisclosure:
         from qkdnet.adversary import corrupt
         cfg = corrupt(
             three_path_graph, {"x1"}, 1, endpoints=("alice", "bob"),
-            strategies=("forge_auth", "disclose_all"),
+            strategies=("forge_auth",),
         )
         for seed in range(40):
             out = full_session(three_path_graph, "alice", "bob", params,
                                cfg, random.Random(seed))
-            assert out.published is not None
             adv = guessing_advantage(out.view)
             assert adv == Fraction(0)
-            controlled = set(out.published)
+            disclosed = out.view.learned_shares
             for i in range(3):
-                if i in controlled:
+                if i in disclosed:
                     continue
-                view = honest_path_view(3, i, out.shares_received[i], 8,
-                                        out.published)
+                view = AdversaryView(3, 8)
+                view.record_share(i, out.shares_received[i])
+                for j, share in disclosed.items():
+                    view.record_share(j, share)
                 res = guessing_advantage(view)
                 assert res == Fraction(0)
         print("\n[criterion 5] PASS: adversary and honest-path advantages "

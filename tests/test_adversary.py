@@ -14,7 +14,6 @@ from qkdnet.adversary import (
     controlled_paths,
     corrupt,
     guessing_advantage,
-    honest_path_view,
 )
 from qkdnet.errors import (
     BoundExceeded,
@@ -88,27 +87,6 @@ class TestControlledPaths:
         assert controlled_paths(cfg, paths) == {0, 1}
 
 
-class TestDisclose:
-    """A disclosing adversary publishes its view's ``learned_shares``
-    once the session has ended (``SessionOutcome.published``)."""
-
-    PARAMS = SecurityParams(n=8, s=2, m=2, ell=2)
-
-    def session(self, corrupted, strategies):
-        cfg = AdversaryConfig(frozenset(corrupted), len(corrupted), strategies)
-        return full_session(two_chains_graph(), "alice", "bob", self.PARAMS,
-                            cfg, random.Random(3))
-
-    def test_copies_view_into_bundle(self):
-        out = self.session({"n1"}, ("passive", "disclose_all"))
-        assert out.published == out.view.learned_shares
-        assert out.published == {0: [out.shares_received[0]]}
-
-    def test_empty_view_empty_bundle(self):
-        assert self.session(set(), ("disclose_all",)).published == {}
-        assert self.session({"n1"}, ("passive",)).published is None
-
-
 class TestScriptedAdversary:
     def test_passive_forwards_and_records(self):
         view = AdversaryView(2, 8)
@@ -117,7 +95,7 @@ class TestScriptedAdversary:
         )
         share = 0b10101010
         assert adv.on_key_hop(0, "x", share, 8) == share
-        assert view.learned_shares[0] == [share]
+        assert view.learned_shares[0] == share
         assert adv.on_classical_hop(0, "x", "challenge", 0b1111, 4) == 0b1111
 
     def test_honest_node_hops_not_recorded(self):
@@ -212,7 +190,7 @@ class TestGuessingAdvantage:
 def advantage_reference(view, key_len):
     """Per-assignment enumeration: the scalar loop the vectorised
     ``guessing_advantage`` replaced."""
-    known = [view.known_share(i) for i in range(view.n_paths)]
+    known = [view.learned_shares.get(i) for i in range(view.n_paths)]
     unknown = sum(1 for share in known if share is None)
     base = 0
     for share in known:
@@ -308,6 +286,16 @@ class TestGuessingAdvantageEnumeration:
         assert peak < 1 << 18
 
 
+def honest_view(own_index, own_share, disclosed):
+    """An honest path's view: its own share plus every share of the
+    ``disclosed`` adversary view."""
+    view = AdversaryView(disclosed.n_paths, disclosed.share_bits)
+    view.record_share(own_index, own_share)
+    for i, share in disclosed.learned_shares.items():
+        view.record_share(i, share)
+    return view
+
+
 class TestHonestButCurious:
     def test_two_honest_paths_resist_disclosure(self):
         # ell=3, adversary controls path 0 and publishes; each honest
@@ -317,8 +305,7 @@ class TestHonestButCurious:
         adv_view = AdversaryView(n_paths=3, share_bits=4)
         adv_view.record_share(0, shares[0])
         for honest in (1, 2):
-            view = honest_path_view(3, honest, shares[honest], 4,
-                                    adv_view.learned_shares)
+            view = honest_view(honest, shares[honest], adv_view)
             res = guessing_advantage(view)
             assert res == Fraction(0)
 
@@ -328,6 +315,6 @@ class TestHonestButCurious:
         adv_view = AdversaryView(n_paths=3, share_bits=4)
         adv_view.record_share(0, shares[0])
         adv_view.record_share(1, shares[1])
-        view = honest_path_view(3, 2, shares[2], 4, adv_view.learned_shares)
+        view = honest_view(2, shares[2], adv_view)
         res = guessing_advantage(view)
         assert res == Fraction(1) - Fraction(1, 16)

@@ -49,16 +49,19 @@ class TestPlan:
 class TestBounds:
     def test_prints_bounds(self, capsys):
         rc = main(["bounds", "--n", "64", "--s", "16", "--m", "4",
-                   "--ell", "2", "--w", "8"])
+                   "--ell", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "agreement_bound:" in out and "privacy_bound:" in out
         assert "p_im: 0.0703125" in out
 
-    def test_inconsistent_w(self, capsys):
-        rc = main(["bounds", "--n", "64", "--s", "16", "--m", "4",
-                   "--ell", "2", "--w", "4"])
-        assert rc == 2
+    def test_w_option_is_gone(self, capsys):
+        # w is s/2, so a --w flag could only repeat or contradict --s
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", "64", "--s", "16", "--m", "4",
+                  "--ell", "2", "--w", "8"])
+        assert exc.value.code == 2
+        assert "--w" in capsys.readouterr().err
 
 
 class TestPaths:
@@ -126,9 +129,8 @@ class TestSharedParser:
             ["plan", "--t", "2", "--u", "1", "--mode", "feedback"],
             ["plan", "--t", "2"],
             ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2",
-             "--w", "8", "--eps", "0.01"],
-            ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2",
-             "--w", "8"],
+             "--eps", "0.01"],
+            ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2"],
         )
 
         def outputs():
@@ -307,6 +309,13 @@ class TestMalformedScenario:
         err = _run_malformed(tmp_path, capsys, {"adversary": {
             "corrupted": ["n1"], "t": 1, "strategy": ["tamper_shares"]}})
         assert "unknown field 'strategy' in adversary" in err
+
+    def test_disclose_all_is_not_a_strategy(self, tmp_path, capsys):
+        # disclosure is reading the session's view, not a strategy
+        err = _run_malformed(tmp_path, capsys, {"adversary": {
+            "corrupted": ["n1"], "t": 1,
+            "strategies": ["forge_auth", "disclose_all"]}})
+        assert "unknown strategy 'disclose_all'" in err
 
     @pytest.mark.parametrize("doc", [
         {"endpoints": [["alice"], "bob"]},

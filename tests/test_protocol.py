@@ -577,8 +577,7 @@ class TestMultipathEstablish:
         out = full_session(three_path_graph, "alice", "bob", params, cfg,
                            random.Random(15))
         assert set(out.view.learned_shares) == {0, 2}
-        assert out.view.learned_shares[0] == [sent[0]]
-        assert out.view.learned_shares[2] == [sent[2]]
+        assert out.view.learned_shares == {0: sent[0], 2: sent[2]}
 
 
 class TestFullSession:
@@ -647,15 +646,6 @@ class TestFullSession:
         out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
                            random.Random(21))
         assert out.result == 1 or strategy == "tamper_shares"
-
-    def test_disclosure_published(self, three_path_graph):
-        params = SecurityParams(n=8, s=2, m=2, ell=3)
-        cfg = corrupt(three_path_graph, {"x1"}, 1, endpoints=("alice", "bob"),
-                      strategies=("passive", "disclose_all"))
-        out = full_session(three_path_graph, "alice", "bob", params, cfg,
-                           random.Random(19))
-        assert out.published is not None
-        assert 0 in out.published
 
 
 class TestLinkPlan:
@@ -756,5 +746,22 @@ class TestLeakedSharesRecordedOnce:
             [QkdLink(u, v, epsilon=1.0)
              for path in chain for u, v in zip(path[:-1], path[1:])])
         out = full_session(graph, "alice", "bob", STD, EMPTY, random.Random(8))
-        assert out.view.learned_shares == {0: [sent[0]], 1: [sent[1]]}
+        assert out.view.learned_shares == {0: sent[0], 1: sent[1]}
         assert out.view.leaked_epochs == 6
+
+    def test_share_tampered_then_leaked_keeps_the_sent_share(self,
+                                                             monkeypatch):
+        # n1 tampers with path 0's share, then the n1-n2 hop leaks the
+        # tampered value: the view keeps the share alice sent
+        sent = spy_sent_shares(monkeypatch)
+        graph = NetworkGraph(
+            {"alice", "n1", "n2", "n3", "n4", "bob"},
+            [QkdLink("alice", "n1"), QkdLink("n1", "n2", epsilon=1.0),
+             QkdLink("n2", "bob"), QkdLink("alice", "n3"),
+             QkdLink("n3", "n4"), QkdLink("n4", "bob")])
+        cfg = corrupt(graph, {"n1"}, 1, endpoints=("alice", "bob"),
+                      strategies=("tamper_shares",))
+        out = full_session(graph, "alice", "bob", STD, cfg, random.Random(9))
+        assert out.view.leaked_epochs == 1
+        assert out.shares_received[0] != sent[0]
+        assert out.view.learned_shares == {0: sent[0]}

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,6 +348,33 @@ class TestDpaOracle:
         zero = [0] * 2
         for lambdas in (rep, disj, zero):
             assert dpa_uniformity_exact(6, lambdas)
+
+    def test_table_call_matches_scalar_calls(self):
+        # the oracle distills the whole numpy key table in one call
+        rng = random.Random(11)
+        keys = np.arange(1 << 8, dtype=np.uint64)
+        for _ in range(20):
+            lambdas = [rng.getrandbits(8) for _ in range(rng.randrange(1, 6))]
+            table, trash = sim.deterministic_pa(keys, 8, lambdas)
+            for kv in range(1 << 8):
+                assert sim.deterministic_pa(kv, 8, lambdas) == (
+                    int(table[kv]), trash)
+
+    @pytest.mark.parametrize("bad", [5, 37])
+    def test_distillation_wrong_on_one_key_fails(self, monkeypatch, bad):
+        real = sim.deterministic_pa
+
+        def wrong_on_one_key(key, nbits, lambdas):
+            out, trash = real(key, nbits, lambdas)
+            if isinstance(out, np.ndarray):
+                out = out.copy()
+                out[bad] ^= 1
+            elif key == bad:
+                out ^= 1
+            return out, trash
+
+        monkeypatch.setattr(sim, "deterministic_pa", wrong_on_one_key)
+        assert not dpa_uniformity_exact(6, [0b110100, 0b011001])
 
 
 class TestSharePrivacyOracle:

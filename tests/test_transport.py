@@ -3,35 +3,30 @@ import random
 import pytest
 
 from qkdnet.errors import InsufficientKey, LinkDown
-from qkdnet.network import QkdLink
+from qkdnet.network import NetworkGraph, PathSet, QkdLink
+from qkdnet.protocol import provision_pools
 from qkdnet.transport import (
     LinkKeyPool,
     _classical_over,
     _forward_key_over,
     _hop_transfer,
-    _path_hops,
-    qkd_generate,
 )
 
 W = 8
 
 
-def fresh_pool(epsilon=0.0, alive=True, bits=4096, rng=None, link=None):
-    link = link or QkdLink("u", "v", epsilon=epsilon, alive=alive)
-    pool = LinkKeyPool(link)
-    qkd_generate(pool, bits, rng or random.Random(0))
-    return pool
+def fresh_pool(epsilon=0.0, alive=True, bits=4096, rng=None):
+    link = QkdLink("u", "v", epsilon=epsilon, alive=alive)
+    return LinkKeyPool(link, bits, rng or random.Random(0))
 
 
-def chain_pools(path, bits=4096, rng=None, epsilon=0.0):
-    rng = rng or random.Random(0)
-    pools = {}
-    for u, v in zip(path[:-1], path[1:]):
-        key = (u, v) if u <= v else (v, u)
-        pool = LinkKeyPool(QkdLink(*key, epsilon=epsilon))
-        qkd_generate(pool, bits, rng)
-        pools[key] = pool
-    return pools
+def chain_hops(path, bits=4096, rng=None, epsilon=0.0, alive=True):
+    """The session's ``(pool, receiver)`` hops for a single ``path``."""
+    graph = NetworkGraph(set(path), [
+        QkdLink(u, v, epsilon=epsilon, alive=alive)
+        for u, v in zip(path[:-1], path[1:])])
+    paths = PathSet(path[0], path[-1], (path,))
+    return provision_pools(graph, paths, bits, rng or random.Random(0))[0]
 
 
 class Recorder:
@@ -65,53 +60,42 @@ class Recorder:
 
 
 class TestQkdGenerate:
+    """Building a pool draws its one epoch."""
+
     def test_appends_uncompromised_at_epsilon_zero(self):
-        rng = random.Random(1)
-        pool = LinkKeyPool(QkdLink("u", "v", epsilon=0.0))
-        qkd_generate(pool, 128, rng)
+        pool = fresh_pool(bits=128, rng=random.Random(1))
         assert pool.available == 128
         _, leaked = pool.take(128)
         assert not leaked
 
     def test_always_compromised_at_epsilon_one(self):
         rng = random.Random(2)
-        pool = LinkKeyPool(QkdLink("u", "v", epsilon=1.0))
+        link = QkdLink("u", "v", epsilon=1.0)
         for _ in range(20):
-            qkd_generate(pool, 8, rng)
-            assert pool.take(8)[1]
+            assert LinkKeyPool(link, 8, rng).take(8)[1]
 
     def test_link_down(self):
-        pool = LinkKeyPool(QkdLink("u", "v", alive=False))
+        rng = random.Random(3)
         with pytest.raises(LinkDown):
-            qkd_generate(pool, 8, random.Random(3))
+            fresh_pool(alive=False, bits=8, rng=rng)
+        # the check comes before any draw
+        assert rng.getstate() == random.Random(3).getstate()
 
     def test_compromise_rate_matches_epsilon(self):
         # Binomial check: 1e5 epochs at eps=0.01 stay within 3 sigma.
         rng = random.Random(4)
-        pool = LinkKeyPool(QkdLink("u", "v", epsilon=0.01))
+        link = QkdLink("u", "v", epsilon=0.01)
         n = 100_000
-        hits = 0
-        for _ in range(n):
-            qkd_generate(pool, 1, rng)
-            hits += pool.take(1)[1]
+        hits = sum(LinkKeyPool(link, 1, rng).compromised for _ in range(n))
         frac = hits / n
         sigma = (0.01 * 0.99 / n) ** 0.5
         assert abs(frac - 0.01) <= 3 * sigma
 
-    def test_new_epoch_replaces_the_old(self):
-        pool = fresh_pool(bits=16, rng=random.Random(5))
-        pool.take(10)
-        qkd_generate(pool, 8, random.Random(6))
-        assert pool.available == 8
-        assert pool.take(8)[0] == random.Random(6).getrandbits(8)
-        with pytest.raises(InsufficientKey):
-            pool.take(1)
-
 
 def epoch_pool(value, nbits, compromised=False):
     """A pool holding the given epoch."""
-    pool = LinkKeyPool(QkdLink("u", "v"))
-    pool.value, pool.available, pool.compromised = value, nbits, compromised
+    pool = fresh_pool(bits=nbits)
+    pool.value, pool.compromised = value, compromised
     return pool
 
 
@@ -144,8 +128,7 @@ class TestPoolTake:
         pool = fresh_pool(bits=64, rng=rng)
         a, _ = pool.take(32)
         b, _ = pool.take(32)
-        whole = LinkKeyPool(QkdLink("u", "v"))
-        qkd_generate(whole, 64, random.Random(5))
+        whole = fresh_pool(bits=64, rng=random.Random(5))
         full, _ = whole.take(64)
         assert (a << 32) | b == full
 
@@ -185,55 +168,48 @@ class TestHopSend:
         assert leaked
 
     def test_down_link_refuses(self):
-        # A down link gets no key material, so no hop can cross it.
-        down = LinkKeyPool(QkdLink("u", "v", alive=False))
+        # A down link gets no pool, so no path over it gets hops.
         with pytest.raises(LinkDown):
-            qkd_generate(down, 64, random.Random(0))
-        assert down.available == 0
-        with pytest.raises(InsufficientKey):
-            _hop_transfer(down, 0b1010, 4, W)
-        with pytest.raises(InsufficientKey):
-            _forward_key_over(_path_hops(("u", "v"), {("u", "v"): down}),
-                              0b1010, 4, W, Recorder(), 0)
+            chain_hops(("u", "v"), alive=False)
 
 
 class TestPathForwardKey:
     def test_honest_path_delivers_and_all_internals_observe(self):
         rng = random.Random(11)
         path = ("a", "x", "y", "b")
-        pools = chain_pools(path)
+        hops = chain_hops(path)
         share = rng.getrandbits(64)
         rec = Recorder()
-        out = _forward_key_over(_path_hops(path, pools), share, 64, W, rec, 0)
+        out = _forward_key_over(hops, share, 64, W, rec, 0)
         assert out == share
         assert rec.key_hops == [(0, "x", share, 64), (0, "y", share, 64)]
 
     def test_passive_corruption_sees_share(self):
         rng = random.Random(12)
         path = ("a", "x", "b")
-        pools = chain_pools(path)
+        hops = chain_hops(path)
         share = rng.getrandbits(32)
         rec = Recorder(corrupted={"x"})
-        out = _forward_key_over(_path_hops(path, pools), share, 32, W, rec, 0)
+        out = _forward_key_over(hops, share, 32, W, rec, 0)
         assert out == share
         assert rec.key_hops[0][2] == share
 
     def test_tampering_node_changes_delivery_undetected(self):
         rng = random.Random(13)
         path = ("a", "x", "b")
-        pools = chain_pools(path)
+        hops = chain_hops(path)
         share = rng.getrandbits(32)
         rec = Recorder(corrupted={"x"}, tamper=lambda v: v ^ 0b101)
-        out = _forward_key_over(_path_hops(path, pools), share, 32, W, rec, 0)
+        out = _forward_key_over(hops, share, 32, W, rec, 0)
         assert out == share ^ 0b101  # no exception: transport cannot tell
 
     def test_epsilon_leak_reported(self):
         rng = random.Random(14)
         path = ("a", "x", "b")
-        pools = chain_pools(path, epsilon=1.0)
+        hops = chain_hops(path, epsilon=1.0)
         share = rng.getrandbits(16)
         rec = Recorder()
-        out = _forward_key_over(_path_hops(path, pools), share, 16, W, rec, 0)
+        out = _forward_key_over(hops, share, 16, W, rec, 0)
         assert out == share
         assert len(rec.leaks) == 2  # both hops leaked
         assert rec.leaks[0][1] == share
@@ -243,34 +219,34 @@ class TestClassicalSend:
     def test_honest_path_always_delivers(self):
         rng = random.Random(15)
         path = ("a", "x", "y", "b")
-        pools = chain_pools(path, bits=100_000)
+        hops = chain_hops(path, bits=100_000)
         for _ in range(50):
             nbits = rng.randrange(1, 200)
             m = rng.getrandbits(nbits)
-            out = _classical_over(_path_hops(path, pools), m, nbits,
+            out = _classical_over(hops, m, nbits,
                                   W, Recorder(), 0, "challenge")
             assert out == (m, nbits)
 
     def test_drop_yields_bottom(self):
         path = ("a", "x", "b")
-        pools = chain_pools(path)
+        hops = chain_hops(path)
         rec = Recorder(corrupted={"x"}, classical=lambda m: None)
-        out = _classical_over(_path_hops(path, pools), 0b1101, 4, W, rec, 0,
+        out = _classical_over(hops, 0b1101, 4, W, rec, 0,
                               "response")
         assert out is None
 
     def test_substitution_delivers_adversary_choice(self):
         path = ("a", "x", "b")
-        pools = chain_pools(path)
+        hops = chain_hops(path)
         rec = Recorder(corrupted={"x"}, classical=lambda m: 0b0000)
-        out = _classical_over(_path_hops(path, pools), 0b1101, 4, W, rec, 0,
+        out = _classical_over(hops, 0b1101, 4, W, rec, 0,
                               "challenge")
         assert out == (0b0000, 4)
         assert rec.classical_hops == [(0, "x", "challenge", 0b1101, 4)]
 
     def test_kind_is_passed_to_interceptor(self):
         path = ("a", "x", "b")
-        pools = chain_pools(path)
+        hops = chain_hops(path)
         rec = Recorder()
-        _classical_over(_path_hops(path, pools), 1, 1, W, rec, 0, "challenge")
+        _classical_over(hops, 1, 1, W, rec, 0, "challenge")
         assert rec.classical_hops[0][2] == "challenge"
