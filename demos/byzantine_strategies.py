@@ -28,22 +28,19 @@ BASE = {
 }
 
 print(f"{'strategy':<15} {'empirical':>10} {'ci99 low':>10} {'bound':>10} verdict")
+runs = {}
 for strategy in ("passive", "tamper_shares", "forge_auth", "drop_auth"):
     doc = dict(BASE)
     doc["adversary"] = {"corrupted": ["a1"], "t": 1, "strategies": [strategy]}
-    run = run_monte_carlo(load_scenario(doc))
+    run = runs[strategy] = run_monte_carlo(load_scenario(doc))
     st = run.stats
     print(f"{strategy:<15} {st.empirical:>10.5f} {st.ci_low:>10.5f} "
           f"{st.agreement_bound:>10.5f} {st.verdict}")
 
 print()
 print("failure tags seen under tamper_shares (first 4000 seeds):")
-doc = dict(BASE)
-doc["adversary"] = {"corrupted": ["a1"], "t": 1,
-                    "strategies": ["tamper_shares"]}
-run = run_monte_carlo(load_scenario(doc))
 tags = {}
-for r in run.results:
+for r in runs["tamper_shares"].results:
     for tag in r.failure_tags:
         tags[tag] = tags.get(tag, 0) + 1
 print(tags if tags else "(none: every tampered trial was caught)")

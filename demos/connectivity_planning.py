@@ -6,19 +6,10 @@ How many vertex-disjoint paths do classical secure-message-transmission
 results demand, and what does a mesh actually provide?  The table covers
 one-way links (3t+1), two-way links (2t+1), and the feedback refinement
 max(3t+1-2u, 2t+1); the mesh example finds the disjoint paths by
-node-split max-flow.  A coarse rate curve closes with throughput per
-link distance.
+node-split max-flow.
 """
 
-import numpy as np
-
-from qkdnet import (
-    NetworkGraph,
-    QkdLink,
-    link_rate,
-    required_paths,
-    vertex_disjoint_paths,
-)
+from qkdnet import NetworkGraph, QkdLink, required_paths, vertex_disjoint_paths
 
 print("required disjoint paths against t corrupted nodes")
 print(f"{'t':>2} {'one_way':>8} {'two_way':>8} " +
@@ -44,10 +35,3 @@ grid = NetworkGraph(names, links)
 paths = vertex_disjoint_paths(grid, "v00", "v22", 2)
 for i, path in enumerate(paths.paths):
     print(f"  path {i}: {' -> '.join(path)}")
-
-print()
-print("secret-key rate versus link distance (defaults)")
-for d in np.arange(0, 110, 10.0):
-    rate = link_rate(float(d))
-    bar = "#" * int(np.round(50 * rate / link_rate(0.0)))
-    print(f"{d:>5.0f} km {rate:>12.1f} bit/s {bar}")

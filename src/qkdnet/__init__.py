@@ -21,8 +21,6 @@ from .network import (
     NetworkGraph,
     PathSet,
     QkdLink,
-    RateModel,
-    link_rate,
     required_paths,
     vertex_disjoint_paths,
 )

@@ -22,9 +22,10 @@ against :func:`_tag_value`.  :class:`MacKey` and :func:`tag` are the
 same tag over :class:`BitString` values (a tag is the w-bit string
 itself); only the demo and the benchmark use them.
 
-Reduction polynomials are fixed per word size for bit-exact interop; see
-:data:`REDUCTION_POLYNOMIALS`.  Word sizes without a table entry use the
-lexicographically smallest irreducible polynomial of that degree.
+Each word size w reduces by the lexicographically smallest irreducible
+polynomial of degree w (for example 0x11B at w = 8 and 0x1002B at
+w = 16), found by :func:`reduction_polynomial` on first use and pinned
+by tests.
 
 Every Horner step ``acc = acc*x + c`` is one multiply by the fixed hash
 key x.  For w <= 8 it is one lookup in a multiplication row,
@@ -64,15 +65,6 @@ import numpy as np
 from .bits import BitString
 from .errors import OutOfRange, ParameterViolation
 
-#: Fixed reduction polynomials (bit w set; e.g. 0x11B = x^8+x^4+x^3+x+1).
-REDUCTION_POLYNOMIALS = {
-    1: 0b11,
-    2: 0b111,
-    3: 0b1011,
-    4: 0b10011,
-    8: 0x11B,
-    16: 0x1002B,
-}
 
 def _mul_generic(a: int, b: int, w: int, poly: int) -> int:
     acc = 0
@@ -94,7 +86,7 @@ def _is_irreducible(poly: int, w: int) -> bool:
             u, v = v, u
         return u
 
-    x = 0b10 % poly if w == 1 else 0b10
+    x = 0b10 ^ poly if w == 1 else 0b10   # x mod poly
     r = x
     for d in range(1, w + 1):
         r = _mul_generic(r, r, w, poly)
@@ -108,8 +100,6 @@ def reduction_polynomial(w: int) -> int:
     """Reduction polynomial used for GF(2^w), as an integer with bit w set."""
     if w < 1:
         raise ParameterViolation(f"word size must be >= 1, got {w}")
-    if w in REDUCTION_POLYNOMIALS:
-        return REDUCTION_POLYNOMIALS[w]
     for candidate in range(1 << w, 1 << (w + 1)):
         if candidate & 1 and _is_irreducible(candidate, w):
             return candidate

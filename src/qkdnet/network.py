@@ -12,7 +12,6 @@ administrative down) are excluded from path discovery.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -32,9 +31,10 @@ class QkdLink:
 
     ``epsilon`` is the per-key failure probability of keys generated on
     this link (the epsilon-ideal key source model); ``alive`` models
-    eavesdropping-induced abort of the link.  ``distance_km`` only feeds
-    :func:`link_rate`, the key-rate model, when a caller passes it there:
-    no session, trial record or summary reads it, so it changes no result.
+    eavesdropping-induced abort of the link.  ``distance_km`` is
+    descriptive: it is validated and stored, but nothing reads it, so it
+    changes no result.  It stays because checked-in scenario documents
+    carry it.
     """
 
     a: NodeId
@@ -233,30 +233,3 @@ def required_paths(t: int, u: int = 0, mode: str = "one_way") -> int:
     if mode == "feedback_disjoint":
         return max(3 * t + 1 - 2 * u, 2 * t + 1)
     raise ValidationError(f"unknown mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class RateModel:
-    """Coarse secret-key rate curve: log-linear attenuation up to a knee,
-    an extra exponential drop beyond it, and a hard maximum distance.
-
-    Used only for throughput reporting, never for security results.
-    """
-
-    r0_bits_per_s: float = 100_000.0
-    alpha_db_per_km: float = 0.25
-    knee_km: float = 60.0
-    cutoff_km: float = 10.0
-    max_km: float = 100.0
-
-
-def link_rate(distance_km: float, model: RateModel = RateModel()) -> float:
-    """Secret bits per second of a link at the given distance."""
-    if not distance_km >= 0:   # also rejects NaN
-        raise OutOfRange(f"distance must be >= 0, got {distance_km}")
-    if distance_km >= model.max_km:
-        return 0.0
-    rate = model.r0_bits_per_s * 10.0 ** (-model.alpha_db_per_km * distance_km / 10.0)
-    if distance_km > model.knee_km:
-        rate *= math.exp(-(distance_km - model.knee_km) / model.cutoff_km)
-    return rate

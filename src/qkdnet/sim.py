@@ -104,7 +104,7 @@ def _strings(value, what):
 
 
 def load_scenario(source) -> Scenario:
-    """Load and validate a scenario from a path, JSON text, or dict.
+    """Load and validate a scenario from a dict or a path (``str`` or ``Path``).
 
     Raises :class:`ParseError` for malformed documents and
     :class:`ValidationError` naming the violated invariant otherwise.
@@ -112,15 +112,12 @@ def load_scenario(source) -> Scenario:
     if isinstance(source, dict):
         doc = source
     else:
-        if isinstance(source, str) and source.lstrip().startswith("{"):
-            text = source
-        elif isinstance(source, (str, Path)):
-            try:
-                text = Path(source).read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"scenario is not UTF-8 text: {exc}") from exc
-        else:
+        if not isinstance(source, (str, Path)):
             raise ParseError(f"unsupported scenario source {type(source)!r}")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"scenario is not UTF-8 text: {exc}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -9,7 +9,10 @@ with probability ``link.epsilon`` it is flagged compromised (the
 adversary learns its bits).  One hop, :func:`_hop_transfer`,
 one-time-pads the payload and authenticates the ciphertext with a fresh
 per-hop MAC key drawn from the same pool, so no pool bit is ever used
-twice.
+twice.  The in-model wire is never attacked, so a hop's only observable
+effect is its epsilon-leak event (``on_hop_leak``); the OTP round trip
+and the hop tag change no result and stay only because ``perfbench/``
+pins their per-trial counts.
 
 A path is the sequence of its ``(pool, receiver)`` hops, built by
 ``provision_pools`` in :mod:`qkdnet.protocol`; the receiver is None on

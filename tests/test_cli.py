@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,16 @@ class TestRun:
         rc = main(["run", "--scenario", str(bad)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_brace_named_file_is_read_as_a_path(self, tmp_path, monkeypatch,
+                                                capsys):
+        # a relative path that starts with "{" is a file name, not JSON text
+        Path(two_chains_scenario_file(tmp_path)).rename(tmp_path / "{ring}.json")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", "--scenario", "{ring}.json"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "verdict: PASS" in captured.out
 
 
 class TestSharedParser:

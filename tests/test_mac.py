@@ -12,6 +12,7 @@ from qkdnet.mac import (
     _CLOSED_FORM_MIN_BLOCKS,
     MacKey,
     _hash_value,
+    _is_irreducible,
     _log_tables,
     _mul_generic,
     _mul_rows,
@@ -43,19 +44,27 @@ def all_messages(max_bits):
 
 
 class TestReductionPolynomials:
-    def test_fixed_table_is_irreducible(self):
-        # Independent check: an irreducible polynomial of degree w has no
-        # root generating a proper factor; check by trial division over
-        # all lower-degree polynomials.
-        for w in (1, 2, 3, 4, 8):
+    def test_search_result_is_irreducible(self):
+        # Independent check by trial division over GF(2): a reducible
+        # polynomial of degree w has a factor of degree <= w/2.
+        for w in range(1, 17):
             poly = reduction_polynomial(w)
             assert poly.bit_length() == w + 1
-            for cand in range(2, 1 << w):
+            for cand in range(2, 1 << (w // 2 + 1)):
                 # polynomial long division poly / cand over GF(2)
                 rem = poly
                 while rem.bit_length() >= cand.bit_length():
                     rem ^= cand << (rem.bit_length() - cand.bit_length())
                 assert rem != 0, f"poly for w={w} divisible by {cand:#b}"
+
+    def test_smallest_irreducible_is_pinned(self):
+        assert [reduction_polynomial(w) for w in range(1, 18)] == [
+            0x3, 0x7, 0xB, 0x13, 0x25, 0x43, 0x83, 0x11B, 0x203, 0x409,
+            0x805, 0x1009, 0x201B, 0x4021, 0x8003, 0x1002B, 0x20009]
+
+    def test_x_plus_one_is_irreducible(self):
+        # x mod (x+1) is 1; an integer remainder 0b10 % 0b11 = 2 is not
+        assert _is_irreducible(0b11, 1)
 
     def test_w16_entry(self):
         assert reduction_polynomial(16) == 0x1002B

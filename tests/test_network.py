@@ -9,8 +9,6 @@ from qkdnet.network import (
     NetworkGraph,
     PathSet,
     QkdLink,
-    RateModel,
-    link_rate,
     required_paths,
     vertex_disjoint_paths,
 )
@@ -219,36 +217,3 @@ class TestRequiredPaths:
     def test_negative_rejected(self):
         with pytest.raises(OutOfRange):
             required_paths(-1)
-
-
-class TestLinkRate:
-    def test_zero_distance_gives_r0(self):
-        model = RateModel()
-        assert link_rate(0.0, model) == model.r0_bits_per_s
-
-    def test_zero_at_and_beyond_max(self):
-        assert link_rate(100.0) == 0.0
-        assert link_rate(250.0) == 0.0
-
-    def test_monotone_nonincreasing_on_grid(self):
-        rates = [link_rate(d / 2) for d in range(0, 220)]
-        for r1, r2 in zip(rates, rates[1:]):
-            assert r1 >= r2
-
-    def test_exponential_tail_beyond_knee(self):
-        model = RateModel()
-        base = link_rate(model.knee_km, model)
-        beyond = link_rate(model.knee_km + model.cutoff_km, model)
-        log_linear_only = base * 10 ** (
-            -model.alpha_db_per_km * model.cutoff_km / 10
-        )
-        assert beyond == pytest.approx(log_linear_only * math.exp(-1.0))
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(OutOfRange):
-            link_rate(-1.0)
-
-    def test_nan_distance_rejected(self):
-        # NaN compares false with everything, so `distance_km < 0` let it through
-        with pytest.raises(OutOfRange):
-            link_rate(float("nan"))

@@ -70,16 +70,17 @@ class TestLoadScenario:
             two_chains_doc(adversary={"corrupted": []})).adversary
         assert len(sc.graph.links) == 6
 
-    def test_accepts_json_text_and_file(self, tmp_path):
-        text = json.dumps(two_chains_doc())
-        assert load_scenario(text).name == "two-chains"
+    def test_accepts_str_and_path(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(text)
+        path.write_text(json.dumps(two_chains_doc()))
         assert load_scenario(str(path)).name == "two-chains"
+        assert load_scenario(path).name == "two-chains"
 
-    def test_parse_error_on_bad_json(self):
+    def test_parse_error_on_bad_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
         with pytest.raises(ParseError):
-            load_scenario("{not json")
+            load_scenario(path)
 
     def test_m_constraint_violation(self):
         doc = two_chains_doc(params={"n": 64, "s": 16, "m": 32, "ell": 2, "w": 8})
