@@ -26,7 +26,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .adversary import (
     AdversaryConfig,
@@ -290,7 +289,15 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.99):
-    """Exact binomial confidence interval."""
+    """Exact binomial confidence interval.
+
+    The endpoints are scipy's ``betaincinv`` floats, which are not always
+    the correctly rounded roots; ``summary.json`` prints them, so replay
+    pins scipy here.  It is imported on the first call so that only
+    ``qkdnet run`` pays for loading it.
+    """
+    from scipy.special import betaincinv
+
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     alpha = 1.0 - confidence

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,6 +188,42 @@ class TestOracle:
     def test_exact_oracles_rejects_negative_configs(self):
         with pytest.raises(ValidationError):
             exact_oracles(SecurityParams(n=11, s=4, m=2, ell=2), dpa_configs=-1)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from qkdnet.cli import main
+scenario = "demos/scenarios/two_chains.json"
+commands = [
+    ["oracle", "--max-bits", "3", "--configs", "1"],
+    ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2"],
+    ["plan", "--t", "3", "--mode", "one_way"],
+    ["paths", "--scenario", scenario],
+    ["run", "--scenario", scenario, "--trials", "5"],
+]
+seen = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    seen.append([argv[0], rc, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_run_loads_scipy():
+    # scipy is only needed for the Clopper-Pearson interval of `run`, and
+    # importing it costs most of a cold start.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [
+        ["oracle", 0, False], ["bounds", 0, False], ["plan", 0, False],
+        ["paths", 0, False], ["run", 0, True],
+    ]
 
 
 def _run_malformed(tmp_path, capsys, doc):

@@ -209,7 +209,7 @@ class TestClopperPearson:
         (99123, 100000, 0.99, (0.990441776329295, 0.9919710685142382)),
     ])
     def test_pinned_endpoints(self, k, n, confidence, expected):
-        # Exact floats recorded from scipy.stats.beta.ppf; summary.json
+        # Exact floats recorded from scipy.special.betaincinv; summary.json
         # prints these endpoints, so replay depends on every bit.
         assert clopper_pearson(k, n, confidence) == expected
 
