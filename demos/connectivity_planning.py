@@ -15,7 +15,7 @@ print("required disjoint paths against t corrupted nodes")
 print(f"{'t':>2} {'one_way':>8} {'two_way':>8} " +
       " ".join(f"fb(u={u})" for u in range(4)))
 for t in range(5):
-    feedback = [required_paths(t, u=u, mode="feedback_disjoint")
+    feedback = [required_paths(t, u=u, mode="feedback")
                 for u in range(4)]
     print(f"{t:>2} {required_paths(t, mode='one_way'):>8} "
           f"{required_paths(t, mode='two_way'):>8} " +

@@ -36,7 +36,6 @@ def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     run = run_monte_carlo(scenario, trials=args.trials, seed=args.seed)
     st = run.stats
-    seed = scenario.seed if args.seed is None else args.seed
     print(f"scenario: {scenario.name}")
     print(f"trials: {st.trials}  successes: {st.successes}")
     print(f"empirical: {st.empirical:.6f}  "
@@ -51,8 +50,7 @@ def _cmd_run(args) -> int:
         print("note: the bound is vacuous "
               "(agreement_bound <= 0 or privacy_bound >= 1)")
     if args.out:
-        emit_report(st, run.results, args.out,
-                    scenario_name=scenario.name, master_seed=seed)
+        emit_report(run, args.out)
         print(f"report written to {args.out}")
     return 0 if st.passed else 1
 
@@ -70,16 +68,15 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_paths(args) -> int:
     scenario = load_scenario(args.scenario)
-    ell = args.ell if args.ell is not None else scenario.params.ell
-    paths = vertex_disjoint_paths(scenario.graph, scenario.a, scenario.b, ell)
+    paths = scenario.paths if args.ell is None else vertex_disjoint_paths(
+        scenario.graph, scenario.a, scenario.b, args.ell)
     for i, path in enumerate(paths.paths):
         print(f"path {i}: {' -> '.join(path)}")
     return 0
 
 
 def _cmd_plan(args) -> int:
-    mode = {"feedback": "feedback_disjoint"}.get(args.mode, args.mode)
-    count = required_paths(args.t, u=args.u, mode=mode)
+    count = required_paths(args.t, u=args.u, mode=args.mode)
     print(f"required disjoint paths: {count}")
     return 0
 

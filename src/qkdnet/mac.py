@@ -33,8 +33,11 @@ key x.  For w <= 8 it is one lookup in a multiplication row,
 0.55 MB); up to w = 16 it is ``exp[log[acc] + log[x]]`` over log/antilog
 tables built once per word size from a primitive element (Plank, Greenan
 & Miller, FAST 2013), whose zero tail in ``exp`` makes zero operands
-need no branch (2-5 ms and 0.75 MB at w = 16).  Word sizes above 16 use
-the bit-serial shift-and-add multiply.
+need no branch.  The fill itself finds the generator: a candidate whose
+powers reach 1 early is abandoned, so 2^w - 1 is never factored.  At
+w = 16 x has order 21845 and is abandoned at the block of powers
+16384 .. 32767, so the build (3 is kept) takes 4-6 ms and 0.75 MB.  Word sizes above 16
+use the bit-serial shift-and-add multiply.
 
 A w = 16 message of at least :data:`_CLOSED_FORM_MIN_BLOCKS` content
 blocks is hashed in closed form instead, in one numpy pass.  Expanding
@@ -106,30 +109,6 @@ def reduction_polynomial(w: int) -> int:
     raise ParameterViolation(f"no irreducible polynomial found for w={w}")
 
 
-def _prime_factors(n: int) -> list[int]:
-    factors = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            factors.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        factors.append(n)
-    return factors
-
-
-def _gf_pow(a: int, e: int, w: int, poly: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _mul_generic(r, a, w, poly)
-        a = _mul_generic(a, a, w, poly)
-        e >>= 1
-    return r
-
-
 def _mul_vector(v, c: int, w: int, poly: int):
     """Every element of the uint32 vector ``v`` times the constant ``c``."""
     acc = np.zeros_like(v)
@@ -146,29 +125,35 @@ def _mul_vector(v, c: int, w: int, poly: int):
 def _log_tables(w: int):
     """Antilog and log tables of GF(2^w), 1 <= w <= 16.
 
-    ``exp[i] = g^i`` for a primitive element g, stored twice over
-    (indices 0 .. 2*order - 1) so a sum of two logs needs no reduction.
-    ``log[a]`` is the discrete log of a != 0; ``log[0]`` points at a zero
-    tail of ``exp`` long enough that ``exp[log[a] + log[b]] == a*b``
-    holds for zero operands too.  The powers are filled by doubling
-    (``exp[n:2n] = exp[:n] * g^n``, vectorised).
+    ``exp[i] = g^i`` for the smallest primitive element g, stored twice
+    over (indices 0 .. 2*order - 1) so a sum of two logs needs no
+    reduction.  ``log[a]`` is the discrete log of a != 0; ``log[0]``
+    points at a zero tail of ``exp`` long enough that
+    ``exp[log[a] + log[b]] == a*b`` holds for zero operands too.  The
+    powers are filled by doubling (``exp[n:2n] = exp[:n] * g^n``,
+    vectorised).  The polynomial is irreducible, so the nonzero elements
+    form a group of this order and g is primitive iff none of
+    g^1 .. g^(order-1) is 1: the candidates are filled in ascending
+    order, a fill stops at the first block holding a 1, and the first
+    complete fill is kept.
     """
     poly = reduction_polynomial(w)
     order = (1 << w) - 1
-    exponents = [order // q for q in _prime_factors(order)]
-    g = next(
-        c for c in range(1, 1 << w)
-        if all(_gf_pow(c, e, w, poly) != 1 for e in exponents)
-    )
     zero = 2 * order
     exp = np.zeros(2 * zero + 1, np.uint32)
     exp[0] = 1
-    n, gn = 1, g
-    while n < order:
-        m = min(n, order - n)
-        exp[n:n + m] = _mul_vector(exp[:m], gn, w, poly)
-        gn = _mul_generic(gn, gn, w, poly)
-        n += m
+    for g in range(1, 1 << w):
+        n, gn = 1, g
+        while n < order:
+            m = min(n, order - n)
+            block = _mul_vector(exp[:m], gn, w, poly)
+            if (block == 1).any():
+                break       # g^k == 1 for some 0 < k < order: not primitive
+            exp[n:n + m] = block
+            gn = _mul_generic(gn, gn, w, poly)
+            n += m
+        else:
+            break
     exp[order:2 * order] = exp[:order]
     log = np.zeros(1 << w, np.uint32)
     log[exp[:order]] = np.arange(order, dtype=np.uint32)

@@ -214,15 +214,14 @@ def vertex_disjoint_paths(
                 if node[0] != path[-1]:
                     path.append(node[0])
         paths.append(tuple(path))
-    paths.sort()
-    return PathSet(a, b, tuple(paths[:count]))
+    return PathSet(a, b, tuple(sorted(paths)))
 
 
 def required_paths(t: int, u: int = 0, mode: str = "one_way") -> int:
     """Disjoint-path counts for private transmission against t corrupted nodes.
 
-    one_way: 3t+1.  two_way: 2t+1.  feedback_disjoint: max(3t+1-2u, 2t+1),
-    where u counts feedback paths vertex-disjoint from the forward ones.
+    one_way: 3t+1.  two_way: 2t+1.  feedback: max(3t+1-2u, 2t+1), where
+    u counts feedback paths vertex-disjoint from the forward ones.
     """
     if t < 0 or u < 0:
         raise OutOfRange(f"t and u must be >= 0, got t={t}, u={u}")
@@ -230,6 +229,6 @@ def required_paths(t: int, u: int = 0, mode: str = "one_way") -> int:
         return 3 * t + 1
     if mode == "two_way":
         return 2 * t + 1
-    if mode == "feedback_disjoint":
+    if mode == "feedback":
         return max(3 * t + 1 - 2 * u, 2 * t + 1)
     raise ValidationError(f"unknown mode {mode!r}")

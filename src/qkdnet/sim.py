@@ -42,13 +42,14 @@ from .errors import (
 )
 from .mac import _table_views, _tag_value, impersonation_bound
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
-from .network import NetworkGraph, QkdLink, vertex_disjoint_paths
+from .network import NetworkGraph, PathSet, QkdLink, vertex_disjoint_paths
 from .protocol import SecurityParams, deterministic_pa, full_session
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated simulation configuration."""
+    """A validated simulation configuration, with the ``ell`` disjoint
+    paths every trial rides on."""
 
     name: str
     graph: NetworkGraph
@@ -58,6 +59,7 @@ class Scenario:
     adversary: AdversaryConfig
     trials: int
     seed: int
+    paths: PathSet
 
 
 def _require(condition, message):
@@ -210,7 +212,7 @@ def load_scenario(source) -> Scenario:
     _require(isinstance(name, str), f"'name' must be a string, got {name!r}")
 
     try:
-        vertex_disjoint_paths(graph, a, b, params.ell)
+        paths = vertex_disjoint_paths(graph, a, b, params.ell)
     except InsufficientConnectivity as exc:
         raise ValidationError(
             f"graph provides only {exc.max_paths} disjoint paths, "
@@ -220,7 +222,7 @@ def load_scenario(source) -> Scenario:
     return Scenario(
         name=name,
         graph=graph, a=a, b=b, params=params,
-        adversary=adversary, trials=trials, seed=seed,
+        adversary=adversary, trials=trials, seed=seed, paths=paths,
     )
 
 
@@ -265,11 +267,15 @@ def _failure_tags(outcome) -> tuple:
 
 def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
               paths=None) -> TrialResult:
-    """Execute one session; the record is a pure function of the seed."""
+    """Execute one session; the record is a pure function of the seed.
+
+    ``paths`` defaults to the scenario's own path set.
+    """
     rng = random.Random(trial_seed)
     outcome = full_session(
         scenario.graph, scenario.a, scenario.b, scenario.params,
-        scenario.adversary, rng, paths=paths,
+        scenario.adversary, rng,
+        paths=scenario.paths if paths is None else paths,
     )
     trash = outcome.trash_a
     return TrialResult(
@@ -351,8 +357,12 @@ class Stats:
 
 @dataclass(frozen=True)
 class MonteCarloRun:
+    """A run of one scenario (by name) from its resolved master seed."""
+
     stats: Stats
     results: tuple
+    scenario: str
+    master_seed: int
 
 
 #: Confidence level of every run's Clopper-Pearson interval.
@@ -402,17 +412,15 @@ def run_monte_carlo(
     seed = scenario.seed if seed is None else seed
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    paths = vertex_disjoint_paths(
-        scenario.graph, scenario.a, scenario.b, scenario.params.ell
+    results = tuple(
+        run_trial(scenario, derive_trial_seed(seed, i), index=i)
+        for i in range(trials)
     )
-    results = []
-    for i in range(trials):
-        results.append(
-            run_trial(scenario, derive_trial_seed(seed, i), index=i, paths=paths)
-        )
     return MonteCarloRun(
         stats=aggregate(results, scenario.params),
-        results=tuple(results),
+        results=results,
+        scenario=scenario.name,
+        master_seed=seed,
     )
 
 
@@ -704,9 +712,8 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 100,
 # --- reporting -------------------------------------------------------------
 
 
-def emit_report(stats: Stats, results, destination, scenario_name="unnamed",
-                master_seed=0) -> None:
-    """Write one JSON line per trial plus a summary document.
+def emit_report(run: MonteCarloRun, destination) -> None:
+    """Write one JSON line per trial of ``run`` plus a summary document.
 
     Each trial line is one f-string with its keys in sorted order, the
     bytes ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
@@ -717,8 +724,9 @@ def emit_report(stats: Stats, results, destination, scenario_name="unnamed",
     """
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
+    stats = run.stats
     with open(dest / "trials.jsonl", "w") as fh:
-        for r in results:
+        for r in run.results:
             tags = r.failure_tags
             tags = '["' + '","'.join(tags) + '"]' if tags else "[]"
             fh.write(
@@ -731,8 +739,8 @@ def emit_report(stats: Stats, results, destination, scenario_name="unnamed",
                 f'{"null" if r.trash_size is None else r.trash_size}}}\n'
             )
     summary = {
-        "scenario": scenario_name,
-        "master_seed": master_seed,
+        "scenario": run.scenario,
+        "master_seed": run.master_seed,
         "trials": stats.trials,
         "successes": stats.successes,
         "empirical": stats.empirical,

@@ -283,7 +283,7 @@ class TestCriterion7Connectivity:
         for t in range(6):
             for u in range(6):
                 independent = max(3 * t + 1 - 2 * u, 2 * t + 1)
-                assert required_paths(t, u=u, mode="feedback_disjoint") == \
+                assert required_paths(t, u=u, mode="feedback") == \
                     independent
         print("\n[criterion 7] PASS: 10 / 7 reproduced; feedback formula "
               "matches independent evaluation on the (t,u) grid")

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from qkdnet import cli
+from qkdnet import cli, network, protocol, sim
 from qkdnet.cli import main
 from qkdnet.errors import ValidationError
 from qkdnet.protocol import SecurityParams
-from qkdnet.sim import exact_oracles, load_scenario
+from qkdnet.sim import exact_oracles, load_scenario, run_monte_carlo
 
 
 PARAMS = {"n": 64, "s": 16, "m": 4, "ell": 2, "w": 8}
@@ -18,6 +18,8 @@ CHAIN_LINKS = [
     {"a": "alice", "b": "n1"}, {"a": "n1", "b": "n2"}, {"a": "n2", "b": "bob"},
     {"a": "alice", "b": "n3"}, {"a": "n3", "b": "n4"}, {"a": "n4", "b": "bob"},
 ]
+ROOT = Path(__file__).resolve().parent.parent
+TWO_CHAINS = ROOT / "demos" / "scenarios" / "two_chains.json"
 
 
 def two_chains_scenario_file(tmp_path, **overrides):
@@ -128,6 +130,50 @@ class TestRun:
         assert rc == 0, captured.err
         assert "verdict: PASS" in captured.out
 
+    @pytest.mark.parametrize("seed_args,master_seed", [
+        (["--seed", "5"], 5), ([], 3)])
+    def test_summary_records_the_run_seed(self, tmp_path, capsys, seed_args,
+                                          master_seed):
+        out_dir = tmp_path / "report"
+        rc = main(["run", "--scenario", two_chains_scenario_file(tmp_path),
+                   "--trials", "3", "--out", str(out_dir), *seed_args])
+        assert rc == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["master_seed"] == master_seed
+        assert summary["scenario"] == "two-chains"
+
+    def test_run_record_carries_the_seed_override(self, tmp_path):
+        sc = load_scenario(two_chains_scenario_file(tmp_path))
+        run = run_monte_carlo(sc, trials=2, seed=9)
+        assert run.master_seed == 9
+        assert run_monte_carlo(sc, trials=2).master_seed == sc.seed == 3
+
+
+class TestPathDiscoveryCount:
+    """The loader finds the scenario's paths; nothing finds them again."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return network.vertex_disjoint_paths(*args, **kwargs)
+
+        for module in (sim, protocol, cli):
+            monkeypatch.setattr(module, "vertex_disjoint_paths", counted)
+        return count
+
+    def test_run_finds_paths_once(self, calls, capsys):
+        assert main(["run", "--scenario", str(TWO_CHAINS),
+                     "--trials", "5"]) == 0
+        assert calls[0] == 1
+
+    def test_paths_without_ell_finds_paths_once(self, calls, capsys):
+        assert main(["paths", "--scenario", str(TWO_CHAINS)]) == 0
+        assert "path 1:" in capsys.readouterr().out
+        assert calls[0] == 1
+
 
 class TestSharedParser:
     def test_consecutive_calls_match_fresh_parsers(self, tmp_path, capsys,
@@ -190,7 +236,6 @@ class TestOracle:
             exact_oracles(SecurityParams(n=11, s=4, m=2, ell=2), dpa_configs=-1)
 
 
-ROOT = Path(__file__).resolve().parent.parent
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 from qkdnet.cli import main

@@ -384,6 +384,14 @@ class TestHashKernel:
         assert all(exp[log[a]] == a for a in nonzero)
         assert all(exp[log[a] + log[0]] == 0 for a in range(1 << w))
 
+    def test_generator_is_the_smallest_primitive_element(self):
+        # Recorded from the table build that factored 2^w - 1.  At w = 8
+        # the candidate 2 has order 51, at w = 9 both 2 and 3 have order
+        # 73, and at w = 16 the candidate 2 has order 21845: the build
+        # must abandon each of those fills and keep the next candidate.
+        assert [_log_tables(w)[0][1] for w in range(1, 17)] == [
+            1, 2, 2, 2, 2, 2, 2, 3, 7, 2, 2, 3, 2, 7, 2, 3]
+
     @pytest.mark.parametrize("w", range(1, 17))
     def test_log_tables_multiply(self, w):
         exp, log = _log_tables(w)

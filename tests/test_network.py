@@ -189,22 +189,22 @@ class TestRequiredPaths:
         assert required_paths(3, mode="two_way") == 7
 
     def test_feedback_t2_u2(self):
-        assert required_paths(2, u=2, mode="feedback_disjoint") == 5
+        assert required_paths(2, u=2, mode="feedback") == 5
 
     def test_t0_is_one_in_every_mode(self):
-        for mode in ("one_way", "two_way", "feedback_disjoint"):
+        for mode in ("one_way", "two_way", "feedback"):
             assert required_paths(0, mode=mode) == 1
 
     def test_feedback_matches_one_way_at_u0(self):
         for t in range(6):
-            assert required_paths(t, u=0, mode="feedback_disjoint") == \
+            assert required_paths(t, u=0, mode="feedback") == \
                 required_paths(t, mode="one_way")
 
     def test_feedback_nonincreasing_with_floor(self):
         for t in range(6):
             prev = None
             for u in range(8):
-                val = required_paths(t, u=u, mode="feedback_disjoint")
+                val = required_paths(t, u=u, mode="feedback")
                 assert val >= required_paths(t, mode="two_way")
                 if prev is not None:
                     assert val <= prev

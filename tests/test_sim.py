@@ -16,6 +16,7 @@ from qkdnet.errors import ParseError, TooLarge, ValidationError
 from qkdnet.mac import MacKey, tag
 from qkdnet.protocol import SecurityParams
 from qkdnet.sim import (
+    MonteCarloRun,
     Stats,
     TrialResult,
     _failure_tags,
@@ -468,8 +469,7 @@ class TestEmitReport:
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"
         for out in (out1, out2):
-            emit_report(run.stats, run.results, out,
-                        scenario_name=sc.name, master_seed=sc.seed)
+            emit_report(run, out)
         assert (out1 / "trials.jsonl").read_bytes() == \
             (out2 / "trials.jsonl").read_bytes()
         assert (out1 / "summary.json").read_bytes() == \
@@ -486,7 +486,7 @@ class TestEmitReport:
         sc = load_scenario(two_chains_doc(trials=2))
         run = run_monte_carlo(sc)
         with pytest.raises(OSError):
-            emit_report(run.stats, run.results, blocker / "sub")
+            emit_report(run, blocker / "sub")
 
 
 FAILURE_TAGS = ("parity_miss", "challenge_rejected", "response_mismatch",
@@ -534,7 +534,7 @@ class TestTrialLineWriter:
     @given(st.lists(trial_results, min_size=1, max_size=8))
     def test_lines_match_sorted_json_dumps(self, results):
         with tempfile.TemporaryDirectory() as out:
-            emit_report(STATS, results, out)
+            emit_report(MonteCarloRun(STATS, tuple(results), "unnamed", 0), out)
             with open(Path(out) / "trials.jsonl", newline="") as fh:
                 lines = fh.readlines()
         assert lines == [reference_line(r) for r in results]
@@ -551,6 +551,6 @@ class TestTrialLineWriter:
             for i in range(16)
         ]
         with tempfile.TemporaryDirectory() as out:
-            emit_report(STATS, results, out)
+            emit_report(MonteCarloRun(STATS, tuple(results), "unnamed", 0), out)
             text = (Path(out) / "trials.jsonl").read_text()
         assert text == "".join(reference_line(r) for r in results)
