@@ -67,47 +67,81 @@ def _require(condition, message):
         raise ValidationError(message)
 
 
-def _coerce(kind, value, what):
-    """``kind(value)``: an int field takes a JSON integer and a float field
-    any JSON number; anything else (a bool, a string, a fraction for an
-    int field) is a ValidationError naming the field."""
-    accepted = int if kind is int else (int, float)
-    if isinstance(value, accepted) and not isinstance(value, bool):
+#: Each kind of scenario field: the JSON types it accepts and the noun
+#: its error message uses.  A bool is of no kind but "bool".
+_KINDS = {
+    "integer": (int, "an integer"), "number": ((int, float), "a number"),
+    "bool": (bool, "true or false"), "string": (str, "a string"),
+    "list": (list, "a list"), "object": (dict, "an object"),
+    "strings": (list, "a list of strings"),
+    "object_or_null": ((dict, type(None)), "an object or null"),
+}
+
+
+def _coerce(kind, value, field, where):
+    """``value`` if it is of ``kind`` (a number as a float), else a
+    ValidationError naming ``field`` of the ``where`` object."""
+    types, noun = _KINDS[kind]
+    if (isinstance(value, types) and isinstance(value, bool) == (kind == "bool")
+            and (kind != "strings" or all(isinstance(v, str) for v in value))):
         try:
-            return kind(value)
+            return float(value) if kind == "number" else value
         except OverflowError:
             pass
-    noun = "an integer" if kind is int else "a number"
+    what = repr(field) if where == "scenario" else f"{where} {field!r}"
     raise ValidationError(f"{what} must be {noun}, got {value!r}")
 
 
-#: Every key a scenario document may use, per object.
-_TOP_KEYS = frozenset({"name", "nodes", "links", "endpoints", "params",
-                       "adversary", "trials", "seed"})
-_PARAMS_KEYS = frozenset({"n", "s", "m", "ell", "w", "epsilon"})
-_LINK_KEYS = frozenset({"a", "b", "distance_km", "epsilon", "alive"})
-_ADVERSARY_KEYS = frozenset({"corrupted", "t", "strategies"})
+_REQUIRED = object()
+
+#: Every field of each scenario object, as (kind, default); a document
+#: must give a ``_REQUIRED`` field.  An omitted field whose default is
+#: None stays None and ``load_scenario`` resolves it from other fields.
+_FIELDS = {
+    "scenario": {
+        "name": ("string", "unnamed"), "nodes": ("strings", _REQUIRED),
+        "links": ("list", _REQUIRED), "endpoints": ("strings", _REQUIRED),
+        "params": ("object", _REQUIRED), "adversary": ("object_or_null", None),
+        "trials": ("integer", 1000), "seed": ("integer", 0),
+    },
+    "params": {
+        "n": ("integer", _REQUIRED), "s": ("integer", _REQUIRED),
+        "m": ("integer", _REQUIRED), "ell": ("integer", _REQUIRED),
+        "w": ("integer", None), "epsilon": ("number", None),
+    },
+    "link": {
+        "a": ("string", _REQUIRED), "b": ("string", _REQUIRED),
+        "distance_km": ("number", 0.0), "epsilon": ("number", 0.0),
+        "alive": ("bool", True),
+    },
+    "adversary": {
+        "corrupted": ("strings", ()), "t": ("integer", None),
+        "strategies": ("strings", ("passive",)),
+    },
+}
 
 
-def _known_keys(obj: dict, known: frozenset, where: str):
-    unknown = sorted(set(obj) - known, key=str)
+def _fields(obj: dict, where: str) -> dict:
+    """The fields of ``obj``, a ``where`` object, checked against
+    ``_FIELDS`` and with the defaults of omitted ones filled in."""
+    fields = _FIELDS[where]
+    unknown = sorted(set(obj) - fields.keys(), key=str)
     if unknown:
         raise ValidationError(f"unknown field {unknown[0]!r} in {where}")
-
-
-def _strings(value, what):
-    _require(
-        isinstance(value, (list, tuple))
-        and all(isinstance(v, str) for v in value),
-        f"{what} must be a list of strings, got {value!r}",
-    )
-    return value
+    values = {}
+    for field, (kind, default) in fields.items():
+        if field not in obj and default is _REQUIRED:
+            raise ValidationError(f"missing field {field!r} in {where}")
+        values[field] = (_coerce(kind, obj[field], field, where)
+                         if field in obj else default)
+    return values
 
 
 def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a dict or a path (``str`` or ``Path``).
 
-    Raises :class:`ParseError` for malformed documents and
+    ``_FIELDS`` lists every field with its kind and default.  Raises
+    :class:`ParseError` for malformed documents and
     :class:`ValidationError` naming the violated invariant otherwise.
     """
     if isinstance(source, dict):
@@ -121,96 +155,47 @@ def load_scenario(source) -> Scenario:
             raise ParseError(f"scenario is not UTF-8 text: {exc}") from exc
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # an over-long integer literal too
             raise ParseError(f"scenario is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ParseError("scenario JSON is nested too deeply") from exc
 
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
-    _known_keys(doc, _TOP_KEYS, "scenario")
-    for field_name in ("nodes", "links", "endpoints", "params"):
-        _require(field_name in doc, f"missing required field {field_name!r}")
+    top = _fields(doc, "scenario")
 
-    nodes = doc["nodes"]
-    _require(
-        isinstance(nodes, list) and all(isinstance(v, str) for v in nodes),
-        "nodes must be a list of strings",
-    )
+    nodes = top["nodes"]
     _require(len(set(nodes)) == len(nodes), "node names must be unique")
-
-    _require(isinstance(doc["links"], list), "links must be a list")
     links = []
-    for entry in doc["links"]:
+    for entry in top["links"]:
         _require(isinstance(entry, dict), "each link must be an object")
-        _known_keys(entry, _LINK_KEYS, "link")
-        _require("a" in entry and "b" in entry, "link needs endpoints a and b")
-        _require(isinstance(entry["a"], str) and isinstance(entry["b"], str),
-                 f"link endpoints must be node names, got "
-                 f"{entry['a']!r}-{entry['b']!r}")
-        alive = entry.get("alive", True)
-        _require(isinstance(alive, bool),
-                 f"link 'alive' must be true or false, got {alive!r}")
-        links.append(QkdLink(
-            entry["a"], entry["b"],
-            distance_km=_coerce(float, entry.get("distance_km", 0.0),
-                                "link 'distance_km'"),
-            epsilon=_coerce(float, entry.get("epsilon", 0.0), "link 'epsilon'"),
-            alive=alive,
-        ))
+        links.append(QkdLink(**_fields(entry, "link")))
     graph = NetworkGraph(nodes, links)
 
-    endpoints = doc["endpoints"]
-    _require(
-        isinstance(endpoints, list) and len(endpoints) == 2
-        and all(isinstance(v, str) for v in endpoints),
-        "endpoints must be a list of two node names",
-    )
-    a, b = endpoints
+    _require(len(top["endpoints"]) == 2,
+             "endpoints must be a list of two node names")
+    a, b = top["endpoints"]
     _require(a in graph.nodes and b in graph.nodes, "endpoints must be graph nodes")
     _require(a != b, "endpoints must be distinct")
 
-    p = doc["params"]
-    _require(isinstance(p, dict), "params must be an object")
-    _known_keys(p, _PARAMS_KEYS, "params")
-    for field_name in ("n", "s", "m", "ell"):
-        _require(field_name in p, f"params missing {field_name!r}")
-    n, s, m, ell = (
-        _coerce(int, p[k], f"params {k!r}") for k in ("n", "s", "m", "ell")
-    )
-    link_eps = max((l.epsilon for l in links), default=0.0)
-    epsilon = _coerce(float, p.get("epsilon", link_eps), "params 'epsilon'")
+    p = _fields(top["params"], "params")
+    w = p.pop("w")
+    if p["epsilon"] is None:
+        p["epsilon"] = max((l.epsilon for l in links), default=0.0)
     try:
-        params = SecurityParams(n=n, s=s, m=m, ell=ell, epsilon=epsilon)
+        params = SecurityParams(**p)
     except ParameterViolation as exc:
         raise ValidationError(str(exc)) from exc
-    if "w" in p:
-        _require(
-            _coerce(int, p["w"], "params 'w'") * 2 == params.s,
-            f"w={p['w']} inconsistent with s={params.s} (s = 2w required)",
-        )
+    _require(w is None or w * 2 == params.s,
+             f"w={w} inconsistent with s={params.s} (s = 2w required)")
 
     # An omitted or null block is the empty adversary: no corrupted node.
-    adv = doc.get("adversary")
-    _require(adv is None or isinstance(adv, dict),
-             f"'adversary' must be an object or null, got {adv!r}")
-    adv = adv or {}
-    _known_keys(adv, _ADVERSARY_KEYS, "adversary")
-    corrupted = _strings(adv.get("corrupted", []), "adversary 'corrupted'")
-    strategies = _strings(adv.get("strategies", ["passive"]),
-                          "adversary 'strategies'")
-    adversary = corrupt(
-        graph, corrupted,
-        _coerce(int, adv.get("t", len(corrupted)), "adversary 't'"),
-        endpoints=(a, b), strategies=tuple(strategies) or ("passive",),
-    )
+    adv = _fields(top["adversary"] or {}, "adversary")
+    t = len(adv["corrupted"]) if adv["t"] is None else adv["t"]
+    adversary = corrupt(graph, adv["corrupted"], t, endpoints=(a, b),
+                        strategies=tuple(adv["strategies"]) or ("passive",))
 
-    trials = _coerce(int, doc.get("trials", 1000), "'trials'")
-    _require(trials >= 1, "trials must be >= 1")
-    seed = _coerce(int, doc.get("seed", 0), "'seed'")
-    name = doc.get("name", "unnamed")
-    _require(isinstance(name, str), f"'name' must be a string, got {name!r}")
-
+    _require(top["trials"] >= 1, "trials must be >= 1")
     try:
         paths = vertex_disjoint_paths(graph, a, b, params.ell)
     except InsufficientConnectivity as exc:
@@ -220,10 +205,8 @@ def load_scenario(source) -> Scenario:
         ) from exc
 
     return Scenario(
-        name=name,
-        graph=graph, a=a, b=b, params=params,
-        adversary=adversary, trials=trials, seed=seed, paths=paths,
-    )
+        name=top["name"], graph=graph, a=a, b=b, params=params,
+        adversary=adversary, trials=top["trials"], seed=top["seed"], paths=paths)
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:

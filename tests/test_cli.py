@@ -435,6 +435,18 @@ class TestMalformedScenario:
         assert rc == 2
         assert err.startswith("error: ") and "UTF-8" in err
 
+    def test_over_long_integer_literal(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError past Python's 4300-digit
+        # limit for int conversion; it used to escape as a traceback
+        long_seed = tmp_path / "long_seed.json"
+        text = TWO_CHAINS.read_text()
+        long_seed.write_text(text.replace('"seed": 7', '"seed": ' + "9" * 5000))
+        assert long_seed.read_text() != text
+        rc = main(["run", "--scenario", str(long_seed)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "not valid JSON" in err
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 200_000 + "]" * 200_000)

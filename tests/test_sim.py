@@ -130,6 +130,81 @@ class TestLoadScenario:
             load_scenario(doc)
 
 
+#: Every field of each scenario object with its kind, written out here
+#: rather than read from ``sim._FIELDS`` so that a new field cannot skip
+#: the sweep below.
+FIELD_KINDS = {
+    "scenario": {"name": "string", "nodes": "strings", "links": "list",
+                 "endpoints": "strings", "params": "object",
+                 "adversary": "object_or_null", "trials": "integer",
+                 "seed": "integer"},
+    "params": {"n": "integer", "s": "integer", "m": "integer",
+               "ell": "integer", "w": "integer", "epsilon": "number"},
+    "link": {"a": "string", "b": "string", "distance_km": "number",
+             "epsilon": "number", "alive": "bool"},
+    "adversary": {"corrupted": "strings", "t": "integer",
+                  "strategies": "strings"},
+}
+REQUIRED_FIELDS = {"scenario": {"nodes", "links", "endpoints", "params"},
+                   "params": {"n", "s", "m", "ell"}, "link": {"a", "b"},
+                   "adversary": set()}
+#: One JSON value of each JSON type, with the field kinds that accept it.
+JSON_VALUES = [
+    (None, {"object_or_null"}), (True, {"bool"}), (2, {"integer", "number"}),
+    (1.5, {"number"}), ("x", {"string"}), ([], {"list", "strings"}),
+    ({}, {"object", "object_or_null"}),
+]
+ALL_FIELDS = [(where, field) for where, fields in FIELD_KINDS.items()
+              for field in fields]
+
+
+def full_doc():
+    """The two-chains document with every field of every object given."""
+    doc = two_chains_doc(adversary={"corrupted": ["n1"], "t": 1,
+                                    "strategies": ["passive"]})
+    doc["params"]["epsilon"] = 0.0
+    doc["links"][0].update(distance_km=1.0, epsilon=0.0, alive=True)
+    return doc
+
+
+def object_of(doc, where):
+    return {"scenario": doc, "params": doc["params"],
+            "link": doc["links"][0], "adversary": doc["adversary"]}[where]
+
+
+class TestFieldTable:
+    def test_table_lists_every_field(self):
+        assert {where: {field: kind for field, (kind, _) in fields.items()}
+                for where, fields in sim._FIELDS.items()} == FIELD_KINDS
+        assert {where: {field for field, (_, default) in fields.items()
+                        if default is sim._REQUIRED}
+                for where, fields in sim._FIELDS.items()} == REQUIRED_FIELDS
+
+    @pytest.mark.parametrize("where,field", ALL_FIELDS)
+    def test_wrong_kind_names_the_field(self, where, field):
+        kind = FIELD_KINDS[where][field]
+        label = repr(field) if where == "scenario" else f"{where} {field!r}"
+        for value, kinds in JSON_VALUES:
+            if kind in kinds:
+                continue
+            doc = full_doc()
+            object_of(doc, where)[field] = value
+            with pytest.raises(ValidationError) as info:
+                load_scenario(doc)
+            assert label in str(info.value), value
+
+    @pytest.mark.parametrize("where,field", ALL_FIELDS)
+    def test_omitted_field(self, where, field):
+        doc = full_doc()
+        del object_of(doc, where)[field]
+        if field in REQUIRED_FIELDS[where]:
+            with pytest.raises(ValidationError,
+                               match=f"^missing field '{field}' in {where}$"):
+                load_scenario(doc)
+        else:
+            load_scenario(doc)
+
+
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
         seeds = [derive_trial_seed(42, i) for i in range(100)]
