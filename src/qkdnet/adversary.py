@@ -197,7 +197,10 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
     assignment of the u unknown shares, 2^(u*key_len) in all, in blocks
     of at most 2^16 written into reused work buffers: each block
     XOR-folds its u key_len-bit chunks into the known shares' XOR and
-    adds the histogram of the resulting keys to a running count.
+    adds the histogram of the resulting keys to a running count.  The
+    first block's assignments are the ramp itself; the mask to key_len
+    bits is needed only when two or more chunks are folded.  Every
+    assignment is counted.
     Returns the maximum posterior probability minus 2^-key_len as a
     Fraction; 0 means perfect privacy.  There is no estimate: raises
     :class:`TooLarge` when key_len > 16 or u*key_len >
@@ -228,15 +231,16 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
     ramp, a, keys = _block_arrays(min(bits, _BLOCK_BITS))
     shift = np.uint32(key_len)
     for start in range(0, 1 << bits, ramp.size):
-        np.add(ramp, np.uint32(start), out=a)
-        # the XOR of the u chunks of a is the low key_len bits of
-        # a ^ (a >> key_len) ^ (a >> 2*key_len) ^ ...
-        np.copyto(keys, a)
+        # the first block's assignments are the ramp itself
+        src = np.add(ramp, np.uint32(start), out=a) if start else ramp
+        # the key is the known shares' XOR ^ the low key_len bits of
+        # src ^ (src >> key_len) ^ (src >> 2*key_len) ^ ...
+        np.bitwise_xor(src, base, out=keys)
         for _ in range(unknown - 1):
-            np.right_shift(a, shift, out=a)
+            src = np.right_shift(src, shift, out=a)
             np.bitwise_xor(keys, a, out=keys)
-        np.bitwise_and(keys, (1 << key_len) - 1, out=keys)
-        np.bitwise_xor(keys, base, out=keys)
+        if unknown > 1:
+            np.bitwise_and(keys, (1 << key_len) - 1, out=keys)
         hist = np.bincount(keys, minlength=1 << key_len)
         if start:
             counts += hist

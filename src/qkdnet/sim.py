@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -206,7 +207,20 @@ def load_scenario(source) -> Scenario:
 
     return Scenario(
         name=top["name"], graph=graph, a=a, b=b, params=params,
-        adversary=adversary, trials=top["trials"], seed=top["seed"], paths=paths)
+        adversary=adversary, trials=top["trials"], seed=_check_seed(top["seed"]),
+        paths=paths)
+
+
+def _check_seed(seed: int) -> int:
+    """``seed`` if :func:`derive_trial_seed` can write it in decimal,
+    else a ValidationError naming the seed."""
+    try:
+        str(seed)
+    except ValueError:   # past the interpreter's int-to-str digit limit
+        raise ValidationError(
+            f"seed must have at most {sys.get_int_max_str_digits()} digits"
+        ) from None
+    return seed
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
@@ -283,12 +297,20 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.99):
     The endpoints are scipy's ``betaincinv`` floats, which are not always
     the correctly rounded roots; ``summary.json`` prints them, so replay
     pins scipy here.  It is imported on the first call so that only
-    ``qkdnet run`` pays for loading it.
+    ``qkdnet run`` pays for loading it.  Raises :class:`ValidationError`
+    unless trials >= 1, 0 <= successes <= trials and 0 < confidence < 1,
+    before scipy is loaded.
     """
-    from scipy.special import betaincinv
-
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValidationError(
+            f"successes must be in 0..{trials}, got {successes}")
+    if not 0.0 < confidence < 1.0:
+        raise ValidationError(
+            f"confidence must be strictly between 0 and 1, got {confidence}")
+    from scipy.special import betaincinv
+
     alpha = 1.0 - confidence
     if successes == 0:
         low = 0.0
@@ -392,7 +414,7 @@ def run_monte_carlo(
 ) -> MonteCarloRun:
     """Run independent trials and compare against the analytic bounds."""
     trials = scenario.trials if trials is None else trials
-    seed = scenario.seed if seed is None else seed
+    seed = _check_seed(scenario.seed if seed is None else seed)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     results = tuple(
@@ -456,46 +478,47 @@ def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Frac
     """Literal enumeration over all (2^key_bits)^m challenge tuples.
 
     Every tuple is materialised as one integer of m key_bits-bit chunks,
-    and each chunk is parity-tested against ``diff``; a tuple misses
-    when every chunk has even parity.
+    and each chunk is parity-tested against ``diff``: the chunks' popcounts
+    are ORed, so a tuple misses when the low bit of the OR is clear,
+    i.e. when every chunk has even parity.
     """
     if (1 << (key_bits * m)) > 1 << 16:
         raise TooLarge("tuple enumeration limited to 2^16 tuples")
     total = 1 << (key_bits * m)
     tuples = np.arange(total, dtype=np.uint32)
     test = np.uint32(diff & ((1 << key_bits) - 1))
-    miss = np.ones(total, dtype=bool)
+    odd = np.zeros(total, dtype=np.uint8)
     for j in range(m):
-        chunk = (tuples >> np.uint32(j * key_bits)) & test
-        miss &= np.bitwise_count(chunk) % 2 == 0
-    return Fraction(int(np.count_nonzero(miss)), total)
+        odd |= np.bitwise_count((tuples >> np.uint32(j * key_bits)) & test)
+    return Fraction(total - int(np.count_nonzero(odd & np.uint8(1))), total)
 
 
 def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
     """Exhaustive check of distillation uniformity for one set of
     ``key_bits``-bit integer parity vectors.
 
-    Enumerates all 2^key_bits keys, distills the whole key table in one
-    call of the production :func:`deterministic_pa`, groups the keys by
-    their parity vector, and requires the distilled keys within every
-    non-empty group to cover each surviving value equally often.
+    Enumerates all 2^key_bits keys and distills the whole key table in
+    one call of the production :func:`deterministic_pa`.  Each key's
+    count cell is its parity vector (one bit per lambda, the first
+    lambda highest) above its distilled key; one ``bincount`` over the
+    cells gives one row per parity vector.  The distilled keys within
+    every non-empty group must cover each surviving value equally
+    often, i.e. every such row's minimum must equal its maximum.  An
+    empty row (a parity vector no key has, as under a zero lambda) is
+    all zeros, so the test is that every row equals its first entry.
     """
     m = len(lambdas)
     keys = np.arange(1 << key_bits, dtype=np.uint64)
-    sigma = np.zeros_like(keys)
-    for lam in lambdas:
-        parity = np.bitwise_count(keys & np.uint64(lam)) % np.uint64(2)
-        sigma = (sigma << np.uint64(1)) | parity
     kstar, trash = deterministic_pa(keys, key_bits, lambdas)
     survivors = key_bits - len(trash)
-    combined = (sigma << np.uint64(survivors)) | kstar
-    counts = np.bincount(
-        combined.astype(np.int64), minlength=1 << (m + survivors)
-    ).reshape(1 << m, 1 << survivors)
-    for row in counts:
-        if row.any() and (row != row[0]).any():
-            return False
-    return True
+    # with every position trashed, kstar is the scalar 0
+    cells = np.broadcast_to(kstar, keys.shape).astype(np.intp)
+    for j, lam in enumerate(reversed(lambdas)):
+        parity = np.bitwise_count(keys & np.uint64(lam)) & np.uint8(1)
+        cells |= parity.astype(np.intp) << (survivors + j)
+    counts = np.bincount(cells, minlength=1 << (m + survivors))
+    counts = counts.reshape(1 << m, 1 << survivors)
+    return bool((counts == counts[:, :1]).all())
 
 
 def share_privacy_exact(key_bits: int, ell: int, shares) -> bool:

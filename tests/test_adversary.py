@@ -233,6 +233,19 @@ class TestGuessingAdvantageEnumeration:
         view, key_len = case
         assert guessing_advantage(view) == advantage_reference(view, key_len)
 
+    @pytest.mark.parametrize("key_len,unknown,known", [
+        (16, 1, 1), (16, 1, 2), (12, 1, 1), (9, 2, 1),
+    ])
+    def test_wide_keys_match_per_assignment_loop(self, key_len, unknown, known):
+        # past the strategy's key_len <= 8: one unknown share is one
+        # block of 2^key_len assignments, and two 9-bit unknowns are 18
+        # bits, four 2^16 blocks
+        rng = random.Random(key_len * 4 + known)
+        view = AdversaryView(n_paths=known + unknown, share_bits=key_len)
+        for i in range(known):
+            view.record_share(i, rng.randrange(1, 1 << key_len))
+        assert guessing_advantage(view) == advantage_reference(view, key_len)
+
     @pytest.mark.parametrize("bits,unknown", [(10, 2), (5, 4), (4, 5)])
     def test_peak_memory_is_one_block(self, bits, unknown):
         # 2^20 assignments: the whole table as uint32 would be 4 MiB;

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -215,6 +216,18 @@ class TestOracle:
         assert rc == 0
         assert "all exact" in out
         assert "parity_miss" in out
+
+    @pytest.mark.parametrize("argv,digest", [
+        ([], "bf2c95bc3a0e5f1d7ae0e572d61ea301cd265ca09c8589364ea335e0bf3accc7"),
+        (["--max-bits", "6", "--configs", "5"],
+         "8f44c74139e871f7bffbda382853a13f56b314db86f40832627111009ade7b95"),
+    ], ids=["defaults", "max-bits-6"])
+    def test_stdout_pinned(self, argv, digest, capsys):
+        # sha256 of the whole report, recorded from the per-row uniformity
+        # loop and the per-block fold of every guessing_advantage call
+        assert main(["oracle", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("bits", ["2", "9", "20", "-1"])
     def test_max_bits_out_of_range_exits_2(self, bits, capsys):

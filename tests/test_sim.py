@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -214,6 +216,29 @@ class TestSeedDerivation:
     def test_master_seed_matters(self):
         assert derive_trial_seed(1, 0) != derive_trial_seed(2, 0)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_over_long_seed_named_at_load(self, sign):
+        # derive_trial_seed writes the seed in decimal, which Python
+        # refuses past sys.get_int_max_str_digits() digits
+        with pytest.raises(ValidationError, match="^seed must have at most"):
+            load_scenario(two_chains_doc(seed=sign * 10**5000))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_over_long_seed_override_named(self, sign):
+        sc = load_scenario(two_chains_doc())
+        with pytest.raises(ValidationError, match="^seed must have at most"):
+            run_monte_carlo(sc, trials=1, seed=sign * 10**5000)
+
+    def test_longest_printable_seed_derives_as_before(self):
+        seed = int("9" * sys.get_int_max_str_digits())
+        sc = load_scenario(two_chains_doc(seed=seed))
+        expected = hashlib.sha256(f"qkdnet:{seed}:0".encode()).digest()[:8]
+        for run in (run_monte_carlo(sc, trials=1),
+                    run_monte_carlo(load_scenario(two_chains_doc()),
+                                    trials=1, seed=seed)):
+            assert run.master_seed == seed
+            assert run.results[0].seed == int.from_bytes(expected, "big")
+
 
 class TestRunTrial:
     def test_honest_trial_succeeds(self):
@@ -288,6 +313,15 @@ class TestClopperPearson:
         # Exact floats recorded from scipy.special.betaincinv; summary.json
         # prints these endpoints, so replay depends on every bit.
         assert clopper_pearson(k, n, confidence) == expected
+
+    @pytest.mark.parametrize("k,n,confidence", [
+        (5, 4, 0.99), (-1, 4, 0.99), (1, 4, 1.5), (1, 4, 1.0), (1, 4, 0.0),
+        (1, 4, -0.2), (1, 4, float("nan")),
+    ])
+    def test_out_of_range_arguments_rejected(self, k, n, confidence):
+        # scipy would return NaN endpoints or a finite non-interval
+        with pytest.raises(ValidationError):
+            clopper_pearson(k, n, confidence)
 
 
 class TestCheckBounds:
@@ -426,6 +460,11 @@ class TestDpaOracle:
         for lambdas in (rep, disj, zero):
             assert dpa_uniformity_exact(6, lambdas)
 
+    def test_every_position_trashed(self):
+        # no surviving bit: the distilled key is the scalar 0 for all keys
+        assert dpa_uniformity_exact(2, [0b10, 0b01])
+        assert dpa_uniformity_exact(3, [0b111, 0b011, 0b001, 0b101])
+
     def test_table_call_matches_scalar_calls(self):
         # the oracle distills the whole numpy key table in one call
         rng = random.Random(11)
@@ -437,8 +476,8 @@ class TestDpaOracle:
                 assert sim.deterministic_pa(kv, 8, lambdas) == (
                     int(table[kv]), trash)
 
-    @pytest.mark.parametrize("bad", [5, 37])
-    def test_distillation_wrong_on_one_key_fails(self, monkeypatch, bad):
+    @staticmethod
+    def distill_wrong_on_one_key(monkeypatch, bad):
         real = sim.deterministic_pa
 
         def wrong_on_one_key(key, nbits, lambdas):
@@ -451,7 +490,21 @@ class TestDpaOracle:
             return out, trash
 
         monkeypatch.setattr(sim, "deterministic_pa", wrong_on_one_key)
+
+    @pytest.mark.parametrize("bad", [5, 37])
+    def test_distillation_wrong_on_one_key_fails(self, monkeypatch, bad):
+        self.distill_wrong_on_one_key(monkeypatch, bad)
         assert not dpa_uniformity_exact(6, [0b110100, 0b011001])
+
+    @pytest.mark.parametrize("lambdas", [[0, 0b011001], [0b110100, 0]])
+    @pytest.mark.parametrize("bad", [5, 37])
+    def test_empty_parity_group_does_not_hide_a_bad_one(
+            self, monkeypatch, bad, lambdas):
+        # a zero lambda has even parity on every key, so half the parity
+        # groups are empty; the wrong key lies in a non-empty one
+        assert dpa_uniformity_exact(6, lambdas)
+        self.distill_wrong_on_one_key(monkeypatch, bad)
+        assert not dpa_uniformity_exact(6, lambdas)
 
 
 class TestSharePrivacyOracle:
