@@ -205,19 +205,23 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
     Fraction; 0 means perfect privacy.  There is no estimate: raises
     :class:`TooLarge` when key_len > 16 or u*key_len >
     ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` when the view's shares
-    are narrower than one bit.  The work buffers are shared by the
-    calls of one process, so calls must not run concurrently in threads.
+    are narrower than one bit, or before any enumeration when a known
+    share's path index lies outside 0..n_paths-1 or its value outside
+    [0, 2^key_len).  The work buffers are shared by the calls of one
+    process, so calls must not run concurrently in threads.
     """
     key_len = view.share_bits
     if key_len < 1:
         raise OutOfRange(f"view shares must be >= 1 bit, got {key_len}")
-    unknown = view.n_paths
     base = 0
-    for i in range(view.n_paths):
-        share = view.learned_shares.get(i)
-        if share is not None:
-            unknown -= 1
-            base ^= share
+    for i, share in view.learned_shares.items():
+        if not (0 <= i < view.n_paths and 0 <= share < 1 << key_len):
+            raise OutOfRange(
+                f"known share {share} on path {i} is outside the view's "
+                f"{view.n_paths} paths of {key_len}-bit shares"
+            )
+        base ^= share
+    unknown = view.n_paths - len(view.learned_shares)
 
     uniform = Fraction(1, 1 << key_len)
     if unknown == 0:

@@ -2,9 +2,11 @@
 
 A trusted-repeater network is an undirected graph of nodes joined by QKD
 links.  Sessions between two endpoints ride on internally vertex-disjoint
-paths; discovery uses unit-capacity max-flow on the node-split graph, so
-the returned count is Menger-maximal.  All tie-breaking is lexicographic
-on node labels, making results deterministic for a given graph.
+paths; discovery runs unit-capacity max-flow on the node-split graph, so
+the returned count is Menger-maximal.  One residual map serves both the
+augmentation and the decomposition: the paths are read off its saturated
+arcs.  All tie-breaking is lexicographic on node labels, making results
+deterministic for a given graph.
 
 Links whose ``alive`` flag is cleared (eavesdropping-induced abort or
 administrative down) are excluded from path discovery.
@@ -120,100 +122,71 @@ class PathSet:
 _IN, _OUT = 0, 1
 
 
-def _split_graph_max_flow(graph: NetworkGraph, a: NodeId, b: NodeId, want: int):
-    """Unit-capacity max-flow on the node-split graph.
-
-    Every node other than the endpoints becomes an in/out pair joined by
-    a capacity-1 edge; each alive link contributes a directed unit edge
-    in both orientations.  Augments along BFS-shortest paths with
-    lexicographic neighbor order until ``want`` units flow or no
-    augmenting path remains.
-
-    Returns (flow value, residual, original forward-edge adjacency).
-    """
-    source, sink = (a, _OUT), (b, _IN)
-    residual: dict[tuple, dict[tuple, int]] = {}
-    forward: dict[tuple, list[tuple]] = {}
-
-    def add_edge(u, v):
-        residual.setdefault(u, {})[v] = 1
-        residual.setdefault(v, {}).setdefault(u, 0)
-        forward.setdefault(u, []).append(v)
-
-    for v in sorted(graph.nodes):
-        if v not in (a, b):
-            add_edge((v, _IN), (v, _OUT))
-    for link in graph.links:
-        if not link.alive:
-            continue
-        for u, v in ((link.a, link.b), (link.b, link.a)):
-            if v == a or u == b:
-                continue
-            tail = source if u == a else (u, _OUT)
-            head = sink if v == b else (v, _IN)
-            add_edge(tail, head)
-    for heads in forward.values():
-        heads.sort()
-
-    flow = 0
-    while flow < want:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in sorted(residual.get(u, {})):
-                if v not in parent and residual[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            break
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            residual[u][v] -= 1
-            residual[v][u] += 1
-            v = u
-        flow += 1
-    return flow, residual, forward
-
-
 def vertex_disjoint_paths(
     graph: NetworkGraph, a: NodeId, b: NodeId, count: int
 ) -> PathSet:
     """Find ``count`` internally vertex-disjoint paths from a to b.
 
-    Deterministic for a given graph (lexicographic tie-breaking).  When
-    fewer than ``count`` disjoint paths exist, raises
-    :class:`InsufficientConnectivity` carrying the maximum achievable.
+    Unit-capacity max-flow on the node-split graph, held in one residual
+    map ``residual[u][v]``: every node other than the endpoints is an
+    (label, _IN) -> (label, _OUT) arc, and each alive link is a unit arc
+    from one end's exit to the other's entry, in both orientations.  BFS
+    augments along shortest paths, visiting each node's arcs in (label,
+    side) order, sorted once since the arc set never changes.  When BFS
+    finds no augmenting path before ``count`` units flow, raises
+    :class:`InsufficientConnectivity` carrying the flow, which is then
+    the maximum.  Each path is read off the map from one saturated
+    source arc, then at every exit node its one saturated link arc (the
+    arc into another label's entry).  Deterministic for a given graph.
     """
     if a == b or a not in graph.nodes or b not in graph.nodes:
         raise ValidationError(f"endpoints {a!r}, {b!r} must be distinct graph nodes")
     if count < 1:
         raise OutOfRange(f"path count must be >= 1, got {count}")
-    flow, residual, forward = _split_graph_max_flow(graph, a, b, count)
-    if flow < count:   # no augmenting path remains: flow is the maximum
-        raise InsufficientConnectivity(count, flow)
-
-    # Unit capacities: an original edge carries net flow iff its residual
-    # is exhausted.  Walk used edges from the source; vertex capacities
-    # guarantee walks are simple and reach the sink.
     source, sink = (a, _OUT), (b, _IN)
+    residual: dict[tuple, dict[tuple, int]] = {source: {}}
+
+    def add_arc(u, v):
+        residual.setdefault(u, {})[v] = 1
+        residual.setdefault(v, {})[u] = 0
+
+    for v in graph.nodes - {a, b}:
+        add_arc((v, _IN), (v, _OUT))
+    for link in graph.links:
+        for u, v in ((link.a, link.b), (link.b, link.a)):
+            if link.alive and v != a and u != b:
+                add_arc(source if u == a else (u, _OUT), sink if v == b else (v, _IN))
+    residual = {u: dict(sorted(arcs.items())) for u, arcs in residual.items()}
+
+    for flow in range(count):
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, free in residual[u].items():
+                if free and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            raise InsufficientConnectivity(count, flow)
+        v = sink
+        while v != source:
+            u = parent[v]
+            residual[u][v] -= 1
+            residual[v][u] += 1
+            v = u
+
     paths = []
-    for _ in range(flow):
-        node = source
+    for head, free in residual[source].items():
+        if free:
+            continue
         path = [a]
-        while node != sink:
-            for nxt in forward.get(node, ()):
-                if residual[node][nxt] == 0:
-                    residual[node][nxt] = 1  # consume this unit
-                    node = nxt
-                    break
-            else:
-                raise AssertionError("flow decomposition failed")
-            if node == sink or node[1] == _OUT:
-                if node[0] != path[-1]:
-                    path.append(node[0])
-        paths.append(tuple(path))
+        while head != sink:
+            label = head[0]
+            path.append(label)
+            head = next(v for v, left in residual[(label, _OUT)].items()
+                        if not left and v[0] != label)
+        paths.append((*path, b))
     return PathSet(a, b, tuple(sorted(paths)))
 
 

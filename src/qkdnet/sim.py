@@ -480,13 +480,17 @@ def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Frac
     Every tuple is materialised as one integer of m key_bits-bit chunks,
     and each chunk is parity-tested against ``diff``: the chunks' popcounts
     are ORed, so a tuple misses when the low bit of the OR is clear,
-    i.e. when every chunk has even parity.
+    i.e. when every chunk has even parity.  Raises :class:`TooLarge` past
+    2^16 tuples and :class:`ValidationError` unless ``diff`` is a
+    nonzero key_bits-bit value, as :func:`parity_miss_rate_exact` does.
     """
     if (1 << (key_bits * m)) > 1 << 16:
         raise TooLarge("tuple enumeration limited to 2^16 tuples")
+    if not 0 < diff < (1 << key_bits):
+        raise ValidationError("diff must be a nonzero key_bits-bit value")
     total = 1 << (key_bits * m)
     tuples = np.arange(total, dtype=np.uint32)
-    test = np.uint32(diff & ((1 << key_bits) - 1))
+    test = np.uint32(diff)
     odd = np.zeros(total, dtype=np.uint8)
     for j in range(m):
         odd |= np.bitwise_count((tuples >> np.uint32(j * key_bits)) & test)
@@ -523,8 +527,12 @@ def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
 
 def share_privacy_exact(key_bits: int, ell: int, shares) -> bool:
     """Every (ell-1)-subset of the ``key_bits``-bit integer ``shares``
-    leaves advantage exactly zero."""
+    leaves advantage exactly zero.  Raises :class:`ValidationError` when
+    there are not exactly ``ell`` shares."""
     import itertools
+
+    if len(shares) != ell:
+        raise ValidationError(f"need {ell} shares, got {len(shares)}")
 
     for known in itertools.combinations(range(ell), ell - 1):
         view = AdversaryView(n_paths=ell, share_bits=key_bits)

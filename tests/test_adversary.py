@@ -158,6 +158,23 @@ class TestGuessingAdvantage:
         with pytest.raises(OutOfRange):
             guessing_advantage(AdversaryView(n_paths=2, share_bits=0))
 
+    @pytest.mark.parametrize("n_paths,index,value", [
+        (2, 0, 1 << 40), (3, 0, 1 << 40), (2, 1, 16), (2, 0, -1),
+        (2, 5, 3), (2, -1, 3),
+    ])
+    def test_known_share_outside_view_rejected(self, n_paths, index, value):
+        # A share wider than the view, or recorded on a path the view
+        # does not have, is named before any enumeration.
+        view = AdversaryView(n_paths=n_paths, share_bits=4)
+        view.record_share(index, value)
+        with pytest.raises(OutOfRange, match=f"on path {index} "):
+            guessing_advantage(view)
+
+    def test_widest_share_on_last_path_accepted(self):
+        view = AdversaryView(n_paths=3, share_bits=4)
+        view.record_share(2, 15)
+        assert guessing_advantage(view) == 0
+
     def test_too_large_when_exact_required(self):
         view = AdversaryView(n_paths=2, share_bits=24)
         with pytest.raises(TooLarge):

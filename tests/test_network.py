@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -179,6 +180,45 @@ class TestVertexDisjointPaths:
             with pytest.raises(InsufficientConnectivity) as exc:
                 vertex_disjoint_paths(g, "a", "b", expected + 1)
             assert exc.value.max_paths == expected
+
+    def test_second_path_cancels_the_first_augmentation(self):
+        # The first augmenting path is a-e-c-b.  The only second path
+        # runs a-f-c and must cancel the e->c arc, rerouting e to g.
+        g = graph_from_edges([
+            ("a", "e"), ("a", "f"), ("b", "c"), ("b", "g"),
+            ("c", "e"), ("c", "f"), ("d", "f"), ("e", "g"),
+        ])
+        ps = vertex_disjoint_paths(g, "a", "b", 2)
+        assert ps.paths == (("a", "e", "g", "b"), ("a", "f", "c", "b"))
+        with pytest.raises(InsufficientConnectivity) as exc:
+            vertex_disjoint_paths(g, "a", "b", 3)
+        assert exc.value.max_paths == 2
+
+    def test_chosen_paths_pinned_on_random_graphs(self):
+        # Which paths are chosen, not only how many: one digest over the
+        # paths (or the maximum when too few exist) for every count
+        # 1..k-1 on seeded graphs with dead links and random endpoints.
+        rng = random.Random(21)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            k = rng.randrange(3, 10)
+            nodes = list("abcdefghi"[:k])
+            links = [
+                QkdLink(u, v, alive=rng.random() < 0.85)
+                for u, v in itertools.combinations(nodes, 2)
+                if rng.random() < 0.5
+            ]
+            g = NetworkGraph(nodes, links)
+            a, b = rng.sample(nodes, 2)
+            for count in range(1, k):
+                try:
+                    result = vertex_disjoint_paths(g, a, b, count).paths
+                except InsufficientConnectivity as exc:
+                    result = exc.max_paths
+                digest.update(f"{result}\n".encode())
+        assert digest.hexdigest() == (
+            "9377f7c6215f4cf821457a469565fae3ba0771e77c6a79fe9441ccf5fd965657"
+        )
 
 
 class TestRequiredPaths:

@@ -441,6 +441,15 @@ class TestParityOracles:
         with pytest.raises(ValidationError):
             parity_miss_rate_exact(8, 3, 0)
 
+    @pytest.mark.parametrize("diff", [0, 16, 17, -1])
+    @pytest.mark.parametrize("oracle", [
+        parity_miss_rate_exact, parity_miss_rate_tuple_enumeration,
+    ], ids=["factorized", "tuples"])
+    def test_diff_outside_key_rejected(self, oracle, diff):
+        with pytest.raises(ValidationError,
+                           match="diff must be a nonzero key_bits-bit value"):
+            oracle(4, 2, diff)
+
     def test_tuple_enumeration_size_guard(self):
         with pytest.raises(TooLarge):
             parity_miss_rate_tuple_enumeration(10, 3, 1)
@@ -513,6 +522,11 @@ class TestSharePrivacyOracle:
         for _ in range(5):
             shares = [rng.getrandbits(6) for _ in range(3)]
             assert share_privacy_exact(6, 3, shares)
+
+    @pytest.mark.parametrize("ell,count", [(3, 2), (2, 3)])
+    def test_share_count_must_match_ell(self, ell, count):
+        with pytest.raises(ValidationError, match=f"need {ell} shares"):
+            share_privacy_exact(6, ell, [1] * count)
 
 
 class TestMacForgeryOracle:
