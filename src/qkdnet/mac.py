@@ -15,12 +15,13 @@ L / 2^w.  A session authenticates its two messages under two disjoint
 so the observed pair in one direction tells a forger nothing about the
 other direction's sub-key.
 
-The session and the transport call :func:`_tag_value`, the tag on plain
-integers; the exhaustive forgery oracle (``sim.mac_forgery_exact``)
-tags whole key ranges at once on the tables below and checks them
-against :func:`_tag_value`.  :class:`MacKey` and :func:`tag` are the
-same tag over :class:`BitString` values (a tag is the w-bit string
-itself); only the demo and the benchmark use them.
+The session calls :func:`_tag_value`, the tag on plain integers, and
+each transport hop calls :func:`_hash_value` once; the exhaustive
+forgery oracle (``sim.mac_forgery_exact``) tags whole key ranges at once
+on the tables below and checks them against :func:`_tag_value`.
+:class:`MacKey` and :func:`tag` are the same tag over :class:`BitString`
+values (a tag is the w-bit string itself); only the demo and the
+benchmark use them.
 
 Each word size w reduces by the lexicographically smallest irreducible
 polynomial of degree w (for example 0x11B at w = 8 and 0x1002B at
@@ -30,12 +31,15 @@ by tests.
 Every Horner step ``acc = acc*x + c`` is one multiply by the fixed hash
 key x.  For w <= 8 it is one lookup in a multiplication row,
 ``_mul_rows(w)[x][acc]`` (w = 8: 256 rows of 256, under 2 ms and
-0.55 MB); up to w = 16 it is ``exp[log[acc] + log[x]]`` over log/antilog
-tables built once per word size from a primitive element (Plank, Greenan
-& Miller, FAST 2013), whose zero tail in ``exp`` makes zero operands
-need no branch.  The fill itself finds the generator: a candidate whose
-powers reach 1 early is abandoned, so 2^w - 1 is never factored.  At
-w = 16 x has order 21845 and is abandoned at the block of powers
+0.55 MB).  The session's word size w = 8 is tested first and reads its
+row through a module-level reference to the built table, with the pad
+shift and byte count computed directly.  Up to w = 16 it is
+``exp[log[acc] + log[x]]`` over log/antilog tables built once per word
+size from a primitive element (Plank, Greenan & Miller, FAST 2013),
+whose zero tail in ``exp`` makes zero operands need no branch.  The
+fill itself finds the generator: a candidate whose powers reach 1 early
+is abandoned, so 2^w - 1 is never factored.  At w = 16 x has order
+21845 and is abandoned at the block of powers
 16384 .. 32767, so the build (3 is kept) takes 4-6 ms and 0.75 MB.  Word sizes above 16
 use the bit-serial shift-and-add multiply.
 
@@ -189,6 +193,17 @@ def _mul_rows(w: int):
     return exp[log + log[:, None]].tolist()
 
 
+#: ``_mul_rows(8)`` once built: :func:`_hash_value` reads its w = 8 rows
+#: through this name, not through the ``lru_cache`` call.
+_rows8 = None
+
+
+def _bind_rows8():
+    global _rows8
+    _rows8 = _mul_rows(8)
+    return _rows8
+
+
 def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
     """Polynomial hash (no pad key) of ``nbits`` bits held in ``value``.
 
@@ -199,18 +214,21 @@ def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
     evaluated in closed form instead, in one numpy pass; both give the
     same value.
     """
+    if w == 8:
+        row = (_rows8 or _bind_rows8())[x]
+        nb = (nbits + 7) >> 3
+        acc = 0
+        for c in (value << (-nbits & 7)).to_bytes(nb, "big"):
+            acc = row[acc] ^ c
+        return row[row[acc] ^ (nbits & 0xFF)]
     mask = (1 << w) - 1
     nb = (nbits + w - 1) // w
     padded = value << (nb * w - nbits) if nbits else 0
-    if w <= 8:
+    if w < 8:
         row = _mul_rows(w)[x]
         acc = 0
-        if w == 8:
-            for c in padded.to_bytes(nb, "big"):
-                acc = row[acc] ^ c
-        else:
-            for i in range((nb - 1) * w, -1, -w):
-                acc = row[acc] ^ ((padded >> i) & mask)
+        for i in range((nb - 1) * w, -1, -w):
+            acc = row[acc] ^ ((padded >> i) & mask)
         return row[row[acc] ^ (nbits & mask)]
     if w > 16:
         poly = reduction_polynomial(w)
@@ -246,8 +264,9 @@ def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
 def _tag_value(w: int, key2w: int, value: int, nbits: int) -> int:
     """Tag of ``nbits`` message bits under a 2w-bit key, all as integers.
 
-    Hot-path form used by the session and the transport layer;
-    :func:`tag` is the public wrapper over BitString values.
+    Hot-path form used by the session (the transport hop calls
+    :func:`_hash_value` itself); :func:`tag` is the public wrapper over
+    BitString values.
     """
     x = key2w >> w
     y = key2w & ((1 << w) - 1)

@@ -41,7 +41,7 @@ copies of both messages; its ``transcript()`` renders them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .adversary import AdversaryConfig, AdversaryView, ScriptedAdversary
 from .errors import LengthMismatch, OutOfRange, ParameterViolation
@@ -62,6 +62,9 @@ class SecurityParams:
     ell:     number of vertex-disjoint paths
     epsilon: per-key failure probability of link-generated keys, used in
              bound formulas
+
+    The derived widths below are computed on first read and then kept on
+    the instance, as every trial reads them.
     """
 
     n: int
@@ -86,21 +89,21 @@ class SecurityParams:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ParameterViolation(f"epsilon must lie in [0,1], got {self.epsilon}")
 
-    @property
+    @cached_property
     def word_bits(self) -> int:
         return self.s // 2
 
-    @property
+    @cached_property
     def test_bits(self) -> int:
         """Length of the remainder key probed by the parity challenges."""
         return self.n - 2 * self.s
 
-    @property
+    @cached_property
     def challenge_bits(self) -> int:
         """Encoded challenge length m * (test_bits + 1)."""
         return self.m * (self.test_bits + 1)
 
-    @property
+    @cached_property
     def session_demand_bits(self) -> int:
         """Pool bits one link needs for a full session over it."""
         w = self.word_bits

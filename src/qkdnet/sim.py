@@ -2,9 +2,10 @@
 
 A scenario is a JSON document naming the graph, endpoints, security
 parameters, adversary script, and trial budget.  Trials are
-shared-nothing: trial i runs on ``random.Random(derive_trial_seed(seed,
-i))``, so any subset replays bit-for-bit and aggregate statistics do not
-depend on execution order.
+shared-nothing: trial i runs on one module-level generator reseeded
+with ``derive_trial_seed(seed, i)``, whose stream is that of
+``random.Random(derive_trial_seed(seed, i))``, so any subset replays
+bit-for-bit and aggregate statistics do not depend on execution order.
 
 The empirical agreement frequency is compared against the lower bound
 
@@ -262,13 +263,24 @@ def _failure_tags(outcome) -> tuple:
     return tuple(tags)
 
 
+#: The one trial generator, reseeded by every :func:`run_trial`.
+_TRIAL_RNG = random.Random()
+
+
 def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
               paths=None) -> TrialResult:
     """Execute one session; the record is a pure function of the seed.
 
-    ``paths`` defaults to the scenario's own path set.
+    ``paths`` defaults to the scenario's own path set.  The session runs
+    on one module-level generator reseeded with ``trial_seed``:
+    ``seed`` sets the whole Mersenne-Twister state and clears the cached
+    Gaussian, so the stream equals that of ``random.Random(trial_seed)``
+    and no generator is built per trial.  The generator is shared by the
+    process, so trials must not run concurrently in threads, and no
+    callback of a trial may call ``run_trial``.
     """
-    rng = random.Random(trial_seed)
+    rng = _TRIAL_RNG
+    rng.seed(trial_seed)
     outcome = full_session(
         scenario.graph, scenario.a, scenario.b, scenario.params,
         scenario.adversary, rng,

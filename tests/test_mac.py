@@ -343,6 +343,26 @@ class TestHashKernel:
             assert _hash_value(16, x, value, length) == horner_reference(
                 16, x, value, length), (x, length)
 
+    def test_w8_every_hash_key_at_session_lengths(self):
+        # The session's w = 8 messages: response (1 bit) and its hop
+        # frame (9), share (64), challenge (132) and its hop frame (140).
+        rng = random.Random(8)
+        for nbits in (1, 9, 64, 132, 140):
+            for x in range(256):
+                value = rng.getrandbits(nbits)
+                assert _hash_value(8, x, value, nbits) == horner_reference(
+                    8, x, value, nbits), (x, nbits)
+
+    def test_w4_and_w8_calls_with_one_key_keep_their_rows(self):
+        # A row cache keyed by x alone would hand one word size the
+        # other's row.
+        rng = random.Random(48)
+        for x in range(16):
+            for w in (4, 8, 4, 8):
+                value = rng.getrandbits(64)
+                assert _hash_value(w, x, value, 64) == horner_reference(
+                    w, x, value, 64), (w, x)
+
     @pytest.mark.parametrize("w", range(1, 9))
     def test_mul_rows_match_generic_multiply(self, w):
         rows = _mul_rows(w)

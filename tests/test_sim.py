@@ -16,7 +16,7 @@ from qkdnet import sim
 from qkdnet.bits import BitString
 from qkdnet.errors import ParseError, TooLarge, ValidationError
 from qkdnet.mac import MacKey, tag
-from qkdnet.protocol import SecurityParams
+from qkdnet.protocol import SecurityParams, full_session
 from qkdnet.sim import (
     MonteCarloRun,
     Stats,
@@ -267,6 +267,58 @@ class TestRunTrial:
         sc = load_scenario(two_chains_doc())
         seed = derive_trial_seed(sc.seed, 3)
         assert run_trial(sc, seed, index=3) == run_trial(sc, seed, index=3)
+
+    def test_trial_does_not_depend_on_what_ran_before(self, monkeypatch):
+        # A record is a function of its seed alone: trial order, trials of
+        # another scenario and sessions on an outside generator in between
+        # change nothing, and each record is what one session on a fresh
+        # ``random.Random(seed)`` gives.  Every tamper record here reads
+        # "rejected", so the sessions' wire data is compared as well.
+        def wire(out):
+            return (out.shares_received, out.challenge_copies,
+                    out.response_copies, out.final_key_a, out.final_key_b,
+                    out.trash_a, out.trash_b, out.view.leaked_epochs)
+
+        sessions = []
+
+        def session(*args, **kwargs):
+            sessions.append(full_session(*args, **kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(sim, "full_session", session)
+        tamper = load_scenario(
+            ROOT / "perfbench" / "inputs" / "criterion3_ell3_tamper_shares.json")
+        chains = load_scenario(ROOT / "demos" / "scenarios" / "two_chains.json")
+        seeds = [derive_trial_seed(tamper.seed, i) for i in range(20)]
+
+        def trial(i):
+            record = run_trial(tamper, seeds[i], index=i)
+            return record, wire(sessions[-1])
+
+        in_order = [trial(i) for i in range(20)]
+        backwards = {i: trial(i) for i in reversed(range(20))}
+        outside = random.Random(5)
+        mixed = []
+        for i in range(20):
+            run_trial(chains, derive_trial_seed(chains.seed, i), index=i)
+            full_session(chains.graph, chains.a, chains.b, chains.params,
+                         chains.adversary, outside, paths=chains.paths)
+            mixed.append(trial(i))
+        assert in_order == [backwards[i] for i in range(20)] == mixed
+        tb = tamper.params.test_bits
+        for (r, got), s in zip(in_order, seeds):
+            out = full_session(tamper.graph, tamper.a, tamper.b, tamper.params,
+                               tamper.adversary, random.Random(s),
+                               paths=tamper.paths)
+            trash = out.trash_a
+            assert (r.seed, r.result, r.result_prime, r.keys_equal,
+                    r.succeeded, r.final_key_len, r.trash_size,
+                    r.leaked_epochs, r.failure_tags) == (
+                s, out.result, out.result_prime, out.keys_equal,
+                out.succeeded, None if trash is None else tb - len(trash),
+                None if trash is None else len(trash),
+                out.view.leaked_epochs, _failure_tags(out))
+            assert got == wire(out)
 
     def test_tamper_strategy_mostly_detected(self):
         doc = two_chains_doc(adversary={

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qkdnet import mac
 from qkdnet.errors import InsufficientKey, LinkDown
 from qkdnet.network import NetworkGraph, PathSet, QkdLink
 from qkdnet.protocol import provision_pools
@@ -134,7 +135,8 @@ class TestPoolTake:
 
 
 class TestHopSend:
-    """One hop: ``_hop_transfer`` pads, tags and delivers a payload."""
+    """One hop: ``_hop_transfer`` takes its pad and MAC key, hashes the
+    ciphertext and delivers the payload."""
 
     def test_round_trip_and_pool_accounting(self):
         rng = random.Random(6)
@@ -145,6 +147,31 @@ class TestHopSend:
         assert received == payload
         assert not leaked
         assert before - pool.available == 96 + 2 * W
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_one_positional_hash_call_per_hop(self, monkeypatch, epsilon):
+        # ``perfbench/`` counts the hop's hash calls through the module
+        # attribute and weighs their positional w and nbits: a hash bound
+        # at import or called with keywords would escape the count.
+        calls = []
+        real = mac._hash_value
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mac, "_hash_value", record)
+        nbits = 72
+        pool = fresh_pool(epsilon=epsilon, rng=random.Random(11))
+        bits, _ = fresh_pool(epsilon=epsilon, rng=random.Random(11)).take(
+            nbits + 2 * W)
+        pad, x = bits >> (2 * W), (bits >> W) & ((1 << W) - 1)
+        value = random.Random(12).getrandbits(nbits)
+        before = pool.available
+        assert _hop_transfer(pool, value, nbits, W) == (
+            value, pool.compromised)
+        assert before - pool.available == nbits + 2 * W
+        assert calls == [((W, x, value ^ pad, nbits), {})]
 
     def test_sequential_sends_use_disjoint_segments(self):
         rng = random.Random(9)
