@@ -17,8 +17,8 @@ other direction's sub-key.
 
 The session calls :func:`_tag_value`, the tag on plain integers, and
 each transport hop calls :func:`_hash_value` once; the exhaustive
-forgery oracle (``sim.mac_forgery_exact``) tags whole key ranges at once
-on the tables below and checks them against :func:`_tag_value`.
+forgery oracle (``sim.mac_forgery_exact``) calls :func:`_hash_value`
+once per hash key and message.
 :class:`MacKey` and :func:`tag` are the same tag over :class:`BitString`
 values (a tag is the w-bit string itself); only the demo and the
 benchmark use them.
@@ -29,19 +29,24 @@ w = 16), found by :func:`reduction_polynomial` on first use and pinned
 by tests.
 
 Every Horner step ``acc = acc*x + c`` is one multiply by the fixed hash
-key x.  For w <= 8 it is one lookup in a multiplication row,
-``_mul_rows(w)[x][acc]`` (w = 8: 256 rows of 256, under 2 ms and
-0.55 MB).  The session's word size w = 8 is tested first and reads its
-row through a module-level reference to the built table, with the pad
-shift and byte count computed directly.  Up to w = 16 it is
-``exp[log[acc] + log[x]]`` over log/antilog tables built once per word
-size from a primitive element (Plank, Greenan & Miller, FAST 2013),
-whose zero tail in ``exp`` makes zero operands need no branch.  The
-fill itself finds the generator: a candidate whose powers reach 1 early
-is abandoned, so 2^w - 1 is never factored.  At w = 16 x has order
-21845 and is abandoned at the block of powers
-16384 .. 32767, so the build (3 is kept) takes 4-6 ms and 0.75 MB.  Word sizes above 16
-use the bit-serial shift-and-add multiply.
+key x, and :func:`_hash_value` has four kernels for it:
+
+* w = 8, the session's word size and tested first: one lookup in a
+  multiplication row, ``_mul_rows(8)[x][acc]`` (256 rows of 256, under
+  2 ms and 0.55 MB), read through a module-level reference to the built
+  table, with the pad shift and byte count computed directly;
+* w = 16 at :data:`_CLOSED_FORM_MIN_BLOCKS` content blocks or more: the
+  closed form below;
+* w > 16: the bit-serial shift-and-add multiply;
+* every other w: ``exp[log[acc] + log[x]]`` over log/antilog tables
+  built once per word size from a primitive element (Plank, Greenan &
+  Miller, FAST 2013), whose zero tail in ``exp`` makes zero operands
+  need no branch.
+
+The table fill itself finds the generator: a candidate whose powers
+reach 1 early is abandoned, so 2^w - 1 is never factored.  At w = 16
+x has order 21845 and is abandoned at the block of powers
+16384 .. 32767, so the build (3 is kept) takes 4-6 ms and 0.75 MB.
 
 A w = 16 message of at least :data:`_CLOSED_FORM_MIN_BLOCKS` content
 blocks is hashed in closed form instead, in one numpy pass.  Expanding
@@ -54,15 +59,14 @@ with L = nbits mod 2^16.  The blocks are read as little-endian words
 (``"<u2"``, last block first) against an ascending exponent ramp and
 gathered with ``take`` from ``np.frombuffer`` views of the same tables;
 a zero block's log points into the zero tail of ``exp``, and x = 0 gives
-h = 0.  The pass costs a roughly fixed 6-8 us against about 0.15 us per
-block for the loop, so the two cross at about 44 blocks (2-vCPU Xeon,
-Python 3.11, numpy 2.4); at 194 blocks it takes about 8 us against the
-loop's 29.  Other word sizes and shorter messages keep the loop.
+h = 0.  The pass costs a roughly fixed 6-10 us against 0.2-0.3 us per
+block for the table loop, so the two cross at 30-44 blocks (2-vCPU Xeon,
+Python 3.11, numpy 2.4); at 194 blocks it takes 8-12 us against the
+loop's 47-70.  Other word sizes and shorter messages keep the loop.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -224,12 +228,6 @@ def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
     mask = (1 << w) - 1
     nb = (nbits + w - 1) // w
     padded = value << (nb * w - nbits) if nbits else 0
-    if w < 8:
-        row = _mul_rows(w)[x]
-        acc = 0
-        for i in range((nb - 1) * w, -1, -w):
-            acc = row[acc] ^ ((padded >> i) & mask)
-        return row[row[acc] ^ (nbits & mask)]
     if w > 16:
         poly = reduction_polynomial(w)
         acc = 0
@@ -251,12 +249,8 @@ def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
         h = int(np.bitwise_xor.reduce(exp_v.take(e)))
         return h ^ exp[log[nbits & mask] + lx]
     acc = 0
-    if w == 16:     # native words hold the blocks last first
-        for c in reversed(array("H", padded.to_bytes(2 * nb, sys.byteorder))):
-            acc = exp[log[acc] + lx] ^ c
-    else:
-        for i in range((nb - 1) * w, -1, -w):
-            acc = exp[log[acc] + lx] ^ ((padded >> i) & mask)
+    for i in range((nb - 1) * w, -1, -w):
+        acc = exp[log[acc] + lx] ^ ((padded >> i) & mask)
     acc = exp[log[acc] + lx] ^ (nbits & mask)
     return exp[log[acc] + lx]
 

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import (
+    EXACT_LIMIT_BITS,
     AdversaryConfig,
     AdversaryView,
     corrupt,
@@ -37,12 +38,14 @@ from .adversary import (
 )
 from .errors import (
     InsufficientConnectivity,
+    OutOfRange,
     ParameterViolation,
     ParseError,
     TooLarge,
     ValidationError,
 )
-from .mac import _table_views, _tag_value, impersonation_bound
+from . import mac
+from .mac import impersonation_bound
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
 from .network import NetworkGraph, PathSet, QkdLink, vertex_disjoint_paths
 from .protocol import SecurityParams, deterministic_pa, full_session
@@ -466,6 +469,12 @@ class OracleReport:
             yield f"{c.name}: expected {c.expected}, observed {c.observed} [{status}]"
 
 
+def _check_parity_args(key_bits: int, m: int) -> None:
+    if key_bits < 1 or m < 1:
+        raise ValidationError(
+            f"key_bits and m must be >= 1, got key_bits={key_bits}, m={m}")
+
+
 def parity_miss_rate_exact(key_bits: int, m: int, diff: int) -> Fraction:
     """Exact miss probability of m random parity challenges against a
     fixed nonzero key difference, by full enumeration of one challenge.
@@ -473,8 +482,11 @@ def parity_miss_rate_exact(key_bits: int, m: int, diff: int) -> Fraction:
     The m challenges are independent and identically distributed, so the
     tuple-space fraction is the single-challenge fraction raised to the
     m-th power; the single-challenge count is exhaustive over all
-    2^key_bits vectors.
+    2^key_bits vectors.  Raises :class:`ValidationError` unless key_bits
+    and m are at least 1 and ``diff`` is a nonzero key_bits-bit value,
+    and :class:`TooLarge` past 2^24 vectors.
     """
+    _check_parity_args(key_bits, m)
     if key_bits > 24:
         raise TooLarge("single-vector enumeration limited to 2^24 vectors")
     if not 0 < diff < (1 << key_bits):
@@ -493,9 +505,10 @@ def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Frac
     and each chunk is parity-tested against ``diff``: the chunks' popcounts
     are ORed, so a tuple misses when the low bit of the OR is clear,
     i.e. when every chunk has even parity.  Raises :class:`TooLarge` past
-    2^16 tuples and :class:`ValidationError` unless ``diff`` is a
-    nonzero key_bits-bit value, as :func:`parity_miss_rate_exact` does.
+    2^16 tuples and :class:`ValidationError` for the arguments
+    :func:`parity_miss_rate_exact` rejects.
     """
+    _check_parity_args(key_bits, m)
     if (1 << (key_bits * m)) > 1 << 16:
         raise TooLarge("tuple enumeration limited to 2^16 tuples")
     if not 0 < diff < (1 << key_bits):
@@ -522,7 +535,16 @@ def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
     often, i.e. every such row's minimum must equal its maximum.  An
     empty row (a parity vector no key has, as under a zero lambda) is
     all zeros, so the test is that every row equals its first entry.
+    Raises :class:`ValidationError` for negative key_bits and
+    :class:`TooLarge` past ``EXACT_LIMIT_BITS`` key bits, before any
+    table is built.
     """
+    if key_bits < 0:
+        raise ValidationError(f"key_bits must be >= 0, got {key_bits}")
+    if key_bits > EXACT_LIMIT_BITS:
+        raise TooLarge(
+            f"uniformity enumeration limited to 2^{EXACT_LIMIT_BITS} keys, "
+            f"got key_bits={key_bits}")
     m = len(lambdas)
     keys = np.arange(1 << key_bits, dtype=np.uint64)
     kstar, trash = deterministic_pa(keys, key_bits, lambdas)
@@ -555,24 +577,21 @@ def share_privacy_exact(key_bits: int, ell: int, shares) -> bool:
     return True
 
 
-#: Largest forgery table :func:`mac_forgery_exact` builds, in (key,
-#: message) entries: one block at w <= 6 and two blocks at w = 5 fit,
-#: one block at w = 8 (2^16 keys x 510 messages) does not.
+#: Largest forgery game :func:`mac_forgery_exact` plays, in (key,
+#: message) pairs over all 2^(2w) keys: one block at w <= 6 and two
+#: blocks at w = 5 fit, one block at w = 8 (2^16 keys x 510 messages)
+#: does not.  The oracle hashes every message under each of the 2^w
+#: hash keys, one Python call each: 2^-w of this count.
 FORGERY_TABLE_LIMIT = 1 << 21
 
 
-def _forgery_table(w: int, message_bits: int):
-    """Every tag of the forgery game, in one numpy pass.
+def _forgery_messages(w: int, message_bits: int) -> list:
+    """The messages of the forgery game, as ``(value, nbits)`` pairs.
 
-    Returns ``(values, nbits, tags)``: column j is the message of
-    ``nbits[j]`` bits with value ``values[j]``, and ``tags[kv, j]`` is
-    its tag under the 2w-bit key kv.  Column 0 is the observed message
-    (value ``1 % 2^message_bits``); the others are every other message
-    that pads to the same block count.  Horner's rule runs over all
-    2^w hash keys x at once on the GF(2^w) multiplication rows of
-    :mod:`qkdnet.mac`, and the tag under x || y is that hash XOR the pad
-    key y.  Raises :class:`TooLarge` past :data:`FORGERY_TABLE_LIMIT`
-    (key, message) entries.
+    The first is the observed message (value ``1 % 2^message_bits``);
+    the others are every other message that pads to the same block
+    count.  Raises :class:`TooLarge` past :data:`FORGERY_TABLE_LIMIT`
+    (key, message) pairs.
     """
     observed = 1 % (1 << message_bits)
     content_blocks = -(-message_bits // w)
@@ -581,71 +600,46 @@ def _forgery_table(w: int, message_bits: int):
     n_messages = max(1, (1 << (hi + 1)) - (1 << lo))
     if (n_messages << (2 * w)) > FORGERY_TABLE_LIMIT:
         raise TooLarge(
-            f"forgery table of {1 << (2 * w)} keys x {n_messages} messages "
-            f"exceeds {FORGERY_TABLE_LIMIT} entries"
+            f"forgery game of {1 << (2 * w)} keys x {n_messages} messages "
+            f"exceeds {FORGERY_TABLE_LIMIT} (key, message) pairs"
         )
-    values = [np.array([observed])]
-    nbits = [np.array([message_bits])]
+    messages = [(observed, message_bits)]
     for nb in range(lo, hi + 1):
-        vs = np.arange(1 << nb)
-        if nb == message_bits:
-            vs = np.delete(vs, observed)
-        values.append(vs)
-        nbits.append(np.full(vs.size, nb))
-    values = np.concatenate(values)
-    nbits = np.concatenate(nbits)
-
-    mask = (1 << w) - 1
-    exp, log = _table_views(w)
-    rows = exp[log[:, None] + log]      # rows[x, a] == a*x, as in _mul_rows
-    xs = np.arange(1 << w)[:, None]
-    padded = values << (content_blocks * w - nbits)
-    acc = np.zeros((1 << w, values.size), dtype=np.int64)
-    for shift in range((content_blocks - 1) * w, -1, -w):
-        acc = rows[xs, acc] ^ ((padded >> shift) & mask)
-    acc = rows[xs, acc] ^ (nbits & mask)
-    hashes = rows[xs, acc]
-    pads = np.arange(1 << w, dtype=hashes.dtype)
-    tags = hashes[:, None, :] ^ pads[None, :, None]
-    return values, nbits, tags.reshape(1 << (2 * w), values.size)
+        messages += [(v, nb) for v in range(1 << nb)
+                     if (v, nb) != (observed, message_bits)]
+    return messages
 
 
 def mac_forgery_exact(w: int, message_bits: int) -> Fraction:
     """Optimal single-pair forgery success by exhaustive key posterior.
 
     Observes one (message, tag) pair and maximizes acceptance
-    probability over forged same-block-count messages and tags.  Every
-    (key, message) pair is tagged once, by :func:`_forgery_table`; its
-    observed-message column is checked against the scalar
-    ``_tag_value`` on every key, so a wrong kernel raises
-    ``RuntimeError`` instead of returning a value.  The 2^(2w) keys are
-    grouped into classes by their tag on the observed message (the key
-    posterior given that tag is uniform on its class); one ``bincount``
-    over (class, candidate, tag) counts every candidate's tag values
-    within every class, and the best forgery is the largest count over
-    its class size.  Returns the maximum as an exact Fraction; raises
-    :class:`TooLarge` past :data:`FORGERY_TABLE_LIMIT` (key, message)
-    entries.
+    probability over forged same-block-count messages and tags, for a
+    uniform key x || y.  The tag is h_x(m) XOR y, so the observed pair
+    (m0, t0) fits exactly one pad y per hash key x, and the posterior
+    is uniform over 2^w keys; a forgery (m, t) is accepted on the x
+    with h_x(m) XOR h_x(m0) == t XOR t0, whatever t0 is.  The best
+    forgery is therefore the largest count of one (candidate,
+    difference) pair over the 2^w hash keys, divided by 2^w.  Every
+    hash is one positional call of the session's ``mac._hash_value``.
+    Returns an exact Fraction; raises :class:`OutOfRange` for w < 1 or
+    message_bits < 0 and :class:`TooLarge` past
+    :data:`FORGERY_TABLE_LIMIT` (key, message) pairs.
     """
-    values, _, tags = _forgery_table(w, message_bits)
-    scalar = [_tag_value(w, kv, int(values[0]), message_bits)
-              for kv in range(1 << (2 * w))]
-    if not np.array_equal(tags[:, 0], scalar):
-        raise RuntimeError(
-            f"forgery table disagrees with _tag_value at w={w}, "
-            f"message_bits={message_bits}"
-        )
-    n_cand = values.size - 1
-    if not n_cand:
-        return Fraction(0)
-    classes = tags[:, 0].astype(np.intp)
-    cells = classes[:, None] * n_cand + np.arange(n_cand)
-    cells <<= w
-    cells += tags[:, 1:]
-    counts = np.bincount(cells.ravel(), minlength=n_cand << (2 * w))
-    peaks = counts.reshape(1 << w, n_cand << w).max(axis=1)
-    sizes = np.bincount(classes, minlength=1 << w)
-    return max(Fraction(int(p), int(n)) for p, n in zip(peaks, sizes) if n)
+    if w < 1:
+        raise OutOfRange(f"word size must be >= 1, got {w}")
+    if message_bits < 0:
+        raise OutOfRange(f"message_bits must be >= 0, got {message_bits}")
+    (v0, n0), *candidates = _forgery_messages(w, message_bits)
+    hash_value = mac._hash_value    # read per call, so a traced hash counts
+    diffs = []
+    for x in range(1 << w):
+        h0 = hash_value(w, x, v0, n0)
+        diffs.append([hash_value(w, x, v, nb) ^ h0 for v, nb in candidates])
+    cells = np.array(diffs, dtype=np.intp)
+    cells += np.arange(len(candidates)) << w
+    peak = np.bincount(cells.ravel(), minlength=1).max()
+    return Fraction(int(peak), 1 << w)
 
 
 def exact_oracles(params: SecurityParams, dpa_configs: int = 100,

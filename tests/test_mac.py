@@ -22,6 +22,7 @@ from qkdnet.mac import (
     tag,
 )
 from qkdnet.protocol import SecurityParams, _key_parts
+from qkdnet.sim import mac_forgery_exact
 
 
 def random_bits(nbits, rng):
@@ -213,6 +214,20 @@ class TestForgeryEnumeration:
         forged = [m for m in all_messages(w) if 1 <= m.length]
         success = forgery_success(w, observed, forged)
         assert success == Fraction(2, 1 << w)
+
+    @pytest.mark.parametrize("w,message_bits", [
+        *((w, bits) for w in (1, 2) for bits in range(1, 2 * w + 1)),
+        (3, 1), (3, 2), (3, 3),
+    ])
+    def test_oracle_matches_brute_force(self, w, message_bits):
+        # sim's oracle enumerates hash keys only; the brute force
+        # conditions on the observed tag over every 2w-bit key
+        observed = BitString.from_int(1 % (1 << message_bits), message_bits)
+        blocks = -(-message_bits // w)
+        forged = [m for m in all_messages(blocks * w)
+                  if -(-m.length // w) == blocks]
+        assert mac_forgery_exact(w, message_bits) == forgery_success(
+            w, observed, forged)
 
 
 class TestTwoMessageSplit:

@@ -13,16 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet import sim
-from qkdnet.bits import BitString
-from qkdnet.errors import ParseError, TooLarge, ValidationError
-from qkdnet.mac import MacKey, tag
+from qkdnet.errors import OutOfRange, ParseError, TooLarge, ValidationError
 from qkdnet.protocol import SecurityParams, full_session
 from qkdnet.sim import (
     MonteCarloRun,
     Stats,
     TrialResult,
     _failure_tags,
-    _forgery_table,
+    _forgery_messages,
     aggregate,
     check_bounds,
     clopper_pearson,
@@ -506,6 +504,16 @@ class TestParityOracles:
         with pytest.raises(TooLarge):
             parity_miss_rate_tuple_enumeration(10, 3, 1)
 
+    @pytest.mark.parametrize("key_bits,m", [
+        (4, -1), (4, 0), (0, 2), (-1, 2), (-1, -1),
+    ])
+    @pytest.mark.parametrize("oracle", [
+        parity_miss_rate_exact, parity_miss_rate_tuple_enumeration,
+    ], ids=["factorized", "tuples"])
+    def test_sizes_below_one_rejected(self, oracle, key_bits, m):
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            oracle(key_bits, m, 1)
+
 
 class TestDpaOracle:
     def test_uniform_for_random_configs(self):
@@ -520,6 +528,16 @@ class TestDpaOracle:
         zero = [0] * 2
         for lambdas in (rep, disj, zero):
             assert dpa_uniformity_exact(6, lambdas)
+
+    def test_negative_key_bits_rejected(self):
+        with pytest.raises(ValidationError):
+            dpa_uniformity_exact(-1, [1])
+
+    def test_size_checked_before_any_table(self):
+        # 21 bits is one past the limit, and cheap enough to enumerate
+        # if the check were missing
+        with pytest.raises(TooLarge):
+            dpa_uniformity_exact(21, [1, 3])
 
     def test_every_position_trashed(self):
         # no surviving bit: the distilled key is the scalar 0 for all keys
@@ -588,6 +606,7 @@ class TestMacForgeryOracle:
         assert best <= Fraction(2, 1 << w)
 
     @pytest.mark.parametrize("w,message_bits,best", [
+        (3, 0, "0"),    # no other message pads to zero content blocks
         (1, 1, "1/2"), (1, 2, "1"),
         (2, 1, "1/2"), (2, 2, "1/2"), (2, 3, "3/4"), (2, 4, "3/4"),
         (3, 1, "1/4"), (3, 2, "1/4"), (3, 3, "1/4"),
@@ -615,8 +634,9 @@ class TestMacForgeryOracle:
         (w, bits) for w in (1, 2, 3) for bits in range(1, 2 * w + 1)
     ])
     def test_table_matches_public_tag(self, w, message_bits):
-        values, nbits, tags = _forgery_table(w, message_bits)
-        messages = list(zip(values.tolist(), nbits.tolist()))
+        # the oracle's messages: the observed one first, then every other
+        # message padding to the same block count
+        messages = _forgery_messages(w, message_bits)
         observed = (1 % (1 << message_bits), message_bits)
         blocks = -(-message_bits // w)
         expected = {(v, nb) for nb in range(1, blocks * w + 1)
@@ -624,21 +644,26 @@ class TestMacForgeryOracle:
         assert messages[0] == observed
         assert len(messages) == len(expected)
         assert set(messages) == expected
-        for kv in range(1 << (2 * w)):
-            key = MacKey(BitString.from_int(kv, 2 * w))
-            row = [tag(key, BitString.from_int(v, nb)).value
-                   for v, nb in messages]
-            assert tags[kv].tolist() == row
 
-    def test_wrong_kernel_raises(self, monkeypatch):
-        real = sim._tag_value
+    @pytest.mark.parametrize("w,message_bits", [(0, 1), (-1, 1), (2, -3)])
+    def test_out_of_range_arguments(self, w, message_bits):
+        # as impersonation_bound rejects them
+        with pytest.raises(OutOfRange):
+            mac_forgery_exact(w, message_bits)
 
-        def one_key_wrong(w, key2w, value, nbits):
-            return real(w, key2w, value, nbits) ^ (key2w == 37)
+    def test_hashes_through_the_session_hash(self, monkeypatch):
+        # one positional call per hash key and message, through the
+        # module attribute the transport hop and the tracer use
+        calls = []
+        real = sim.mac._hash_value
 
-        monkeypatch.setattr(sim, "_tag_value", one_key_wrong)
-        with pytest.raises(RuntimeError):
-            mac_forgery_exact(4, 4)
+        def record(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim.mac, "_hash_value", record)
+        assert mac_forgery_exact(2, 2) == Fraction(1, 2)
+        assert calls == [{}] * (4 * len(_forgery_messages(2, 2)))
 
 
 class TestExactOracles:
