@@ -250,7 +250,7 @@ class TestOracle:
 
 
 SCIPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, runpy, sys
 from qkdnet.cli import main
 scenario = "demos/scenarios/two_chains.json"
 commands = [
@@ -265,13 +265,16 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(argv)
     seen.append([argv[0], rc, "scipy" in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    runpy.run_path("demos/byzantine_strategies.py", run_name="__main__")
+seen.append(["byzantine_strategies.py", 0, "scipy" in sys.modules])
 print(json.dumps(seen))
 """
 
 
-def test_only_run_loads_scipy():
-    # scipy is only needed for the Clopper-Pearson interval of `run`, and
-    # importing it costs most of a cold start.
+def test_no_command_loads_scipy():
+    # scipy is a test-only dependency: no command, the Clopper-Pearson
+    # interval of `run` included, and no demo may import it.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -280,7 +283,8 @@ def test_only_run_loads_scipy():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == [
         ["oracle", 0, False], ["bounds", 0, False], ["plan", 0, False],
-        ["paths", 0, False], ["run", 0, True],
+        ["paths", 0, False], ["run", 0, False],
+        ["byzantine_strategies.py", 0, False],
     ]
 
 

@@ -16,6 +16,7 @@ import pytest
 from qkdnet.cli import main
 from qkdnet.protocol import full_session
 from qkdnet.sim import derive_trial_seed, load_scenario
+import test_acceptance as acceptance  # as a module, so its tests are not collected twice
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -46,7 +47,18 @@ NO_ADVERSARY_EPS_DOC = {
     "links": [{**link, "epsilon": 0.05} for link in _TWO_CHAINS["links"]],
 }
 
-INLINE_DOCS = {"w16": W16_DOC, "no_adversary_eps": NO_ADVERSARY_EPS_DOC}
+# The criterion-3 acceptance documents of the active strategies, with
+# their seeds: under these every trial's transcript differs.
+_C3_STRATEGIES = acceptance.TestCriterion3AgreementBound.STRATEGIES
+C3_DOCS = {
+    f"c3_ell{ell}_{strategy}": acceptance.direct_plus_relays_doc(
+        ell, strategies=(strategy,), corrupted=("a1",), t=1, trials=20,
+        seed=1000 * ell + _C3_STRATEGIES.index(strategy))
+    for ell in (2, 3) for strategy in ("tamper_shares", "forge_auth", "drop_auth")
+}
+
+INLINE_DOCS = {"w16": W16_DOC, "no_adversary_eps": NO_ADVERSARY_EPS_DOC,
+               **C3_DOCS}
 
 RECORDED = {
     "two_chains": (
@@ -62,7 +74,7 @@ RECORDED = {
     "w16": (
         20,
         "88871892fe2093780e15544cdcec1cd43e8f8693ed5e25d6fbf25648142f7c54",
-        "314e582ff92a60e1131630e3e8945da6e892c777c1dd4c5a450f837d30fa2452",
+        "e0d42546ac2ba01b2a48bceb1cd697a1ce1523a98ce6ba5a99569aeafa2c8fe7",
     ),
     "no_adversary_eps": (
         200,
@@ -107,6 +119,30 @@ TRANSCRIPTS = {
     "w16": (
         20,
         "fa3eeeb02d89e0662e7b29a9d5c165c0371a1cccb673cdb99c64b3d4d58c30b0",
+    ),
+    "c3_ell2_tamper_shares": (
+        20,
+        "c5c04985996eb57d39f65a895f432d3371decc162066379dadc36b5e85c4aa1f",
+    ),
+    "c3_ell2_forge_auth": (
+        20,
+        "f8cf0af4aef9bbe7202e2d7791dfcde294f4330a58f8d808791d861e6b547e39",
+    ),
+    "c3_ell2_drop_auth": (
+        20,
+        "8776af19503ed0ff9be66094fc65bbcc8ee69298b9738d85cb541a6e609d53a4",
+    ),
+    "c3_ell3_tamper_shares": (
+        20,
+        "6cc523c01af99dbabb7fdf2eca24fbd83537892a2ef4a1d689a4afe150a56b56",
+    ),
+    "c3_ell3_forge_auth": (
+        20,
+        "b8709ece95e0fe757d135b54cb2bb821c8a8176d00c7688e2536c54492f7805a",
+    ),
+    "c3_ell3_drop_auth": (
+        20,
+        "4ce3556b6078d2fd8d9e7fc28707119bd316498ded544c4957c201e091b5956d",
     ),
 }
 

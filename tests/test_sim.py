@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import random
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -351,27 +353,86 @@ class TestClopperPearson:
 
     @pytest.mark.parametrize("k,n,confidence,expected", [
         (0, 1, 0.99, (0.0, 0.995)),
-        (1, 1, 0.99, (0.0050000000000000044, 1.0)),
-        (3, 10, 0.99, (0.03700722109623209, 0.7351139852871307)),
-        (3, 10, 0.95, (0.0667395111777345, 0.6524528500599973)),
+        (1, 1, 0.99, (0.005000000000000006, 1.0)),
+        (3, 10, 0.99, (0.037007221096232105, 0.7351139852871307)),
+        (3, 10, 0.95, (0.06673951117773448, 0.6524528500599973)),
         (0, 100000, 0.99, (0.0, 5.2981770081923407e-05)),
         (100000, 100000, 0.99, (0.999947018229918, 1.0)),
-        (7, 100000, 0.99, (2.0373778463446272e-05, 0.0001713272515971727)),
-        (99123, 100000, 0.99, (0.990441776329295, 0.9919710685142382)),
+        (7, 100000, 0.99, (2.037377846344629e-05, 0.0001713272515971727)),
+        (99123, 100000, 0.99, (0.990441776329295, 0.9919710685142383)),
     ])
     def test_pinned_endpoints(self, k, n, confidence, expected):
-        # Exact floats recorded from scipy.special.betaincinv; summary.json
-        # prints these endpoints, so replay depends on every bit.
+        # Exact floats of the in-house root finder, within the accuracy
+        # contract that the two tests below check; summary.json prints
+        # these endpoints, so replay depends on every bit.
         assert clopper_pearson(k, n, confidence) == expected
+
+    @staticmethod
+    def _tail(k, n, p, upper):
+        # exact P[Bin(n, p) >= k] (upper) or P[Bin(n, p) <= k]
+        p = Fraction(p)
+        js = range(k, n + 1) if upper else range(k + 1)
+        return sum(math.comb(n, j) * p ** j * (1 - p) ** (n - j) for j in js)
+
+    @pytest.mark.parametrize("confidence", [0.99, 0.95])
+    @pytest.mark.parametrize("n", list(range(1, 13)) + [20, 40])
+    def test_exact_tail_brackets_alpha_within_16_ulps(self, n, confidence):
+        # The exact rational tail crosses alpha/2 between endpoint -/+ 16
+        # ulps.  scipy's betaincinv misses this by up to 43 ulps (low
+        # endpoint, n = 20) and 22 ulps (high endpoint).
+        half = Fraction(1.0 - confidence) / 2
+        for k in range(n + 1):
+            low, high = clopper_pearson(k, n, confidence)
+            for x, upper, closed in ((low, True, k == 0),
+                                     (high, False, k == n)):
+                if closed:
+                    continue
+                u = 16 * math.ulp(x)
+                a, b = self._tail(k, n, x - u, upper), self._tail(k, n, x + u, upper)
+                assert min(a, b) <= half <= max(a, b), (k, n, confidence, x)
+
+    def test_matches_betaincinv_on_a_grid(self):
+        # scipy is a test-only dependency (the "test" extra)
+        from scipy import special
+        for n in (13, 50, 100, 250, 1000, 2000, 10000, 100000):
+            for k in sorted({0, 1, 2, n // 100, n // 10, n // 3, n // 2,
+                             n - n // 10, n - n // 100, n - 2, n - 1, n}):
+                for confidence in (0.99, 0.95):
+                    alpha = 1.0 - confidence
+                    low, high = clopper_pearson(k, n, confidence)
+                    ref_low = 0.0 if k == 0 else float(
+                        special.betaincinv(k, n - k + 1, alpha / 2))
+                    ref_high = 1.0 if k == n else float(
+                        special.betaincinv(k + 1, n - k, 1 - alpha / 2))
+                    assert low == pytest.approx(ref_low, rel=1e-12, abs=0)
+                    assert high == pytest.approx(ref_high, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("confidence", [1e-300, 1e-17, 0.9999999999999999])
+    @pytest.mark.parametrize("k,n", [
+        (0, 1), (1, 1), (1, 2), (0, 40), (20, 40), (40, 40), (3, 100000),
+    ])
+    def test_extreme_confidence_gives_an_interval(self, k, n, confidence):
+        # alpha/2 = 0.5 makes the Wilson start collapse onto k/n, and at
+        # alpha/2 ~ 5.6e-17 a high endpoint can round to 1
+        low, high = clopper_pearson(k, n, confidence)
+        assert 0.0 <= low <= k / n <= high <= 1.0
 
     @pytest.mark.parametrize("k,n,confidence", [
         (5, 4, 0.99), (-1, 4, 0.99), (1, 4, 1.5), (1, 4, 1.0), (1, 4, 0.0),
         (1, 4, -0.2), (1, 4, float("nan")),
     ])
     def test_out_of_range_arguments_rejected(self, k, n, confidence):
-        # scipy would return NaN endpoints or a finite non-interval
+        # no finite interval answers these
         with pytest.raises(ValidationError):
             clopper_pearson(k, n, confidence)
+
+    @pytest.mark.parametrize("k,n", [
+        (True, 4), (1, True), (False, 1), (1.0, 4), (1, 4.0), ("1", 4),
+        (None, 4), (np.int64(1), 4),
+    ])
+    def test_non_integer_counts_rejected(self, k, n):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            clopper_pearson(k, n)
 
 
 class TestCheckBounds:
@@ -475,6 +536,18 @@ class TestRunMonteCarlo:
         assert mismatches / 5000 <= run.stats.privacy_bound
 
 
+def _traced_peak(error, fn, *args):
+    """Peak traced allocation of ``fn(*args)``, which must raise ``error``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestParityOracles:
     def test_rate_is_exactly_two_to_minus_m(self):
         # (test_bits=8, m=3): exactly 1/8 over the full challenge space.
@@ -503,6 +576,12 @@ class TestParityOracles:
     def test_tuple_enumeration_size_guard(self):
         with pytest.raises(TooLarge):
             parity_miss_rate_tuple_enumeration(10, 3, 1)
+
+    def test_size_checked_before_any_large_integer(self):
+        # 2^8000000 tuples: the exponent is tested, the count never built
+        peak = _traced_peak(TooLarge, parity_miss_rate_tuple_enumeration,
+                            8_000_000, 1, 1)
+        assert peak < 64 << 10
 
     @pytest.mark.parametrize("key_bits,m", [
         (4, -1), (4, 0), (0, 2), (-1, 2), (-1, -1),
@@ -629,6 +708,13 @@ class TestMacForgeryOracle:
         # blocks; w=6 one block and w=5 two blocks fit
         with pytest.raises(TooLarge):
             mac_forgery_exact(w, message_bits)
+
+    @pytest.mark.parametrize("message_bits", [20_000, 8_000_000])
+    def test_size_checked_before_any_large_integer(self, message_bits):
+        # a message count of more than 4300 digits is neither formatted
+        # nor built
+        peak = _traced_peak(TooLarge, mac_forgery_exact, 1, message_bits)
+        assert peak < 64 << 10
 
     @pytest.mark.parametrize("w,message_bits", [
         (w, bits) for w in (1, 2, 3) for bits in range(1, 2 * w + 1)
