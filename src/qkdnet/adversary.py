@@ -24,7 +24,8 @@ Privacy is measured by exact Bayesian enumeration: all completions of
 the unknown shares are enumerated (vectorised, in bounded numpy blocks)
 and the advantage is the maximum posterior probability of any final key
 minus the uniform 2^-k.  There is no sampling fallback: an instance past
-the enumeration limit raises :class:`TooLarge`.
+the enumeration limit raises :class:`TooLarge`.  Only that enumeration
+imports numpy, so a session never loads it.
 
 Shares and messages are held as plain integers: a view's shares are
 ``view.share_bits`` wide.  ``AdversaryConfig()`` is the empty adversary
@@ -36,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import (
     BoundExceeded,
@@ -185,6 +184,8 @@ def _block_arrays(block_bits: int):
     they fold to (intp, the index type ``bincount`` reads without a cast
     copy).  Kept for the life of the process, so a warm call faults in
     no fresh pages."""
+    import numpy as np
+
     ramp = np.arange(1 << block_bits, dtype=np.uint32)
     ramp.flags.writeable = False
     return ramp, np.empty_like(ramp), np.empty(ramp.size, np.intp)
@@ -231,6 +232,7 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
         raise TooLarge(
             f"{unknown} unknown shares of {key_len} bits exceed exact mode"
         )
+    import numpy as np
 
     ramp, a, keys = _block_arrays(min(bits, _BLOCK_BITS))
     shift = np.uint32(key_len)

@@ -32,9 +32,10 @@ Every Horner step ``acc = acc*x + c`` is one multiply by the fixed hash
 key x, and :func:`_hash_value` has four kernels for it:
 
 * w = 8, the session's word size and tested first: one lookup in a
-  multiplication row, ``_mul_rows(8)[x][acc]`` (256 rows of 256, under
-  2 ms and 0.55 MB), read through a module-level reference to the built
-  table, with the pad shift and byte count computed directly;
+  multiplication row, ``_mul_rows(8)[x][acc]`` (256 rows of 256, built
+  in pure Python from the reduction polynomial alone: under 3 ms and
+  0.55 MB), read through a module-level reference to the built table,
+  with the pad shift and byte count computed directly;
 * w = 16 at :data:`_CLOSED_FORM_MIN_BLOCKS` content blocks or more: the
   closed form below;
 * w > 16: the bit-serial shift-and-add multiply;
@@ -63,6 +64,10 @@ h = 0.  The pass costs a roughly fixed 6-10 us against 0.2-0.3 us per
 block for the table loop, so the two cross at 30-44 blocks (2-vCPU Xeon,
 Python 3.11, numpy 2.4); at 194 blocks it takes 8-12 us against the
 loop's 47-70.  Other word sizes and shorter messages keep the loop.
+
+numpy is imported only inside the functions that run a numpy kernel
+(the log/antilog table build and the w = 16 closed form), so a w = 8
+session never loads it.
 """
 
 from __future__ import annotations
@@ -70,8 +75,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .bits import BitString
 from .errors import OutOfRange, ParameterViolation
@@ -119,7 +122,7 @@ def reduction_polynomial(w: int) -> int:
 
 def _mul_vector(v, c: int, w: int, poly: int):
     """Every element of the uint32 vector ``v`` times the constant ``c``."""
-    acc = np.zeros_like(v)
+    acc = v & 0     # zeros of v's dtype
     while c:
         if c & 1:
             acc ^= v
@@ -145,6 +148,8 @@ def _log_tables(w: int):
     order, a fill stops at the first block holding a 1, and the first
     complete fill is kept.
     """
+    import numpy as np
+
     poly = reduction_polynomial(w)
     order = (1 << w) - 1
     zero = 2 * order
@@ -178,6 +183,8 @@ _CLOSED_FORM_MIN_BLOCKS = 44
 @lru_cache(maxsize=None)
 def _table_views(w: int):
     """Zero-copy numpy views (exp, log) of the ``_log_tables(w)`` arrays."""
+    import numpy as np
+
     exp, log = _log_tables(w)
     return np.frombuffer(exp, np.ushort), np.frombuffer(log, np.uintc)
 
@@ -185,6 +192,8 @@ def _table_views(w: int):
 @lru_cache(maxsize=64)
 def _exponent_ramp(nb: int):
     """``[2, ..., nb + 1]``: the power of x of each block, last block first."""
+    import numpy as np
+
     ramp = np.arange(2, nb + 2, dtype=np.int64)
     ramp.flags.writeable = False
     return ramp
@@ -192,9 +201,24 @@ def _exponent_ramp(nb: int):
 
 @lru_cache(maxsize=None)
 def _mul_rows(w: int):
-    """GF(2^w) multiplication rows for w <= 8: ``rows[x][a] == a*x``."""
-    exp, log = _table_views(w)
-    return exp[log + log[:, None]].tolist()
+    """GF(2^w) multiplication rows for w <= 8: ``rows[x][a] == a*x``.
+
+    Multiplying by x is linear over GF(2), so row x is built over the
+    bits of a: after bit j the row holds a*x for every a < 2^(j+1), and
+    bit j appends ``row[a] ^ x*2^j`` for each of those a.  Pure Python,
+    with no log table: under 3 ms at w = 8.
+    """
+    poly = reduction_polynomial(w)
+    rows = []
+    for x in range(1 << w):
+        row, c = [0], x
+        for _ in range(w):
+            row += [r ^ c for r in row]
+            c <<= 1
+            if c >> w:
+                c ^= poly
+        rows.append(row)
+    return rows
 
 
 #: ``_mul_rows(8)`` once built: :func:`_hash_value` reads its w = 8 rows
@@ -240,6 +264,8 @@ def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
     if w == 16 and nb >= _CLOSED_FORM_MIN_BLOCKS:
         if not x:
             return 0
+        import numpy as np
+
         exp_v, log_v = _table_views(16)
         # little-endian read: element j is block c_(nb - j), power j + 2
         blocks = np.frombuffer(padded.to_bytes(2 * nb, "little"), "<u2")
@@ -303,11 +329,13 @@ def impersonation_bound(w: int, message_bits: int) -> float:
 
     L counts the w-bit blocks of the padded message including the length
     block.  Clamped to 1.0, since for tiny word sizes the formula can
-    exceed a probability.
+    exceed a probability; the clamp compares integers before dividing,
+    so a message too long for a float still gives 1.0.
     """
     if w < 1:
         raise OutOfRange(f"word size must be >= 1, got {w}")
     if message_bits < 0:
         raise OutOfRange(f"message_bits must be >= 0, got {message_bits}")
     blocks = -(-message_bits // w) + 1
-    return min(1.0, blocks / (1 << w))
+    full = 1 << w
+    return 1.0 if blocks >= full else blocks / full

@@ -50,6 +50,10 @@ from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
 from .network import NetworkGraph, PathSet, link_key, vertex_disjoint_paths
 from .transport import LinkKeyPool, _classical_over, _forward_key_over
 
+#: Largest single ``random.getrandbits`` draw (its argument is a C int):
+#: the bound on ``ell`` and on a link's ``session_demand_bits``.
+MAX_DRAW_BITS = (1 << 31) - 1
+
 
 @dataclass(frozen=True)
 class SecurityParams:
@@ -64,7 +68,9 @@ class SecurityParams:
              bound formulas
 
     The derived widths below are computed on first read and then kept on
-    the instance, as every trial reads them.
+    the instance, as every trial reads them.  ``ell`` and
+    ``session_demand_bits`` must not exceed :data:`MAX_DRAW_BITS`
+    (:class:`ParameterViolation`).
     """
 
     n: int
@@ -88,6 +94,14 @@ class SecurityParams:
             )
         if not 0.0 <= self.epsilon <= 1.0:
             raise ParameterViolation(f"epsilon must lie in [0,1], got {self.epsilon}")
+        if self.ell > MAX_DRAW_BITS:
+            raise ParameterViolation(
+                f"ell must be <= {MAX_DRAW_BITS}, got {self.ell}")
+        if self.session_demand_bits > MAX_DRAW_BITS:
+            # not printed: m*n can pass the int-to-str digit limit
+            raise ParameterViolation(
+                f"a link's session demand n + m*(n - 2s + 1) + 4s + 1 must "
+                f"be <= {MAX_DRAW_BITS} bits")
 
     @cached_property
     def word_bits(self) -> int:

@@ -15,6 +15,8 @@ with an exact (Clopper-Pearson) confidence interval; the privacy figure
 reported alongside is 2^-m + 2*ell*p_im + 2*eps.  Exhaustive
 small-instance oracles validate the parity-miss rate, share privacy,
 distillation uniformity, and the MAC forgery bound with zero tolerance.
+The oracles import numpy when they run; loading, running and reporting
+a w = 8 scenario does not.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .adversary import (
     EXACT_LIMIT_BITS,
@@ -547,6 +547,8 @@ def parity_miss_rate_exact(key_bits: int, m: int, diff: int) -> Fraction:
         raise TooLarge("single-vector enumeration limited to 2^24 vectors")
     if not 0 < diff < (1 << key_bits):
         raise ValidationError("diff must be a nonzero key_bits-bit value")
+    import numpy as np
+
     lams = np.arange(1 << key_bits, dtype=np.uint64)
     zero = int(np.count_nonzero(
         np.bitwise_count(lams & np.uint64(diff)) % 2 == 0
@@ -569,6 +571,8 @@ def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Frac
         raise TooLarge("tuple enumeration limited to 2^16 tuples")
     if not 0 < diff < (1 << key_bits):
         raise ValidationError("diff must be a nonzero key_bits-bit value")
+    import numpy as np
+
     total = 1 << (key_bits * m)
     tuples = np.arange(total, dtype=np.uint32)
     test = np.uint32(diff)
@@ -601,6 +605,8 @@ def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
         raise TooLarge(
             f"uniformity enumeration limited to 2^{EXACT_LIMIT_BITS} keys, "
             f"got key_bits={key_bits}")
+    import numpy as np
+
     m = len(lambdas)
     keys = np.arange(1 << key_bits, dtype=np.uint64)
     kstar, trash = deterministic_pa(keys, key_bits, lambdas)
@@ -690,6 +696,8 @@ def mac_forgery_exact(w: int, message_bits: int) -> Fraction:
     if message_bits < 0:
         raise OutOfRange(f"message_bits must be >= 0, got {message_bits}")
     (v0, n0), *candidates = _forgery_messages(w, message_bits)
+    import numpy as np
+
     hash_value = mac._hash_value    # read per call, so a traced hash counts
     diffs = []
     for x in range(1 << w):

@@ -152,23 +152,36 @@ class TestCriterion2SharePrivacy:
 class TestCriterion3AgreementBound:
     STRATEGIES = ("passive", "tamper_shares", "forge_auth", "drop_auth")
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("ell", [2, 3])
-    def test_empirical_meets_agreement_bound(self, strategy, ell):
-        doc = direct_plus_relays_doc(
+    @classmethod
+    def doc(cls, strategy, ell):
+        return direct_plus_relays_doc(
             ell, strategies=(strategy,), corrupted=("a1",), t=1,
             trials=100_000,
-            seed=1000 * ell + self.STRATEGIES.index(strategy),
+            seed=1000 * ell + cls.STRATEGIES.index(strategy),
         )
-        scenario = load_scenario(doc)
-        run = run_monte_carlo(scenario)
-        st = run.stats
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_empirical_meets_agreement_bound(self, run_table, strategy, ell):
+        # the first case starts all eight runs; each waits for its own
+        run_table.submit([self.doc(s, e) for e in (2, 3)
+                          for s in self.STRATEGIES])
+        st = run_table.stats(self.doc(strategy, ell))
         assert st.verdict == "PASS", (
             f"{strategy}/ell={ell}: ci [{st.ci_low:.5f}, {st.ci_high:.5f}] "
             f"below bound {st.agreement_bound:.5f}"
         )
         print(f"\n[criterion 3] PASS: {strategy} ell={ell} "
               f"empirical={st.empirical:.5f} >= bound={st.agreement_bound:.5f}")
+
+    def test_pool_and_serial_runs_agree(self, run_table):
+        from conftest import RunTable
+
+        doc = direct_plus_relays_doc(
+            2, strategies=("forge_auth",), corrupted=("a1",), t=1,
+            trials=300, seed=2002)
+        run_table.submit([doc])
+        assert run_table.stats(doc) == RunTable().stats(doc)
 
 
 class TestCriterion4DistillationExactness:

@@ -62,6 +62,19 @@ class TestBounds:
         assert "agreement_bound:" in out and "privacy_bound:" in out
         assert "p_im: 0.0703125" in out
 
+    @pytest.mark.parametrize("field,message", [
+        ("--n", "session demand"), ("--ell", "ell must be"),
+    ])
+    def test_oversized_integer_named(self, capsys, field, message):
+        # each used to escape as an OverflowError traceback
+        argv = ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2"]
+        argv[argv.index(field) + 1] = str(10**400)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
     def test_w_option_is_gone(self, capsys):
         # w is s/2, so a --w flag could only repeat or contradict --s
         with pytest.raises(SystemExit) as exc:
@@ -288,6 +301,42 @@ def test_no_command_loads_scipy():
     ]
 
 
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from qkdnet.cli import main
+scenario = "demos/scenarios/two_chains.json"
+commands = [
+    ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2"],
+    ["plan", "--t", "3", "--mode", "one_way"],
+    ["paths", "--scenario", scenario],
+    ["run", "--scenario", scenario, "--trials", "5", "--out", sys.argv[1]],
+    ["oracle", "--max-bits", "3", "--configs", "1"],
+]
+seen = [["import", 0, "numpy" in sys.modules]]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    seen.append([argv[0], rc, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_for_a_numpy_kernel(tmp_path):
+    # the w = 8 run path builds its multiplication rows in pure Python;
+    # the oracle row shows that the probe sees numpy once it loads
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(tmp_path / "report")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [
+        ["import", 0, False], ["bounds", 0, False], ["plan", 0, False],
+        ["paths", 0, False], ["run", 0, False], ["oracle", 0, True],
+    ]
+
+
 def _run_malformed(tmp_path, capsys, doc):
     rc = main(["run", "--scenario", two_chains_scenario_file(tmp_path, **doc)])
     err = capsys.readouterr().err
@@ -463,6 +512,13 @@ class TestMalformedScenario:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and "not valid JSON" in err
+
+    def test_key_demand_past_one_draw(self, tmp_path, capsys):
+        # n = 10**30 used to reach random.getrandbits and escape as an
+        # OverflowError with exit 1
+        err = _run_malformed(tmp_path, capsys,
+                             {"params": {**PARAMS, "n": 10**30}})
+        assert "session demand" in err
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"

@@ -148,6 +148,10 @@ class TestImpersonationBound:
     def test_clamped_to_probability(self):
         assert impersonation_bound(1, 1000) == 1.0
 
+    def test_clamped_before_dividing(self):
+        # 10**400 blocks over 256 is too large for a float division
+        assert impersonation_bound(8, 10**400) == 1.0
+
     def test_negative_length_rejected(self):
         with pytest.raises(OutOfRange):
             impersonation_bound(8, -1)

@@ -27,6 +27,7 @@ from qkdnet.errors import (
 from qkdnet.mac import _tag_value
 from qkdnet.network import NetworkGraph, PathSet, QkdLink
 from qkdnet.protocol import (
+    MAX_DRAW_BITS,
     SecurityParams,
     _decode_challenge,
     _encode_challenge,
@@ -84,6 +85,20 @@ class TestSecurityParams:
     def test_s_must_be_even(self):
         with pytest.raises(ParameterViolation):
             SecurityParams(n=9, s=3, m=1, ell=2)
+
+    def test_session_demand_fits_one_key_draw(self):
+        # 5n - 4s + 5 = 2^31 - 1 at s = 2, m = 4
+        edge = SecurityParams(n=429_496_730, s=2, m=4, ell=2)
+        assert edge.session_demand_bits == MAX_DRAW_BITS
+        with pytest.raises(ParameterViolation, match="session demand"):
+            SecurityParams(n=429_496_731, s=2, m=4, ell=2)
+        with pytest.raises(ParameterViolation, match="session demand"):
+            SecurityParams(n=10**400, s=16, m=4, ell=2)
+
+    def test_ell_fits_one_key_draw(self):
+        SecurityParams(n=64, s=16, m=4, ell=MAX_DRAW_BITS)
+        with pytest.raises(ParameterViolation, match="ell must be"):
+            SecurityParams(n=64, s=16, m=4, ell=MAX_DRAW_BITS + 1)
 
     def test_derived_sizes(self):
         p = SecurityParams(n=64, s=16, m=4, ell=3)
