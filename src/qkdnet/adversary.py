@@ -57,14 +57,15 @@ STRATEGIES = (
 
 @dataclass(frozen=True)
 class AdversaryConfig:
-    """A static corruption pattern plus scripted strategies; the
-    defaults are the empty adversary."""
+    """Static corrupted nodes (a frozenset: the hop plan's cache key) and
+    scripted strategies; the defaults are the empty adversary."""
 
     corrupted: frozenset = frozenset()
     t_bound: int = 0
     strategies: tuple = ("passive",)
 
     def __post_init__(self):
+        object.__setattr__(self, "corrupted", frozenset(self.corrupted))
         if self.t_bound < 0:
             raise ValidationError(f"t_bound must be >= 0, got {self.t_bound}")
         if len(self.corrupted) > self.t_bound:
@@ -132,32 +133,28 @@ class AdversaryView:
 class ScriptedAdversary:
     """Transport interceptor executing an :class:`AdversaryConfig`.
 
-    Drop takes precedence over forgery when both are scripted.  Tamper
-    masks and forged payloads are drawn from the trial rng, so trials
-    replay bit-for-bit.
+    The session's hop plan calls the relay hooks only at corrupted
+    relays, so the adversary keeps no corrupted set.  Drop beats forge
+    when both are scripted.  Tamper masks and forged payloads are drawn
+    from the trial rng, so trials replay bit-for-bit.
     """
 
-    __slots__ = ("view", "rng", "corrupted", "_tamper", "_forge", "_drop")
+    __slots__ = ("view", "rng", "_tamper", "_forge", "_drop")
 
     def __init__(self, config: AdversaryConfig, view: AdversaryView, rng):
         self.view = view
         self.rng = rng
-        self.corrupted = config.corrupted
         self._tamper = "tamper_shares" in config.strategies
         self._forge = "forge_auth" in config.strategies
         self._drop = "drop_auth" in config.strategies
 
-    def on_key_hop(self, path_index, node, value, nbits):
-        if node not in self.corrupted:
-            return value
+    def on_key_hop(self, path_index, value, nbits):
         self.view.record_share(path_index, value)
         if self._tamper:
             value ^= self.rng.randrange(1, 1 << nbits)
         return value
 
-    def on_classical_hop(self, path_index, node, kind, value, nbits):
-        if node not in self.corrupted:
-            return value
+    def on_classical_hop(self, path_index, kind, value, nbits):
         if self._drop:
             return None
         if self._forge:

@@ -6,7 +6,7 @@ Subcommands:
   bounds --n N --s S --m M --ell L [--eps E]
   paths  --scenario F [--ell L]
   plan   --t T [--u U] --mode one_way|two_way|feedback
-  oracle [--max-bits B] [--configs C]
+  oracle [--max-bits B] [--configs C]    (B in 3..8, C in 0..100000)
 
 ``run`` exits 0 only when the empirical estimate passes the agreement
 bound (a vacuous bound prints VACUOUS and exits 1); ``oracle`` exits 0

@@ -289,32 +289,34 @@ def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
 
 
 @lru_cache(maxsize=64)
-def _link_plan(graph: NetworkGraph, paths: PathSet):
+def _link_plan(graph: NetworkGraph, paths: PathSet, corrupted: frozenset):
     """(links in path/hop order of first use, each path's ``(link index,
-    receiver)`` hops), cached per graph object and path-set value.  The
-    receiver is None on a path's final hop."""
+    corrupted)`` hops: true where the receiver is a corrupted relay, not
+    the endpoint), cached per graph object, path set and corrupted set."""
     index = {}
     routes = []
     for path in paths.paths:
         last = path[-1]
         routes.append(tuple(
             (index.setdefault(link_key(u, v), len(index)),
-             v if v != last else None)
+             v != last and v in corrupted)
             for u, v in zip(path[:-1], path[1:])
         ))
     links = tuple(graph.link_between(*key) for key in index)
     return links, tuple(routes)
 
 
-def provision_pools(graph: NetworkGraph, paths: PathSet, bits_per_link: int, rng):
+def provision_pools(graph: NetworkGraph, paths: PathSet, corrupted: frozenset,
+                    bits_per_link: int, rng):
     """Build one :class:`LinkKeyPool` per link of ``paths``, in path/hop
     order of first use, each drawing its fresh epoch (a dead link raises
-    :class:`LinkDown`); return each path's ``(pool, receiver)`` hops.
-    The links are resolved once per graph and path set (:func:`_link_plan`).
+    :class:`LinkDown`); return each path's ``(pool, corrupted)`` hops.
+    The links, and the hops into a relay in ``corrupted``, are resolved
+    once per graph, path set and corrupted set (:func:`_link_plan`).
     """
-    links, routes = _link_plan(graph, paths)
+    links, routes = _link_plan(graph, paths, corrupted)
     pools = [LinkKeyPool(link, bits_per_link, rng) for link in links]
-    return [[(pools[j], stop) for j, stop in route] for route in routes]
+    return [[(pools[j], mark) for j, mark in route] for route in routes]
 
 
 @dataclass(slots=True)
@@ -403,7 +405,8 @@ def full_session(
         paths = vertex_disjoint_paths(graph, a, b, params.ell)
     view = AdversaryView(len(paths), params.n)
     interceptor = ScriptedAdversary(adversary, view, rng)
-    hop_lists = provision_pools(graph, paths, params.session_demand_bits, rng)
+    hop_lists = provision_pools(graph, paths, adversary.corrupted,
+                                params.session_demand_bits, rng)
 
     w = params.word_bits
     n = params.n

@@ -709,16 +709,20 @@ def mac_forgery_exact(w: int, message_bits: int) -> Fraction:
     return Fraction(int(peak), 1 << w)
 
 
+#: Cap on ``dpa_configs`` (one configuration is ~30 us at test_bits 8).
+MAX_DPA_CONFIGS = 10**5
+
+
 def exact_oracles(params: SecurityParams, dpa_configs: int = 100,
                   oracle_seed: int = 2024) -> OracleReport:
     """Exhaustive validators at desk scale.
 
-    Requires test_bits <= 12, m <= 4, ell <= 3 (and n <= 16 for the
-    share-privacy enumeration); otherwise raises :class:`TooLarge`.
-    A negative ``dpa_configs`` raises :class:`ValidationError`.
+    Every check requires n <= 16, test_bits <= 12, m <= 4 and ell <= 3;
+    otherwise raises :class:`TooLarge`.  ``dpa_configs`` outside
+    0..``MAX_DPA_CONFIGS`` raises :class:`ValidationError` before any work.
     """
-    if dpa_configs < 0:
-        raise ValidationError(f"dpa_configs must be >= 0, got {dpa_configs}")
+    if not 0 <= dpa_configs <= MAX_DPA_CONFIGS:
+        raise ValidationError(f"dpa_configs must be in 0..{MAX_DPA_CONFIGS}")
     tb = params.test_bits
     if tb > 12 or params.m > 4 or params.ell > 3 or params.n > 16:
         raise TooLarge(

@@ -10,34 +10,34 @@ adversary learns its bits).  One hop, :func:`_hop_transfer`, draws a
 one-time pad and a fresh per-hop MAC key from the same pool, so no pool
 bit is ever used twice.  The in-model wire is never attacked, so the
 receiver decrypts exactly what was sent and a hop's only observable
-effect is its epsilon-leak event (``on_hop_leak``): the hop hands the
-payload on without the pad-and-unpad round trip.  Only its hash of the
+effect is its epsilon-leak event: the hop returns just the epoch's leak
+flag, and the payload travels on unchanged.  Only its hash of the
 ciphertext stays, with the result discarded, because ``perfbench/``
 pins the per-trial hash-call counts.
 
-A path is the sequence of its ``(pool, receiver)`` hops, built by
-``provision_pools`` in :mod:`qkdnet.protocol`; the receiver is None on
-the final hop (delivery to the endpoint is not an interception point).
-Key shares cross a path with :func:`_forward_key_over` and classical
-protocol messages with :func:`_classical_over`; the session engine in
-:mod:`qkdnet.protocol` is their caller.  Intermediate nodes of a path
-see forwarded key material in plaintext (the trusted-repeater
-property); an ``interceptor`` lets corrupted nodes record and
-substitute values.  Classical messages on honest paths are always
-delivered within the trial, which discretizes the eventual-delivery
-assumption.
+A path is the sequence of its ``(pool, corrupted)`` hops, built by
+``provision_pools`` in :mod:`qkdnet.protocol`; ``corrupted`` is true on
+a non-final hop whose receiving relay is corrupted (delivery to the
+endpoint is not an interception point).  Key shares cross a path with
+:func:`_forward_key_over` and classical protocol messages with
+:func:`_classical_over`.  Intermediate nodes of a path see forwarded
+key material in plaintext (the trusted-repeater property); honest
+relays forward faithfully, and an ``interceptor`` lets corrupted ones
+record and substitute values.  Classical messages on honest paths are
+always delivered within the trial, which discretizes the
+eventual-delivery assumption.
 
 Interceptor contract.  Every session passes one interceptor, with or
 without corrupted nodes.  Payloads are plain integers of ``nbits``
 bits, first-sent bit most significant; a hook never changes the length.
-The two relay hooks are called at every intermediate node and return
-the value unchanged at an honest one.
+The two relay hooks are called only where a hop is marked corrupted,
+once per marked hop; an honest relay calls no hook.
 
-* ``on_key_hop(path_index, node, value, nbits) -> int``: the share as
-  the next hop will carry it, at each intermediate node of a key path.
-* ``on_classical_hop(path_index, node, kind, value, nbits) -> int |
-  None``: the message to relay (``kind`` is ``"challenge"`` or
-  ``"response"``), or None to drop it.
+* ``on_key_hop(path_index, value, nbits) -> int``: the share as the
+  next hop will carry it.
+* ``on_classical_hop(path_index, kind, value, nbits) -> int | None``:
+  the message to relay (``kind`` is ``"challenge"`` or ``"response"``),
+  or None to drop it.
 * ``on_hop_leak(path_index, value)``: fires for each hop of a key
   share that crossed an epsilon-compromised epoch of its link, whether
   or not any node is corrupted.
@@ -89,8 +89,8 @@ class LinkKeyPool:
         return (self.value >> left) & ((1 << nbits) - 1), self.compromised
 
 
-def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int):
-    """Object-free hop: deliver ``value`` and report the epoch's leak flag.
+def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int) -> bool:
+    """Object-free hop of ``value``: return the epoch's leak flag.
 
     Consumes ``nbits + 2w`` bits of the link's one epoch in one call:
     the pad first, then the 2w-bit hop MAC key (hash key x, then pad key
@@ -101,35 +101,32 @@ def _hop_transfer(pool: LinkKeyPool, value: int, nbits: int, w: int):
 
     The in-model wire is never attacked (the adversary acts at corrupted
     nodes, which are legitimate hop endpoints), so the receiver decrypts
-    exactly ``value`` and its tag check provably passes; the hop returns
-    ``value`` without the pad-and-unpad round trip.  What stays is one
-    hash of the ciphertext under x, whose result is discarded: a known
-    waste, kept only because ``perfbench/`` pins the per-trial hash-call
-    and multiply counts.  The hash is looked up on :mod:`qkdnet.mac` at
+    exactly ``value`` and its tag check provably passes; the caller
+    keeps ``value`` as delivered.  What stays is one hash of the
+    ciphertext under x, whose result is discarded: a known waste, kept
+    only because ``perfbench/`` pins the per-trial hash-call and
+    multiply counts.  The hash is looked up on :mod:`qkdnet.mac` at
     call time and called positionally, as the benchmark's tracer wraps
     that attribute and weighs its ``w`` and ``nbits`` arguments.
     """
     combined, leaked = pool.take(nbits + 2 * w)
     _mac._hash_value(w, (combined >> w) & ((1 << w) - 1),
                      value ^ (combined >> (2 * w)), nbits)
-    return value, leaked
+    return leaked
 
 
 def _forward_key_over(hops, value, nbits, w, interceptor, path_index):
     """Relay a key share hop by hop over ``hops``; return what B receives.
 
-    ``hops`` are the path's ``(pool, receiver)`` pairs.  Every
-    intermediate node observes the share in plaintext.  The
-    ``interceptor`` is consulted at each intermediate node via
-    ``on_key_hop`` and may record or substitute; epsilon-leaked hops are
-    reported via ``on_hop_leak``.
+    ``hops`` are the path's ``(pool, corrupted)`` pairs.  Each
+    corrupted relay is consulted via ``on_key_hop`` and may record or
+    substitute; epsilon-leaked hops are reported via ``on_hop_leak``.
     """
-    for pool, stop in hops:
-        value, leaked = _hop_transfer(pool, value, nbits, w)
-        if leaked:
+    for pool, corrupted in hops:
+        if _hop_transfer(pool, value, nbits, w):
             interceptor.on_hop_leak(path_index, value)
-        if stop is not None:
-            value = interceptor.on_key_hop(path_index, stop, value, nbits)
+        if corrupted:
+            value = interceptor.on_key_hop(path_index, value, nbits)
     return value
 
 
@@ -138,16 +135,16 @@ def _classical_over(hops, value, nbits, w, interceptor, path_index, kind):
 
     Returns the copy B receives as a ``(value, nbits)`` pair.  On a path
     with no corrupted node the message always arrives unmodified
-    (eventual delivery, discretized to same-trial delivery).  At
-    corrupted nodes the interceptor's ``on_classical_hop`` chooses what
+    (eventual delivery, discretized to same-trial delivery).  At each
+    corrupted relay the interceptor's ``on_classical_hop`` chooses what
     to relay; returning None drops the message, making the delivery ⊥
     (None).
     """
-    for pool, stop in hops:
-        value, _ = _hop_transfer(pool, value, nbits, w)
-        if stop is not None:
-            value = interceptor.on_classical_hop(path_index, stop, kind,
-                                                 value, nbits)
+    for pool, corrupted in hops:
+        _hop_transfer(pool, value, nbits, w)
+        if corrupted:
+            value = interceptor.on_classical_hop(path_index, kind, value,
+                                                 nbits)
             if value is None:
                 return None
     return value, nbits

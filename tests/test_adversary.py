@@ -63,6 +63,14 @@ class TestCorrupt:
         with pytest.raises(ValidationError):
             corrupt(two_chains_graph(), {"mallory"}, 1)
 
+    def test_plain_set_is_frozen_and_runs_a_session(self):
+        cfg = AdversaryConfig({"n1"}, 1)
+        assert type(cfg.corrupted) is frozenset
+        out = full_session(two_chains_graph(), "alice", "bob",
+                           SecurityParams(n=64, s=16, m=4, ell=2), cfg,
+                           random.Random(0), paths=two_chains_paths())
+        assert out.view.learned_shares.keys() == {0}
+
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
             AdversaryConfig(frozenset(), 0, strategies=("jam_quantum",))
@@ -94,18 +102,9 @@ class TestScriptedAdversary:
             AdversaryConfig(frozenset({"x"}), 1), view, random.Random(0)
         )
         share = 0b10101010
-        assert adv.on_key_hop(0, "x", share, 8) == share
+        assert adv.on_key_hop(0, share, 8) == share
         assert view.learned_shares[0] == share
-        assert adv.on_classical_hop(0, "x", "challenge", 0b1111, 4) == 0b1111
-
-    def test_honest_node_hops_not_recorded(self):
-        view = AdversaryView(2, 8)
-        adv = ScriptedAdversary(
-            AdversaryConfig(frozenset({"x"}), 1), view, random.Random(0)
-        )
-        adv.on_key_hop(0, "y", 0b10101010, 8)
-        adv.on_classical_hop(0, "y", "challenge", 0b1111, 4)
-        assert not view.learned_shares
+        assert adv.on_classical_hop(0, "challenge", 0b1111, 4) == 0b1111
 
     def test_tamper_always_changes_value(self):
         view = AdversaryView(1, 8)
@@ -115,7 +114,7 @@ class TestScriptedAdversary:
         )
         share = 0b10101010
         for _ in range(100):
-            out = adv.on_key_hop(0, "x", share, 8)
+            out = adv.on_key_hop(0, share, 8)
             assert out != share and 0 <= out < 1 << 8
 
     def test_drop_beats_forge(self):
@@ -124,7 +123,7 @@ class TestScriptedAdversary:
             AdversaryConfig(frozenset({"x"}), 1, ("forge_auth", "drop_auth")),
             view, random.Random(2),
         )
-        assert adv.on_classical_hop(0, "x", "challenge", 0b1111, 4) is None
+        assert adv.on_classical_hop(0, "challenge", 0b1111, 4) is None
 
     def test_forge_replaces_with_same_length(self):
         view = AdversaryView(1, 8)
@@ -132,7 +131,7 @@ class TestScriptedAdversary:
             AdversaryConfig(frozenset({"x"}), 1, ("forge_auth",)),
             view, random.Random(3),
         )
-        out = adv.on_classical_hop(0, "x", "response", (1 << 40) - 1, 40)
+        out = adv.on_classical_hop(0, "response", (1 << 40) - 1, 40)
         assert out is not None and 0 <= out < 1 << 40
 
 

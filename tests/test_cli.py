@@ -261,6 +261,41 @@ class TestOracle:
         with pytest.raises(ValidationError):
             exact_oracles(SecurityParams(n=11, s=4, m=2, ell=2), dpa_configs=-1)
 
+    @staticmethod
+    def forbid_oracle_work(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an oracle ran before the configs check")
+
+        monkeypatch.setattr(sim, "share_privacy_exact", refuse)
+        monkeypatch.setattr(sim, "dpa_uniformity_exact", refuse)
+
+    @pytest.mark.parametrize("configs", [sim.MAX_DPA_CONFIGS + 1, 10**29],
+                             ids=["cap+1", "10**29"])
+    def test_configs_past_the_cap_exit_2_before_any_work(
+            self, configs, monkeypatch, capsys):
+        self.forbid_oracle_work(monkeypatch)
+        rc = main(["oracle", "--configs", str(configs)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: dpa_configs must be in 0..{sim.MAX_DPA_CONFIGS}\n")
+
+    def test_exact_oracles_rejects_configs_past_the_cap(self, monkeypatch):
+        self.forbid_oracle_work(monkeypatch)
+        with pytest.raises(ValidationError, match="dpa_configs"):
+            exact_oracles(SecurityParams(n=11, s=4, m=2, ell=2),
+                          dpa_configs=sim.MAX_DPA_CONFIGS + 1)
+
+    def test_configs_at_the_cap_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "dpa_uniformity_exact",
+                            lambda tb, lambdas: calls.append(tb) or True)
+        report = exact_oracles(SecurityParams(n=11, s=4, m=2, ell=2),
+                               dpa_configs=sim.MAX_DPA_CONFIGS)
+        assert report.all_exact
+        assert len(calls) == sim.MAX_DPA_CONFIGS + 4
+
 
 SCIPY_PROBE = """
 import contextlib, io, json, runpy, sys

@@ -13,6 +13,7 @@ from qkdnet import protocol
 from qkdnet.adversary import (
     STRATEGIES,
     AdversaryConfig,
+    ScriptedAdversary,
     corrupt,
     guessing_advantage,
 )
@@ -693,6 +694,59 @@ class TestLinkPlan:
             leaked[eps] = out.view.leaked_epochs
         # epsilon 1 flags both links of path 0 compromised
         assert leaked == {0.0: 0, 1.0: 2}
+
+
+def spy_relay_hooks(monkeypatch):
+    """Record ``(hook, path index)`` for every relay hook call."""
+    calls = []
+    for name in ("on_key_hop", "on_classical_hop"):
+        real = getattr(ScriptedAdversary, name)
+
+        def spy(self, path_index, *rest, _name=name, _real=real):
+            calls.append((_name, path_index))
+            return _real(self, path_index, *rest)
+
+        monkeypatch.setattr(ScriptedAdversary, name, spy)
+    return calls
+
+
+class TestRelayHooksFireOnlyAtCorruptedRelays:
+    """Honest relays forward without calling the adversary: the session's
+    hop plan marks only the hops into corrupted relays."""
+
+    def test_empty_adversary_fires_no_hook(self, monkeypatch):
+        calls = spy_relay_hooks(monkeypatch)
+        scenario = load_scenario(ROOT / "demos/scenarios/two_chains.json")
+        for i in range(5):
+            run_trial(scenario, derive_trial_seed(scenario.seed, i), i)
+        assert calls == []
+
+    def test_only_the_corrupted_path_fires(self, monkeypatch):
+        calls = spy_relay_hooks(monkeypatch)
+        scenario = load_scenario(
+            ROOT / "perfbench/inputs/criterion3_ell3_passive.json")
+        (a1,) = [i for i, path in enumerate(scenario.paths.paths)
+                 if "a1" in path]
+        for i in range(5):
+            calls.clear()
+            run_trial(scenario, derive_trial_seed(scenario.seed, i), i)
+            assert sorted(calls) == [("on_classical_hop", a1)] * 2 + [
+                ("on_key_hop", a1)]
+
+    def test_plan_is_keyed_by_the_corrupted_set(self, monkeypatch):
+        # one graph object and path set, so only the corrupted set can
+        # tell the three plans apart
+        calls = spy_relay_hooks(monkeypatch)
+        graph = TestLinkPlan.graph()
+        x_corrupted = corrupt(graph, {"x"}, 1, endpoints=("alice", "bob"))
+        fired = []
+        for cfg in (EMPTY, x_corrupted, EMPTY):
+            calls.clear()
+            full_session(graph, "alice", "bob", TINY, cfg, random.Random(3),
+                         paths=TestLinkPlan.PATHS)
+            fired.append(sorted(calls))
+        assert fired == [
+            [], [("on_classical_hop", 0)] * 2 + [("on_key_hop", 0)], []]
 
 
 class TestOneEpochPools:

@@ -21,40 +21,39 @@ def fresh_pool(epsilon=0.0, alive=True, bits=4096, rng=None):
     return LinkKeyPool(link, bits, rng or random.Random(0))
 
 
-def chain_hops(path, bits=4096, rng=None, epsilon=0.0, alive=True):
-    """The session's ``(pool, receiver)`` hops for a single ``path``."""
+def chain_hops(path, bits=4096, rng=None, epsilon=0.0, alive=True,
+               corrupted=frozenset()):
+    """The session's ``(pool, corrupted)`` hops for a single ``path``."""
     graph = NetworkGraph(set(path), [
         QkdLink(u, v, epsilon=epsilon, alive=alive)
         for u, v in zip(path[:-1], path[1:])])
     paths = PathSet(path[0], path[-1], (path,))
-    return provision_pools(graph, paths, bits, rng or random.Random(0))[0]
+    return provision_pools(graph, paths, frozenset(corrupted), bits,
+                           rng or random.Random(0))[0]
 
 
 class Recorder:
-    """Minimal interceptor stub: records, optionally rewrites.
+    """Minimal interceptor stub: records every relay hook call and
+    optionally rewrites.
 
-    Follows the integer hook contract of :mod:`qkdnet.transport`.
+    Follows the integer hook contract of :mod:`qkdnet.transport`; the
+    hops alone decide where the relay hooks fire.
     """
 
-    def __init__(self, corrupted=(), tamper=None, classical=None):
-        self.corrupted = set(corrupted)
+    def __init__(self, tamper=None, classical=None):
         self.tamper = tamper
         self.classical = classical
         self.key_hops = []
         self.classical_hops = []
         self.leaks = []
 
-    def on_key_hop(self, path_index, node, value, nbits):
-        self.key_hops.append((path_index, node, value, nbits))
-        if node in self.corrupted and self.tamper:
-            return self.tamper(value)
-        return value
+    def on_key_hop(self, path_index, value, nbits):
+        self.key_hops.append((path_index, value, nbits))
+        return self.tamper(value) if self.tamper else value
 
-    def on_classical_hop(self, path_index, node, kind, value, nbits):
-        self.classical_hops.append((path_index, node, kind, value, nbits))
-        if node in self.corrupted and self.classical:
-            return self.classical(value)
-        return value
+    def on_classical_hop(self, path_index, kind, value, nbits):
+        self.classical_hops.append((path_index, kind, value, nbits))
+        return self.classical(value) if self.classical else value
 
     def on_hop_leak(self, path_index, value):
         self.leaks.append((path_index, value))
@@ -136,16 +135,15 @@ class TestPoolTake:
 
 class TestHopSend:
     """One hop: ``_hop_transfer`` takes its pad and MAC key, hashes the
-    ciphertext and delivers the payload."""
+    ciphertext and returns only the epoch's leak flag (the payload is
+    delivered unchanged, so the caller keeps it)."""
 
     def test_round_trip_and_pool_accounting(self):
         rng = random.Random(6)
         pool = fresh_pool(rng=rng)
         payload = rng.getrandbits(96)
         before = pool.available
-        received, leaked = _hop_transfer(pool, payload, 96, W)
-        assert received == payload
-        assert not leaked
+        assert _hop_transfer(pool, payload, 96, W) is False
         assert before - pool.available == 96 + 2 * W
 
     @pytest.mark.parametrize("epsilon", [0.0, 1.0])
@@ -168,8 +166,7 @@ class TestHopSend:
         pad, x = bits >> (2 * W), (bits >> W) & ((1 << W) - 1)
         value = random.Random(12).getrandbits(nbits)
         before = pool.available
-        assert _hop_transfer(pool, value, nbits, W) == (
-            value, pool.compromised)
+        assert _hop_transfer(pool, value, nbits, W) is pool.compromised
         assert before - pool.available == nbits + 2 * W
         assert calls == [((W, x, value ^ pad, nbits), {})]
 
@@ -178,9 +175,8 @@ class TestHopSend:
         pool = fresh_pool(rng=rng)
         p1 = rng.getrandbits(40)
         p2 = rng.getrandbits(40)
-        r1, _ = _hop_transfer(pool, p1, 40, W)
-        r2, _ = _hop_transfer(pool, p2, 40, W)
-        assert (r1, r2) == (p1, p2)
+        _hop_transfer(pool, p1, 40, W)
+        _hop_transfer(pool, p2, 40, W)
         assert pool.available == 4096 - 2 * (40 + 2 * W)
         # the next bits come right after both hops' pads and MAC keys
         whole = fresh_pool(rng=random.Random(9))
@@ -191,8 +187,7 @@ class TestHopSend:
     def test_leak_flag_follows_epoch(self):
         rng = random.Random(10)
         pool = fresh_pool(epsilon=1.0, rng=rng)
-        _, leaked = _hop_transfer(pool, rng.getrandbits(16), 16, W)
-        assert leaked
+        assert _hop_transfer(pool, rng.getrandbits(16), 16, W) is True
 
     def test_down_link_refuses(self):
         # A down link gets no pool, so no path over it gets hops.
@@ -200,33 +195,55 @@ class TestHopSend:
             chain_hops(("u", "v"), alive=False)
 
 
+class TestHopMarks:
+    """A hop is marked exactly when its receiver is a corrupted relay."""
+
+    def test_marks_follow_the_corrupted_relays(self):
+        hops = chain_hops(("a", "x", "y", "z", "b"), corrupted={"x", "z"})
+        assert [mark for _, mark in hops] == [True, False, True, False]
+
+    def test_endpoint_is_not_an_interception_point(self):
+        hops = chain_hops(("a", "x", "b"), corrupted={"a", "b"})
+        assert [mark for _, mark in hops] == [False, False]
+
+
 class TestPathForwardKey:
-    def test_honest_path_delivers_and_all_internals_observe(self):
+    def test_honest_path_delivers_and_calls_no_relay_hook(self):
         rng = random.Random(11)
         path = ("a", "x", "y", "b")
         hops = chain_hops(path)
         share = rng.getrandbits(64)
-        rec = Recorder()
+        rec = Recorder(tamper=lambda v: v ^ 1)
         out = _forward_key_over(hops, share, 64, W, rec, 0)
         assert out == share
-        assert rec.key_hops == [(0, "x", share, 64), (0, "y", share, 64)]
+        assert rec.key_hops == []
 
     def test_passive_corruption_sees_share(self):
         rng = random.Random(12)
         path = ("a", "x", "b")
-        hops = chain_hops(path)
+        hops = chain_hops(path, corrupted={"x"})
         share = rng.getrandbits(32)
-        rec = Recorder(corrupted={"x"})
+        rec = Recorder()
         out = _forward_key_over(hops, share, 32, W, rec, 0)
         assert out == share
-        assert rec.key_hops[0][2] == share
+        assert rec.key_hops == [(0, share, 32)]
+
+    def test_each_corrupted_relay_sees_what_the_last_one_relayed(self):
+        rng = random.Random(16)
+        path = ("a", "x", "y", "z", "b")
+        hops = chain_hops(path, corrupted={"x", "z"})
+        share = rng.getrandbits(32)
+        rec = Recorder(tamper=lambda v: v ^ 0b11)
+        out = _forward_key_over(hops, share, 32, W, rec, 2)
+        assert out == share
+        assert rec.key_hops == [(2, share, 32), (2, share ^ 0b11, 32)]
 
     def test_tampering_node_changes_delivery_undetected(self):
         rng = random.Random(13)
         path = ("a", "x", "b")
-        hops = chain_hops(path)
+        hops = chain_hops(path, corrupted={"x"})
         share = rng.getrandbits(32)
-        rec = Recorder(corrupted={"x"}, tamper=lambda v: v ^ 0b101)
+        rec = Recorder(tamper=lambda v: v ^ 0b101)
         out = _forward_key_over(hops, share, 32, W, rec, 0)
         assert out == share ^ 0b101  # no exception: transport cannot tell
 
@@ -247,33 +264,36 @@ class TestClassicalSend:
         rng = random.Random(15)
         path = ("a", "x", "y", "b")
         hops = chain_hops(path, bits=100_000)
+        rec = Recorder(classical=lambda m: None)
         for _ in range(50):
             nbits = rng.randrange(1, 200)
             m = rng.getrandbits(nbits)
-            out = _classical_over(hops, m, nbits,
-                                  W, Recorder(), 0, "challenge")
+            out = _classical_over(hops, m, nbits, W, rec, 0, "challenge")
             assert out == (m, nbits)
+        assert rec.classical_hops == []
 
     def test_drop_yields_bottom(self):
         path = ("a", "x", "b")
-        hops = chain_hops(path)
-        rec = Recorder(corrupted={"x"}, classical=lambda m: None)
+        hops = chain_hops(path, corrupted={"x"})
+        rec = Recorder(classical=lambda m: None)
         out = _classical_over(hops, 0b1101, 4, W, rec, 0,
                               "response")
         assert out is None
 
     def test_substitution_delivers_adversary_choice(self):
         path = ("a", "x", "b")
-        hops = chain_hops(path)
-        rec = Recorder(corrupted={"x"}, classical=lambda m: 0b0000)
+        hops = chain_hops(path, corrupted={"x"})
+        rec = Recorder(classical=lambda m: 0b0000)
         out = _classical_over(hops, 0b1101, 4, W, rec, 0,
                               "challenge")
         assert out == (0b0000, 4)
-        assert rec.classical_hops == [(0, "x", "challenge", 0b1101, 4)]
+        assert rec.classical_hops == [(0, "challenge", 0b1101, 4)]
 
     def test_kind_is_passed_to_interceptor(self):
         path = ("a", "x", "b")
-        hops = chain_hops(path)
+        hops = chain_hops(path, corrupted={"x"})
         rec = Recorder()
         _classical_over(hops, 1, 1, W, rec, 0, "challenge")
-        assert rec.classical_hops[0][2] == "challenge"
+        _classical_over(hops, 1, 1, W, rec, 0, "response")
+        assert [kind for _, kind, _, _ in rec.classical_hops] == [
+            "challenge", "response"]
