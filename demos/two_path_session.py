@@ -22,6 +22,7 @@ from qkdnet import (
     SecurityParams,
     corrupt,
     full_session,
+    vertex_disjoint_paths,
 )
 
 graph = NetworkGraph(
@@ -34,11 +35,11 @@ graph = NetworkGraph(
     ],
 )
 params = SecurityParams(n=64, s=16, m=4, ell=2)
+paths = vertex_disjoint_paths(graph, "alice", "bob", params.ell)
 
 print("== honest run ==")
-out = full_session(graph, "alice", "bob", params, AdversaryConfig(),
-                   random.Random(7))
-print(f"paths: {[' -> '.join(p) for p in out.paths.paths]}")
+out = full_session(graph, paths, params, AdversaryConfig(), random.Random(7))
+print(f"paths: {[' -> '.join(p) for p in paths.paths]}")
 print(f"result={out.result} result'={out.result_prime} "
       f"keys_equal={out.keys_equal}")
 width = params.test_bits - len(out.trash_a)   # keys are plain integers
@@ -52,7 +53,7 @@ print(out.transcript())
 print("== one repeater tampers with its share ==")
 config = corrupt(graph, {"n1"}, t=1, endpoints=("alice", "bob"),
                  strategies=("tamper_shares",))
-out = full_session(graph, "alice", "bob", params, config, random.Random(7))
+out = full_session(graph, paths, params, config, random.Random(7))
 print(f"result={out.result} result'={out.result_prime} "
       f"keys_equal={out.keys_equal}")
 print(f"final keys: alice={out.final_key_a} bob={out.final_key_b}")

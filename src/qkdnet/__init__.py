@@ -6,7 +6,6 @@ harness for the analytic bounds."""
 from .adversary import (
     AdversaryConfig,
     AdversaryView,
-    controlled_paths,
     corrupt,
     guessing_advantage,
 )

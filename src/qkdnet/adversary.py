@@ -15,10 +15,11 @@ recording the key shares corrupted nodes and leaked hops reveal into an
                      i.e. one impersonation attempt per interception)
 * ``drop_auth``      deliver ⊥ for classical payloads
 
-All the adversary knows is which paths' shares it holds: the view maps
-each such path to the share the sender put on it.  Disclosure to an
-honest-but-curious party is reading the session's ``view``; there is no
-separate disclosure step.
+The session's hop plan (``protocol._link_plan``) marks the hops into
+corrupted relays; only those call the hooks.  All the adversary knows
+is which paths' shares it holds: the view maps each such path to the
+share the sender put on it.  Disclosure to an honest-but-curious party
+is reading the session's ``view``; there is no separate disclosure step.
 
 Privacy is measured by exact Bayesian enumeration: all completions of
 the unknown shares are enumerated (vectorised, in bounded numpy blocks)
@@ -45,7 +46,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .network import NetworkGraph, PathSet
+from .network import NetworkGraph
 
 STRATEGIES = (
     "passive",
@@ -53,6 +54,8 @@ STRATEGIES = (
     "forge_auth",
     "drop_auth",
 )
+#: Strategies of an adversary that names none; ``()`` acts the same.
+DEFAULT_STRATEGIES = ("passive",)
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class AdversaryConfig:
 
     corrupted: frozenset = frozenset()
     t_bound: int = 0
-    strategies: tuple = ("passive",)
+    strategies: tuple = DEFAULT_STRATEGIES
 
     def __post_init__(self):
         object.__setattr__(self, "corrupted", frozenset(self.corrupted))
@@ -82,7 +85,7 @@ def corrupt(
     nodes,
     t: int,
     endpoints=(),
-    strategies=("passive",),
+    strategies=DEFAULT_STRATEGIES,
 ) -> AdversaryConfig:
     """Corrupt ``nodes`` under a t-bound.
 
@@ -97,15 +100,6 @@ def corrupt(
     if hit:
         raise EndpointCorruption(f"endpoints cannot be corrupted: {sorted(hit)}")
     return AdversaryConfig(corrupted=nodes, t_bound=t, strategies=tuple(strategies))
-
-
-def controlled_paths(config: AdversaryConfig, paths: PathSet) -> frozenset:
-    """Indices of paths containing a corrupted internal node (the set S_A)."""
-    return frozenset(
-        i
-        for i in range(len(paths))
-        if set(paths.interior(i)) & config.corrupted
-    )
 
 
 class AdversaryView:

@@ -1,11 +1,12 @@
 """Network graph model, disjoint-path discovery, and connectivity thresholds.
 
 A trusted-repeater network is an undirected graph of nodes joined by QKD
-links.  Sessions between two endpoints ride on internally vertex-disjoint
-paths; discovery runs unit-capacity max-flow on the node-split graph, so
-the returned count is Menger-maximal.  One residual map serves both the
-augmentation and the decomposition: the paths are read off its saturated
-arcs.  All tie-breaking is lexicographic on node labels, making results
+links.  A session between two endpoints rides the :class:`PathSet` it
+is handed, internally vertex-disjoint paths found once per scenario by
+unit-capacity max-flow on the node-split graph, so the returned count
+is Menger-maximal.  One residual map serves both the augmentation and
+the decomposition: the paths are read off its saturated arcs.  All
+tie-breaking is lexicographic on node labels, making results
 deterministic for a given graph.
 
 Links whose ``alive`` flag is cleared (eavesdropping-induced abort or
@@ -90,7 +91,8 @@ class PathSet:
     """Internally vertex-disjoint paths between two endpoints.
 
     Each path is a node sequence from ``a`` to ``b`` with no repeats;
-    distinct paths share no node other than the endpoints.
+    distinct paths share no node other than the endpoints.  A session's
+    path index i names ``paths[i]``; ``a`` and ``b`` are its two ends.
     """
 
     a: NodeId
@@ -113,9 +115,6 @@ class PathSet:
 
     def __len__(self):
         return len(self.paths)
-
-    def interior(self, i: int) -> tuple[NodeId, ...]:
-        return self.paths[i][1:-1]
 
 
 # Node-split graph vertices: (label, _IN) receives, (label, _OUT) sends.

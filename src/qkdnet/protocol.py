@@ -22,8 +22,9 @@ A session between two endpoints runs in four phases:
 The reserved MAC prefix is 2s bits (two independent sub-keys of s bits,
 one per direction), so the tested remainder has n - 2s bits.
 
-:func:`full_session` is the one implementation of a session and runs
-all four phases on plain integers: the XOR of the shares, the key parts
+:func:`full_session` is the one implementation of a session: it runs
+over the ``PathSet`` it is given, finds no paths itself, and runs all
+four phases on plain integers: the XOR of the shares, the key parts
 from :func:`_key_parts` (first sub-key, second sub-key, remainder), the
 wire payloads of the challenge and the response, the parity vectors and
 the distilled final keys.  A value's width is fixed by the parameters
@@ -47,7 +48,7 @@ from .adversary import AdversaryConfig, AdversaryView, ScriptedAdversary
 from .errors import LengthMismatch, OutOfRange, ParameterViolation
 from .mac import _tag_value
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
-from .network import NetworkGraph, PathSet, link_key, vertex_disjoint_paths
+from .network import NetworkGraph, PathSet, link_key
 from .transport import LinkKeyPool, _classical_over, _forward_key_over
 
 #: Largest single ``random.getrandbits`` draw (its argument is a C int):
@@ -292,7 +293,8 @@ def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
 def _link_plan(graph: NetworkGraph, paths: PathSet, corrupted: frozenset):
     """(links in path/hop order of first use, each path's ``(link index,
     corrupted)`` hops: true where the receiver is a corrupted relay, not
-    the endpoint), cached per graph object, path set and corrupted set."""
+    the endpoint), cached per graph object, path set and corrupted set:
+    the one record of which hops, so which paths, corrupted relays hold."""
     index = {}
     routes = []
     for path in paths.paths:
@@ -342,8 +344,6 @@ class SessionOutcome:
     response_copies: tuple
     accepted_b: int | None
     accepted_a: int | None
-    shares_received: tuple    # n-bit share values, one per path
-    paths: PathSet
     view: AdversaryView
 
     @property
@@ -380,15 +380,16 @@ class SessionOutcome:
 
 def full_session(
     graph: NetworkGraph,
-    a: str,
-    b: str,
+    paths: PathSet,
     params: SecurityParams,
     adversary: AdversaryConfig,
     rng,
-    paths: PathSet | None = None,
 ) -> SessionOutcome:
-    """Run establish, challenge, response, and distillation once.
+    """Run establish, challenge, response, and distillation once over
+    ``paths``, whose endpoints ``a`` and ``b`` are the session's ends.
 
+    ``paths`` must hold exactly ``params.ell`` paths, else
+    :class:`ParameterViolation` is raised before any draw.
     All randomness flows from ``rng`` in a fixed order (per-link pool
     epochs in path/hop order, then per-path shares, then the parity
     vectors, with adversary draws interleaved at interception points),
@@ -401,8 +402,9 @@ def full_session(
     ``AdversaryConfig()`` (no corrupted node, t=0) draws nothing from
     ``rng`` and still records each epsilon-leaked hop in the view.
     """
-    if paths is None:
-        paths = vertex_disjoint_paths(graph, a, b, params.ell)
+    if len(paths) != params.ell:
+        raise ParameterViolation(
+            f"session needs ell={params.ell} paths, got {len(paths)}")
     view = AdversaryView(len(paths), params.n)
     interceptor = ScriptedAdversary(adversary, view, rng)
     hop_lists = provision_pools(graph, paths, adversary.corrupted,
@@ -411,13 +413,10 @@ def full_session(
     w = params.word_bits
     n = params.n
     key_a = key_b = 0
-    received = []
     for i, hops in enumerate(hop_lists):
         share = rng.getrandbits(n)
         key_a ^= share
-        got = _forward_key_over(hops, share, n, w, interceptor, i)
-        key_b ^= got
-        received.append(got)
+        key_b ^= _forward_key_over(hops, share, n, w, interceptor, i)
     first_a, second_a, rem_a = _key_parts(key_a, params)
     first_b, second_b, rem_b = _key_parts(key_b, params)
 
@@ -457,7 +456,5 @@ def full_session(
         response_copies=response_copies,
         accepted_b=accepted_b,
         accepted_a=accepted_a,
-        shares_received=tuple(received),
-        paths=paths,
         view=view,
     )

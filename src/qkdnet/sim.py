@@ -31,6 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .adversary import (
+    DEFAULT_STRATEGIES,
     EXACT_LIMIT_BITS,
     AdversaryConfig,
     AdversaryView,
@@ -122,7 +123,7 @@ _FIELDS = {
     },
     "adversary": {
         "corrupted": ("strings", ()), "t": ("integer", None),
-        "strategies": ("strings", ("passive",)),
+        "strategies": ("strings", DEFAULT_STRATEGIES),
     },
 }
 
@@ -199,7 +200,7 @@ def load_scenario(source) -> Scenario:
     adv = _fields(top["adversary"] or {}, "adversary")
     t = len(adv["corrupted"]) if adv["t"] is None else adv["t"]
     adversary = corrupt(graph, adv["corrupted"], t, endpoints=(a, b),
-                        strategies=tuple(adv["strategies"]) or ("passive",))
+                        strategies=tuple(adv["strategies"]))
 
     _require(top["trials"] >= 1, "trials must be >= 1")
     try:
@@ -275,20 +276,20 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
               paths=None) -> TrialResult:
     """Execute one session; the record is a pure function of the seed.
 
-    ``paths`` defaults to the scenario's own path set.  The session runs
-    on one module-level generator reseeded with ``trial_seed``:
-    ``seed`` sets the whole Mersenne-Twister state and clears the cached
-    Gaussian, so the stream equals that of ``random.Random(trial_seed)``
-    and no generator is built per trial.  The generator is shared by the
-    process, so trials must not run concurrently in threads, and no
-    callback of a trial may call ``run_trial``.
+    The session rides ``paths`` (``ell`` paths, default
+    ``scenario.paths``).  It runs on one module-level generator reseeded
+    with ``trial_seed``: ``seed`` sets the whole Mersenne-Twister state
+    and clears the cached Gaussian, so the stream equals that of
+    ``random.Random(trial_seed)`` and no generator is built per trial.
+    The generator is shared by the process, so trials must not run
+    concurrently in threads, and no callback of a trial may call
+    ``run_trial``.
     """
     rng = _TRIAL_RNG
     rng.seed(trial_seed)
     outcome = full_session(
-        scenario.graph, scenario.a, scenario.b, scenario.params,
-        scenario.adversary, rng,
-        paths=scenario.paths if paths is None else paths,
+        scenario.graph, scenario.paths if paths is None else paths,
+        scenario.params, scenario.adversary, rng,
     )
     trash = outcome.trash_a
     return TrialResult(
@@ -595,19 +596,20 @@ def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
     often, i.e. every such row's minimum must equal its maximum.  An
     empty row (a parity vector no key has, as under a zero lambda) is
     all zeros, so the test is that every row equals its first entry.
-    Raises :class:`ValidationError` for negative key_bits and
-    :class:`TooLarge` past ``EXACT_LIMIT_BITS`` key bits, before any
-    table is built.
+    The count table has 2^(m + survivors) <= 2^(key_bits + m) cells for
+    m vectors, so the cap is key_bits + m <= ``EXACT_LIMIT_BITS`` (20):
+    past it, :class:`TooLarge` is raised before any table is built, and
+    negative key_bits raise :class:`ValidationError`.
     """
     if key_bits < 0:
         raise ValidationError(f"key_bits must be >= 0, got {key_bits}")
-    if key_bits > EXACT_LIMIT_BITS:
+    m = len(lambdas)
+    if key_bits + m > EXACT_LIMIT_BITS:
         raise TooLarge(
-            f"uniformity enumeration limited to 2^{EXACT_LIMIT_BITS} keys, "
-            f"got key_bits={key_bits}")
+            f"uniformity count table limited to 2^{EXACT_LIMIT_BITS} cells, "
+            f"got key_bits={key_bits} with {m} vectors")
     import numpy as np
 
-    m = len(lambdas)
     keys = np.arange(1 << key_bits, dtype=np.uint64)
     kstar, trash = deterministic_pa(keys, key_bits, lambdas)
     survivors = key_bits - len(trash)

@@ -5,7 +5,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from qkdnet.network import NetworkGraph, QkdLink
+from qkdnet import protocol
+from qkdnet.network import NetworkGraph, QkdLink, vertex_disjoint_paths
 from qkdnet.sim import load_scenario, run_monte_carlo
 
 
@@ -30,6 +31,32 @@ def three_path_graph():
     for x in ("x1", "x2", "x3"):
         links += [QkdLink("alice", x), QkdLink(x, "bob")]
     return NetworkGraph(nodes, links)
+
+
+@pytest.fixture
+def session_paths():
+    """The ``ell`` disjoint alice-bob paths of a graph, found as
+    ``load_scenario`` finds a scenario's: ``session_paths(graph, ell)``."""
+    def paths(graph, ell):
+        return vertex_disjoint_paths(graph, "alice", "bob", ell)
+    return paths
+
+
+@pytest.fixture
+def forwarded_shares(monkeypatch):
+    """``(sent, received)``: the share each ``_forward_key_over`` call
+    puts on its path and the share it delivers at the far end, in call
+    order, so ``received[-ell:]`` are B's shares of the last session."""
+    sent, received = [], []
+    real = protocol._forward_key_over
+
+    def spy(hops, value, nbits, w, interceptor, path_index):
+        sent.append(value)
+        received.append(real(hops, value, nbits, w, interceptor, path_index))
+        return received[-1]
+
+    monkeypatch.setattr(protocol, "_forward_key_over", spy)
+    return sent, received
 
 
 def run_stats(doc):

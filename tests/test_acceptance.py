@@ -209,16 +209,19 @@ class TestCriterion4DistillationExactness:
 
 
 class TestCriterion5PrivacyUnderDisclosure:
-    def test_honest_but_curious_views(self, three_path_graph):
+    def test_honest_but_curious_views(self, three_path_graph, session_paths,
+                                      forwarded_shares):
         params = SecurityParams(n=8, s=2, m=2, ell=3)
         from qkdnet.adversary import corrupt
         cfg = corrupt(
             three_path_graph, {"x1"}, 1, endpoints=("alice", "bob"),
             strategies=("forge_auth",),
         )
+        _, received = forwarded_shares
+        paths = session_paths(three_path_graph, 3)
         for seed in range(40):
-            out = full_session(three_path_graph, "alice", "bob", params,
-                               cfg, random.Random(seed))
+            out = full_session(three_path_graph, paths, params, cfg,
+                               random.Random(seed))
             adv = guessing_advantage(out.view)
             assert adv == Fraction(0)
             disclosed = out.view.learned_shares
@@ -226,7 +229,7 @@ class TestCriterion5PrivacyUnderDisclosure:
                 if i in disclosed:
                     continue
                 view = AdversaryView(3, 8)
-                view.record_share(i, out.shares_received[i])
+                view.record_share(i, received[-3 + i])
                 for j, share in disclosed.items():
                     view.record_share(j, share)
                 res = guessing_advantage(view)

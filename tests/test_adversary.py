@@ -11,7 +11,6 @@ from qkdnet.adversary import (
     AdversaryConfig,
     AdversaryView,
     ScriptedAdversary,
-    controlled_paths,
     corrupt,
     guessing_advantage,
 )
@@ -23,7 +22,7 @@ from qkdnet.errors import (
     ValidationError,
 )
 from qkdnet.network import NetworkGraph, PathSet, QkdLink
-from qkdnet.protocol import SecurityParams, full_session
+from qkdnet.protocol import SecurityParams, _link_plan, full_session
 
 
 def two_chains_graph():
@@ -41,14 +40,23 @@ def two_chains_paths():
     ))
 
 
+def hop_marks(graph, paths, cfg):
+    """Each path's hop marks in the session's plan: true where the hop
+    enters a corrupted relay."""
+    _, routes = _link_plan(graph, paths, cfg.corrupted)
+    return [tuple(mark for _, mark in route) for route in routes]
+
+
 class TestCorrupt:
     def test_valid_single_corruption_controls_one_path(self):
         cfg = corrupt(two_chains_graph(), {"n1"}, 1, endpoints=("alice", "bob"))
-        assert controlled_paths(cfg, two_chains_paths()) == {0}
+        assert hop_marks(two_chains_graph(), two_chains_paths(), cfg) == [
+            (True, False, False), (False, False, False)]
 
     def test_empty_corruption(self):
         cfg = corrupt(two_chains_graph(), set(), 0, endpoints=("alice", "bob"))
-        assert controlled_paths(cfg, two_chains_paths()) == frozenset()
+        assert hop_marks(two_chains_graph(), two_chains_paths(), cfg) == [
+            (False, False, False)] * 2
         assert cfg == AdversaryConfig()
 
     def test_endpoint_corruption_rejected(self):
@@ -66,9 +74,9 @@ class TestCorrupt:
     def test_plain_set_is_frozen_and_runs_a_session(self):
         cfg = AdversaryConfig({"n1"}, 1)
         assert type(cfg.corrupted) is frozenset
-        out = full_session(two_chains_graph(), "alice", "bob",
+        out = full_session(two_chains_graph(), two_chains_paths(),
                            SecurityParams(n=64, s=16, m=4, ell=2), cfg,
-                           random.Random(0), paths=two_chains_paths())
+                           random.Random(0))
         assert out.view.learned_shares.keys() == {0}
 
     def test_unknown_strategy(self):
@@ -76,7 +84,10 @@ class TestCorrupt:
             AdversaryConfig(frozenset(), 0, strategies=("jam_quantum",))
 
 
-class TestControlledPaths:
+class TestHopMarks:
+    """Only the hop into a corrupted relay is marked: never the hop out
+    of it, nor the last hop into the endpoint."""
+
     def test_middle_path_of_three(self):
         paths = PathSet("a", "b", (
             ("a", "x1", "b"), ("a", "x2", "b"), ("a", "x3", "b"),
@@ -87,12 +98,14 @@ class TestControlledPaths:
             + [QkdLink(v, "b") for v in ("x1", "x2", "x3")],
         )
         cfg = corrupt(g, {"x2"}, 1, endpoints=("a", "b"))
-        assert controlled_paths(cfg, paths) == {1}
+        assert hop_marks(g, paths, cfg) == [
+            (False, False), (True, False), (False, False)]
 
     def test_all_paths_controlled(self):
         paths = two_chains_paths()
         cfg = corrupt(two_chains_graph(), {"n2", "n4"}, 2, endpoints=("alice", "bob"))
-        assert controlled_paths(cfg, paths) == {0, 1}
+        assert hop_marks(two_chains_graph(), paths, cfg) == [
+            (False, True, False)] * 2
 
 
 class TestScriptedAdversary:

@@ -174,7 +174,9 @@ class TestPathDiscoveryCount:
             count[0] += 1
             return network.vertex_disjoint_paths(*args, **kwargs)
 
-        for module in (sim, protocol, cli):
+        # the session engine has no path search of its own to count
+        assert not hasattr(protocol, "vertex_disjoint_paths")
+        for module in (sim, cli):
             monkeypatch.setattr(module, "vertex_disjoint_paths", counted)
         return count
 

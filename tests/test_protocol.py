@@ -462,19 +462,6 @@ class TestDistillRunCopy:
         assert len(key) - len(trash) == len(out)
 
 
-def spy_sent_shares(monkeypatch):
-    """Record the share each ``_forward_key_over`` call puts on its path."""
-    sent = []
-    real = protocol._forward_key_over
-
-    def spy(hops, value, nbits, w, interceptor, path_index):
-        sent.append(value)
-        return real(hops, value, nbits, w, interceptor, path_index)
-
-    monkeypatch.setattr(protocol, "_forward_key_over", spy)
-    return sent
-
-
 class TestIntegerSessionMatchesWrappers:
     """``full_session`` gives the same payloads, verdicts, vectors and
     final keys as its phase helpers called one at a time on the
@@ -483,7 +470,8 @@ class TestIntegerSessionMatchesWrappers:
     @pytest.mark.parametrize("strategy", [
         None, "passive", "tamper_shares", "forge_auth", "drop_auth"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_same_bits(self, two_chains_graph, monkeypatch, strategy, seed):
+    def test_same_bits(self, two_chains_graph, session_paths,
+                       forwarded_shares, monkeypatch, strategy, seed):
         states = []
         real = protocol._make_challenge
 
@@ -492,14 +480,14 @@ class TestIntegerSessionMatchesWrappers:
             return real(auth_first, remainder, params, rng)
 
         monkeypatch.setattr(protocol, "_make_challenge", spy)
-        sent = spy_sent_shares(monkeypatch)
+        sent, received = forwarded_shares
         cfg = EMPTY if strategy is None else corrupt(
             two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
             strategies=(strategy,))
-        out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
-                           random.Random(seed))
+        out = full_session(two_chains_graph, session_paths(two_chains_graph, 2),
+                           STD, cfg, random.Random(seed))
         key_a = reduce(xor, sent)
-        key_b = reduce(xor, out.shares_received)
+        key_b = reduce(xor, received)
         first_a, second_a, rem_a = _key_parts(key_a, STD)
         first_b, second_b, rem_b = _key_parts(key_b, STD)
         challenges = out.challenge_copies
@@ -539,11 +527,12 @@ class TestMultipathEstablish:
     """The establish phase, observed through ``full_session``."""
 
     def test_honest_keys_equal_and_are_share_xor(self, two_chains_graph,
-                                                 monkeypatch):
-        sent = spy_sent_shares(monkeypatch)
-        out = full_session(two_chains_graph, "alice", "bob", STD, EMPTY,
-                           random.Random(12))
-        assert list(out.shares_received) == sent
+                                                 session_paths,
+                                                 forwarded_shares):
+        sent, received = forwarded_shares
+        out = full_session(two_chains_graph, session_paths(two_chains_graph, 2),
+                           STD, EMPTY, random.Random(12))
+        assert received == sent
         # the challenge authenticates, and the final key distils, under
         # the XOR of the shares
         first, _, remainder = _key_parts(reduce(xor, sent), STD)
@@ -553,52 +542,74 @@ class TestMultipathEstablish:
         assert deterministic_pa(remainder, STD.test_bits, lambdas) == (
             out.final_key_a, out.trash_a)
 
-    def test_insufficient_connectivity(self, two_chains_graph):
+    def test_insufficient_connectivity(self, two_chains_graph,
+                                       session_paths):
+        # two disjoint paths are too few for ell=3, whether searched for
+        # or handed to the session
         params = SecurityParams(n=64, s=16, m=4, ell=3)
         with pytest.raises(InsufficientConnectivity):
-            full_session(two_chains_graph, "alice", "bob", params, EMPTY,
-                         random.Random(0))
+            session_paths(two_chains_graph, 3)
+        with pytest.raises(ParameterViolation):
+            full_session(two_chains_graph, session_paths(two_chains_graph, 2),
+                         params, EMPTY, random.Random(0))
+
+    @pytest.mark.parametrize("ell", [2, 4])
+    def test_path_count_must_equal_ell(self, ell):
+        # the three-path set of forge_three_paths.json under any other
+        # ell is refused before the session draws anything
+        scenario = load_scenario(ROOT / "demos/scenarios/forge_three_paths.json")
+        params = SecurityParams(n=scenario.params.n, s=scenario.params.s,
+                                m=scenario.params.m, ell=ell)
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ParameterViolation, match=f"ell={ell} paths, got 3"):
+            full_session(scenario.graph, scenario.paths, params,
+                         scenario.adversary, rng)
+        assert rng.getstate() == state
 
     def test_tampering_desynchronizes_silently(self, two_chains_graph,
-                                               monkeypatch):
-        sent = spy_sent_shares(monkeypatch)
+                                               session_paths,
+                                               forwarded_shares):
+        sent, received = forwarded_shares
         cfg = corrupt(two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
                       strategies=("tamper_shares",))
-        out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
-                           random.Random(13))
-        assert out.shares_received[0] != sent[0]   # via n1
-        assert out.shares_received[1] == sent[1]
-        assert reduce(xor, out.shares_received) != reduce(xor, sent)
+        full_session(two_chains_graph, session_paths(two_chains_graph, 2),
+                     STD, cfg, random.Random(13))
+        assert received[0] != sent[0]   # via n1
+        assert received[1] == sent[1]
+        assert reduce(xor, received) != reduce(xor, sent)
 
-    def test_ell_minus_one_controlled_keeps_key_private(self, three_path_graph):
+    def test_ell_minus_one_controlled_keeps_key_private(self, three_path_graph,
+                                                        session_paths):
         # 8-bit keys, adversary passively owns 2 of 3 paths: exact
         # posterior over the full key stays uniform.
         params = SecurityParams(n=8, s=2, m=2, ell=3)
         cfg = corrupt(three_path_graph, {"x1", "x2"}, 2,
                       endpoints=("alice", "bob"))
-        out = full_session(three_path_graph, "alice", "bob", params, cfg,
-                           random.Random(14))
+        out = full_session(three_path_graph, session_paths(three_path_graph, 3),
+                           params, cfg, random.Random(14))
         assert set(out.view.learned_shares) == {0, 1}
         res = guessing_advantage(out.view)
         assert res == Fraction(0)
 
-    def test_observed_shares_are_exactly_the_controlled_paths(
-            self, three_path_graph, monkeypatch):
+    def test_observed_shares_are_exactly_those_of_corrupted_paths(
+            self, three_path_graph, session_paths, forwarded_shares):
         # paths sort x1, x2, x3; the adversary on x1/x3 sees those two
         # shares verbatim and nothing from the honest middle path.
         params = SecurityParams(n=16, s=2, m=2, ell=3)
-        sent = spy_sent_shares(monkeypatch)
+        sent, _ = forwarded_shares
         cfg = corrupt(three_path_graph, {"x1", "x3"}, 2,
                       endpoints=("alice", "bob"))
-        out = full_session(three_path_graph, "alice", "bob", params, cfg,
-                           random.Random(15))
+        out = full_session(three_path_graph, session_paths(three_path_graph, 3),
+                           params, cfg, random.Random(15))
         assert set(out.view.learned_shares) == {0, 2}
         assert out.view.learned_shares == {0: sent[0], 2: sent[2]}
 
 
 class TestFullSession:
-    def test_honest_session(self, two_chains_graph):
-        out = full_session(two_chains_graph, "alice", "bob", STD, EMPTY, random.Random(15))
+    def test_honest_session(self, two_chains_graph, session_paths):
+        out = full_session(two_chains_graph, session_paths(two_chains_graph, 2),
+                           STD, EMPTY, random.Random(15))
         assert out.result == 1 and out.result_prime == 1
         assert out.keys_equal
         assert out.identified_dishonest == frozenset()
@@ -608,20 +619,24 @@ class TestFullSession:
         assert out.final_key_a.bit_length() <= STD.test_bits - len(out.trash_a)
         assert out.succeeded
 
-    def test_deterministic_replay(self, two_chains_graph, monkeypatch):
-        sent = spy_sent_shares(monkeypatch)
-        a = full_session(two_chains_graph, "alice", "bob", STD, EMPTY, random.Random(16))
-        b = full_session(two_chains_graph, "alice", "bob", STD, EMPTY, random.Random(16))
+    def test_deterministic_replay(self, two_chains_graph, session_paths,
+                                  forwarded_shares):
+        sent, _ = forwarded_shares
+        paths = session_paths(two_chains_graph, 2)
+        a = full_session(two_chains_graph, paths, STD, EMPTY, random.Random(16))
+        b = full_session(two_chains_graph, paths, STD, EMPTY, random.Random(16))
         assert a.final_key_a == b.final_key_a
         assert a.transcript() == b.transcript()
         assert sent[:STD.ell] == sent[STD.ell:]
 
-    def test_tampered_share_fails_both_sides(self, two_chains_graph):
+    def test_tampered_share_fails_both_sides(self, two_chains_graph,
+                                             session_paths):
         cfg = corrupt(two_chains_graph, {"n2"}, 1, endpoints=("alice", "bob"),
                       strategies=("tamper_shares",))
         failures = 0
+        paths = session_paths(two_chains_graph, 2)
         for seed in range(50):
-            out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
+            out = full_session(two_chains_graph, paths, STD, cfg,
                                random.Random(seed))
             assert not out.keys_equal
             assert out.final_key_a is None or out.result_prime == 1
@@ -630,10 +645,12 @@ class TestFullSession:
         # miss probability 2^-4 per trial; 50 trials virtually never all miss
         assert failures >= 40
 
-    def test_drop_on_one_path_still_succeeds(self, two_chains_graph):
+    def test_drop_on_one_path_still_succeeds(self, two_chains_graph,
+                                             session_paths):
         cfg = corrupt(two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
                       strategies=("drop_auth",))
-        out = full_session(two_chains_graph, "alice", "bob", STD, cfg, random.Random(17))
+        out = full_session(two_chains_graph, session_paths(two_chains_graph, 2),
+                           STD, cfg, random.Random(17))
         assert out.result == 1 and out.result_prime == 1
         assert out.keys_equal and out.succeeded
         assert out.final_key_a == out.final_key_b
@@ -641,16 +658,18 @@ class TestFullSession:
         assert out.challenge_copies[0] is None
         assert out.identified_dishonest == frozenset({0})
 
-    def test_transcript_serialization_layout(self, two_chains_graph):
-        out = full_session(two_chains_graph, "alice", "bob", STD, EMPTY, random.Random(18))
+    def test_transcript_serialization_layout(self, two_chains_graph,
+                                             session_paths):
+        out = full_session(two_chains_graph, session_paths(two_chains_graph, 2),
+                           STD, EMPTY, random.Random(18))
         lines = out.transcript().splitlines()
         assert len(lines) == 2 * STD.ell + 1
         assert lines[0].startswith("challenge path=0 bits=")
         assert lines[-1] == "result=1 result_prime=1"
 
     @pytest.mark.parametrize("strategy", (None,) + STRATEGIES)
-    def test_session_builds_no_bit_string(self, two_chains_graph, monkeypatch,
-                                          strategy):
+    def test_session_builds_no_bit_string(self, two_chains_graph, session_paths,
+                                          monkeypatch, strategy):
         def refuse(*args, **kwargs):
             raise AssertionError("the session built a BitString")
 
@@ -659,8 +678,8 @@ class TestFullSession:
         cfg = EMPTY if strategy is None else corrupt(
             two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
             strategies=(strategy,))
-        out = full_session(two_chains_graph, "alice", "bob", STD, cfg,
-                           random.Random(21))
+        out = full_session(two_chains_graph, session_paths(two_chains_graph, 2),
+                           STD, cfg, random.Random(21))
         assert out.result == 1 or strategy == "tamper_shares"
 
 
@@ -682,15 +701,15 @@ class TestLinkPlan:
         graph = self.graph(alive=False)
         for seed in (1, 2):
             with pytest.raises(LinkDown):
-                full_session(graph, "alice", "bob", TINY, EMPTY,
-                             random.Random(seed), paths=self.PATHS)
+                full_session(graph, self.PATHS, TINY, EMPTY,
+                             random.Random(seed))
 
     @pytest.mark.parametrize("first", [0.0, 1.0])
     def test_graphs_differing_in_epsilon_do_not_share_a_plan(self, first):
         leaked = {}
         for eps in (first, 1.0 - first):
-            out = full_session(self.graph(epsilon=eps), "alice", "bob", TINY,
-                               EMPTY, random.Random(7), paths=self.PATHS)
+            out = full_session(self.graph(epsilon=eps), self.PATHS, TINY,
+                               EMPTY, random.Random(7))
             leaked[eps] = out.view.leaked_epochs
         # epsilon 1 flags both links of path 0 compromised
         assert leaked == {0.0: 0, 1.0: 2}
@@ -742,8 +761,8 @@ class TestRelayHooksFireOnlyAtCorruptedRelays:
         fired = []
         for cfg in (EMPTY, x_corrupted, EMPTY):
             calls.clear()
-            full_session(graph, "alice", "bob", TINY, cfg, random.Random(3),
-                         paths=TestLinkPlan.PATHS)
+            full_session(graph, TestLinkPlan.PATHS, TINY, cfg,
+                         random.Random(3))
             fired.append(sorted(calls))
         assert fired == [
             [], [("on_classical_hop", 0)] * 2 + [("on_key_hop", 0)], []]
@@ -807,22 +826,24 @@ class TestOneEpochPools:
 
 
 class TestLeakedSharesRecordedOnce:
-    def test_two_chains_every_link_leaking(self, monkeypatch):
-        sent = spy_sent_shares(monkeypatch)
+    def test_two_chains_every_link_leaking(self, session_paths,
+                                           forwarded_shares):
+        sent, _ = forwarded_shares
         chain = ("alice", "n1", "n2", "bob"), ("alice", "n3", "n4", "bob")
         graph = NetworkGraph(
             {"alice", "n1", "n2", "n3", "n4", "bob"},
             [QkdLink(u, v, epsilon=1.0)
              for path in chain for u, v in zip(path[:-1], path[1:])])
-        out = full_session(graph, "alice", "bob", STD, EMPTY, random.Random(8))
+        out = full_session(graph, session_paths(graph, 2), STD, EMPTY,
+                           random.Random(8))
         assert out.view.learned_shares == {0: sent[0], 1: sent[1]}
         assert out.view.leaked_epochs == 6
 
-    def test_share_tampered_then_leaked_keeps_the_sent_share(self,
-                                                             monkeypatch):
+    def test_share_tampered_then_leaked_keeps_the_sent_share(
+            self, session_paths, forwarded_shares):
         # n1 tampers with path 0's share, then the n1-n2 hop leaks the
         # tampered value: the view keeps the share alice sent
-        sent = spy_sent_shares(monkeypatch)
+        sent, received = forwarded_shares
         graph = NetworkGraph(
             {"alice", "n1", "n2", "n3", "n4", "bob"},
             [QkdLink("alice", "n1"), QkdLink("n1", "n2", epsilon=1.0),
@@ -830,7 +851,8 @@ class TestLeakedSharesRecordedOnce:
              QkdLink("n3", "n4"), QkdLink("n4", "bob")])
         cfg = corrupt(graph, {"n1"}, 1, endpoints=("alice", "bob"),
                       strategies=("tamper_shares",))
-        out = full_session(graph, "alice", "bob", STD, cfg, random.Random(9))
+        out = full_session(graph, session_paths(graph, 2), STD, cfg,
+                           random.Random(9))
         assert out.view.leaked_epochs == 1
-        assert out.shares_received[0] != sent[0]
+        assert received[0] != sent[0]
         assert out.view.learned_shares == {0: sent[0]}

@@ -154,7 +154,7 @@ def test_auth_transcripts_are_byte_identical(name, tmp_path):
     h = hashlib.sha256()
     for i in range(trials):
         outcome = full_session(
-            scenario.graph, scenario.a, scenario.b, scenario.params,
+            scenario.graph, scenario.paths, scenario.params,
             scenario.adversary, random.Random(derive_trial_seed(scenario.seed, i)),
         )
         h.update(outcome.transcript().encode())

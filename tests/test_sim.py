@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet import sim
+from qkdnet.adversary import DEFAULT_STRATEGIES, EXACT_LIMIT_BITS, AdversaryConfig
 from qkdnet.errors import OutOfRange, ParseError, TooLarge, ValidationError
 from qkdnet.protocol import SecurityParams, full_session
 from qkdnet.sim import (
@@ -124,6 +125,20 @@ class TestLoadScenario:
     def test_shipped_documents_load(self, path):
         # strict key checking must accept every checked-in document
         assert load_scenario(ROOT / path).trials >= 1
+
+    def test_strategies_default_and_empty_list(self):
+        # an omitted list reads the one default and an empty one reads
+        # as given; both run as passive, with the same trial records
+        adv = {"corrupted": ["n1"], "t": 1}
+        default = load_scenario(two_chains_doc(adversary=adv))
+        empty = load_scenario(two_chains_doc(adversary={**adv,
+                                                        "strategies": []}))
+        assert default.adversary.strategies == DEFAULT_STRATEGIES
+        assert AdversaryConfig().strategies == DEFAULT_STRATEGIES
+        assert empty.adversary.strategies == ()
+        seeds = [derive_trial_seed(0, i) for i in range(20)]
+        assert ([run_trial(default, s) for s in seeds]
+                == [run_trial(empty, s) for s in seeds])
 
     def test_dead_link_breaks_connectivity(self):
         doc = two_chains_doc()
@@ -268,14 +283,18 @@ class TestRunTrial:
         seed = derive_trial_seed(sc.seed, 3)
         assert run_trial(sc, seed, index=3) == run_trial(sc, seed, index=3)
 
-    def test_trial_does_not_depend_on_what_ran_before(self, monkeypatch):
+    def test_trial_does_not_depend_on_what_ran_before(self, monkeypatch,
+                                                      forwarded_shares):
         # A record is a function of its seed alone: trial order, trials of
         # another scenario and sessions on an outside generator in between
         # change nothing, and each record is what one session on a fresh
         # ``random.Random(seed)`` gives.  Every tamper record here reads
         # "rejected", so the sessions' wire data is compared as well.
+        _, received = forwarded_shares
+
         def wire(out):
-            return (out.shares_received, out.challenge_copies,
+            # ``out`` is the last session, so B's shares are the last ones
+            return (received[-out.view.n_paths:], out.challenge_copies,
                     out.response_copies, out.final_key_a, out.final_key_b,
                     out.trash_a, out.trash_b, out.view.leaked_epochs)
 
@@ -301,15 +320,14 @@ class TestRunTrial:
         mixed = []
         for i in range(20):
             run_trial(chains, derive_trial_seed(chains.seed, i), index=i)
-            full_session(chains.graph, chains.a, chains.b, chains.params,
-                         chains.adversary, outside, paths=chains.paths)
+            full_session(chains.graph, chains.paths, chains.params,
+                         chains.adversary, outside)
             mixed.append(trial(i))
         assert in_order == [backwards[i] for i in range(20)] == mixed
         tb = tamper.params.test_bits
         for (r, got), s in zip(in_order, seeds):
-            out = full_session(tamper.graph, tamper.a, tamper.b, tamper.params,
-                               tamper.adversary, random.Random(s),
-                               paths=tamper.paths)
+            out = full_session(tamper.graph, tamper.paths, tamper.params,
+                               tamper.adversary, random.Random(s))
             trash = out.trash_a
             assert (r.seed, r.result, r.result_prime, r.keys_equal,
                     r.succeeded, r.final_key_len, r.trash_size,
@@ -618,6 +636,21 @@ class TestDpaOracle:
         with pytest.raises(TooLarge):
             dpa_uniformity_exact(21, [1, 3])
 
+    def test_vector_count_checked_before_any_table(self):
+        # 2 key bits and 70 vectors ask for 2^71 count cells
+        with pytest.raises(TooLarge, match="70 vectors"):
+            dpa_uniformity_exact(2, [1] * 70)
+
+    def test_largest_accepted_table(self):
+        # key_bits + vectors = EXACT_LIMIT_BITS is accepted, one more
+        # vector is not
+        rng = random.Random(12)
+        key_bits = EXACT_LIMIT_BITS - 4
+        lambdas = [rng.getrandbits(key_bits) for _ in range(4)]
+        assert dpa_uniformity_exact(key_bits, lambdas)
+        with pytest.raises(TooLarge):
+            dpa_uniformity_exact(key_bits, lambdas + [1])
+
     def test_every_position_trashed(self):
         # no surviving bit: the distilled key is the scalar 0 for all keys
         assert dpa_uniformity_exact(2, [0b10, 0b01])
@@ -765,6 +798,13 @@ class TestExactOracles:
     def test_too_large_params(self):
         with pytest.raises(TooLarge):
             exact_oracles(SecurityParams(n=64, s=16, m=4, ell=2))
+
+    def test_widest_accepted_params(self):
+        # test_bits 12 with 4 vectors: the largest uniformity table the
+        # oracles build stays under its cap
+        report = exact_oracles(SecurityParams(n=16, s=2, m=4, ell=3),
+                               dpa_configs=2)
+        assert report.all_exact
 
 
 class TestEmitReport:
