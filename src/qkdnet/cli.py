@@ -19,7 +19,7 @@ import argparse
 import functools
 import sys
 
-from .errors import QkdNetError, ValidationError
+from .errors import OutOfRange, QkdNetError, ValidationError
 from .network import required_paths, vertex_disjoint_paths
 from .protocol import SecurityParams
 from .sim import (
@@ -77,6 +77,11 @@ def _cmd_paths(args) -> int:
 
 def _cmd_plan(args) -> int:
     count = required_paths(args.t, u=args.u, mode=args.mode)
+    try:
+        count = str(count)
+    except ValueError:   # past the interpreter's int-to-str digit limit
+        raise OutOfRange(f"required path count has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     print(f"required disjoint paths: {count}")
     return 0
 

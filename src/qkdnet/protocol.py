@@ -176,6 +176,12 @@ def _open_first(copies, key2w: int, nbits: int, w: int):
     return None, None
 
 
+def _parities(lambdas, key: int) -> list:
+    """``lambda . key mod 2`` per vector: A's disclosed parities, B's
+    check of them, and the parity-miss oracle's count."""
+    return [(lam & key).bit_count() & 1 for lam in lambdas]
+
+
 def _make_challenge(auth_first: int, remainder: int, params: SecurityParams, rng):
     """Draw m parity vectors (index order) against ``remainder``.
 
@@ -184,9 +190,7 @@ def _make_challenge(auth_first: int, remainder: int, params: SecurityParams, rng
     """
     tb = params.test_bits
     lambdas = tuple(rng.getrandbits(tb) for _ in range(params.m))
-    message = _encode_challenge(
-        lambdas, [(lam & remainder).bit_count() & 1 for lam in lambdas], tb
-    )
+    message = _encode_challenge(lambdas, _parities(lambdas, remainder), tb)
     return lambdas, _seal(auth_first, message, params.challenge_bits,
                           params.word_bits)
 
@@ -197,19 +201,15 @@ def _verify_challenge(received, auth_first: int, remainder: int,
     ``received``: the first copy that opens under ``auth_first`` is
     checked against the parities of ``remainder``.
 
-    result=1 iff an authenticated copy exists and every embedded parity
-    matches; accepted path and vectors are None when no copy opens.
+    result=1 iff a copy opens and its parities are :func:`_parities` of
+    its vectors and ``remainder``; path and vectors are None if none opens.
     """
     accepted, message = _open_first(received, auth_first,
                                     params.challenge_bits, params.word_bits)
     if accepted is None:
         return 0, None, None
     lambdas, parities = _decode_challenge(message, params.test_bits, params.m)
-    ok = all(
-        (lam & remainder).bit_count() & 1 == p
-        for lam, p in zip(lambdas, parities)
-    )
-    return (1 if ok else 0), accepted, lambdas
+    return int(parities == _parities(lambdas, remainder)), accepted, lambdas
 
 
 def _make_response(result: int, auth_second: int, params: SecurityParams):
@@ -335,7 +335,7 @@ class SessionOutcome:
 
     result: int
     result_prime: int
-    keys_equal: bool          # delta over the remainder keys
+    keys_equal: bool          # delta over the full n-bit keys
     final_key_a: int | None   # test_bits - len(trash_a) bits
     final_key_b: int | None
     trash_a: frozenset | None
@@ -447,7 +447,7 @@ def full_session(
     return SessionOutcome(
         result=result,
         result_prime=result_prime,
-        keys_equal=rem_a == rem_b,
+        keys_equal=key_a == key_b,
         final_key_a=final_a,
         final_key_b=final_b,
         trash_a=trash_a,

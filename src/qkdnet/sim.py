@@ -46,7 +46,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from . import mac
+from . import mac, protocol
 from .mac import impersonation_bound
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
 from .network import NetworkGraph, PathSet, QkdLink, vertex_disjoint_paths
@@ -149,7 +149,9 @@ def load_scenario(source) -> Scenario:
 
     ``_FIELDS`` lists every field with its kind and default.  Raises
     :class:`ParseError` for malformed documents and
-    :class:`ValidationError` naming the violated invariant otherwise.
+    :class:`ValidationError` naming the violated invariant otherwise,
+    as when corrupted relays sit on all ell paths (the hop plan's marks):
+    both bounds assume at most ell-1 controlled paths.
     """
     if isinstance(source, dict):
         doc = source
@@ -210,6 +212,10 @@ def load_scenario(source) -> Scenario:
             f"graph provides only {exc.max_paths} disjoint paths, "
             f"ell={params.ell} required"
         ) from exc
+    _, routes = protocol._link_plan(graph, paths, adversary.corrupted)
+    _require(not all(any(mark for _, mark in hops) for hops in routes),
+             f"corrupted relays sit on all {params.ell} paths; the bounds "
+             f"assume at most ell-1 = {params.ell - 1} controlled paths")
 
     return Scenario(
         name=top["name"], graph=graph, a=a, b=b, params=params,
@@ -277,20 +283,25 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
     """Execute one session; the record is a pure function of the seed.
 
     The session rides ``paths`` (``ell`` paths, default
-    ``scenario.paths``).  It runs on one module-level generator reseeded
-    with ``trial_seed``: ``seed`` sets the whole Mersenne-Twister state
-    and clears the cached Gaussian, so the stream equals that of
-    ``random.Random(trial_seed)`` and no generator is built per trial.
-    The generator is shared by the process, so trials must not run
-    concurrently in threads, and no callback of a trial may call
-    ``run_trial``.
+    ``scenario.paths``); a path set between other endpoints raises
+    :class:`ParameterViolation` before any draw.  It runs on one
+    module-level generator reseeded with ``trial_seed``: ``seed`` sets
+    the whole Mersenne-Twister state and clears the cached Gaussian, so
+    the stream equals that of ``random.Random(trial_seed)`` and no
+    generator is built per trial.  The generator is shared by the
+    process, so trials must not run concurrently in threads, and no
+    callback of a trial may call ``run_trial``.
     """
+    own = scenario.paths
+    if paths is None:
+        paths = own
+    elif (paths.a, paths.b) != (own.a, own.b):
+        raise ParameterViolation(
+            f"paths run {paths.a}->{paths.b}, the scenario {own.a}->{own.b}")
     rng = _TRIAL_RNG
     rng.seed(trial_seed)
-    outcome = full_session(
-        scenario.graph, scenario.paths if paths is None else paths,
-        scenario.params, scenario.adversary, rng,
-    )
+    outcome = full_session(scenario.graph, paths, scenario.params,
+                           scenario.adversary, rng)
     trash = outcome.trash_a
     return TrialResult(
         index=index,
@@ -526,35 +537,34 @@ class OracleReport:
             yield f"{c.name}: expected {c.expected}, observed {c.observed} [{status}]"
 
 
-def _check_parity_args(key_bits: int, m: int) -> None:
+def _check_parity_args(key_bits: int, m: int, diff: int) -> None:
+    """Both parity oracles' argument checks; ``diff`` is tested by its bit
+    length, so no 2^key_bits integer is built."""
     if key_bits < 1 or m < 1:
         raise ValidationError(
             f"key_bits and m must be >= 1, got key_bits={key_bits}, m={m}")
+    if diff < 1 or diff.bit_length() > key_bits:
+        raise ValidationError("diff must be a nonzero key_bits-bit value")
 
 
 def parity_miss_rate_exact(key_bits: int, m: int, diff: int) -> Fraction:
     """Exact miss probability of m random parity challenges against a
     fixed nonzero key difference, by full enumeration of one challenge.
 
-    The m challenges are independent and identically distributed, so the
-    tuple-space fraction is the single-challenge fraction raised to the
-    m-th power; the single-challenge count is exhaustive over all
-    2^key_bits vectors.  Raises :class:`ValidationError` unless key_bits
-    and m are at least 1 and ``diff`` is a nonzero key_bits-bit value,
-    and :class:`TooLarge` past 2^24 vectors.
+    A vector misses when its parity of ``diff`` is 0: one call of the
+    session's ``protocol._parities`` (read per call, as a patch would
+    be) over all 2^key_bits vectors.  The m challenges are i.i.d., so
+    the tuple-space fraction is that fraction to the m-th power.
+    Raises :class:`ValidationError` unless key_bits and m are at least 1
+    and ``diff`` is a nonzero key_bits-bit value, and :class:`TooLarge`
+    past 2^``EXACT_LIMIT_BITS`` vectors.
     """
-    _check_parity_args(key_bits, m)
-    if key_bits > 24:
-        raise TooLarge("single-vector enumeration limited to 2^24 vectors")
-    if not 0 < diff < (1 << key_bits):
-        raise ValidationError("diff must be a nonzero key_bits-bit value")
-    import numpy as np
-
-    lams = np.arange(1 << key_bits, dtype=np.uint64)
-    zero = int(np.count_nonzero(
-        np.bitwise_count(lams & np.uint64(diff)) % 2 == 0
-    ))
-    return Fraction(zero, 1 << key_bits) ** m
+    _check_parity_args(key_bits, m, diff)
+    if key_bits > EXACT_LIMIT_BITS:
+        raise TooLarge(
+            f"single-vector enumeration limited to 2^{EXACT_LIMIT_BITS} vectors")
+    misses = protocol._parities(range(1 << key_bits), diff).count(0)
+    return Fraction(misses, 1 << key_bits) ** m
 
 
 def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Fraction:
@@ -563,15 +573,15 @@ def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Frac
     Every tuple is materialised as one integer of m key_bits-bit chunks,
     and each chunk is parity-tested against ``diff``: the chunks' popcounts
     are ORed, so a tuple misses when the low bit of the OR is clear,
-    i.e. when every chunk has even parity.  Raises :class:`TooLarge` past
-    2^16 tuples and :class:`ValidationError` for the arguments
-    :func:`parity_miss_rate_exact` rejects.
+    i.e. when every chunk has even parity: an independent check of the
+    m-th power :func:`parity_miss_rate_exact` takes.  Raises
+    :class:`TooLarge` past 2^``EXACT_LIMIT_BITS`` tuples and
+    :class:`ValidationError` as :func:`parity_miss_rate_exact` does.
     """
-    _check_parity_args(key_bits, m)
-    if key_bits * m > 16:
-        raise TooLarge("tuple enumeration limited to 2^16 tuples")
-    if not 0 < diff < (1 << key_bits):
-        raise ValidationError("diff must be a nonzero key_bits-bit value")
+    _check_parity_args(key_bits, m, diff)
+    if key_bits * m > EXACT_LIMIT_BITS:
+        raise TooLarge(
+            f"tuple enumeration limited to 2^{EXACT_LIMIT_BITS} tuples")
     import numpy as np
 
     total = 1 << (key_bits * m)
@@ -720,7 +730,8 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 100,
     """Exhaustive validators at desk scale.
 
     Every check requires n <= 16, test_bits <= 12, m <= 4 and ell <= 3;
-    otherwise raises :class:`TooLarge`.  ``dpa_configs`` outside
+    otherwise raises :class:`TooLarge`.  The parity tuple check runs
+    when test_bits * m <= ``EXACT_LIMIT_BITS``.  ``dpa_configs`` outside
     0..``MAX_DPA_CONFIGS`` raises :class:`ValidationError` before any work.
     """
     if not 0 <= dpa_configs <= MAX_DPA_CONFIGS:
@@ -760,7 +771,7 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 100,
         observed=", ".join(sorted(str(r) for r in rates)),
         exact_match=ok,
     ))
-    if (1 << (tb * params.m)) <= 1 << 16:
+    if tb * params.m <= EXACT_LIMIT_BITS:
         tup = parity_miss_rate_tuple_enumeration(tb, params.m, diffs[2])
         checks.append(OracleCheck(
             name=f"parity_miss_tuples(test_bits={tb}, m={params.m})",

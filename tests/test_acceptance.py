@@ -34,7 +34,11 @@ from fractions import Fraction
 
 import pytest
 
-from qkdnet.adversary import AdversaryView, guessing_advantage
+from qkdnet.adversary import (
+    AdversaryView,
+    ScriptedAdversary,
+    guessing_advantage,
+)
 from qkdnet.mac import _tag_value, impersonation_bound
 from qkdnet.network import required_paths
 from qkdnet.protocol import (
@@ -173,6 +177,27 @@ class TestCriterion3AgreementBound:
         )
         print(f"\n[criterion 3] PASS: {strategy} ell={ell} "
               f"empirical={st.empirical:.5f} >= bound={st.agreement_bound:.5f}")
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_first_sub_key_tamper_meets_bound(self, monkeypatch, ell):
+        # a1 XORs a uniform nonzero mask into the first MAC sub-key of
+        # its share only: B opens no challenge copy and both ends abort,
+        # which is agreement, since delta is taken over the full key
+        s = 16
+
+        def on_key_hop(self, path_index, value, nbits):
+            self.view.record_share(path_index, value)
+            return value ^ (self.rng.randrange(1, 1 << s) << (nbits - s))
+
+        monkeypatch.setattr(ScriptedAdversary, "on_key_hop", on_key_hop)
+        doc = direct_plus_relays_doc(
+            ell, strategies=("tamper_shares",), corrupted=("a1",), t=1,
+            trials=3000, seed=7)
+        assert doc["params"]["s"] == s
+        st = run_monte_carlo(load_scenario(doc)).stats
+        assert st.verdict == "PASS", (
+            f"ell={ell}: {st.successes}/{st.trials}, ci "
+            f"[{st.ci_low:.5f}, {st.ci_high:.5f}] below {st.agreement_bound:.5f}")
 
     def test_pool_and_serial_runs_agree(self, run_table):
         from conftest import RunTable

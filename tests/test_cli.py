@@ -52,6 +52,21 @@ class TestPlan:
         assert main(["plan", "--t", "2", "--u", "2", "--mode", "feedback"]) == 0
         assert "5" in capsys.readouterr().out
 
+    def test_count_past_the_digit_limit_exits_2(self, capsys):
+        # 3t+1 has one digit more than t, so it cannot be printed
+        t = "9" * sys.get_int_max_str_digits()
+        assert main(["plan", "--t", t]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: required path count has more than")
+
+    def test_largest_printable_count(self, capsys):
+        digits = sys.get_int_max_str_digits()
+        t = (10 ** digits - 4) // 3     # 3t+1 = 10^digits - 3
+        assert main(["plan", "--t", str(t)]) == 0
+        out = capsys.readouterr().out
+        assert out == f"required disjoint paths: {3 * t + 1}\n"
+
 
 class TestBounds:
     def test_prints_bounds(self, capsys):
@@ -133,6 +148,16 @@ class TestRun:
         rc = main(["run", "--scenario", str(bad)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_every_path_controlled_exits_2(self, tmp_path, capsys):
+        # n1 and n3 sit on both paths: no verdict is printed
+        path = two_chains_scenario_file(
+            tmp_path, adversary={"corrupted": ["n1", "n3"], "t": 2})
+        assert main(["run", "--scenario", path, "--trials", "20"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: corrupted relays sit on all 2 paths; the "
+                       "bounds assume at most ell-1 = 1 controlled paths\n")
 
     def test_brace_named_file_is_read_as_a_path(self, tmp_path, monkeypatch,
                                                 capsys):

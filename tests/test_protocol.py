@@ -512,7 +512,7 @@ class TestIntegerSessionMatchesWrappers:
                 identified |= {i for i, c in enumerate(copies)
                                if c != copies[accepted]}
         assert out.identified_dishonest == identified
-        assert out.keys_equal == (rem_a == rem_b)
+        assert out.keys_equal == (key_a == key_b)
 
         tb = STD.test_bits
         if out.result == 1:

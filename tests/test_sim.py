@@ -14,10 +14,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdnet import sim
+from qkdnet import protocol, sim
 from qkdnet.adversary import DEFAULT_STRATEGIES, EXACT_LIMIT_BITS, AdversaryConfig
-from qkdnet.errors import OutOfRange, ParseError, TooLarge, ValidationError
-from qkdnet.protocol import SecurityParams, full_session
+from qkdnet.errors import (
+    OutOfRange,
+    ParameterViolation,
+    ParseError,
+    TooLarge,
+    ValidationError,
+)
+from qkdnet.network import PathSet, vertex_disjoint_paths
+from qkdnet.protocol import (
+    SecurityParams,
+    _decode_challenge,
+    _key_parts,
+    _make_challenge,
+    _verify_challenge,
+    full_session,
+)
 from qkdnet.sim import (
     MonteCarloRun,
     Stats,
@@ -116,6 +130,14 @@ class TestLoadScenario:
         doc = two_chains_doc()
         del doc["endpoints"]
         with pytest.raises(ValidationError, match="endpoints"):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize("corrupted", [["n1", "n3"], ["n2", "n4"]])
+    def test_every_path_controlled_rejected(self, corrupted):
+        # both bounds assume at most ell-1 controlled paths
+        doc = two_chains_doc(adversary={"corrupted": corrupted, "t": 2})
+        with pytest.raises(ValidationError,
+                           match="corrupted relays sit on all 2 paths"):
             load_scenario(doc)
 
     @pytest.mark.parametrize("path", sorted(
@@ -277,6 +299,22 @@ class TestRunTrial:
         assert _failure_tags(outcome(frozenset({2}))) == ()
         assert _failure_tags(outcome(frozenset({1, 2}))) == (
             "final_key_mismatch",)
+
+    @pytest.mark.parametrize("a,b", [("n1", "n3"), ("bob", "alice")])
+    def test_path_override_between_other_endpoints_rejected(self, a, b):
+        sc = load_scenario(two_chains_doc())
+        paths = vertex_disjoint_paths(sc.graph, a, b, 2)
+        state = sim._TRIAL_RNG.getstate()
+        with pytest.raises(ParameterViolation,
+                           match=f"paths run {a}->{b}, the scenario alice->bob"):
+            run_trial(sc, 1, paths=paths)
+        assert sim._TRIAL_RNG.getstate() == state
+
+    def test_path_override_between_the_endpoints_runs(self):
+        # the scenario's own paths, in the other order: same endpoints
+        sc = load_scenario(two_chains_doc())
+        flipped = PathSet(sc.paths.a, sc.paths.b, sc.paths.paths[::-1])
+        assert run_trial(sc, 1, paths=flipped).succeeded
 
     def test_replay_is_identical(self):
         sc = load_scenario(two_chains_doc())
@@ -582,6 +620,23 @@ class TestParityOracles:
         with pytest.raises(ValidationError):
             parity_miss_rate_exact(8, 3, 0)
 
+    def test_session_and_oracle_share_one_parity(self, monkeypatch):
+        # a wrong parity that reads no key bit reaches both B's check and
+        # the oracle: the genuine challenge is rejected, every vector misses
+        params = SecurityParams(n=16, s=4, m=2, ell=2)
+        first, _, remainder = _key_parts(0xBEEF, params)
+        copy = _make_challenge(first, remainder, params, random.Random(3))[1]
+        _, parities = _decode_challenge(copy[0] >> params.word_bits,
+                                        params.test_bits, params.m)
+        assert any(parities)
+        assert _verify_challenge([copy], first, remainder, params)[0] == 1
+        assert parity_miss_rate_exact(8, 2, 0b1011) == Fraction(1, 4)
+
+        monkeypatch.setattr(protocol, "_parities",
+                            lambda lambdas, key: [0] * len(lambdas))
+        assert _verify_challenge([copy], first, remainder, params)[0] == 0
+        assert parity_miss_rate_exact(8, 2, 0b1011) == 1
+
     @pytest.mark.parametrize("diff", [0, 16, 17, -1])
     @pytest.mark.parametrize("oracle", [
         parity_miss_rate_exact, parity_miss_rate_tuple_enumeration,
@@ -594,6 +649,17 @@ class TestParityOracles:
     def test_tuple_enumeration_size_guard(self):
         with pytest.raises(TooLarge):
             parity_miss_rate_tuple_enumeration(10, 3, 1)
+
+    @pytest.mark.parametrize("oracle,key_bits,m", [
+        (parity_miss_rate_exact, EXACT_LIMIT_BITS, 3),
+        (parity_miss_rate_tuple_enumeration, EXACT_LIMIT_BITS // 2, 2),
+    ], ids=["factorized", "tuples"])
+    def test_one_table_limit(self, oracle, key_bits, m):
+        # a table of 2^EXACT_LIMIT_BITS entries is enumerated, twice
+        # that is refused
+        assert oracle(key_bits, m, 1) == Fraction(1, 1 << m)
+        with pytest.raises(TooLarge, match=f"2\\^{EXACT_LIMIT_BITS} "):
+            oracle(key_bits + 1, m, 1)
 
     def test_size_checked_before_any_large_integer(self):
         # 2^8000000 tuples: the exponent is tested, the count never built
