@@ -9,8 +9,10 @@ Subcommands:
   oracle [--max-bits B] [--configs C]    (B in 3..8, C in 0..100000)
 
 ``run`` exits 0 only when the empirical estimate passes the agreement
-bound (a vacuous bound prints VACUOUS and exits 1); ``oracle`` exits 0
-only when every exhaustive check is exact.
+bound (a vacuous bound prints VACUOUS and a note, and exits 1);
+``bounds`` prints the same note under a vacuous bound and exits 0;
+``plan`` takes a nonzero ``--u`` only in feedback mode; ``oracle`` exits
+0 only when every exhaustive check is exact.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import OutOfRange, QkdNetError, ValidationError
 from .network import required_paths, vertex_disjoint_paths
 from .protocol import SecurityParams
 from .sim import (
+    bounds_vacuous,
     check_bounds,
     emit_report,
     exact_oracles,
@@ -30,6 +33,10 @@ from .sim import (
     protocol_impersonation_bound,
     run_monte_carlo,
 )
+
+
+_VACUOUS_NOTE = ("note: the bound is vacuous "
+                "(agreement_bound <= 0 or privacy_bound >= 1)")
 
 
 def _cmd_run(args) -> int:
@@ -47,8 +54,7 @@ def _cmd_run(args) -> int:
         print("warning: single-trial interval is degenerate")
     print(f"verdict: {st.verdict}")
     if st.verdict == "VACUOUS":
-        print("note: the bound is vacuous "
-              "(agreement_bound <= 0 or privacy_bound >= 1)")
+        print(_VACUOUS_NOTE)
     if args.out:
         emit_report(run, args.out)
         print(f"report written to {args.out}")
@@ -63,6 +69,8 @@ def _cmd_bounds(args) -> int:
     print(f"p_im: {p_im:.6g}")
     print(f"agreement_bound: {agreement:.6f}")
     print(f"privacy_bound: {privacy:.6f}")
+    if bounds_vacuous(agreement, privacy):
+        print(_VACUOUS_NOTE)
     return 0
 
 

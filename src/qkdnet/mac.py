@@ -31,18 +31,19 @@ by tests.
 Every Horner step ``acc = acc*x + c`` is one multiply by the fixed hash
 key x, and :func:`_hash_value` has four kernels for it:
 
-* w = 8, the session's word size and tested first: one lookup in a
-  multiplication row, ``_mul_rows(8)[x][acc]`` (256 rows of 256, built
-  in pure Python from the reduction polynomial alone: under 3 ms and
-  0.55 MB), read through a module-level reference to the built table,
-  with the pad shift and byte count computed directly;
+* w <= 8: one lookup in a multiplication row, ``_mul_rows(w)[x][acc]``
+  (256 rows of 256 at w = 8, built in pure Python from the reduction
+  polynomial alone: under 3 ms and 0.55 MB).  The session's w = 8 is
+  tested first and reads its row through a module-level reference to
+  the built table, with the pad shift and byte count computed directly;
+  w < 8 walks its blocks by shift and mask;
 * w = 16 at :data:`_CLOSED_FORM_MIN_BLOCKS` content blocks or more: the
   closed form below;
 * w > 16: the bit-serial shift-and-add multiply;
-* every other w: ``exp[log[acc] + log[x]]`` over log/antilog tables
-  built once per word size from a primitive element (Plank, Greenan &
-  Miller, FAST 2013), whose zero tail in ``exp`` makes zero operands
-  need no branch.
+* every other w, 9 <= w <= 16: ``exp[log[acc] + log[x]]`` over
+  log/antilog tables built once per word size from a primitive element
+  (Plank, Greenan & Miller, FAST 2013), whose zero tail in ``exp``
+  makes zero operands need no branch.
 
 The table fill itself finds the generator: a candidate whose powers
 reach 1 early is abandoned, so 2^w - 1 is never factored.  At w = 16
@@ -63,11 +64,11 @@ a zero block's log points into the zero tail of ``exp``, and x = 0 gives
 h = 0.  The pass costs a roughly fixed 6-10 us against 0.2-0.3 us per
 block for the table loop, so the two cross at 30-44 blocks (2-vCPU Xeon,
 Python 3.11, numpy 2.4); at 194 blocks it takes 8-12 us against the
-loop's 47-70.  Other word sizes and shorter messages keep the loop.
+loop's 47-70.  Shorter messages and other word sizes keep their loops.
 
 numpy is imported only inside the functions that run a numpy kernel
-(the log/antilog table build and the w = 16 closed form), so a w = 8
-session never loads it.
+(the log/antilog table build and the w = 16 closed form), so no MAC
+call below w = 9 loads it.
 """
 
 from __future__ import annotations
@@ -203,6 +204,9 @@ def _exponent_ramp(nb: int):
 def _mul_rows(w: int):
     """GF(2^w) multiplication rows for w <= 8: ``rows[x][a] == a*x``.
 
+    :func:`_hash_value` multiplies by x through row x at every w <= 8;
+    the log/antilog tables serve only 9 <= w <= 16.
+
     Multiplying by x is linear over GF(2), so row x is built over the
     bits of a: after bit j the row holds a*x for every a < 2^(j+1), and
     bit j appends ``row[a] ^ x*2^j`` for each of those a.  Pure Python,
@@ -252,6 +256,12 @@ def _hash_value(w: int, x: int, value: int, nbits: int) -> int:
     mask = (1 << w) - 1
     nb = (nbits + w - 1) // w
     padded = value << (nb * w - nbits) if nbits else 0
+    if w < 8:
+        row = _mul_rows(w)[x]
+        acc = 0
+        for i in range((nb - 1) * w, -1, -w):
+            acc = row[acc] ^ ((padded >> i) & mask)
+        return row[row[acc] ^ (nbits & mask)]
     if w > 16:
         poly = reduction_polynomial(w)
         acc = 0

@@ -193,10 +193,14 @@ def required_paths(t: int, u: int = 0, mode: str = "one_way") -> int:
     """Disjoint-path counts for private transmission against t corrupted nodes.
 
     one_way: 3t+1.  two_way: 2t+1.  feedback: max(3t+1-2u, 2t+1), where
-    u counts feedback paths vertex-disjoint from the forward ones.
+    u counts feedback paths vertex-disjoint from the forward ones; the
+    other modes have none, so they take only u = 0.
     """
     if t < 0 or u < 0:
         raise OutOfRange(f"t and u must be >= 0, got t={t}, u={u}")
+    if u and mode in ("one_way", "two_way"):
+        raise ValidationError(f"u counts feedback paths; mode {mode!r} "
+                              f"takes only u = 0")
     if mode == "one_way":
         return 3 * t + 1
     if mode == "two_way":

@@ -56,17 +56,24 @@ from .protocol import SecurityParams, deterministic_pa, full_session
 @dataclass(frozen=True)
 class Scenario:
     """A validated simulation configuration, with the ``ell`` disjoint
-    paths every trial rides on."""
+    paths every trial rides on; its endpoints ``a`` and ``b`` are the
+    path set's."""
 
     name: str
     graph: NetworkGraph
-    a: str
-    b: str
     params: SecurityParams
     adversary: AdversaryConfig
     trials: int
     seed: int
     paths: PathSet
+
+    @property
+    def a(self) -> str:
+        return self.paths.a
+
+    @property
+    def b(self) -> str:
+        return self.paths.b
 
 
 def _require(condition, message):
@@ -218,7 +225,7 @@ def load_scenario(source) -> Scenario:
              f"assume at most ell-1 = {params.ell - 1} controlled paths")
 
     return Scenario(
-        name=top["name"], graph=graph, a=a, b=b, params=params,
+        name=top["name"], graph=graph, params=params,
         adversary=adversary, trials=top["trials"], seed=_check_seed(top["seed"]),
         paths=paths)
 
@@ -422,6 +429,12 @@ def check_bounds(params: SecurityParams, p_im: float):
     return agreement, privacy
 
 
+def bounds_vacuous(agreement: float, privacy: float) -> bool:
+    """True when the bounds assert nothing: an agreement bound <= 0 (it
+    may have underflowed) or a privacy figure >= 1."""
+    return agreement <= 0.0 or privacy >= 1.0
+
+
 @dataclass(frozen=True)
 class Stats:
     """Aggregated Monte-Carlo estimate versus the analytic bounds."""
@@ -471,7 +484,7 @@ def aggregate(results, params: SecurityParams) -> Stats:
     low, high = clopper_pearson(successes, trials, CONFIDENCE)
     p_im = protocol_impersonation_bound(params)
     agreement, privacy = check_bounds(params, p_im)
-    if agreement <= 0.0 or privacy >= 1.0:
+    if bounds_vacuous(agreement, privacy):
         verdict = "VACUOUS"
     else:
         verdict = "PASS" if high >= agreement else "FAIL"

@@ -179,6 +179,15 @@ class TestCriterion3AgreementBound:
               f"empirical={st.empirical:.5f} >= bound={st.agreement_bound:.5f}")
 
     @pytest.mark.parametrize("ell", [2, 3])
+    def test_passive_and_drop_succeed_in_every_trial(self, run_table, ell):
+        # the honest path's copies always arrive, so the exact rate is 1
+        docs = [self.doc(s, ell) for s in ("passive", "drop_auth")]
+        run_table.submit(docs)
+        for doc in docs:
+            st = run_table.stats(doc)
+            assert st.successes == st.trials == 100_000, doc["adversary"]
+
+    @pytest.mark.parametrize("ell", [2, 3])
     def test_first_sub_key_tamper_meets_bound(self, monkeypatch, ell):
         # a1 XORs a uniform nonzero mask into the first MAC sub-key of
         # its share only: B opens no challenge copy and both ends abort,

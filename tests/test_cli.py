@@ -52,6 +52,13 @@ class TestPlan:
         assert main(["plan", "--t", "2", "--u", "2", "--mode", "feedback"]) == 0
         assert "5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["one_way", "two_way"])
+    def test_u_outside_feedback_mode_exits_2(self, capsys, mode):
+        assert main(["plan", "--t", "2", "--u", "3", "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: u counts feedback paths")
+
     def test_count_past_the_digit_limit_exits_2(self, capsys):
         # 3t+1 has one digit more than t, so it cannot be printed
         t = "9" * sys.get_int_max_str_digits()
@@ -76,6 +83,20 @@ class TestBounds:
         assert rc == 0
         assert "agreement_bound:" in out and "privacy_bound:" in out
         assert "p_im: 0.0703125" in out
+        assert "vacuous" not in out
+
+    @pytest.mark.parametrize("tail", [
+        ["--ell", "2", "--eps", "1.0"],   # agreement 0, privacy 2.34
+        ["--ell", "100000000"],   # (1 - p_im)^(2 ell - 2) underflows to 0
+    ])
+    def test_vacuous_bound_gets_the_run_note(self, capsys, tail):
+        assert main(["bounds", "--n", "64", "--s", "16", "--m", "4",
+                     *tail]) == 0
+        out = capsys.readouterr().out
+        assert "agreement_bound: 0.000000\n" in out
+        # the line `run` prints under the verdict VACUOUS
+        assert out.endswith("\nnote: the bound is vacuous "
+                            "(agreement_bound <= 0 or privacy_bound >= 1)\n")
 
     @pytest.mark.parametrize("field,message", [
         ("--n", "session demand"), ("--ell", "ell must be"),
@@ -366,6 +387,8 @@ def test_no_command_loads_scipy():
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from qkdnet.cli import main
+from qkdnet.bits import BitString
+from qkdnet.mac import MacKey, _tag_value, tag
 scenario = "demos/scenarios/two_chains.json"
 commands = [
     ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2"],
@@ -375,6 +398,11 @@ commands = [
     ["oracle", "--max-bits", "3", "--configs", "1"],
 ]
 seen = [["import", 0, "numpy" in sys.modules]]
+for w in range(8, 0, -1):
+    key, message = (1 << 2 * w) - 3, BitString.from_int(0x2A5C3, 20)
+    value = tag(MacKey(BitString.from_int(key, 2 * w)), message).value
+    same = value == _tag_value(w, key, message.value, message.length)
+    seen.append([f"tag w={w}", 0 if same else 1, "numpy" in sys.modules])
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(argv)
@@ -384,8 +412,10 @@ print(json.dumps(seen))
 
 
 def test_numpy_loads_only_for_a_numpy_kernel(tmp_path):
-    # the w = 8 run path builds its multiplication rows in pure Python;
-    # the oracle row shows that the probe sees numpy once it loads
+    # every w <= 8 multiplies through multiplication rows built in pure
+    # Python (the log/antilog tables, which need numpy, serve only
+    # 9 <= w <= 16); the oracle row shows that the probe sees numpy
+    # once it loads
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -394,7 +424,9 @@ def test_numpy_loads_only_for_a_numpy_kernel(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == [
-        ["import", 0, False], ["bounds", 0, False], ["plan", 0, False],
+        ["import", 0, False],
+        *([f"tag w={w}", 0, False] for w in range(8, 0, -1)),
+        ["bounds", 0, False], ["plan", 0, False],
         ["paths", 0, False], ["run", 0, False], ["oracle", 0, True],
     ]
 

@@ -254,6 +254,12 @@ class TestRequiredPaths:
         with pytest.raises(ValidationError):
             required_paths(1, mode="sideways")
 
+    @pytest.mark.parametrize("mode", ["one_way", "two_way"])
+    def test_feedback_paths_outside_feedback_mode_rejected(self, mode):
+        # these modes have no feedback paths to count
+        with pytest.raises(ValidationError, match="feedback paths"):
+            required_paths(2, u=3, mode=mode)
+
     def test_negative_rejected(self):
         with pytest.raises(OutOfRange):
             required_paths(-1)
