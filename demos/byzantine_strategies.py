@@ -11,6 +11,7 @@ frequency of the agreement event
 against the analytic lower bound (1-eps)(1-2^-m)(1-p_im)^(2 ell - 2).
 """
 
+from qkdnet.protocol import EVENTS
 from qkdnet.sim import load_scenario, run_monte_carlo
 
 BASE = {
@@ -28,19 +29,15 @@ BASE = {
 }
 
 print(f"{'strategy':<15} {'empirical':>10} {'ci99 low':>10} {'bound':>10} verdict")
-runs = {}
+stats = {}
 for strategy in ("passive", "tamper_shares", "forge_auth", "drop_auth"):
     doc = dict(BASE)
     doc["adversary"] = {"corrupted": ["a1"], "t": 1, "strategies": [strategy]}
-    run = runs[strategy] = run_monte_carlo(load_scenario(doc))
-    st = run.stats
+    st = stats[strategy] = run_monte_carlo(load_scenario(doc)).stats
     print(f"{strategy:<15} {st.empirical:>10.5f} {st.ci_low:>10.5f} "
           f"{st.agreement_bound:>10.5f} {st.verdict}")
 
 print()
 print("failure tags seen under tamper_shares (first 4000 seeds):")
-tags = {}
-for r in runs["tamper_shares"].results:
-    for tag in r.failure_tags:
-        tags[tag] = tags.get(tag, 0) + 1
+tags = {e: c for e, c in zip(EVENTS, stats["tamper_shares"].events) if c}
 print(tags if tags else "(none: every tampered trial was caught)")

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 
 from .adversary import AdversaryConfig, AdversaryView, ScriptedAdversary
 from .errors import LengthMismatch, OutOfRange, ParameterViolation
@@ -321,6 +322,11 @@ def provision_pools(graph: NetworkGraph, paths: PathSet, corrupted: frozenset,
     return [[(pools[j], mark) for j, mark in route] for route in routes]
 
 
+#: A session's failure events, in the order ``trials.jsonl`` tags them.
+EVENTS = ("parity_miss", "challenge_rejected", "response_mismatch",
+          "final_key_mismatch")
+
+
 @dataclass(slots=True)
 class SessionOutcome:
     """Everything a trial records about one full session (slotted).
@@ -361,6 +367,18 @@ class SessionOutcome:
     def succeeded(self) -> bool:
         """The agreement event: result = result' = delta."""
         return self.result == self.result_prime == int(self.keys_equal)
+
+    @property
+    def events(self) -> tuple:
+        """The :data:`EVENTS` this session shows, in that order."""
+        return tuple(compress(EVENTS, (
+            self.result == 1 and not self.keys_equal,
+            self.result == 0 and self.keys_equal,
+            self.result_prime != self.result,
+            self.result == self.result_prime == 1 and (
+                self.final_key_a != self.final_key_b
+                or len(self.trash_a) != len(self.trash_b)),
+        )))
 
     def transcript(self) -> str:
         """Audit record of the authentication round trip: one line per

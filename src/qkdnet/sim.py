@@ -50,7 +50,7 @@ from . import mac, protocol
 from .mac import impersonation_bound
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
 from .network import NetworkGraph, PathSet, QkdLink, vertex_disjoint_paths
-from .protocol import SecurityParams, deterministic_pa, full_session
+from .protocol import EVENTS, SecurityParams, deterministic_pa, full_session
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,9 @@ def load_scenario(source) -> Scenario:
     :class:`ParseError` for malformed documents and
     :class:`ValidationError` naming the violated invariant otherwise,
     as when corrupted relays sit on all ell paths (the hop plan's marks):
-    both bounds assume at most ell-1 controlled paths.
+    both bounds assume at most ell-1 controlled paths.  ``params.epsilon``
+    defaults to the largest link epsilon, and a smaller one is refused,
+    as it would understate both bounds' epsilon terms.
     """
     if isinstance(source, dict):
         doc = source
@@ -196,12 +198,16 @@ def load_scenario(source) -> Scenario:
 
     p = _fields(top["params"], "params")
     w = p.pop("w")
+    link_epsilon = max((l.epsilon for l in links), default=0.0)
     if p["epsilon"] is None:
-        p["epsilon"] = max((l.epsilon for l in links), default=0.0)
+        p["epsilon"] = link_epsilon
     try:
         params = SecurityParams(**p)
     except ParameterViolation as exc:
         raise ValidationError(str(exc)) from exc
+    _require(params.epsilon >= link_epsilon,
+             f"params 'epsilon' {params.epsilon} is below the largest link "
+             f"epsilon {link_epsilon}")
     _require(w is None or w * 2 == params.s,
              f"w={w} inconsistent with s={params.s} (s = 2w required)")
 
@@ -265,22 +271,6 @@ class TrialResult:
     failure_tags: tuple
 
 
-def _failure_tags(outcome) -> tuple:
-    tags = []
-    if outcome.result == 1 and not outcome.keys_equal:
-        tags.append("parity_miss")
-    if outcome.result == 0 and outcome.keys_equal:
-        tags.append("challenge_rejected")
-    if outcome.result_prime != outcome.result:
-        tags.append("response_mismatch")
-    if outcome.result == 1 and outcome.result_prime == 1 and (
-        outcome.final_key_a != outcome.final_key_b
-        or len(outcome.trash_a) != len(outcome.trash_b)
-    ):
-        tags.append("final_key_mismatch")
-    return tuple(tags)
-
-
 #: The one trial generator, reseeded by every :func:`run_trial`.
 _TRIAL_RNG = random.Random()
 
@@ -322,7 +312,7 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
         ),
         trash_size=None if trash is None else len(trash),
         leaked_epochs=outcome.view.leaked_epochs,
-        failure_tags=_failure_tags(outcome),
+        failure_tags=outcome.events,
     )
 
 
@@ -450,6 +440,7 @@ class Stats:
     privacy_bound: float
     verdict: str
     degenerate: bool
+    events: tuple       # trials showing each of ``EVENTS``, in its order
 
     @property
     def passed(self) -> bool:
@@ -500,6 +491,7 @@ def aggregate(results, params: SecurityParams) -> Stats:
         privacy_bound=privacy,
         verdict=verdict,
         degenerate=trials < 2,
+        events=tuple(sum(e in r.failure_tags for r in results) for e in EVENTS),
     )
 
 

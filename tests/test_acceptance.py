@@ -7,7 +7,11 @@
    exactly 0 (4..8-bit shares, ell in {2,3}).
 3. Agreement bound: every scripted strategy, ell in {2,3}, 1e5 trials
    each; empirical success >= (1-2^-4)(1-p_im)^(2 ell - 2) at 99%
-   confidence.
+   confidence.  On the same runs, exact rates as Fractions inside the
+   two-sided 99% interval: passive and drop_auth succeed in every
+   trial; forge_auth succeeds at (1 - 2^-8 + 2^-12)(1 - 2^-9), shows
+   challenge_rejected at 15/4096 and response_mismatch at 1/512, and
+   never a parity_miss.
 4. Distillation exactness: exhaustive conditional-uniformity check at 12
    test bits, m=4, 100 random + adversarial vector sets; |trash| <= m.
 5. Privacy after disclosure: forge_auth at ell=3, t=1, with the
@@ -42,6 +46,7 @@ from qkdnet.adversary import (
 from qkdnet.mac import _tag_value, impersonation_bound
 from qkdnet.network import required_paths
 from qkdnet.protocol import (
+    EVENTS,
     SecurityParams,
     _encode_challenge,
     _key_parts,
@@ -186,6 +191,33 @@ class TestCriterion3AgreementBound:
         for doc in docs:
             st = run_table.stats(doc)
             assert st.successes == st.trials == 100_000, doc["adversary"]
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_forge_auth_event_rates_are_exact(self, run_table, ell):
+        # a1's path sorts first, so B opens its uniform challenge copy
+        # first: it authenticates with probability 2^-w, and then its
+        # uniform parities match B's with probability 2^-m (success) or
+        # not (challenge_rejected).  Otherwise the honest copy opens.  A
+        # uniform response copy opens with probability 2^-w and carries
+        # a uniform bit (response_mismatch).  The keys stay equal.
+        doc = self.doc("forge_auth", ell)
+        assert load_scenario(doc).paths.paths[0] == ("alice", "a1", "bob")
+        run_table.submit([doc])
+        st = run_table.stats(doc)
+        tag, parities = Fraction(1, 2**8), Fraction(1, 2**4)
+        one_sided = tag / 2
+        exact = {
+            "successes": (1 - tag + tag * parities) * (1 - one_sided),
+            "challenge_rejected": tag * (1 - parities),
+            "response_mismatch": one_sided,
+        }
+        counts = dict(zip(EVENTS, st.events), successes=st.successes)
+        assert counts["parity_miss"] == 0, counts
+        for name, rate in exact.items():
+            low, high = clopper_pearson(counts[name], st.trials, 0.99)
+            assert low <= rate <= high, (
+                f"ell={ell} {name}: {counts[name]}/{st.trials}, CP99 "
+                f"[{low:.6f}, {high:.6f}] excludes {float(rate):.6f}")
 
     @pytest.mark.parametrize("ell", [2, 3])
     def test_first_sub_key_tamper_meets_bound(self, monkeypatch, ell):

@@ -546,6 +546,19 @@ class TestMalformedScenario:
         assert configs[0] == configs[1]
         assert not configs[0].corrupted
 
+    @pytest.mark.parametrize("command", ["run", "paths"])
+    def test_understated_epsilon(self, tmp_path, capsys, command):
+        # a privacy figure below what the leakiest link justifies
+        doc = {"params": {**PARAMS, "epsilon": 0.01},
+               **_with_link_field("epsilon", 0.05)}
+        path = two_chains_scenario_file(tmp_path, **doc)
+        assert main([command, "--scenario", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(
+            "error: params 'epsilon' 0.01 is below the largest link "
+            "epsilon 0.05")
+
     def test_unknown_top_level_key(self, tmp_path, capsys):
         # a misspelt "trials" used to run the default 1000 trials
         err = _run_malformed(tmp_path, capsys, {"trails": 5})

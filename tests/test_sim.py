@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -7,7 +8,6 @@ import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +25,9 @@ from qkdnet.errors import (
 )
 from qkdnet.network import PathSet, vertex_disjoint_paths
 from qkdnet.protocol import (
+    EVENTS,
     SecurityParams,
+    SessionOutcome,
     _decode_challenge,
     _key_parts,
     _make_challenge,
@@ -36,7 +38,6 @@ from qkdnet.sim import (
     MonteCarloRun,
     Stats,
     TrialResult,
-    _failure_tags,
     _forgery_messages,
     aggregate,
     check_bounds,
@@ -56,6 +57,15 @@ from qkdnet.sim import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def session_outcome(result, result_prime, keys_equal, final_key_a,
+                    final_key_b, trash_a, trash_b):
+    """A ``SessionOutcome`` with these verdicts and final keys, and no
+    wire copies."""
+    return SessionOutcome(result, result_prime, keys_equal, final_key_a,
+                          final_key_b, trash_a, trash_b, (), (), None, None,
+                          None)
 
 
 def two_chains_doc(**overrides):
@@ -161,6 +171,27 @@ class TestLoadScenario:
         seeds = [derive_trial_seed(0, i) for i in range(20)]
         assert ([run_trial(default, s) for s in seeds]
                 == [run_trial(empty, s) for s in seeds])
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.04])
+    def test_understated_epsilon_rejected(self, epsilon):
+        # the bounds' epsilon terms would not cover the leakiest link
+        doc = two_chains_doc()
+        doc["params"]["epsilon"] = epsilon
+        doc["links"][4]["epsilon"] = 0.05
+        with pytest.raises(ValidationError, match=(
+                f"^params 'epsilon' {epsilon} is below the largest link "
+                f"epsilon 0.05$")):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize("epsilon,expected", [
+        (None, 0.05), (0.05, 0.05), (0.5, 0.5)])
+    def test_epsilon_at_least_every_link_accepted(self, epsilon, expected):
+        doc = two_chains_doc()
+        if epsilon is not None:
+            doc["params"]["epsilon"] = epsilon
+        doc["links"][1]["epsilon"] = 0.05
+        doc["links"][4]["epsilon"] = 0.01
+        assert load_scenario(doc).params.epsilon == expected
 
     def test_dead_link_breaks_connectivity(self):
         doc = two_chains_doc()
@@ -292,13 +323,38 @@ class TestRunTrial:
         # values of different widths (an accepted forged challenge gives
         # the two sides different trash sets) are still a mismatch.
         def outcome(trash_b):
-            return SimpleNamespace(result=1, result_prime=1, keys_equal=True,
-                                   final_key_a=0b1, final_key_b=0b1,
-                                   trash_a=frozenset({1}), trash_b=trash_b)
+            return session_outcome(1, 1, True, 0b1, 0b1, frozenset({1}),
+                                   trash_b)
 
-        assert _failure_tags(outcome(frozenset({2}))) == ()
-        assert _failure_tags(outcome(frozenset({1, 2}))) == (
-            "final_key_mismatch",)
+        assert outcome(frozenset({2})).events == ()
+        assert outcome(frozenset({1, 2})).events == ("final_key_mismatch",)
+
+    @pytest.mark.parametrize(
+        "result,result_prime,keys_equal,finals_equal,trash_equal",
+        itertools.product((0, 1), (0, 1), *[(False, True)] * 3))
+    def test_events_and_success_truth_table(self, result, result_prime,
+                                            keys_equal, finals_equal,
+                                            trash_equal):
+        # A distills only when it accepts (result' = 1), B only when it
+        # accepts (result = 1); the expected values are the README's
+        # definitions, written out.
+        final_a = final_b = trash_a = trash_b = None
+        if result_prime:
+            final_a, trash_a = 0b101, frozenset({1})
+        if result:
+            final_b = 0b101 if finals_equal else 0b100
+            trash_b = frozenset({2}) if trash_equal else frozenset({2, 3})
+        out = session_outcome(result, result_prime, keys_equal, final_a,
+                              final_b, trash_a, trash_b)
+        expected = {
+            "parity_miss": result == 1 and not keys_equal,
+            "challenge_rejected": result == 0 and keys_equal,
+            "response_mismatch": result != result_prime,
+            "final_key_mismatch": (result == result_prime == 1
+                                   and not (finals_equal and trash_equal)),
+        }
+        assert out.events == tuple(e for e in EVENTS if expected[e])
+        assert out.succeeded == (result == result_prime == int(keys_equal))
 
     @pytest.mark.parametrize("a,b", [("n1", "n3"), ("bob", "alice")])
     def test_path_override_between_other_endpoints_rejected(self, a, b):
@@ -373,7 +429,7 @@ class TestRunTrial:
                 s, out.result, out.result_prime, out.keys_equal,
                 out.succeeded, None if trash is None else tb - len(trash),
                 None if trash is None else len(trash),
-                out.view.leaked_epochs, _failure_tags(out))
+                out.view.leaked_epochs, out.events)
             assert got == wire(out)
 
     def test_tamper_strategy_mostly_detected(self):
@@ -585,11 +641,21 @@ class TestRunMonteCarlo:
         sc = load_scenario(two_chains_doc(adversary={
             "corrupted": ["n1"], "t": 1, "strategies": ["forge_auth"],
         }, trials=5000))
+        st = run_monte_carlo(sc).stats
+        mismatches = st.events[EVENTS.index("final_key_mismatch")]
+        assert mismatches / 5000 <= st.privacy_bound
+
+    def test_stats_count_each_event_of_the_records(self):
+        # Stats.events is the per-record count of each event; this run
+        # shows a parity miss and a one-sided verdict
+        sc = load_scenario(two_chains_doc(adversary={
+            "corrupted": ["n1"], "t": 1, "strategies": ["tamper_shares"],
+        }, trials=2000, seed=3))
         run = run_monte_carlo(sc)
-        mismatches = sum(
-            "final_key_mismatch" in r.failure_tags for r in run.results
-        )
-        assert mismatches / 5000 <= run.stats.privacy_bound
+        counted = tuple(sum(e in r.failure_tags for r in run.results)
+                        for e in EVENTS)
+        assert run.stats.events == counted
+        assert sum(map(bool, counted)) >= 2, counted
 
 
 def _traced_peak(error, fn, *args):
@@ -900,11 +966,10 @@ class TestEmitReport:
             emit_report(run, blocker / "sub")
 
 
-FAILURE_TAGS = ("parity_miss", "challenge_rejected", "response_mismatch",
-                "final_key_mismatch")
 STATS = Stats(trials=1, successes=1, empirical=1.0, ci_low=0.0, ci_high=1.0,
               confidence=0.99, p_im=0.0, agreement_bound=0.5,
-              privacy_bound=0.5, verdict="PASS", degenerate=True)
+              privacy_bound=0.5, verdict="PASS", degenerate=True,
+              events=(0,) * len(EVENTS))
 
 
 def reference_line(r):
@@ -935,8 +1000,8 @@ trial_results = st.builds(
     final_key_len=st.none() | st.integers(0, 4096),
     trash_size=st.none() | st.integers(0, 64),
     leaked_epochs=st.integers(0, 2**40),
-    failure_tags=st.sets(st.sampled_from(FAILURE_TAGS)).map(
-        lambda tags: tuple(t for t in FAILURE_TAGS if t in tags)),
+    failure_tags=st.sets(st.sampled_from(EVENTS)).map(
+        lambda tags: tuple(t for t in EVENTS if t in tags)),
 )
 
 
@@ -951,15 +1016,15 @@ class TestTrialLineWriter:
         assert lines == [reference_line(r) for r in results]
 
     def test_every_tag_subset_is_written(self):
-        # The Monte-Carlo runs never write parity_miss or
-        # final_key_mismatch, so cover all 16 subsets explicitly.
+        # Monte-Carlo runs show few of the subsets of EVENTS, so cover
+        # every subset explicitly.
         results = [
             TrialResult(index=i, seed=i, result=0, result_prime=0,
                         keys_equal=False, succeeded=True, final_key_len=None,
                         trash_size=None, leaked_epochs=0,
-                        failure_tags=tuple(t for j, t in enumerate(FAILURE_TAGS)
+                        failure_tags=tuple(t for j, t in enumerate(EVENTS)
                                            if i >> j & 1))
-            for i in range(16)
+            for i in range(1 << len(EVENTS))
         ]
         with tempfile.TemporaryDirectory() as out:
             emit_report(MonteCarloRun(STATS, tuple(results), "unnamed", 0), out)
