@@ -20,7 +20,6 @@ from .network import (
     NetworkGraph,
     PathSet,
     QkdLink,
-    required_paths,
     vertex_disjoint_paths,
 )
 from .protocol import SecurityParams, SessionOutcome, deterministic_pa, full_session

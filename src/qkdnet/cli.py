@@ -5,14 +5,12 @@ Subcommands:
   run    --scenario F [--trials N] [--seed S] [--out DIR]
   bounds --n N --s S --m M --ell L [--eps E]
   paths  --scenario F [--ell L]
-  plan   --t T [--u U] --mode one_way|two_way|feedback
   oracle [--max-bits B] [--configs C]    (B in 3..8, C in 0..100000)
 
 ``run`` exits 0 only when the empirical estimate passes the agreement
 bound (a vacuous bound prints VACUOUS and a note, and exits 1);
 ``bounds`` prints the same note under a vacuous bound and exits 0;
-``plan`` takes a nonzero ``--u`` only in feedback mode; ``oracle`` exits
-0 only when every exhaustive check is exact.
+``oracle`` exits 0 only when every exhaustive check is exact.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ import argparse
 import functools
 import sys
 
-from .errors import OutOfRange, QkdNetError, ValidationError
-from .network import required_paths, vertex_disjoint_paths
+from .errors import QkdNetError, ValidationError
+from .network import vertex_disjoint_paths
 from .protocol import SecurityParams
 from .sim import (
     bounds_vacuous,
@@ -83,17 +81,6 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _cmd_plan(args) -> int:
-    count = required_paths(args.t, u=args.u, mode=args.mode)
-    try:
-        count = str(count)
-    except ValueError:   # past the interpreter's int-to-str digit limit
-        raise OutOfRange(f"required path count has more than "
-                         f"{sys.get_int_max_str_digits()} digits") from None
-    print(f"required disjoint paths: {count}")
-    return 0
-
-
 def _cmd_oracle(args) -> int:
     if not 3 <= args.max_bits <= 8:
         raise ValidationError(f"--max-bits must be in 3..8, got {args.max_bits}")
@@ -131,13 +118,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--ell", type=int, default=None)
     p.set_defaults(func=_cmd_paths)
-
-    p = sub.add_parser("plan", help="classical connectivity requirements")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--u", type=int, default=0)
-    p.add_argument("--mode", choices=("one_way", "two_way", "feedback"),
-                   default="one_way")
-    p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("oracle", help="run the exhaustive oracles")
     p.add_argument("--max-bits", type=int, default=8)

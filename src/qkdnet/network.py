@@ -1,4 +1,4 @@
-"""Network graph model, disjoint-path discovery, and connectivity thresholds.
+"""Network graph model and disjoint-path discovery.
 
 A trusted-repeater network is an undirected graph of nodes joined by QKD
 links.  A session between two endpoints rides the :class:`PathSet` it
@@ -187,24 +187,3 @@ def vertex_disjoint_paths(
                         if not left and v[0] != label)
         paths.append((*path, b))
     return PathSet(a, b, tuple(sorted(paths)))
-
-
-def required_paths(t: int, u: int = 0, mode: str = "one_way") -> int:
-    """Disjoint-path counts for private transmission against t corrupted nodes.
-
-    one_way: 3t+1.  two_way: 2t+1.  feedback: max(3t+1-2u, 2t+1), where
-    u counts feedback paths vertex-disjoint from the forward ones; the
-    other modes have none, so they take only u = 0.
-    """
-    if t < 0 or u < 0:
-        raise OutOfRange(f"t and u must be >= 0, got t={t}, u={u}")
-    if u and mode in ("one_way", "two_way"):
-        raise ValidationError(f"u counts feedback paths; mode {mode!r} "
-                              f"takes only u = 0")
-    if mode == "one_way":
-        return 3 * t + 1
-    if mode == "two_way":
-        return 2 * t + 1
-    if mode == "feedback":
-        return max(3 * t + 1 - 2 * u, 2 * t + 1)
-    raise ValidationError(f"unknown mode {mode!r}")

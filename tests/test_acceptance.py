@@ -22,8 +22,9 @@
    w <= 6 and two blocks at w = 5; the two-message game on the
    session's own key split (``_key_parts``) <= p_im by enumeration at
    w=2.
-7. Connectivity calculator: 3t+1 / 2t+1 values and the feedback formula
-   against an independent evaluation grid.
+7. Retired with the path-count calculator it tested (ROADMAP item 19):
+   it asserted only the classical counts 3t+1 / 2t+1, which no run
+   measures.
 8. Relaxed delivery: with ell-1 paths dropping all classical traffic,
    1e4 trials still meet the agreement bound.
 
@@ -44,7 +45,6 @@ from qkdnet.adversary import (
     guessing_advantage,
 )
 from qkdnet.mac import _tag_value, impersonation_bound
-from qkdnet.network import required_paths
 from qkdnet.protocol import (
     EVENTS,
     SecurityParams,
@@ -356,19 +356,6 @@ class TestCriterion6MacBound:
         assert worst <= p_im
         print(f"\n[criterion 6] PASS: forgery <= L/2^w at w<=6; "
               f"two-message game worst {worst} <= p_im={p_im}")
-
-
-class TestCriterion7Connectivity:
-    def test_threshold_values_and_formula_grid(self):
-        assert required_paths(3, mode="one_way") == 10
-        assert required_paths(3, mode="two_way") == 7
-        for t in range(6):
-            for u in range(6):
-                independent = max(3 * t + 1 - 2 * u, 2 * t + 1)
-                assert required_paths(t, u=u, mode="feedback") == \
-                    independent
-        print("\n[criterion 7] PASS: 10 / 7 reproduced; feedback formula "
-              "matches independent evaluation on the (t,u) grid")
 
 
 class TestCriterion8RelaxedDelivery:

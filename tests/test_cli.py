@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -37,42 +38,6 @@ def two_chains_scenario_file(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-class TestPlan:
-    def test_one_way_t3(self, capsys):
-        assert main(["plan", "--t", "3", "--mode", "one_way"]) == 0
-        assert "10" in capsys.readouterr().out
-
-    def test_two_way_t3(self, capsys):
-        assert main(["plan", "--t", "3", "--mode", "two_way"]) == 0
-        assert "7" in capsys.readouterr().out
-
-    def test_feedback(self, capsys):
-        assert main(["plan", "--t", "2", "--u", "2", "--mode", "feedback"]) == 0
-        assert "5" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("mode", ["one_way", "two_way"])
-    def test_u_outside_feedback_mode_exits_2(self, capsys, mode):
-        assert main(["plan", "--t", "2", "--u", "3", "--mode", mode]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: u counts feedback paths")
-
-    def test_count_past_the_digit_limit_exits_2(self, capsys):
-        # 3t+1 has one digit more than t, so it cannot be printed
-        t = "9" * sys.get_int_max_str_digits()
-        assert main(["plan", "--t", t]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: required path count has more than")
-
-    def test_largest_printable_count(self, capsys):
-        digits = sys.get_int_max_str_digits()
-        t = (10 ** digits - 4) // 3     # 3t+1 = 10^digits - 3
-        assert main(["plan", "--t", str(t)]) == 0
-        out = capsys.readouterr().out
-        assert out == f"required disjoint paths: {3 * t + 1}\n"
 
 
 class TestBounds:
@@ -118,6 +83,13 @@ class TestBounds:
                   "--ell", "2", "--w", "8"])
         assert exc.value.code == 2
         assert "--w" in capsys.readouterr().err
+
+    def test_plan_subcommand_is_gone(self, capsys):
+        # the classical path counts it printed are not measured by any run
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--t", "3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'plan'" in capsys.readouterr().err
 
 
 class TestPaths:
@@ -237,6 +209,26 @@ class TestPathDiscoveryCount:
         assert calls[0] == 1
 
 
+def readme_cli_examples():
+    """The ``qkdnet`` lines of the ```sh block under README's ``## CLI``."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines()
+            if line.startswith("qkdnet ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    examples = readme_cli_examples()
+    assert examples
+    monkeypatch.chdir(ROOT)
+    for argv in examples:
+        argv = argv[1:]
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "report")
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
 class TestSharedParser:
     def test_consecutive_calls_match_fresh_parsers(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -248,8 +240,6 @@ class TestSharedParser:
             ["run", "--scenario", scenario],
             ["paths", "--scenario", scenario, "--ell", "3"],
             ["paths", "--scenario", scenario],
-            ["plan", "--t", "2", "--u", "1", "--mode", "feedback"],
-            ["plan", "--t", "2"],
             ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2",
              "--eps", "0.01"],
             ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2"],
@@ -267,7 +257,7 @@ class TestSharedParser:
         assert cli._shared_parser() is cli._shared_parser()
         monkeypatch.setattr(cli, "_shared_parser", cli.make_parser)
         assert outputs() == shared
-        assert [rc for rc, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0]
+        assert [rc for rc, _, _ in shared] == [0, 0, 2, 0, 0, 0]
 
 
 class TestOracle:
@@ -352,7 +342,6 @@ scenario = "demos/scenarios/two_chains.json"
 commands = [
     ["oracle", "--max-bits", "3", "--configs", "1"],
     ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2"],
-    ["plan", "--t", "3", "--mode", "one_way"],
     ["paths", "--scenario", scenario],
     ["run", "--scenario", scenario, "--trials", "5"],
 ]
@@ -378,7 +367,7 @@ def test_no_command_loads_scipy():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == [
-        ["oracle", 0, False], ["bounds", 0, False], ["plan", 0, False],
+        ["oracle", 0, False], ["bounds", 0, False],
         ["paths", 0, False], ["run", 0, False],
         ["byzantine_strategies.py", 0, False],
     ]
@@ -392,7 +381,6 @@ from qkdnet.mac import MacKey, _tag_value, tag
 scenario = "demos/scenarios/two_chains.json"
 commands = [
     ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2"],
-    ["plan", "--t", "3", "--mode", "one_way"],
     ["paths", "--scenario", scenario],
     ["run", "--scenario", scenario, "--trials", "5", "--out", sys.argv[1]],
     ["oracle", "--max-bits", "3", "--configs", "1"],
@@ -426,7 +414,7 @@ def test_numpy_loads_only_for_a_numpy_kernel(tmp_path):
     assert json.loads(proc.stdout) == [
         ["import", 0, False],
         *([f"tag w={w}", 0, False] for w in range(8, 0, -1)),
-        ["bounds", 0, False], ["plan", 0, False],
+        ["bounds", 0, False],
         ["paths", 0, False], ["run", 0, False], ["oracle", 0, True],
     ]
 

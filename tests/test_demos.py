@@ -27,7 +27,7 @@ STDOUT_SHA256 = {
     "mac_forgery_game.py":
         "fbc20116f593fd5b1e99d6cbc4f42940389b96961ba03f83a157b7abe1045bcf",
     "connectivity_planning.py":
-        "2ffeb2d82b69d6275369c9d99f551d9744bfa2d48700454786941e254de784aa",
+        "d21488f7574b60af6fde11d4ffc8584c1d36b0c7082534a64d9a9d4b09e35148",
     "byzantine_strategies.py":
         "c081ad6bbbe57ada12303f5042ddd2ab062cdcac83ce0d1eaa53c893f6deb900",
     "two_path_session.py":
@@ -54,7 +54,7 @@ def test_mac_forgery_game_stdout_is_pinned():
 
 
 def test_connectivity_planning_stdout_is_pinned():
-    # The path-count table and the grid mesh's max-flow paths.
+    # The grid mesh's max-flow paths.
     assert_stdout_pinned("connectivity_planning.py")
 
 

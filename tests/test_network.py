@@ -10,7 +10,6 @@ from qkdnet.network import (
     NetworkGraph,
     PathSet,
     QkdLink,
-    required_paths,
     vertex_disjoint_paths,
 )
 
@@ -219,47 +218,3 @@ class TestVertexDisjointPaths:
         assert digest.hexdigest() == (
             "9377f7c6215f4cf821457a469565fae3ba0771e77c6a79fe9441ccf5fd965657"
         )
-
-
-class TestRequiredPaths:
-    def test_one_way_t3(self):
-        assert required_paths(3, mode="one_way") == 10
-
-    def test_two_way_t3(self):
-        assert required_paths(3, mode="two_way") == 7
-
-    def test_feedback_t2_u2(self):
-        assert required_paths(2, u=2, mode="feedback") == 5
-
-    def test_t0_is_one_in_every_mode(self):
-        for mode in ("one_way", "two_way", "feedback"):
-            assert required_paths(0, mode=mode) == 1
-
-    def test_feedback_matches_one_way_at_u0(self):
-        for t in range(6):
-            assert required_paths(t, u=0, mode="feedback") == \
-                required_paths(t, mode="one_way")
-
-    def test_feedback_nonincreasing_with_floor(self):
-        for t in range(6):
-            prev = None
-            for u in range(8):
-                val = required_paths(t, u=u, mode="feedback")
-                assert val >= required_paths(t, mode="two_way")
-                if prev is not None:
-                    assert val <= prev
-                prev = val
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValidationError):
-            required_paths(1, mode="sideways")
-
-    @pytest.mark.parametrize("mode", ["one_way", "two_way"])
-    def test_feedback_paths_outside_feedback_mode_rejected(self, mode):
-        # these modes have no feedback paths to count
-        with pytest.raises(ValidationError, match="feedback paths"):
-            required_paths(2, u=3, mode=mode)
-
-    def test_negative_rejected(self):
-        with pytest.raises(OutOfRange):
-            required_paths(-1)
