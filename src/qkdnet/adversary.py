@@ -84,13 +84,13 @@ def corrupt(
     graph: NetworkGraph,
     nodes,
     t: int,
-    endpoints=(),
+    endpoints,
     strategies=DEFAULT_STRATEGIES,
 ) -> AdversaryConfig:
     """Corrupt ``nodes`` under a t-bound.
 
-    The session endpoints themselves are never corruptible; pass them in
-    ``endpoints`` to enforce that.
+    The session ``endpoints`` are never corruptible: naming one raises
+    :class:`EndpointCorruption`.
     """
     nodes = frozenset(nodes)
     unknown = nodes - graph.nodes

@@ -5,12 +5,14 @@ Subcommands:
   run    --scenario F [--trials N] [--seed S] [--out DIR]
   bounds --n N --s S --m M --ell L [--eps E]
   paths  --scenario F [--ell L]
-  oracle [--max-bits B] [--configs C]    (B in 3..8, C in 0..100000)
+  oracle
 
 ``run`` exits 0 only when the empirical estimate passes the agreement
 bound (a vacuous bound prints VACUOUS and a note, and exits 1);
 ``bounds`` prints the same note under a vacuous bound and exits 0;
-``oracle`` exits 0 only when every exhaustive check is exact.
+``oracle`` runs the exhaustive checks on one fixed instance (n=16,
+s=4, m=2, ell=2, 25 distillation configurations, seed 2024) and exits 0
+only when every check is exact.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import argparse
 import functools
 import sys
 
-from .errors import QkdNetError, ValidationError
+from .errors import QkdNetError
 from .network import vertex_disjoint_paths
 from .protocol import SecurityParams
 from .sim import (
@@ -82,10 +84,7 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if not 3 <= args.max_bits <= 8:
-        raise ValidationError(f"--max-bits must be in 3..8, got {args.max_bits}")
-    params = SecurityParams(n=args.max_bits + 8, s=4, m=2, ell=2)
-    report = exact_oracles(params, dpa_configs=args.configs)
+    report = exact_oracles(SecurityParams(n=16, s=4, m=2, ell=2))
     for line in report.lines():
         print(line)
     print("all exact" if report.all_exact else "MISMATCH FOUND")
@@ -120,8 +119,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("oracle", help="run the exhaustive oracles")
-    p.add_argument("--max-bits", type=int, default=8)
-    p.add_argument("--configs", type=int, default=25)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

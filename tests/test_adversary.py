@@ -67,9 +67,15 @@ class TestCorrupt:
         with pytest.raises(BoundExceeded):
             corrupt(two_chains_graph(), {"n1", "n3"}, 1, endpoints=("alice", "bob"))
 
+    def test_endpoints_are_required(self):
+        # without them the endpoint check could not run
+        with pytest.raises(TypeError):
+            corrupt(two_chains_graph(), {"alice"}, 1)
+
     def test_unknown_node(self):
         with pytest.raises(ValidationError):
-            corrupt(two_chains_graph(), {"mallory"}, 1)
+            corrupt(two_chains_graph(), {"mallory"}, 1,
+                    endpoints=("alice", "bob"))
 
     def test_plain_set_is_frozen_and_runs_a_session(self):
         cfg = AdversaryConfig({"n1"}, 1)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -262,38 +263,44 @@ class TestSharedParser:
 
 class TestOracle:
     def test_all_exact(self, capsys):
-        rc = main(["oracle", "--max-bits", "6", "--configs", "5"])
+        rc = main(["oracle"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "all exact" in out
         assert "parity_miss" in out
 
-    @pytest.mark.parametrize("argv,digest", [
-        ([], "bf2c95bc3a0e5f1d7ae0e572d61ea301cd265ca09c8589364ea335e0bf3accc7"),
-        (["--max-bits", "6", "--configs", "5"],
-         "8f44c74139e871f7bffbda382853a13f56b314db86f40832627111009ade7b95"),
-    ], ids=["defaults", "max-bits-6"])
-    def test_stdout_pinned(self, argv, digest, capsys):
+    @pytest.mark.parametrize("digest", [
+        "bf2c95bc3a0e5f1d7ae0e572d61ea301cd265ca09c8589364ea335e0bf3accc7",
+    ], ids=["defaults"])
+    def test_stdout_pinned(self, digest, capsys):
         # sha256 of the whole report, recorded from the per-row uniformity
         # loop and the per-block fold of every guessing_advantage call
-        assert main(["oracle", *argv]) == 0
+        assert main(["oracle"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("bits", ["2", "9", "20", "-1"])
-    def test_max_bits_out_of_range_exits_2(self, bits, capsys):
-        rc = main(["oracle", "--max-bits", bits, "--configs", "0"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "--max-bits" in captured.err
+    def test_prints_the_benchmark_instance(self, monkeypatch, capsys):
+        # the one instance the command runs is the one the benchmark times
+        spec = importlib.util.spec_from_file_location(
+            "_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclass looks its module up by name
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        report = exact_oracles(SecurityParams(**workloads.ORACLE_PARAMS),
+                               workloads.ORACLE_CONFIGS, workloads.ORACLE_SEED)
+        assert main(["oracle"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            *report.lines(), "all exact"]
 
-    def test_negative_configs_exits_2(self, capsys):
-        rc = main(["oracle", "--max-bits", "3", "--configs", "-5"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "dpa_configs" in captured.err
+    @pytest.mark.parametrize("argv", [["--max-bits", "8"], ["--configs", "25"]],
+                             ids=["max-bits", "configs"])
+    def test_removed_options_are_refused(self, argv, capsys):
+        # the command runs one fixed instance and takes no options
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_exact_oracles_rejects_negative_configs(self):
         with pytest.raises(ValidationError):
@@ -306,18 +313,6 @@ class TestOracle:
 
         monkeypatch.setattr(sim, "share_privacy_exact", refuse)
         monkeypatch.setattr(sim, "dpa_uniformity_exact", refuse)
-
-    @pytest.mark.parametrize("configs", [sim.MAX_DPA_CONFIGS + 1, 10**29],
-                             ids=["cap+1", "10**29"])
-    def test_configs_past_the_cap_exit_2_before_any_work(
-            self, configs, monkeypatch, capsys):
-        self.forbid_oracle_work(monkeypatch)
-        rc = main(["oracle", "--configs", str(configs)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: dpa_configs must be in 0..{sim.MAX_DPA_CONFIGS}\n")
 
     def test_exact_oracles_rejects_configs_past_the_cap(self, monkeypatch):
         self.forbid_oracle_work(monkeypatch)
@@ -340,7 +335,7 @@ import contextlib, io, json, runpy, sys
 from qkdnet.cli import main
 scenario = "demos/scenarios/two_chains.json"
 commands = [
-    ["oracle", "--max-bits", "3", "--configs", "1"],
+    ["oracle"],
     ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2"],
     ["paths", "--scenario", scenario],
     ["run", "--scenario", scenario, "--trials", "5"],
@@ -383,7 +378,7 @@ commands = [
     ["bounds", "--n", "64", "--s", "16", "--m", "4", "--ell", "2"],
     ["paths", "--scenario", scenario],
     ["run", "--scenario", scenario, "--trials", "5", "--out", sys.argv[1]],
-    ["oracle", "--max-bits", "3", "--configs", "1"],
+    ["oracle"],
 ]
 seen = [["import", 0, "numpy" in sys.modules]]
 for w in range(8, 0, -1):

@@ -938,6 +938,24 @@ class TestExactOracles:
                                dpa_configs=2)
         assert report.all_exact
 
+    @pytest.mark.parametrize("params", [
+        SecurityParams(n=16, s=2, m=5, ell=2),
+        SecurityParams(n=16, s=4, m=2, ell=4),
+    ], ids=["m5", "ell4"])
+    def test_runs_every_instance_its_oracles_admit(self, params):
+        # no size rule beyond each oracle's own: five vectors and four
+        # paths fit every table
+        assert exact_oracles(params, dpa_configs=2).all_exact
+
+    def test_wide_shares_refused_by_guessing_advantage(self):
+        with pytest.raises(TooLarge, match="of 17 bits"):
+            exact_oracles(SecurityParams(n=17, s=4, m=2, ell=2), dpa_configs=2)
+
+    def test_many_vectors_refused_by_the_uniformity_table(self):
+        # test_bits 12 + 11 vectors = 2^23 cells
+        with pytest.raises(TooLarge, match="uniformity count table"):
+            exact_oracles(SecurityParams(n=16, s=2, m=11, ell=2), dpa_configs=2)
+
 
 class TestEmitReport:
     def test_writes_and_replays_identically(self, tmp_path):
