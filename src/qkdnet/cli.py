@@ -25,12 +25,12 @@ from .errors import QkdNetError
 from .network import vertex_disjoint_paths
 from .protocol import SecurityParams
 from .sim import (
+    CONFIDENCE,
     bounds_vacuous,
     check_bounds,
     emit_report,
     exact_oracles,
     load_scenario,
-    protocol_impersonation_bound,
     run_monte_carlo,
 )
 
@@ -46,7 +46,7 @@ def _cmd_run(args) -> int:
     print(f"scenario: {scenario.name}")
     print(f"trials: {st.trials}  successes: {st.successes}")
     print(f"empirical: {st.empirical:.6f}  "
-          f"ci{int(st.confidence * 100)}: [{st.ci_low:.6f}, {st.ci_high:.6f}]")
+          f"ci{int(CONFIDENCE * 100)}: [{st.ci_low:.6f}, {st.ci_high:.6f}]")
     print(f"p_im: {st.p_im:.6g}")
     print(f"agreement_bound: {st.agreement_bound:.6f}  "
           f"privacy_bound: {st.privacy_bound:.6f}")
@@ -64,8 +64,7 @@ def _cmd_run(args) -> int:
 def _cmd_bounds(args) -> int:
     params = SecurityParams(n=args.n, s=args.s, m=args.m, ell=args.ell,
                             epsilon=args.eps)
-    p_im = protocol_impersonation_bound(params)
-    agreement, privacy = check_bounds(params, p_im)
+    p_im, agreement, privacy = check_bounds(params)
     print(f"p_im: {p_im:.6g}")
     print(f"agreement_bound: {agreement:.6f}")
     print(f"privacy_bound: {privacy:.6f}")

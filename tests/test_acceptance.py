@@ -135,7 +135,7 @@ class TestCriterion1ParityMissRate:
             first_b, _, rem_b = _key_parts(key_a ^ diff, params)
             _, copy = _make_challenge(first_a, rem_a, params, rng)
             misses += _verify_challenge([copy], first_b, rem_b, params)[0]
-        low, high = clopper_pearson(misses, trials, 0.99)
+        low, high = clopper_pearson(misses, trials)
         assert low <= 2.0 ** -8 <= high, (misses, low, high)
         print(f"[criterion 1b] PASS: {misses}/{trials} misses, "
               f"CP99 [{low:.5f}, {high:.5f}] contains 2^-8")
@@ -148,7 +148,7 @@ class TestCriterion2SharePrivacy:
             for ell in (2, 3):
                 for _ in range(10):
                     shares = [rng.getrandbits(bits) for _ in range(ell)]
-                    assert share_privacy_exact(bits, ell, shares)
+                    assert share_privacy_exact(bits, shares)
                     for known in itertools.combinations(range(ell), ell - 1):
                         view = AdversaryView(ell, bits)
                         for i in known:
@@ -214,7 +214,7 @@ class TestCriterion3AgreementBound:
         counts = dict(zip(EVENTS, st.events), successes=st.successes)
         assert counts["parity_miss"] == 0, counts
         for name, rate in exact.items():
-            low, high = clopper_pearson(counts[name], st.trials, 0.99)
+            low, high = clopper_pearson(counts[name], st.trials)
             assert low <= rate <= high, (
                 f"ell={ell} {name}: {counts[name]}/{st.trials}, CP99 "
                 f"[{low:.6f}, {high:.6f}] excludes {float(rate):.6f}")

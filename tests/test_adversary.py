@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,6 +281,29 @@ class TestGuessingAdvantageEnumeration:
         for i in range(known):
             view.record_share(i, rng.randrange(1, 1 << key_len))
         assert guessing_advantage(view) == advantage_reference(view, key_len)
+
+    def test_every_block_folds_its_own_assignments(self, monkeypatch):
+        # 2^20 assignments are 16 blocks.  Each block's histogram is flat,
+        # so a keys buffer refilled for the first block only still gives
+        # advantage 0 and a flat sum: compare the keys each block counts
+        # with an independent fold of that block's assignments.
+        blocks = []
+        real = np.bincount
+
+        def record(keys, minlength=0):
+            blocks.append(keys.copy())
+            return real(keys, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", record)
+        key_len, known = 10, 0b1011001110
+        view = AdversaryView(n_paths=3, share_bits=key_len)
+        view.record_share(1, known)
+        assert guessing_advantage(view) == Fraction(0)
+        assert len(blocks) == 16
+        for i, keys in enumerate(blocks):
+            a = np.arange(i << 16, (i + 1) << 16, dtype=np.int64)
+            folded = known ^ (a & (1 << key_len) - 1) ^ (a >> key_len)
+            assert np.array_equal(keys, folded), f"block {i}"
 
     @pytest.mark.parametrize("bits,unknown", [(10, 2), (5, 4), (4, 5)])
     def test_peak_memory_is_one_block(self, bits, unknown):

@@ -8,6 +8,8 @@ import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from qkdnet.protocol import (
     full_session,
 )
 from qkdnet.sim import (
+    CONFIDENCE,
     MonteCarloRun,
     Stats,
     TrialResult,
@@ -50,7 +53,6 @@ from qkdnet.sim import (
     mac_forgery_exact,
     parity_miss_rate_exact,
     parity_miss_rate_tuple_enumeration,
-    protocol_impersonation_bound,
     run_monte_carlo,
     run_trial,
     share_privacy_exact,
@@ -451,10 +453,10 @@ class TestClopperPearson:
         # Independent closed forms at k=0 and k=n.
         n = 50
         alpha = 0.01
-        low, high = clopper_pearson(0, n, 0.99)
+        low, high = clopper_pearson(0, n)
         assert low == 0.0
         assert high == pytest.approx(1 - (alpha / 2) ** (1 / n), rel=1e-9)
-        low, high = clopper_pearson(n, n, 0.99)
+        low, high = clopper_pearson(n, n)
         assert high == 1.0
         assert low == pytest.approx((alpha / 2) ** (1 / n), rel=1e-9)
 
@@ -467,17 +469,27 @@ class TestClopperPearson:
         (0, 1, 0.99, (0.0, 0.995)),
         (1, 1, 0.99, (0.005000000000000006, 1.0)),
         (3, 10, 0.99, (0.037007221096232105, 0.7351139852871307)),
-        (3, 10, 0.95, (0.06673951117773448, 0.6524528500599973)),
+        # the high Wilson start rounds to 1 (the start guard takes the edge)
+        (10**15 - 1, 10**15, 0.99, (0.9999999999999926, 0.9999999999999999)),
         (0, 100000, 0.99, (0.0, 5.2981770081923407e-05)),
         (100000, 100000, 0.99, (0.999947018229918, 1.0)),
         (7, 100000, 0.99, (2.037377846344629e-05, 0.0001713272515971727)),
         (99123, 100000, 0.99, (0.990441776329295, 0.9919710685142383)),
+        # the low Wilson start rounds to 1: without the start guard,
+        # p = 1 divides by zero
+        (10**17 - 1, 10**17, 0.99, (0.9999999999999999, 0.9999999999999999)),
     ])
     def test_pinned_endpoints(self, k, n, confidence, expected):
-        # Exact floats of the in-house root finder, within the accuracy
-        # contract that the two tests below check; summary.json prints
-        # these endpoints, so replay depends on every bit.
-        assert clopper_pearson(k, n, confidence) == expected
+        # Exact floats of the in-house root finder at the level each row
+        # names, within the accuracy contract that the two tests below
+        # check; summary.json prints these endpoints, so replay depends
+        # on every bit.
+        assert confidence == CONFIDENCE
+        assert clopper_pearson(k, n) == expected
+
+    def test_z_is_the_normal_quantile_of_the_level(self):
+        # the Wilson start's z is a literal that must stay this quantile
+        assert sim._Z == -NormalDist().inv_cdf((1.0 - CONFIDENCE) / 2)
 
     @staticmethod
     def _tail(k, n, p, upper):
@@ -486,7 +498,7 @@ class TestClopperPearson:
         js = range(k, n + 1) if upper else range(k + 1)
         return sum(math.comb(n, j) * p ** j * (1 - p) ** (n - j) for j in js)
 
-    @pytest.mark.parametrize("confidence", [0.99, 0.95])
+    @pytest.mark.parametrize("confidence", [CONFIDENCE])
     @pytest.mark.parametrize("n", list(range(1, 13)) + [20, 40])
     def test_exact_tail_brackets_alpha_within_16_ulps(self, n, confidence):
         # The exact rational tail crosses alpha/2 between endpoint -/+ 16
@@ -494,7 +506,7 @@ class TestClopperPearson:
         # endpoint, n = 20) and 22 ulps (high endpoint).
         half = Fraction(1.0 - confidence) / 2
         for k in range(n + 1):
-            low, high = clopper_pearson(k, n, confidence)
+            low, high = clopper_pearson(k, n)
             for x, upper, closed in ((low, True, k == 0),
                                      (high, False, k == n)):
                 if closed:
@@ -506,37 +518,23 @@ class TestClopperPearson:
     def test_matches_betaincinv_on_a_grid(self):
         # scipy is a test-only dependency (the "test" extra)
         from scipy import special
+        alpha = 1.0 - CONFIDENCE
         for n in (13, 50, 100, 250, 1000, 2000, 10000, 100000):
             for k in sorted({0, 1, 2, n // 100, n // 10, n // 3, n // 2,
                              n - n // 10, n - n // 100, n - 2, n - 1, n}):
-                for confidence in (0.99, 0.95):
-                    alpha = 1.0 - confidence
-                    low, high = clopper_pearson(k, n, confidence)
-                    ref_low = 0.0 if k == 0 else float(
-                        special.betaincinv(k, n - k + 1, alpha / 2))
-                    ref_high = 1.0 if k == n else float(
-                        special.betaincinv(k + 1, n - k, 1 - alpha / 2))
-                    assert low == pytest.approx(ref_low, rel=1e-12, abs=0)
-                    assert high == pytest.approx(ref_high, rel=1e-12, abs=0)
+                low, high = clopper_pearson(k, n)
+                ref_low = 0.0 if k == 0 else float(
+                    special.betaincinv(k, n - k + 1, alpha / 2))
+                ref_high = 1.0 if k == n else float(
+                    special.betaincinv(k + 1, n - k, 1 - alpha / 2))
+                assert low == pytest.approx(ref_low, rel=1e-12, abs=0)
+                assert high == pytest.approx(ref_high, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("confidence", [1e-300, 1e-17, 0.9999999999999999])
-    @pytest.mark.parametrize("k,n", [
-        (0, 1), (1, 1), (1, 2), (0, 40), (20, 40), (40, 40), (3, 100000),
-    ])
-    def test_extreme_confidence_gives_an_interval(self, k, n, confidence):
-        # alpha/2 = 0.5 makes the Wilson start collapse onto k/n, and at
-        # alpha/2 ~ 5.6e-17 a high endpoint can round to 1
-        low, high = clopper_pearson(k, n, confidence)
-        assert 0.0 <= low <= k / n <= high <= 1.0
-
-    @pytest.mark.parametrize("k,n,confidence", [
-        (5, 4, 0.99), (-1, 4, 0.99), (1, 4, 1.5), (1, 4, 1.0), (1, 4, 0.0),
-        (1, 4, -0.2), (1, 4, float("nan")),
-    ])
-    def test_out_of_range_arguments_rejected(self, k, n, confidence):
+    @pytest.mark.parametrize("k,n", [(5, 4), (-1, 4)])
+    def test_out_of_range_arguments_rejected(self, k, n):
         # no finite interval answers these
-        with pytest.raises(ValidationError):
-            clopper_pearson(k, n, confidence)
+        with pytest.raises(ValidationError, match="successes must be in"):
+            clopper_pearson(k, n)
 
     @pytest.mark.parametrize("k,n", [
         (True, 4), (1, True), (False, 1), (1.0, 4), (1, 4.0), ("1", 4),
@@ -547,51 +545,82 @@ class TestClopperPearson:
             clopper_pearson(k, n)
 
 
+def bounds_from_formula(n, s, m, ell, epsilon=0.0):
+    """(p_im, agreement, privacy) as Fractions, written out from the
+    paper's formulas: p_im = L/2^w (at most 1) for the m*(n-2s+1)-bit
+    challenge, L its w-bit blocks plus the length block."""
+    w = s // 2
+    blocks = -(-m * (n - 2 * s + 1) // w) + 1
+    p_im = min(Fraction(blocks, 2 ** w), Fraction(1))
+    eps = Fraction(epsilon)
+    agreement = (1 - eps) * (1 - Fraction(1, 2 ** m)) * (1 - p_im) ** (2 * ell - 2)
+    privacy = Fraction(1, 2 ** m) + 2 * ell * p_im + 2 * eps
+    return p_im, agreement, privacy
+
+
 class TestCheckBounds:
     def test_frozen_example(self):
-        params = SecurityParams(n=64, s=16, m=4, ell=2)
-        agreement, privacy = check_bounds(params, 2.0 ** -8)
-        assert agreement == pytest.approx(975375 / 1048576, abs=1e-12)
-        assert privacy == pytest.approx(0.078125, abs=1e-15)
+        # w = 8, a 132-bit challenge: p_im = 18/256, and every float
+        # operation is exact
+        p_im, agreement, privacy = check_bounds(
+            SecurityParams(n=64, s=16, m=4, ell=2))
+        assert p_im == 18 / 256
+        assert Fraction(agreement) == Fraction(15, 16) * Fraction(238, 256) ** 2
+        assert privacy == 1 / 16 + 4 * 18 / 256 == 0.34375
 
     def test_epsilon_one_kills_agreement(self):
         params = SecurityParams(n=64, s=16, m=4, ell=2, epsilon=1.0)
-        agreement, _ = check_bounds(params, 0.01)
+        _, agreement, privacy = check_bounds(params)
         assert agreement == 0.0
+        assert privacy == pytest.approx(2.34375, rel=1e-15)
+
+    @pytest.mark.parametrize("point", [
+        dict(n=64, s=16, m=4, ell=2),
+        dict(n=64, s=16, m=4, ell=3, epsilon=0.01),
+        dict(n=96, s=16, m=8, ell=2),
+        dict(n=256, s=32, m=16, ell=5, epsilon=1e-6),
+        dict(n=160, s=64, m=30, ell=2),
+        dict(n=11, s=4, m=2, ell=2),        # p_im clamps to 1
+        dict(n=64, s=16, m=4, ell=100),
+    ])
+    def test_each_value_follows_the_formula(self, point):
+        got = check_bounds(SecurityParams(**point))
+        for value, exact in zip(got, bounds_from_formula(**point)):
+            assert value == pytest.approx(float(exact), rel=1e-12, abs=0)
 
     def test_limits(self):
-        params = SecurityParams(n=128, s=16, m=30, ell=2)
-        agreement, privacy = check_bounds(params, 0.0)
-        assert agreement == pytest.approx(1.0, abs=1e-6)
-        assert privacy == pytest.approx(2.0 ** -30, abs=1e-9)
+        # w = 32 and m = 30: the 990-bit challenge is 31 content blocks
+        # plus the length block, p_im = 32/2^32, and both figures
+        # approach their limits
+        p_im, agreement, privacy = check_bounds(
+            SecurityParams(n=160, s=64, m=30, ell=2))
+        assert p_im == 2.0 ** -27
+        assert 1.0 - 2.0 ** -25 < agreement < 1.0
+        assert privacy == 2.0 ** -30 + 2.0 ** -25
 
     def test_monotonicity(self):
-        base = dict(n=64, s=16, ell=2)
-        # nonincreasing in epsilon and p_im, nondecreasing in m
-        for m in (1, 2, 4, 8):
-            prev = None
-            for eps in (0.0, 0.1, 0.5, 1.0):
-                a, _ = check_bounds(SecurityParams(m=m, epsilon=eps, **base), 0.01)
-                if prev is not None:
-                    assert a <= prev
-                prev = a
-        prev = None
-        for p_im in (0.0, 0.01, 0.1, 0.9):
-            a, _ = check_bounds(SecurityParams(m=4, **base), p_im)
-            if prev is not None:
-                assert a <= prev
-            prev = a
-        prev = None
-        for m in (1, 2, 4, 8):
-            a, _ = check_bounds(SecurityParams(m=m, **base), 0.01)
-            if prev is not None:
-                assert a >= prev
-            prev = a
+        def figures(**changes):
+            point = dict(n=64, s=16, m=4, ell=2, epsilon=0.0) | changes
+            return check_bounds(SecurityParams(**point))
+
+        def monotone(rows, column, sign):
+            values = [row[column] for row in rows]
+            return all(sign * (b - a) >= 0 for a, b in zip(values, values[1:]))
+
+        # epsilon and ell leave p_im alone; agreement falls, privacy rises
+        for rows in ([figures(epsilon=e) for e in (0.0, 0.1, 0.5, 1.0)],
+                     [figures(ell=ell) for ell in (2, 3, 5, 9)]):
+            assert monotone(rows, 0, 0)
+            assert monotone(rows, 1, -1) and monotone(rows, 2, 1)
+        # a longer remainder lengthens the challenge: p_im rises
+        rows = [figures(n=n) for n in (64, 96, 128, 256)]
+        assert monotone(rows, 0, 1) and rows[0][0] < rows[-1][0]
+        assert monotone(rows, 1, -1) and monotone(rows, 2, 1)
 
     def test_protocol_p_im_uses_challenge_length(self):
         params = SecurityParams(n=64, s=16, m=4, ell=2)
         # challenge is 4*33=132 bits; 17 content blocks + length block
-        assert protocol_impersonation_bound(params) == 18 / 256
+        assert check_bounds(params)[0] == 18 / 256
 
 
 class TestRunMonteCarlo:
@@ -835,12 +864,26 @@ class TestSharePrivacyOracle:
         rng = random.Random(10)
         for _ in range(5):
             shares = [rng.getrandbits(6) for _ in range(3)]
-            assert share_privacy_exact(6, 3, shares)
+            assert share_privacy_exact(6, shares)
 
-    @pytest.mark.parametrize("ell,count", [(3, 2), (2, 3)])
-    def test_share_count_must_match_ell(self, ell, count):
-        with pytest.raises(ValidationError, match=f"need {ell} shares"):
-            share_privacy_exact(6, ell, [1] * count)
+    def test_refused_past_the_limit_before_any_enumeration(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "guessing_advantage",
+                            lambda view: calls.append(view) or Fraction(0))
+        with pytest.raises(TooLarge, match="1025 shares exceeds 1024"):
+            share_privacy_exact(6, [0] * (sim.SHARE_PRIVACY_LIMIT + 1))
+        assert calls == []
+
+    def test_the_limit_itself_is_admitted(self, monkeypatch):
+        class Enumerated(Exception):
+            pass
+
+        def enumerate_view(view):
+            raise Enumerated
+
+        monkeypatch.setattr(sim, "guessing_advantage", enumerate_view)
+        with pytest.raises(Enumerated):
+            share_privacy_exact(1, [0] * sim.SHARE_PRIVACY_LIMIT)
 
 
 class TestMacForgeryOracle:
@@ -956,6 +999,23 @@ class TestExactOracles:
         with pytest.raises(TooLarge, match="uniformity count table"):
             exact_oracles(SecurityParams(n=16, s=2, m=11, ell=2), dpa_configs=2)
 
+    @pytest.mark.parametrize("ell", [sim.SHARE_PRIVACY_LIMIT + 1,
+                                     protocol.MAX_DRAW_BITS])
+    def test_many_paths_refused_before_any_share_is_drawn(
+            self, monkeypatch, ell):
+        # share_privacy_exact counts its shares only once the first list
+        # is drawn, and 2^31 - 1 shares would not fit in memory
+        class NoDraws:
+            def __init__(self, seed):
+                pass
+
+            def getrandbits(self, bits):
+                raise AssertionError("a share was drawn")
+
+        monkeypatch.setattr(sim, "random", SimpleNamespace(Random=NoDraws))
+        with pytest.raises(TooLarge, match=f"{ell} shares exceeds"):
+            exact_oracles(SecurityParams(n=16, s=4, m=2, ell=ell))
+
 
 class TestEmitReport:
     def test_writes_and_replays_identically(self, tmp_path):
@@ -985,9 +1045,8 @@ class TestEmitReport:
 
 
 STATS = Stats(trials=1, successes=1, empirical=1.0, ci_low=0.0, ci_high=1.0,
-              confidence=0.99, p_im=0.0, agreement_bound=0.5,
-              privacy_bound=0.5, verdict="PASS", degenerate=True,
-              events=(0,) * len(EVENTS))
+              p_im=0.0, agreement_bound=0.5, privacy_bound=0.5,
+              verdict="PASS", degenerate=True, events=(0,) * len(EVENTS))
 
 
 def reference_line(r):
