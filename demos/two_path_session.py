@@ -57,4 +57,11 @@ out = full_session(graph, paths, params, config, random.Random(7))
 print(f"result={out.result} result'={out.result_prime} "
       f"keys_equal={out.keys_equal}")
 print(f"final keys: alice={out.final_key_a} bob={out.final_key_b}")
-print("both sides rejected; neither accepted a desynchronized key")
+# bob's verdict on the challenge is result, alice's on the response result'
+accepted = [side for side, verdict in (("alice", out.result_prime),
+                                       ("bob", out.result)) if verdict]
+sides = ("both sides rejected", f"only {''.join(accepted)} accepted",
+         "both sides accepted")[len(accepted)]
+keys = ("neither accepted a desynchronized key"
+        if out.keys_equal or not accepted else "a desynchronized key was accepted")
+print(f"{sides}; {keys}")

@@ -122,7 +122,7 @@ _FIELDS = {
     "params": {
         "n": ("integer", _REQUIRED), "s": ("integer", _REQUIRED),
         "m": ("integer", _REQUIRED), "ell": ("integer", _REQUIRED),
-        "w": ("integer", None), "epsilon": ("number", None),
+        "w": ("integer", None),
     },
     "link": {
         "a": ("string", _REQUIRED), "b": ("string", _REQUIRED),
@@ -159,9 +159,9 @@ def load_scenario(source) -> Scenario:
     :class:`ParseError` for malformed documents and
     :class:`ValidationError` naming the violated invariant otherwise,
     as when corrupted relays sit on all ell paths (the hop plan's marks):
-    both bounds assume at most ell-1 controlled paths.  ``params.epsilon``
-    defaults to the largest link epsilon, and a smaller one is refused,
-    as it would understate both bounds' epsilon terms.
+    both bounds assume at most ell-1 controlled paths.  The session's
+    epsilon is the largest link epsilon (0.0 with no link), the failure
+    probability of the leakiest link key the bounds compose over.
     """
     if isinstance(source, dict):
         doc = source
@@ -194,21 +194,14 @@ def load_scenario(source) -> Scenario:
     _require(len(top["endpoints"]) == 2,
              "endpoints must be a list of two node names")
     a, b = top["endpoints"]
-    _require(a in graph.nodes and b in graph.nodes, "endpoints must be graph nodes")
-    _require(a != b, "endpoints must be distinct")
 
     p = _fields(top["params"], "params")
     w = p.pop("w")
-    link_epsilon = max((l.epsilon for l in links), default=0.0)
-    if p["epsilon"] is None:
-        p["epsilon"] = link_epsilon
     try:
-        params = SecurityParams(**p)
+        params = SecurityParams(
+            **p, epsilon=max((l.epsilon for l in links), default=0.0))
     except ParameterViolation as exc:
         raise ValidationError(str(exc)) from exc
-    _require(params.epsilon >= link_epsilon,
-             f"params 'epsilon' {params.epsilon} is below the largest link "
-             f"epsilon {link_epsilon}")
     _require(w is None or w * 2 == params.s,
              f"w={w} inconsistent with s={params.s} (s = 2w required)")
 
@@ -334,10 +327,9 @@ def _tail_root(k: int, n: int, log_comb: float, log_target: float,
     # which is kept below 1 so that log1p(-p) stays finite
     m = k if upper else n - k
     r = (log_target - log_comb) / m
-    if upper:
-        edge, clamp = math.exp(r), max
-    else:
-        edge, clamp = min(-math.expm1(r), math.nextafter(1.0, 0.0)), min
+    edge = min(math.exp(r) if upper else -math.expm1(r),
+               math.nextafter(1.0, 0.0))
+    clamp = max if upper else min
     # the Wilson start can round onto 0 or 1 (the low one at n = 10^17)
     p = clamp(start, edge) if 0.0 < start < 1.0 else edge
     for _ in range(64):     # converges in under 10 steps; a cap, not a test

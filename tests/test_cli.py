@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -431,7 +432,6 @@ def _with_link_field(field, value):
 class TestMalformedScenario:
     @pytest.mark.parametrize("field,value", [
         ("n", "x"), ("s", None), ("m", [4]), ("ell", "two"), ("w", "eight"),
-        ("epsilon", "small"),
     ])
     def test_non_numeric_param(self, tmp_path, capsys, field, value):
         err = _run_malformed(tmp_path, capsys,
@@ -442,12 +442,10 @@ class TestMalformedScenario:
         ({"params": {**PARAMS, "n": 64.9}}, "params 'n'"),
         ({"params": {**PARAMS, "ell": 2.5}}, "params 'ell'"),
         ({"params": {**PARAMS, "m": True}}, "params 'm'"),
-        ({"params": {**PARAMS, "epsilon": True}}, "params 'epsilon'"),
         ({"trials": 1.7}, "'trials'"),
         ({"trials": "100"}, "'trials'"),
         (_with_link_field("epsilon", "0.5"), "link 'epsilon'"),
-    ], ids=["n_fraction", "ell_fraction", "m_bool", "epsilon_bool",
-            "trials_fraction", "trials_string", "link_epsilon_string"])
+    ], ids=["n_fraction", "ell_fraction", "m_bool", "trials_fraction", "trials_string", "link_epsilon_string"])
     def test_numbers_are_strict(self, tmp_path, capsys, doc, field):
         # each used to be truncated (64.9 -> 64, true -> 1) or parsed
         # from its string and run
@@ -531,16 +529,27 @@ class TestMalformedScenario:
 
     @pytest.mark.parametrize("command", ["run", "paths"])
     def test_understated_epsilon(self, tmp_path, capsys, command):
-        # a privacy figure below what the leakiest link justifies
-        doc = {"params": {**PARAMS, "epsilon": 0.01},
-               **_with_link_field("epsilon", 0.05)}
-        path = two_chains_scenario_file(tmp_path, **doc)
-        assert main([command, "--scenario", path]) == 2
+        # the session's epsilon is the links' epsilon, so a params value
+        # below, at or above the leakiest link's is an unknown field
+        for epsilon in (0.01, 0.05, 0.5):
+            doc = {"params": {**PARAMS, "epsilon": epsilon},
+                   **_with_link_field("epsilon", 0.05)}
+            path = two_chains_scenario_file(tmp_path, **doc)
+            assert main([command, "--scenario", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert captured.err.startswith(
+                "error: unknown field 'epsilon' in params")
+
+    @pytest.mark.parametrize("endpoints", [["alice", "zed"], ["bob", "bob"]],
+                             ids=["outside_graph", "equal"])
+    def test_endpoint_refused(self, tmp_path, capsys, endpoints):
+        path = two_chains_scenario_file(tmp_path, endpoints=endpoints)
+        assert main(["run", "--scenario", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith(
-            "error: params 'epsilon' 0.01 is below the largest link "
-            "epsilon 0.05")
+        assert re.match(r"error: endpoints .*must be (distinct|graph nodes)",
+                        captured.err), captured.err
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         # a misspelt "trials" used to run the default 1000 trials

@@ -174,26 +174,38 @@ class TestLoadScenario:
         assert ([run_trial(default, s) for s in seeds]
                 == [run_trial(empty, s) for s in seeds])
 
-    @pytest.mark.parametrize("epsilon", [0.0, 0.04])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.04, 0.05, 0.5])
     def test_understated_epsilon_rejected(self, epsilon):
-        # the bounds' epsilon terms would not cover the leakiest link
+        # the session's epsilon is the links' epsilon: a params value is
+        # refused whether it is below the leakiest link's or not
         doc = two_chains_doc()
         doc["params"]["epsilon"] = epsilon
         doc["links"][4]["epsilon"] = 0.05
-        with pytest.raises(ValidationError, match=(
-                f"^params 'epsilon' {epsilon} is below the largest link "
-                f"epsilon 0.05$")):
+        with pytest.raises(ValidationError,
+                           match="^unknown field 'epsilon' in params$"):
             load_scenario(doc)
 
     @pytest.mark.parametrize("epsilon,expected", [
         (None, 0.05), (0.05, 0.05), (0.5, 0.5)])
     def test_epsilon_at_least_every_link_accepted(self, epsilon, expected):
+        # the session's epsilon is the largest link epsilon; ``epsilon``
+        # is a third link's, None where that link omits it
         doc = two_chains_doc()
         if epsilon is not None:
-            doc["params"]["epsilon"] = epsilon
+            doc["links"][2]["epsilon"] = epsilon
         doc["links"][1]["epsilon"] = 0.05
         doc["links"][4]["epsilon"] = 0.01
         assert load_scenario(doc).params.epsilon == expected
+
+    def test_epsilon_is_zero_without_link_epsilon(self):
+        assert load_scenario(two_chains_doc()).params.epsilon == 0.0
+
+    @pytest.mark.parametrize("endpoints", [["alice", "zed"], ["bob", "bob"]],
+                             ids=["outside_graph", "equal"])
+    def test_endpoint_refused(self, endpoints):
+        with pytest.raises(ValidationError,
+                           match="^endpoints .*must be (distinct|graph nodes)"):
+            load_scenario(two_chains_doc(endpoints=endpoints))
 
     def test_dead_link_breaks_connectivity(self):
         doc = two_chains_doc()
@@ -211,7 +223,7 @@ FIELD_KINDS = {
                  "adversary": "object_or_null", "trials": "integer",
                  "seed": "integer"},
     "params": {"n": "integer", "s": "integer", "m": "integer",
-               "ell": "integer", "w": "integer", "epsilon": "number"},
+               "ell": "integer", "w": "integer"},
     "link": {"a": "string", "b": "string", "distance_km": "number",
              "epsilon": "number", "alive": "bool"},
     "adversary": {"corrupted": "strings", "t": "integer",
@@ -234,7 +246,6 @@ def full_doc():
     """The two-chains document with every field of every object given."""
     doc = two_chains_doc(adversary={"corrupted": ["n1"], "t": 1,
                                     "strategies": ["passive"]})
-    doc["params"]["epsilon"] = 0.0
     doc["links"][0].update(distance_km=1.0, epsilon=0.0, alive=True)
     return doc
 
@@ -251,6 +262,16 @@ class TestFieldTable:
         assert {where: {field for field, (_, default) in fields.items()
                         if default is sim._REQUIRED}
                 for where, fields in sim._FIELDS.items()} == REQUIRED_FIELDS
+
+    def test_readme_example_shows_every_field(self):
+        # README says a key "not shown above" is refused, so its scenario
+        # example must name exactly the accepted keys of each object
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("\n## Scenario format\n", 1)[1]
+        example = json.loads(block.split("```json\n", 1)[1].split("```", 1)[0])
+        assert {where: set(object_of(example, where))
+                for where in sim._FIELDS} == {
+            where: set(fields) for where, fields in sim._FIELDS.items()}
 
     @pytest.mark.parametrize("where,field", ALL_FIELDS)
     def test_wrong_kind_names_the_field(self, where, field):
@@ -478,6 +499,11 @@ class TestClopperPearson:
         # the low Wilson start rounds to 1: without the start guard,
         # p = 1 divides by zero
         (10**17 - 1, 10**17, 0.99, (0.9999999999999999, 0.9999999999999999)),
+        # the low endpoint's edge rounds to 1: kept below 1 like the high
+        # one's, else p = 1 divides by zero; 1 - 5.3e-17 rounds to 1,
+        # mirroring (0.0, 5.3e-17) at k = 0
+        (10**17, 10**17, 0.99, (1.0, 1.0)),
+        (10**18, 10**18, 0.99, (1.0, 1.0)),
     ])
     def test_pinned_endpoints(self, k, n, confidence, expected):
         # Exact floats of the in-house root finder at the level each row
@@ -656,8 +682,10 @@ class TestRunMonteCarlo:
         ({"n": 64, "s": 16, "m": 4, "ell": 2, "w": 8}, 0.5),  # privacy >= 1
     ])
     def test_vacuous_bound_never_passes(self, params, epsilon):
-        sc = load_scenario(two_chains_doc(
-            params={**params, "epsilon": epsilon}, trials=5))
+        # ``epsilon`` is every link's
+        links = [{**link, "epsilon": epsilon}
+                 for link in two_chains_doc()["links"]]
+        sc = load_scenario(two_chains_doc(params=params, links=links, trials=5))
         st = run_monte_carlo(sc).stats
         assert st.agreement_bound <= 0 or st.privacy_bound >= 1
         assert st.successes == 5   # every honest session agreed
