@@ -21,11 +21,14 @@ is which paths' shares it holds: the view maps each such path to the
 share the sender put on it.  Disclosure to an honest-but-curious party
 is reading the session's ``view``; there is no separate disclosure step.
 
-Privacy is measured by exact Bayesian enumeration: all completions of
-the unknown shares are enumerated (vectorised, in bounded numpy blocks)
-and the advantage is the maximum posterior probability of any final key
-minus the uniform 2^-k.  There is no sampling fallback: an instance past
-the enumeration limit raises :class:`TooLarge`.  Only that enumeration
+Privacy is measured by exact Bayesian enumeration: the advantage is the
+maximum posterior probability of any final key minus the uniform 2^-k.
+The key is the known shares' XOR ^ the XOR of the u unknown ones, and
+XOR by a constant only permutes the key histogram, so its peak depends
+on k and u alone: all 2^(u*k) completions are enumerated (vectorised,
+in bounded numpy blocks) once per (k, u) and process, whatever the
+known shares are.  There is no sampling fallback: an instance past the
+enumeration limit raises :class:`TooLarge`.  Only that enumeration
 imports numpy, so a session never loads it.
 
 Shares and messages are held as plain integers: a view's shares are
@@ -169,12 +172,12 @@ _BLOCK_BITS = 16
 
 @lru_cache(maxsize=None)
 def _block_arrays(block_bits: int):
-    """The arrays of one :func:`guessing_advantage` block of
-    2^block_bits assignments: the read-only ramp ``[0, 1, ...]``
-    (uint32) and two work buffers, the assignments (uint32) and the keys
-    they fold to (intp, the index type ``bincount`` reads without a cast
-    copy).  Kept for the life of the process, so a warm call faults in
-    no fresh pages."""
+    """The arrays of one :func:`_peak_count` block of 2^block_bits
+    assignments: the read-only ramp ``[0, 1, ...]`` (uint32) and two
+    work buffers, the assignments (uint32) and the keys they fold to
+    (intp, the index type ``bincount`` reads without a cast copy).  Kept
+    for the life of the process, so an enumeration faults in no fresh
+    pages."""
     import numpy as np
 
     ramp = np.arange(1 << block_bits, dtype=np.uint32)
@@ -182,57 +185,34 @@ def _block_arrays(block_bits: int):
     return ramp, np.empty_like(ramp), np.empty(ramp.size, np.intp)
 
 
-def guessing_advantage(view: AdversaryView) -> Fraction:
-    """Exact advantage of ``view`` at guessing the XOR of all path shares.
+@lru_cache(maxsize=None)
+def _peak_count(key_len: int, unknown: int) -> int:
+    """The largest number of the 2^(unknown*key_len) assignments of
+    ``unknown`` key_len-bit shares that XOR to one key.
 
-    The key is ``key_len = view.share_bits`` bits wide.  Enumerates every
-    assignment of the u unknown shares, 2^(u*key_len) in all, in blocks
-    of at most 2^16 written into reused work buffers: each block
-    XOR-folds its u key_len-bit chunks into the known shares' XOR and
-    adds the histogram of the resulting keys to a running count.  The
-    first block's assignments are the ramp itself; the mask to key_len
-    bits is needed only when two or more chunks are folded.  Every
-    assignment is counted.
-    Returns the maximum posterior probability minus 2^-key_len as a
-    Fraction; 0 means perfect privacy.  There is no estimate: raises
-    :class:`TooLarge` when key_len > 16 or u*key_len >
-    ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` when the view's shares
-    are narrower than one bit, or before any enumeration when a known
-    share's path index lies outside 0..n_paths-1 or its value outside
-    [0, 2^key_len).  The work buffers are shared by the calls of one
-    process, so calls must not run concurrently in threads.
+    Enumerates every assignment in blocks of at most 2^16 written into
+    reused work buffers: each block XOR-folds its ``unknown`` key_len-bit
+    chunks into the keys buffer and adds the histogram of those keys to
+    a running count.  The first block's assignments are the ramp itself;
+    the mask to key_len bits is needed only when two or more chunks are
+    folded.  The known shares' XOR is left out: it only permutes the
+    histogram, so it cannot change the peak.  :func:`guessing_advantage`
+    bounds the arguments (key_len <= 16, unknown*key_len <=
+    ``EXACT_LIMIT_BITS``), so the memo holds at most 62 ints.  The work
+    buffers are shared by the calls of one process, so calls must not
+    run concurrently in threads.
     """
-    key_len = view.share_bits
-    if key_len < 1:
-        raise OutOfRange(f"view shares must be >= 1 bit, got {key_len}")
-    base = 0
-    for i, share in view.learned_shares.items():
-        if not (0 <= i < view.n_paths and 0 <= share < 1 << key_len):
-            raise OutOfRange(
-                f"known share {share} on path {i} is outside the view's "
-                f"{view.n_paths} paths of {key_len}-bit shares"
-            )
-        base ^= share
-    unknown = view.n_paths - len(view.learned_shares)
-
-    uniform = Fraction(1, 1 << key_len)
-    if unknown == 0:
-        return Fraction(1) - uniform
-    bits = unknown * key_len
-    if key_len > 16 or bits > EXACT_LIMIT_BITS:
-        raise TooLarge(
-            f"{unknown} unknown shares of {key_len} bits exceed exact mode"
-        )
     import numpy as np
 
+    bits = unknown * key_len
     ramp, a, keys = _block_arrays(min(bits, _BLOCK_BITS))
     shift = np.uint32(key_len)
     for start in range(0, 1 << bits, ramp.size):
         # the first block's assignments are the ramp itself
         src = np.add(ramp, np.uint32(start), out=a) if start else ramp
-        # the key is the known shares' XOR ^ the low key_len bits of
+        # the key is the low key_len bits of
         # src ^ (src >> key_len) ^ (src >> 2*key_len) ^ ...
-        np.bitwise_xor(src, base, out=keys)
+        np.copyto(keys, src)
         for _ in range(unknown - 1):
             src = np.right_shift(src, shift, out=a)
             np.bitwise_xor(keys, a, out=keys)
@@ -243,4 +223,44 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
             counts += hist
         else:
             counts = hist
-    return Fraction(int(counts.max()), 1 << bits) - uniform
+    return int(counts.max())
+
+
+def guessing_advantage(view: AdversaryView) -> Fraction:
+    """Exact advantage of ``view`` at guessing the XOR of all path shares.
+
+    The key is ``key_len = view.share_bits`` bits wide, and u shares are
+    unknown.  The key is the known shares' XOR ^ the unknown shares'
+    XOR; XOR by that constant is a bijection on the keys, so the peak of
+    the key histogram over all 2^(u*key_len) assignments is that of the
+    unknown shares alone, :func:`_peak_count` (key_len, u), enumerated
+    once per process.  Every assignment is counted.
+    Returns the maximum posterior probability minus 2^-key_len as a
+    Fraction; 0 means perfect privacy.  There is no estimate: raises
+    :class:`TooLarge` when key_len > 16 or u*key_len >
+    ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` when the view's shares
+    are narrower than one bit, or before any enumeration when a known
+    share's path index lies outside 0..n_paths-1 or its value outside
+    [0, 2^key_len).  The enumeration's work buffers are shared by the
+    calls of one process, so calls must not run concurrently in threads.
+    """
+    key_len = view.share_bits
+    if key_len < 1:
+        raise OutOfRange(f"view shares must be >= 1 bit, got {key_len}")
+    for i, share in view.learned_shares.items():
+        if not (0 <= i < view.n_paths and 0 <= share < 1 << key_len):
+            raise OutOfRange(
+                f"known share {share} on path {i} is outside the view's "
+                f"{view.n_paths} paths of {key_len}-bit shares"
+            )
+    unknown = view.n_paths - len(view.learned_shares)
+
+    uniform = Fraction(1, 1 << key_len)
+    if unknown == 0:
+        return Fraction(1) - uniform
+    bits = unknown * key_len
+    if key_len > 16 or bits > EXACT_LIMIT_BITS:
+        raise TooLarge(
+            f"{unknown} unknown shares of {key_len} bits exceed exact mode"
+        )
+    return Fraction(_peak_count(key_len, unknown), 1 << bits) - uniform

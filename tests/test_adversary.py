@@ -12,6 +12,7 @@ from qkdnet.adversary import (
     AdversaryConfig,
     AdversaryView,
     ScriptedAdversary,
+    _peak_count,
     corrupt,
     guessing_advantage,
 )
@@ -269,6 +270,20 @@ class TestGuessingAdvantageEnumeration:
         view, key_len = case
         assert guessing_advantage(view) == advantage_reference(view, key_len)
 
+    @settings(max_examples=100, deadline=None)
+    @given(advantage_views(), st.data())
+    def test_known_share_values_do_not_matter(self, case, data):
+        # XOR by the known shares only permutes the key histogram: the
+        # lemma behind enumerating once per (key_len, unknown count)
+        view, key_len = case
+        other = AdversaryView(view.n_paths, key_len)
+        for i in view.learned_shares:
+            other.record_share(i, data.draw(st.integers(0, (1 << key_len) - 1)))
+        res = guessing_advantage(view)
+        assert res == advantage_reference(view, key_len)
+        assert guessing_advantage(other) == res
+        assert advantage_reference(other, key_len) == res
+
     @pytest.mark.parametrize("key_len,unknown,known", [
         (16, 1, 1), (16, 1, 2), (12, 1, 1), (9, 2, 1),
     ])
@@ -286,7 +301,9 @@ class TestGuessingAdvantageEnumeration:
         # 2^20 assignments are 16 blocks.  Each block's histogram is flat,
         # so a keys buffer refilled for the first block only still gives
         # advantage 0 and a flat sum: compare the keys each block counts
-        # with an independent fold of that block's assignments.
+        # with an independent fold of that block's assignments.  The
+        # known share only permutes the keys, so the enumeration leaves
+        # it out; the memo is cleared so that this call enumerates.
         blocks = []
         real = np.bincount
 
@@ -295,14 +312,15 @@ class TestGuessingAdvantageEnumeration:
             return real(keys, minlength=minlength)
 
         monkeypatch.setattr(np, "bincount", record)
-        key_len, known = 10, 0b1011001110
+        _peak_count.cache_clear()
+        key_len = 10
         view = AdversaryView(n_paths=3, share_bits=key_len)
-        view.record_share(1, known)
+        view.record_share(1, 0b1011001110)
         assert guessing_advantage(view) == Fraction(0)
         assert len(blocks) == 16
         for i, keys in enumerate(blocks):
             a = np.arange(i << 16, (i + 1) << 16, dtype=np.int64)
-            folded = known ^ (a & (1 << key_len) - 1) ^ (a >> key_len)
+            folded = (a & (1 << key_len) - 1) ^ (a >> key_len)
             assert np.array_equal(keys, folded), f"block {i}"
 
     @pytest.mark.parametrize("bits,unknown", [(10, 2), (5, 4), (4, 5)])
@@ -311,6 +329,7 @@ class TestGuessingAdvantageEnumeration:
         # blocks of 2^16 keep the numpy buffers near 1.3 MiB.
         view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
         view.record_share(0, (1 << bits) - 1)
+        _peak_count.cache_clear()
         tracemalloc.start()
         try:
             res = guessing_advantage(view)
@@ -322,7 +341,8 @@ class TestGuessingAdvantageEnumeration:
 
     def test_back_to_back_calls_reuse_buffers(self):
         # calls of one block size share the work buffers whatever their
-        # key length and unknown count, and a TooLarge leaves them usable
+        # key length and unknown count, and a TooLarge leaves them usable;
+        # the memo is cleared so that both passes enumerate
         rng = random.Random(11)
         views = []
         for key_len, unknown, known in [(8, 2, 1), (4, 4, 0), (16, 1, 1),
@@ -332,11 +352,13 @@ class TestGuessingAdvantageEnumeration:
             for i in range(known):
                 view.record_share(i, rng.getrandbits(key_len))
             views.append(view)
+        _peak_count.cache_clear()
         for view in views:
             assert guessing_advantage(view) == advantage_reference(
                 view, view.share_bits)
         with pytest.raises(TooLarge):
             guessing_advantage(AdversaryView(n_paths=2, share_bits=17))
+        _peak_count.cache_clear()
         for view in reversed(views):
             assert guessing_advantage(view) == advantage_reference(
                 view, view.share_bits)

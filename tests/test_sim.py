@@ -17,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet import protocol, sim
-from qkdnet.adversary import DEFAULT_STRATEGIES, EXACT_LIMIT_BITS, AdversaryConfig
+from qkdnet.adversary import (
+    DEFAULT_STRATEGIES,
+    EXACT_LIMIT_BITS,
+    AdversaryConfig,
+    _peak_count,
+)
 from qkdnet.errors import (
     OutOfRange,
     ParameterViolation,
@@ -250,6 +255,13 @@ def full_doc():
     return doc
 
 
+def readme_example():
+    """The scenario document of README's "Scenario format" section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Scenario format\n", 1)[1]
+    return json.loads(block.split("```json\n", 1)[1].split("```", 1)[0])
+
+
 def object_of(doc, where):
     return {"scenario": doc, "params": doc["params"],
             "link": doc["links"][0], "adversary": doc["adversary"]}[where]
@@ -266,12 +278,15 @@ class TestFieldTable:
     def test_readme_example_shows_every_field(self):
         # README says a key "not shown above" is refused, so its scenario
         # example must name exactly the accepted keys of each object
-        text = (ROOT / "README.md").read_text(encoding="utf-8")
-        block = text.split("\n## Scenario format\n", 1)[1]
-        example = json.loads(block.split("```json\n", 1)[1].split("```", 1)[0])
+        example = readme_example()
         assert {where: set(object_of(example, where))
                 for where in sim._FIELDS} == {
             where: set(fields) for where, fields in sim._FIELDS.items()}
+
+    def test_readme_example_loads(self):
+        # the documented example is a scenario that runs and passes
+        run = run_monte_carlo(load_scenario(readme_example()), trials=50)
+        assert run.stats.verdict == "PASS"
 
     @pytest.mark.parametrize("where,field", ALL_FIELDS)
     def test_wrong_kind_names_the_field(self, where, field):
@@ -901,6 +916,34 @@ class TestSharePrivacyOracle:
         with pytest.raises(TooLarge, match="1025 shares exceeds 1024"):
             share_privacy_exact(6, [0] * (sim.SHARE_PRIVACY_LIMIT + 1))
         assert calls == []
+
+    def test_oracle_instance_enumerates_once(self, monkeypatch):
+        # its 20 share sets x 2 subsets are 40 views of one 16-bit unknown
+        # share: the known shares only permute the key histogram, so one
+        # 2^16 enumeration answers all of them
+        calls = []
+        real = sim.guessing_advantage
+        monkeypatch.setattr(sim, "guessing_advantage",
+                            lambda view: calls.append(view) or real(view))
+        _peak_count.cache_clear()
+        assert exact_oracles(SecurityParams(n=16, s=4, m=2, ell=2)).all_exact
+        assert len(calls) == 40
+        info = _peak_count.cache_info()
+        assert (info.misses, info.hits) == (1, 39)
+        _peak_count(16, 1)
+        assert _peak_count.cache_info().misses == 1
+
+    def test_no_share_refused_before_any_view(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("a view was built")
+
+        monkeypatch.setattr(sim, "AdversaryView", build)
+        with pytest.raises(ValidationError, match="at least 1 share, got 0"):
+            share_privacy_exact(6, [])
+
+    def test_one_share_is_private(self):
+        # the empty subset knows nothing of the one share
+        assert share_privacy_exact(6, [0b101101])
 
     def test_the_limit_itself_is_admitted(self, monkeypatch):
         class Enumerated(Exception):
