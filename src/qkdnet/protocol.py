@@ -190,7 +190,7 @@ def _make_challenge(auth_first: int, remainder: int, params: SecurityParams, rng
     copy of the challenge message sealed under ``auth_first``.
     """
     tb = params.test_bits
-    lambdas = tuple(rng.getrandbits(tb) for _ in range(params.m))
+    lambdas = tuple([rng.getrandbits(tb) for _ in range(params.m)])
     message = _encode_challenge(lambdas, _parities(lambdas, remainder), tb)
     return lambdas, _seal(auth_first, message, params.challenge_bits,
                           params.word_bits)
@@ -438,19 +438,19 @@ def full_session(
     first_a, second_a, rem_a = _key_parts(key_a, params)
     first_b, second_b, rem_b = _key_parts(key_b, params)
 
-    lambdas, copy = _make_challenge(first_a, rem_a, params, rng)
-    challenge_copies = tuple(
-        _classical_over(hops, *copy, w, interceptor, i, "challenge")
+    lambdas, (value, nbits) = _make_challenge(first_a, rem_a, params, rng)
+    challenge_copies = tuple([
+        _classical_over(hops, value, nbits, w, interceptor, i, "challenge")
         for i, hops in enumerate(hop_lists)
-    )
+    ])
     result, accepted_b, lambdas_b = _verify_challenge(
         challenge_copies, first_b, rem_b, params)
 
-    copy = _make_response(result, second_b, params)
-    response_copies = tuple(
-        _classical_over(hops, *copy, w, interceptor, i, "response")
+    value, nbits = _make_response(result, second_b, params)
+    response_copies = tuple([
+        _classical_over(hops, value, nbits, w, interceptor, i, "response")
         for i, hops in enumerate(hop_lists)
-    )
+    ])
     result_prime, accepted_a = _verify_response(response_copies, second_a,
                                                 params)
 
@@ -462,17 +462,9 @@ def full_session(
     if result == 1:
         final_b, trash_b = deterministic_pa(rem_b, tb, lambdas_b)
 
+    # positional, in field order: keyword matching costs ~1 us a trial
     return SessionOutcome(
-        result=result,
-        result_prime=result_prime,
-        keys_equal=key_a == key_b,
-        final_key_a=final_a,
-        final_key_b=final_b,
-        trash_a=trash_a,
-        trash_b=trash_b,
-        challenge_copies=challenge_copies,
-        response_copies=response_copies,
-        accepted_b=accepted_b,
-        accepted_a=accepted_a,
-        view=view,
+        result, result_prime, key_a == key_b, final_a, final_b,
+        trash_a, trash_b, challenge_copies, response_copies,
+        accepted_b, accepted_a, view,
     )

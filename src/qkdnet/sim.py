@@ -294,19 +294,13 @@ def run_trial(scenario: Scenario, trial_seed: int, index: int = 0,
     outcome = full_session(scenario.graph, paths, scenario.params,
                            scenario.adversary, rng)
     trash = outcome.trash_a
+    # positional, in field order: keyword matching costs ~0.5 us a trial
     return TrialResult(
-        index=index,
-        seed=trial_seed,
-        result=outcome.result,
-        result_prime=outcome.result_prime,
-        keys_equal=outcome.keys_equal,
-        succeeded=outcome.succeeded,
-        final_key_len=(
-            None if trash is None else scenario.params.test_bits - len(trash)
-        ),
-        trash_size=None if trash is None else len(trash),
-        leaked_epochs=outcome.view.leaked_epochs,
-        failure_tags=outcome.events,
+        index, trial_seed, outcome.result, outcome.result_prime,
+        outcome.keys_equal, outcome.succeeded,
+        None if trash is None else scenario.params.test_bits - len(trash),
+        None if trash is None else len(trash),
+        outcome.view.leaked_epochs, outcome.events,
     )
 
 
@@ -488,7 +482,7 @@ def run_monte_carlo(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     results = tuple(
-        run_trial(scenario, derive_trial_seed(seed, i), index=i)
+        run_trial(scenario, derive_trial_seed(seed, i), i)
         for i in range(trials)
     )
     return MonteCarloRun(
@@ -580,44 +574,74 @@ def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Frac
     return Fraction(total - int(np.count_nonzero(odd & np.uint8(1))), total)
 
 
-def dpa_uniformity_exact(key_bits: int, lambdas) -> bool:
-    """Exhaustive check of distillation uniformity for one set of
-    ``key_bits``-bit integer parity vectors.
+def dpa_uniformity_exact(key_bits: int, *configs) -> bool:
+    """Exhaustive check of distillation uniformity for each of the
+    ``configs``, each a set of ``key_bits``-bit integer parity vectors.
 
-    Enumerates all 2^key_bits keys and distills the whole key table in
-    one call of the production :func:`deterministic_pa`.  Each key's
-    count cell is its parity vector (one bit per lambda, the first
-    lambda highest) above its distilled key; one ``bincount`` over the
-    cells gives one row per parity vector.  The distilled keys within
-    every non-empty group must cover each surviving value equally
-    often, i.e. every such row's minimum must equal its maximum.  An
-    empty row (a parity vector no key has, as under a zero lambda) is
-    all zeros, so the test is that every row equals its first entry.
-    The count table has 2^(m + survivors) <= 2^(key_bits + m) cells for
-    m vectors, so the cap is key_bits + m <= ``EXACT_LIMIT_BITS`` (20):
-    past it, :class:`TooLarge` is raised before any table is built, and
-    negative key_bits raise :class:`ValidationError`.
+    Enumerates all 2^key_bits keys once and distills the whole key
+    table in one call of the production :func:`deterministic_pa` per
+    configuration.  Each key's count cell is its configuration, then its
+    parity vector (one bit per lambda, the first lambda highest, padded
+    with zero bits to the most vectors of any configuration), then its
+    distilled key, padded to key_bits; one ``bincount`` gives one row
+    per (configuration, parity vector).  The distilled keys within every
+    non-empty group must cover each surviving value equally often: every
+    row must equal its first entry over the 2^survivors values its
+    configuration keeps (an empty row, as under a zero lambda or a
+    padding bit, is all zeros).  Those values must also hold all
+    2^key_bits keys of the configuration, so that no key lands past
+    them.  With no configuration the answer is True.
+
+    A configuration of m vectors needs 2^(key_bits + m) cells, so each
+    must keep key_bits + m <= ``EXACT_LIMIT_BITS`` (20): past it,
+    :class:`TooLarge` is raised before any table is built, as
+    :class:`ValidationError` is for negative key_bits.  The
+    configurations are counted in chunks of at most
+    2^``EXACT_LIMIT_BITS`` cells.
     """
     if key_bits < 0:
         raise ValidationError(f"key_bits must be >= 0, got {key_bits}")
-    m = len(lambdas)
-    if key_bits + m > EXACT_LIMIT_BITS:
-        raise TooLarge(
-            f"uniformity count table limited to 2^{EXACT_LIMIT_BITS} cells, "
-            f"got key_bits={key_bits} with {m} vectors")
+    for lambdas in configs:
+        if key_bits + len(lambdas) > EXACT_LIMIT_BITS:
+            raise TooLarge(
+                f"uniformity count table limited to 2^{EXACT_LIMIT_BITS} "
+                f"cells, got key_bits={key_bits} with {len(lambdas)} vectors")
     import numpy as np
 
+    most = max(map(len, configs), default=0)
     keys = np.arange(1 << key_bits, dtype=np.uint64)
-    kstar, trash = deterministic_pa(keys, key_bits, lambdas)
-    survivors = key_bits - len(trash)
-    # with every position trashed, kstar is the scalar 0
-    cells = np.broadcast_to(kstar, keys.shape).astype(np.intp)
-    for j, lam in enumerate(reversed(lambdas)):
-        parity = np.bitwise_count(keys & np.uint64(lam)) & np.uint8(1)
-        cells |= parity.astype(np.intp) << (survivors + j)
-    counts = np.bincount(cells, minlength=1 << (m + survivors))
-    counts = counts.reshape(1 << m, 1 << survivors)
-    return bool((counts == counts[:, :1]).all())
+    per_table = (1 << EXACT_LIMIT_BITS) >> (most + key_bits)
+    return all(_uniform_rows(keys, key_bits, most,
+                             configs[start:start + per_table])
+               for start in range(0, len(configs), per_table))
+
+
+def _uniform_rows(keys, key_bits: int, most: int, configs) -> bool:
+    """One count table of :func:`dpa_uniformity_exact`: the ``configs``
+    over the key table ``keys``, parity vectors padded to ``most``."""
+    import numpy as np
+
+    cells = np.empty((len(configs), keys.size), dtype=np.intp)
+    kept = np.empty((len(configs), 1, 1), dtype=np.intp)
+    for i, lambdas in enumerate(configs):
+        # with every position trashed, the distilled key is the scalar 0
+        cells[i], trash = deterministic_pa(keys, key_bits, lambdas)
+        kept[i] = 1 << (key_bits - len(trash))
+    group = np.arange(len(configs), dtype=np.intp)[:, None]
+    for j in range(most):
+        lam = np.array([c[j] if j < len(c) else 0 for c in configs],
+                       dtype=np.uint64)
+        parity = np.bitwise_count(keys & lam[:, None]) & np.uint8(1)
+        group = (group << 1) | parity
+    cells |= group << key_bits
+    counts = np.bincount(cells.ravel(),
+                         minlength=len(configs) << (most + key_bits))
+    counts = counts.reshape(len(configs), 1 << most, 1 << key_bits)
+    first = counts[:, :, :1]
+    column = np.arange(1 << key_bits)
+    return bool(((counts == first) | (column >= kept)).all()
+                and (first.sum(axis=1, keepdims=True) * kept
+                     == keys.size).all())
 
 
 #: Most shares :func:`share_privacy_exact` checks: ell guessing_advantage
@@ -725,7 +749,8 @@ def mac_forgery_exact(w: int, message_bits: int) -> Fraction:
     return Fraction(int(peak), 1 << w)
 
 
-#: Cap on ``dpa_configs`` (one configuration is ~30 us at test_bits 8).
+#: Cap on ``dpa_configs``: one configuration costs ~12 us at test_bits 8
+#: and m = 2, ~1.2 s for a pass at the cap (2-vCPU Xeon, Python 3.11).
 MAX_DPA_CONFIGS = 10**5
 
 
@@ -782,16 +807,14 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 25,
         ))
 
     # (c) distillation uniformity over random and adversarial vector sets
-    ok = True
-    for _ in range(dpa_configs):
-        lambdas = [rng.getrandbits(tb) for _ in range(params.m)]
-        ok = ok and dpa_uniformity_exact(tb, lambdas)
+    configs = [[rng.getrandbits(tb) for _ in range(params.m)]
+               for _ in range(dpa_configs)]
     repeated = [1 << (tb - 1)] * params.m
     disjoint = [1 << (tb - 1 - i) for i in range(params.m)]
     all_zero = [0] * params.m
     all_ones = [(1 << tb) - 1] * params.m
-    for lambdas in (repeated, disjoint, all_zero, all_ones):
-        ok = ok and dpa_uniformity_exact(tb, lambdas)
+    ok = dpa_uniformity_exact(tb, *configs, repeated, disjoint, all_zero,
+                              all_ones)
     checks.append(OracleCheck(
         name=f"dpa_uniformity(test_bits={tb}, m={params.m}, "
              f"configs={dpa_configs}+4)",

@@ -322,13 +322,15 @@ class TestOracle:
                           dpa_configs=sim.MAX_DPA_CONFIGS + 1)
 
     def test_configs_at_the_cap_run(self, monkeypatch):
+        # one call per pass, with every random and adversarial configuration
         calls = []
         monkeypatch.setattr(sim, "dpa_uniformity_exact",
-                            lambda tb, lambdas: calls.append(tb) or True)
+                            lambda tb, *configs: calls.append(configs) or True)
         report = exact_oracles(SecurityParams(n=11, s=4, m=2, ell=2),
                                dpa_configs=sim.MAX_DPA_CONFIGS)
         assert report.all_exact
-        assert len(calls) == sim.MAX_DPA_CONFIGS + 4
+        assert len(calls) == 1
+        assert len(calls[0]) == sim.MAX_DPA_CONFIGS + 4
 
 
 SCIPY_PROBE = """

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import json
@@ -731,10 +732,11 @@ class TestRunMonteCarlo:
 
 
 def _traced_peak(error, fn, *args):
-    """Peak traced allocation of ``fn(*args)``, which must raise ``error``."""
+    """Peak traced allocation of ``fn(*args)``, which must raise ``error``
+    (or return, when ``error`` is None)."""
     tracemalloc.start()
     try:
-        with pytest.raises(error):
+        with pytest.raises(error) if error else contextlib.nullcontext():
             fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -872,15 +874,19 @@ class TestDpaOracle:
                     int(table[kv]), trash)
 
     @staticmethod
-    def distill_wrong_on_one_key(monkeypatch, bad):
+    def distill_wrong_on_one_key(monkeypatch, bad, only=None):
+        # for the vector set ``only`` alone, when given; a scalar
+        # distilled key of a whole key table (all trashed) stays right
         real = sim.deterministic_pa
 
         def wrong_on_one_key(key, nbits, lambdas):
             out, trash = real(key, nbits, lambdas)
-            if isinstance(out, np.ndarray):
+            if only is not None and list(lambdas) != only:
+                pass
+            elif isinstance(out, np.ndarray):
                 out = out.copy()
                 out[bad] ^= 1
-            elif key == bad:
+            elif not isinstance(key, np.ndarray) and key == bad:
                 out ^= 1
             return out, trash
 
@@ -900,6 +906,73 @@ class TestDpaOracle:
         assert dpa_uniformity_exact(6, lambdas)
         self.distill_wrong_on_one_key(monkeypatch, bad)
         assert not dpa_uniformity_exact(6, lambdas)
+
+    # at test_bits 8 and m = 2, one count table holds 2^20 / 2^10 = 1024
+    # configurations, so index 1500 lies in the second table
+    @pytest.mark.parametrize("where", [0, 17, 1023, 1500, -1])
+    def test_one_bad_config_in_a_batch_fails(self, monkeypatch, where):
+        rng = random.Random(13)
+        configs = [[rng.getrandbits(8) for _ in range(2)] for _ in range(1600)]
+        configs[where] = target = [0b10110100, 0b01011001]
+        assert dpa_uniformity_exact(8, *configs)
+        self.distill_wrong_on_one_key(monkeypatch, 77, only=target)
+        assert not dpa_uniformity_exact(8, *configs)
+        assert dpa_uniformity_exact(8, *configs[:where], *configs[where:][1:])
+
+    def test_batch_matches_per_config_calls(self, monkeypatch):
+        # the configurations keep different widths (all trashed to none
+        # trashed) and hold different vector counts, zero to four
+        rng = random.Random(14)
+        for tb in range(1, 11):
+            configs = [
+                [1 << i for i in range(min(tb, 4))],    # trashes min(tb, 4)
+                [],
+                [0] * rng.randint(1, 4),
+                [rng.getrandbits(tb) or 1] * rng.randint(2, 4),
+            ] + [[rng.getrandbits(tb) for _ in range(rng.randint(1, 4))]
+                 for _ in range(6)]
+            assert dpa_uniformity_exact(tb, *configs)
+            for target, bad in itertools.product(
+                    configs, rng.sample(range(1 << tb), min(3, 1 << tb))):
+                self.distill_wrong_on_one_key(monkeypatch, bad, only=target)
+                each = [dpa_uniformity_exact(tb, c) for c in configs]
+                assert dpa_uniformity_exact(tb, *configs) == all(each)
+                monkeypatch.undo()
+
+    def test_batch_sizes_checked_before_any_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built before the size check")
+
+        monkeypatch.setattr(sim, "deterministic_pa", refuse)
+        wide = [1] * (EXACT_LIMIT_BITS - 7)
+        with pytest.raises(TooLarge, match=f"{len(wide)} vectors"):
+            dpa_uniformity_exact(8, *[[1, 2]] * 5000, wide)
+        with pytest.raises(ValidationError):
+            dpa_uniformity_exact(-1, [1], [2])
+
+    def test_large_batch_is_counted_in_bounded_tables(self):
+        # 5000 configurations at test_bits 8 and m = 2 would need one
+        # table of 5000 * 2^10 counts (40 MB); each chunk's is 8 MB
+        rng = random.Random(15)
+        configs = [[rng.getrandbits(8) for _ in range(2)] for _ in range(5000)]
+        assert dpa_uniformity_exact(8, [1, 2])    # numpy loaded untraced
+        peak = _traced_peak(None, dpa_uniformity_exact, 8, *configs)
+        assert peak < 16 << 20
+
+    def test_key_past_the_kept_width_fails(self, monkeypatch):
+        # the vectors read only the two leading bits, so a distillation
+        # that returns the whole key fills each kept value once, all in
+        # the even-parity row; the other 192 keys land past the 2^6 kept
+        # values, and must not go unseen
+        lambdas = [0b10000000, 0b01000000]
+        assert dpa_uniformity_exact(8, [1, 2], lambdas)
+        real = sim.deterministic_pa
+        monkeypatch.setattr(sim, "deterministic_pa", lambda key, nbits, lam: (
+            key, real(key, nbits, lam)[1]))
+        assert not dpa_uniformity_exact(8, lambdas)
+
+    def test_no_config_is_uniform(self):
+        assert dpa_uniformity_exact(8)
 
 
 class TestSharePrivacyOracle:
