@@ -25,9 +25,10 @@ Privacy is measured by exact Bayesian enumeration: the advantage is the
 maximum posterior probability of any final key minus the uniform 2^-k.
 The key is the known shares' XOR ^ the XOR of the u unknown ones, and
 XOR by a constant only permutes the key histogram, so its peak depends
-on k and u alone: all 2^(u*k) completions are enumerated (vectorised,
-in bounded numpy blocks) once per (k, u) and process, whatever the
-known shares are.  There is no sampling fallback: an instance past the
+on k and u alone: all 2^(u*k) completions are enumerated once per
+(k, u) and process, whatever the known shares are, in numpy blocks of
+at most 2^16 that each call builds afresh; the memo of peak counts is
+the only state kept.  There is no sampling fallback: an instance past the
 enumeration limit raises :class:`TooLarge`.  Only that enumeration
 imports numpy, so a session never loads it.
 
@@ -171,58 +172,37 @@ _BLOCK_BITS = 16
 
 
 @lru_cache(maxsize=None)
-def _block_arrays(block_bits: int):
-    """The arrays of one :func:`_peak_count` block of 2^block_bits
-    assignments: the read-only ramp ``[0, 1, ...]`` (uint32) and two
-    work buffers, the assignments (uint32) and the keys they fold to
-    (intp, the index type ``bincount`` reads without a cast copy).  Kept
-    for the life of the process, so an enumeration faults in no fresh
-    pages."""
-    import numpy as np
-
-    ramp = np.arange(1 << block_bits, dtype=np.uint32)
-    ramp.flags.writeable = False
-    return ramp, np.empty_like(ramp), np.empty(ramp.size, np.intp)
-
-
-@lru_cache(maxsize=None)
 def _peak_count(key_len: int, unknown: int) -> int:
     """The largest number of the 2^(unknown*key_len) assignments of
     ``unknown`` key_len-bit shares that XOR to one key.
 
-    Enumerates every assignment in blocks of at most 2^16 written into
-    reused work buffers: each block XOR-folds its ``unknown`` key_len-bit
-    chunks into the keys buffer and adds the histogram of those keys to
-    a running count.  The first block's assignments are the ramp itself;
-    the mask to key_len bits is needed only when two or more chunks are
-    folded.  The known shares' XOR is left out: it only permutes the
-    histogram, so it cannot change the peak.  :func:`guessing_advantage`
-    bounds the arguments (key_len <= 16, unknown*key_len <=
-    ``EXACT_LIMIT_BITS``), so the memo holds at most 62 ints.  The work
-    buffers are shared by the calls of one process, so calls must not
-    run concurrently in threads.
+    Enumerates every assignment in blocks of at most 2^``_BLOCK_BITS``,
+    each in fresh arrays: a block XOR-folds the ``unknown`` key_len-bit
+    chunks of its assignments into keys and adds the histogram of those
+    keys to a running count.  The known shares' XOR is left out: it only
+    permutes the histogram, so it cannot change the peak.
+    :func:`guessing_advantage` bounds the arguments (key_len <= 16,
+    unknown*key_len <= ``EXACT_LIMIT_BITS``), so the memo, the only
+    state kept between calls, holds at most 62 ints.
     """
     import numpy as np
 
     bits = unknown * key_len
-    ramp, a, keys = _block_arrays(min(bits, _BLOCK_BITS))
-    shift = np.uint32(key_len)
-    for start in range(0, 1 << bits, ramp.size):
-        # the first block's assignments are the ramp itself
-        src = np.add(ramp, np.uint32(start), out=a) if start else ramp
-        # the key is the low key_len bits of
-        # src ^ (src >> key_len) ^ (src >> 2*key_len) ^ ...
-        np.copyto(keys, src)
-        for _ in range(unknown - 1):
-            src = np.right_shift(src, shift, out=a)
-            np.bitwise_xor(keys, a, out=keys)
-        if unknown > 1:
-            np.bitwise_and(keys, (1 << key_len) - 1, out=keys)
-        hist = np.bincount(keys, minlength=1 << key_len)
-        if start:
-            counts += hist
-        else:
-            counts = hist
+    block = 1 << min(bits, _BLOCK_BITS)
+    counts = 0
+    for start in range(0, 1 << bits, block):
+        # intp, the index type bincount reads without a slow cast
+        keys = np.arange(start, start + block, dtype=np.intp)
+        # XOR in the keys shifted by key_len, 2*key_len, 4*key_len, ...:
+        # each becomes a ^ (a >> key_len) ^ (a >> 2*key_len) ^ ... over
+        # every chunk of its assignment a, whose low key_len bits are
+        # the chunks' XOR
+        shift = key_len
+        while shift < bits:
+            keys ^= keys >> shift
+            shift *= 2
+        keys &= (1 << key_len) - 1
+        counts = counts + np.bincount(keys, minlength=1 << key_len)
     return int(counts.max())
 
 
@@ -239,23 +219,27 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
     Fraction; 0 means perfect privacy.  There is no estimate: raises
     :class:`TooLarge` when key_len > 16 or u*key_len >
     ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` when the view's shares
-    are narrower than one bit, or before any enumeration when a known
-    share's path index lies outside 0..n_paths-1 or its value outside
-    [0, 2^key_len).  The enumeration's work buffers are shared by the
-    calls of one process, so calls must not run concurrently in threads.
+    are narrower than one bit, or before any enumeration when its path
+    count is negative, or when a known share or its path index is not an
+    int (bools are refused), the index lies outside 0..n_paths-1 or the
+    share outside [0, 2^key_len).
     """
     key_len = view.share_bits
     if key_len < 1:
         raise OutOfRange(f"view shares must be >= 1 bit, got {key_len}")
+    if view.n_paths < 0:
+        raise OutOfRange(f"view must have >= 0 paths, got {view.n_paths}")
+    n_keys = 1 << key_len
     for i, share in view.learned_shares.items():
-        if not (0 <= i < view.n_paths and 0 <= share < 1 << key_len):
+        if not (type(i) is int and type(share) is int
+                and 0 <= i < view.n_paths and 0 <= share < n_keys):
             raise OutOfRange(
-                f"known share {share} on path {i} is outside the view's "
-                f"{view.n_paths} paths of {key_len}-bit shares"
+                f"known share {share!r} on path {i!r} does not fit the "
+                f"view's {view.n_paths} paths of {key_len}-bit int shares"
             )
     unknown = view.n_paths - len(view.learned_shares)
 
-    uniform = Fraction(1, 1 << key_len)
+    uniform = Fraction(1, n_keys)
     if unknown == 0:
         return Fraction(1) - uniform
     bits = unknown * key_len

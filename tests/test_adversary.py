@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet.adversary import (
+    EXACT_LIMIT_BITS,
     AdversaryConfig,
     AdversaryView,
     ScriptedAdversary,
@@ -25,6 +30,8 @@ from qkdnet.errors import (
 )
 from qkdnet.network import NetworkGraph, PathSet, QkdLink
 from qkdnet.protocol import SecurityParams, _link_plan, full_session
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def two_chains_graph():
@@ -180,15 +187,22 @@ class TestGuessingAdvantage:
 
     @pytest.mark.parametrize("n_paths,index,value", [
         (2, 0, 1 << 40), (3, 0, 1 << 40), (2, 1, 16), (2, 0, -1),
-        (2, 5, 3), (2, -1, 3),
+        (2, 5, 3), (2, -1, 3), (2, 1, 1.5), (2, 1, True),
+        (2, 1, np.int64(3)), (1, 0.5, 3), (2, True, 3),
     ])
     def test_known_share_outside_view_rejected(self, n_paths, index, value):
-        # A share wider than the view, or recorded on a path the view
-        # does not have, is named before any enumeration.
+        # A share wider than the view, a share or path index that is not
+        # an int, or a path the view does not have, is named before any
+        # enumeration.
         view = AdversaryView(n_paths=n_paths, share_bits=4)
         view.record_share(index, value)
         with pytest.raises(OutOfRange, match=f"on path {index} "):
             guessing_advantage(view)
+
+    def test_negative_path_count_rejected(self):
+        # named before any enumeration, not a bare "negative shift count"
+        with pytest.raises(OutOfRange, match="got -1"):
+            guessing_advantage(AdversaryView(-1, 4))
 
     def test_widest_share_on_last_path_accepted(self):
         view = AdversaryView(n_paths=3, share_bits=4)
@@ -323,6 +337,28 @@ class TestGuessingAdvantageEnumeration:
             folded = (a & (1 << key_len) - 1) ^ (a >> key_len)
             assert np.array_equal(keys, folded), f"block {i}"
 
+    @pytest.mark.parametrize("key_len,unknown", [(6, 3), (5, 4), (4, 5),
+                                                 (2, 7), (1, 20)])
+    def test_blocks_fold_every_chunk(self, key_len, unknown, monkeypatch):
+        # the histogram is flat however many chunks a fold drops, so
+        # compare the keys each block counts with the XOR of all of its
+        # assignments' chunks
+        blocks = []
+        real = np.bincount
+
+        def record(keys, minlength=0):
+            blocks.append(keys.copy())
+            return real(keys, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", record)
+        _peak_count.cache_clear()
+        _peak_count(key_len, unknown)
+        a = np.arange(1 << (unknown * key_len), dtype=np.int64)
+        folded = np.zeros_like(a)
+        for j in range(unknown):
+            folded ^= (a >> (j * key_len)) & ((1 << key_len) - 1)
+        assert np.array_equal(np.concatenate(blocks), folded)
+
     @pytest.mark.parametrize("bits,unknown", [(10, 2), (5, 4), (4, 5)])
     def test_peak_memory_is_one_block(self, bits, unknown):
         # 2^20 assignments: the whole table as uint32 would be 4 MiB;
@@ -339,10 +375,10 @@ class TestGuessingAdvantageEnumeration:
         assert res == Fraction(0)
         assert peak < 2 << 20
 
-    def test_back_to_back_calls_reuse_buffers(self):
-        # calls of one block size share the work buffers whatever their
-        # key length and unknown count, and a TooLarge leaves them usable;
-        # the memo is cleared so that both passes enumerate
+    def test_back_to_back_enumerations_match_reference(self):
+        # enumerations of every block size, key length and unknown count
+        # in a row, either side of a TooLarge, each match the scalar
+        # loop; the memo is cleared so that both passes enumerate
         rng = random.Random(11)
         views = []
         for key_len, unknown, known in [(8, 2, 1), (4, 4, 0), (16, 1, 1),
@@ -365,8 +401,8 @@ class TestGuessingAdvantageEnumeration:
 
     @pytest.mark.parametrize("bits,unknown", [(8, 2), (5, 4), (10, 2)])
     def test_warm_call_allocates_no_block(self, bits, unknown):
-        # the ramp and work buffers are kept from the first call, so a
-        # warm call's peak stays below one 2^16 block of uint32 (256 KiB)
+        # the memo answers a warm call, so its peak stays below one
+        # 2^16 block of uint32 (256 KiB)
         view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
         view.record_share(0, 1)
         guessing_advantage(view)
@@ -378,6 +414,64 @@ class TestGuessingAdvantageEnumeration:
             tracemalloc.stop()
         assert res == Fraction(0)
         assert peak < 1 << 18
+
+    def test_peak_count_of_every_admissible_shape(self):
+        # u unknown k-bit shares XOR to each key in 2^((u-1)k) ways, for
+        # every (k, u) guessing_advantage admits; the memo is cleared so
+        # that each shape enumerates
+        _peak_count.cache_clear()
+        shapes = [(k, u) for k in range(1, 17) for u in range(1, 21)
+                  if u * k <= EXACT_LIMIT_BITS]
+        assert len(shapes) == 62
+        for k, u in shapes:
+            assert _peak_count(k, u) == 2 ** ((u - 1) * k), (k, u)
+        assert _peak_count.cache_info().misses == 62
+
+
+THREAD_PROBE = """
+import random, sys, threading
+from qkdnet.adversary import AdversaryView, _peak_count, guessing_advantage
+sys.setswitchinterval(1e-6)
+shapes = [(16, 1), (10, 2), (8, 2), (5, 4), (4, 5), (2, 8), (12, 1), (1, 20)]
+wrong = []
+
+def work(barrier, rng):
+    order = shapes[:]
+    rng.shuffle(order)
+    barrier.wait()
+    for key_len, unknown in order:
+        view = AdversaryView(unknown + 1, key_len)
+        view.record_share(0, rng.getrandbits(key_len))
+        if guessing_advantage(view) != 0:
+            wrong.append((key_len, unknown))
+
+for r in range(30):
+    _peak_count.cache_clear()
+    barrier = threading.Barrier(4)
+    threads = [threading.Thread(target=work,
+                                args=(barrier, random.Random(4 * r + t)))
+               for t in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+        assert not t.is_alive()
+print(len(wrong))
+"""
+
+
+def test_threads_share_no_enumeration_state():
+    # 4 threads (more than the cores CI has) enumerate 8 shapes at once
+    # over a cleared memo, 30 times; every view has an unknown share, so
+    # every answer is exactly 0.  A subprocess, so that a crashed
+    # interpreter fails this test only.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "0\n"
 
 
 def honest_view(own_index, own_share, disclosed):

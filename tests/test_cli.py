@@ -321,6 +321,17 @@ class TestOracle:
             exact_oracles(SecurityParams(n=11, s=4, m=2, ell=2),
                           dpa_configs=sim.MAX_DPA_CONFIGS + 1)
 
+    @pytest.mark.parametrize("configs", [2.5, True])
+    def test_exact_oracles_rejects_configs_not_an_int(self, configs,
+                                                     monkeypatch):
+        # 2.5 passed the range check and failed in range(); True ran one
+        # configuration
+        self.forbid_oracle_work(monkeypatch)
+        with pytest.raises(ValidationError,
+                           match="dpa_configs must be an integer"):
+            exact_oracles(SecurityParams(n=11, s=4, m=2, ell=2),
+                          dpa_configs=configs)
+
     def test_configs_at_the_cap_run(self, monkeypatch):
         # one call per pass, with every random and adversarial configuration
         calls = []

@@ -991,18 +991,18 @@ class TestSharePrivacyOracle:
         assert calls == []
 
     def test_oracle_instance_enumerates_once(self, monkeypatch):
-        # its 20 share sets x 2 subsets are 40 views of one 16-bit unknown
-        # share: the known shares only permute the key histogram, so one
-        # 2^16 enumeration answers all of them
+        # the known shares only permute the key histogram, so the pass
+        # checks one share set: its 2 subsets are 2 views of one 16-bit
+        # unknown share, and one 2^16 enumeration answers both
         calls = []
         real = sim.guessing_advantage
         monkeypatch.setattr(sim, "guessing_advantage",
                             lambda view: calls.append(view) or real(view))
         _peak_count.cache_clear()
         assert exact_oracles(SecurityParams(n=16, s=4, m=2, ell=2)).all_exact
-        assert len(calls) == 40
+        assert len(calls) == 2
         info = _peak_count.cache_info()
-        assert (info.misses, info.hits) == (1, 39)
+        assert (info.misses, info.hits) == (1, 1)
         _peak_count(16, 1)
         assert _peak_count.cache_info().misses == 1
 
@@ -1013,6 +1013,11 @@ class TestSharePrivacyOracle:
         monkeypatch.setattr(sim, "AdversaryView", build)
         with pytest.raises(ValidationError, match="at least 1 share, got 0"):
             share_privacy_exact(6, [])
+
+    def test_share_not_an_int_refused(self):
+        # 1.5 lies inside [0, 16), and the check used to return True
+        with pytest.raises(OutOfRange, match="share 1.5 on path 0 does not fit"):
+            share_privacy_exact(4, [1.5, 2])
 
     def test_one_share_is_private(self):
         # the empty subset knows nothing of the one share
