@@ -218,13 +218,16 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
     Returns the maximum posterior probability minus 2^-key_len as a
     Fraction; 0 means perfect privacy.  There is no estimate: raises
     :class:`TooLarge` when key_len > 16 or u*key_len >
-    ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` when the view's shares
-    are narrower than one bit, or before any enumeration when its path
-    count is negative, or when a known share or its path index is not an
-    int (bools are refused), the index lies outside 0..n_paths-1 or the
-    share outside [0, 2^key_len).
+    ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` before any enumeration
+    when the view's share width or path count is not an int (bools are
+    refused), its shares are narrower than one bit or its path count is
+    negative, or when a known share or its path index is not an int, the
+    index lies outside 0..n_paths-1 or the share outside [0, 2^key_len).
     """
     key_len = view.share_bits
+    for name, value in (("share_bits", key_len), ("n_paths", view.n_paths)):
+        if type(value) is not int:
+            raise OutOfRange(f"view {name} must be an int, got {value!r}")
     if key_len < 1:
         raise OutOfRange(f"view shares must be >= 1 bit, got {key_len}")
     if view.n_paths < 0:

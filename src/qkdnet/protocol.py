@@ -70,9 +70,9 @@ class SecurityParams:
              bound formulas
 
     The derived widths below are computed on first read and then kept on
-    the instance, as every trial reads them.  ``ell`` and
-    ``session_demand_bits`` must not exceed :data:`MAX_DRAW_BITS`
-    (:class:`ParameterViolation`).
+    the instance, as every trial reads them.  n, s, m and ell must be
+    ints (not bools), and ``ell`` and ``session_demand_bits`` must not
+    exceed :data:`MAX_DRAW_BITS` (:class:`ParameterViolation`).
     """
 
     n: int
@@ -82,6 +82,11 @@ class SecurityParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        for name in ("n", "s", "m", "ell"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParameterViolation(
+                    f"{name} must be an integer, got {value!r}")
         if self.s < 2 or self.s % 2:
             raise ParameterViolation(f"s must be even and >= 2, got {self.s}")
         if self.ell < 2:

@@ -199,6 +199,15 @@ class TestGuessingAdvantage:
         with pytest.raises(OutOfRange, match=f"on path {index} "):
             guessing_advantage(view)
 
+    @pytest.mark.parametrize("n_paths,share_bits", [
+        (2, 4.0), (2.5, 4), (True, 4), (2, True), (np.int64(2), 4),
+    ])
+    def test_non_int_view_fields_rejected(self, n_paths, share_bits):
+        # a float width or count, or a bool that would count as 0 or 1,
+        # is named before any enumeration
+        with pytest.raises(OutOfRange, match="must be an int"):
+            guessing_advantage(AdversaryView(n_paths, share_bits))
+
     def test_negative_path_count_rejected(self):
         # named before any enumeration, not a bare "negative shift count"
         with pytest.raises(OutOfRange, match="got -1"):
@@ -362,7 +371,8 @@ class TestGuessingAdvantageEnumeration:
     @pytest.mark.parametrize("bits,unknown", [(10, 2), (5, 4), (4, 5)])
     def test_peak_memory_is_one_block(self, bits, unknown):
         # 2^20 assignments: the whole table as uint32 would be 4 MiB;
-        # blocks of 2^16 keep the numpy buffers near 1.3 MiB.
+        # blocks of 2^16 keep the numpy buffers near 1.0 MiB (one
+        # 512 KiB intp block of keys and its shifted copy).
         view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
         view.record_share(0, (1 << bits) - 1)
         _peak_count.cache_clear()

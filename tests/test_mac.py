@@ -161,6 +161,15 @@ class TestImpersonationBound:
         with pytest.raises(OutOfRange):
             impersonation_bound(w, 8)
 
+    @pytest.mark.parametrize("w,message_bits", [
+        (2.5, 4), (8, 4.5), (True, 4), (8, False), (8.0, 16),
+    ])
+    def test_non_int_arguments_rejected(self, w, message_bits):
+        # a float length would give a fractional block count, and a
+        # bool would count as a 1-bit word
+        with pytest.raises(OutOfRange, match="must be an integer"):
+            impersonation_bound(w, message_bits)
+
 
 def forgery_success(w, observed_msg, forged_msgs):
     """Best impersonation success after one observed pair, by brute force.

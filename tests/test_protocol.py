@@ -101,6 +101,18 @@ class TestSecurityParams:
         with pytest.raises(ParameterViolation, match="ell must be"):
             SecurityParams(n=64, s=16, m=4, ell=MAX_DRAW_BITS + 1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 64.5), ("n", 64.0), ("s", 16.0), ("m", True), ("m", 4.0),
+        ("ell", True), ("ell", "2"),
+    ])
+    def test_widths_must_be_ints(self, field, value):
+        # a float n would construct and then fail inside getrandbits,
+        # and m=True would count as one challenge
+        fields = {"n": 64, "s": 16, "m": 4, "ell": 2, field: value}
+        with pytest.raises(ParameterViolation,
+                           match=f"{field} must be an integer"):
+            SecurityParams(**fields)
+
     def test_derived_sizes(self):
         p = SecurityParams(n=64, s=16, m=4, ell=3)
         assert p.word_bits == 8
