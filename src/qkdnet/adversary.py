@@ -39,7 +39,7 @@ Shares and messages are held as plain integers: a view's shares are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -62,17 +62,16 @@ STRATEGIES = (
 DEFAULT_STRATEGIES = ("passive",)
 
 
-@dataclass(frozen=True)
-class AdversaryConfig:
+class AdversaryConfig(
+        namedtuple("AdversaryConfig", "corrupted t_bound strategies")):
     """Static corrupted nodes (a frozenset: the hop plan's cache key) and
     scripted strategies; the defaults are the empty adversary."""
 
-    corrupted: frozenset = frozenset()
-    t_bound: int = 0
-    strategies: tuple = DEFAULT_STRATEGIES
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "corrupted", frozenset(self.corrupted))
+    def __new__(cls, corrupted: frozenset = frozenset(), t_bound: int = 0,
+                strategies: tuple = DEFAULT_STRATEGIES):
+        self = tuple.__new__(cls, (frozenset(corrupted), t_bound, strategies))
         if self.t_bound < 0:
             raise ValidationError(f"t_bound must be >= 0, got {self.t_bound}")
         if len(self.corrupted) > self.t_bound:
@@ -82,6 +81,7 @@ class AdversaryConfig:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValidationError(f"unknown strategy {s!r}")
+        return self
 
 
 def corrupt(

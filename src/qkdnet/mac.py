@@ -75,7 +75,7 @@ call below w = 9 loads it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .bits import BitString
@@ -312,18 +312,19 @@ def _tag_value(w: int, key2w: int, value: int, nbits: int) -> int:
     return _hash_value(w, x, value, nbits) ^ y
 
 
-@dataclass(frozen=True)
-class MacKey:
+class MacKey(namedtuple("MacKey", "material")):
     """2w bits of key material: hash key x (first w bits) || pad key y."""
 
-    material: BitString
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, material: BitString):
+        self = tuple.__new__(cls, (material,))
         if self.material.length < 2 or self.material.length % 2:
             raise OutOfRange(
                 f"MAC key material must have even length >= 2, "
                 f"got {self.material.length}"
             )
+        return self
 
     @property
     def word_bits(self) -> int:

@@ -15,8 +15,7 @@ administrative down) are excluded from path discovery.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 
 from .errors import InsufficientConnectivity, OutOfRange, ValidationError
 
@@ -28,8 +27,7 @@ def link_key(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class QkdLink:
+class QkdLink(namedtuple("QkdLink", "a b distance_km epsilon alive")):
     """An undirected QKD link between two distinct nodes.
 
     ``epsilon`` is the per-key failure probability of keys generated on
@@ -40,19 +38,18 @@ class QkdLink:
     carry it.
     """
 
-    a: NodeId
-    b: NodeId
-    distance_km: float = 0.0
-    epsilon: float = 0.0
-    alive: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: NodeId, b: NodeId, distance_km: float = 0.0,
+                epsilon: float = 0.0, alive: bool = True):
+        self = tuple.__new__(cls, (a, b, distance_km, epsilon, alive))
         if self.a == self.b:
             raise ValidationError(f"link endpoints must differ, got {self.a!r}")
         if not self.distance_km >= 0:   # also rejects NaN
             raise ValidationError(f"distance_km must be >= 0, got {self.distance_km}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        return self
 
     @property
     def key(self) -> tuple[NodeId, NodeId]:
@@ -86,8 +83,7 @@ class NetworkGraph:
             raise ValidationError(f"no link between {u!r} and {v!r}") from None
 
 
-@dataclass(frozen=True)
-class PathSet:
+class PathSet(namedtuple("PathSet", "a b paths")):
     """Internally vertex-disjoint paths between two endpoints.
 
     Each path is a node sequence from ``a`` to ``b`` with no repeats;
@@ -95,11 +91,11 @@ class PathSet:
     path index i names ``paths[i]``; ``a`` and ``b`` are its two ends.
     """
 
-    a: NodeId
-    b: NodeId
-    paths: tuple[tuple[NodeId, ...], ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: NodeId, b: NodeId,
+                paths: tuple[tuple[NodeId, ...], ...] = ()):
+        self = tuple.__new__(cls, (a, b, paths))
         seen_internal: set[NodeId] = set()
         for path in self.paths:
             if len(path) < 2 or path[0] != self.a or path[-1] != self.b:
@@ -112,6 +108,7 @@ class PathSet:
                     f"paths share internal node(s) {interior & seen_internal}"
                 )
             seen_internal |= interior
+        return self
 
     def __len__(self):
         return len(self.paths)

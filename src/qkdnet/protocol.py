@@ -41,7 +41,7 @@ copies of both messages; its ``transcript()`` renders them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress
 
@@ -57,8 +57,7 @@ from .transport import LinkKeyPool, _classical_over, _forward_key_over
 MAX_DRAW_BITS = (1 << 31) - 1
 
 
-@dataclass(frozen=True)
-class SecurityParams:
+class SecurityParams(namedtuple("SecurityParams", "n s m ell epsilon")):
     """Session parameters.
 
     n:       bits per path share and per full key
@@ -69,19 +68,15 @@ class SecurityParams:
     epsilon: per-key failure probability of link-generated keys, used in
              bound formulas
 
-    The derived widths below are computed on first read and then kept on
-    the instance, as every trial reads them.  n, s, m and ell must be
-    ints (not bools), and ``ell`` and ``session_demand_bits`` must not
-    exceed :data:`MAX_DRAW_BITS` (:class:`ParameterViolation`).
+    The derived widths below are computed on first read and then kept in
+    the instance's ``__dict__`` (the class declares no ``__slots__``), as
+    every trial reads them; no attribute can be assigned.  n, s, m and
+    ell must be ints (not bools), and ``ell`` and ``session_demand_bits``
+    must not exceed :data:`MAX_DRAW_BITS` (:class:`ParameterViolation`).
     """
 
-    n: int
-    s: int
-    m: int
-    ell: int
-    epsilon: float = 0.0
-
-    def __post_init__(self):
+    def __new__(cls, n: int, s: int, m: int, ell: int, epsilon: float = 0.0):
+        self = tuple.__new__(cls, (n, s, m, ell, epsilon))
         for name in ("n", "s", "m", "ell"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -109,6 +104,10 @@ class SecurityParams:
             raise ParameterViolation(
                 f"a link's session demand n + m*(n - 2s + 1) + 4s + 1 must "
                 f"be <= {MAX_DRAW_BITS} bits")
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
 
     @cached_property
     def word_bits(self) -> int:
@@ -332,30 +331,62 @@ EVENTS = ("parity_miss", "challenge_rejected", "response_mismatch",
           "final_key_mismatch")
 
 
-@dataclass(slots=True)
-class SessionOutcome:
-    """Everything a trial records about one full session (slotted).
+class _TrialRecord:
+    """Equality and a ``Name(field=value, ...)`` repr over ``__slots__``,
+    for the mutable records built in every trial: a slot reads faster
+    than a named-tuple field, and as named tuples the two cost 1-2% of a
+    trial."""
 
-    The per-path copies hold the verbatim wire payloads as ``(value,
-    nbits)`` pairs (None for ⊥).  ``accepted_b`` and ``accepted_a`` are
-    the paths whose challenge and response copies were accepted (None
-    when no copy opened).  ``view`` is what the adversary learned: the
-    share of each path it saw, which is also all a disclosing adversary
-    could publish.
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SessionOutcome(_TrialRecord):
+    """Everything a trial records about one full session.
+
+    ``keys_equal`` is delta over the full n-bit keys; a final key has
+    test_bits - len(trash) bits.  The per-path copies hold the verbatim
+    wire payloads as ``(value, nbits)`` pairs (None for ⊥).
+    ``accepted_b`` and ``accepted_a`` are the paths whose challenge and
+    response copies were accepted (None when no copy opened).  ``view``
+    is what the adversary learned: the share of each path it saw, which
+    is also all a disclosing adversary could publish.
     """
 
-    result: int
-    result_prime: int
-    keys_equal: bool          # delta over the full n-bit keys
-    final_key_a: int | None   # test_bits - len(trash_a) bits
-    final_key_b: int | None
-    trash_a: frozenset | None
-    trash_b: frozenset | None
-    challenge_copies: tuple
-    response_copies: tuple
-    accepted_b: int | None
-    accepted_a: int | None
-    view: AdversaryView
+    __slots__ = ("result", "result_prime", "keys_equal", "final_key_a",
+                 "final_key_b", "trash_a", "trash_b", "challenge_copies",
+                 "response_copies", "accepted_b", "accepted_a", "view")
+
+    def __init__(self, result: int, result_prime: int, keys_equal: bool,
+                 final_key_a: int | None, final_key_b: int | None,
+                 trash_a: frozenset | None, trash_b: frozenset | None,
+                 challenge_copies: tuple, response_copies: tuple,
+                 accepted_b: int | None, accepted_a: int | None,
+                 view: AdversaryView):
+        self.result = result
+        self.result_prime = result_prime
+        self.keys_equal = keys_equal
+        self.final_key_a = final_key_a
+        self.final_key_b = final_key_b
+        self.trash_a = trash_a
+        self.trash_b = trash_b
+        self.challenge_copies = challenge_copies
+        self.response_copies = response_copies
+        self.accepted_b = accepted_b
+        self.accepted_a = accepted_a
+        self.view = view
 
     @property
     def identified_dishonest(self) -> frozenset:

@@ -27,14 +27,13 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
 from .adversary import (
     DEFAULT_STRATEGIES,
     EXACT_LIMIT_BITS,
-    AdversaryConfig,
     AdversaryView,
     corrupt,
     guessing_advantage,
@@ -50,23 +49,23 @@ from .errors import (
 from . import mac, protocol
 from .mac import impersonation_bound
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
-from .network import NetworkGraph, PathSet, QkdLink, vertex_disjoint_paths
-from .protocol import EVENTS, SecurityParams, deterministic_pa, full_session
+from .network import NetworkGraph, QkdLink, vertex_disjoint_paths
+from .protocol import (
+    EVENTS,
+    SecurityParams,
+    _TrialRecord,
+    deterministic_pa,
+    full_session,
+)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario",
+                          "name graph params adversary trials seed paths")):
     """A validated simulation configuration, with the ``ell`` disjoint
     paths every trial rides on; its endpoints ``a`` and ``b`` are the
     path set's."""
 
-    name: str
-    graph: NetworkGraph
-    params: SecurityParams
-    adversary: AdversaryConfig
-    trials: int
-    seed: int
-    paths: PathSet
+    __slots__ = ()
 
     @property
     def a(self) -> str:
@@ -248,21 +247,27 @@ def derive_trial_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(slots=True)
-class TrialResult:
-    """One deterministic trial record (slotted, unfrozen); ``emit_report``
-    writes every field."""
+class TrialResult(_TrialRecord):
+    """One deterministic trial record; ``emit_report`` writes every field."""
 
-    index: int
-    seed: int
-    result: int
-    result_prime: int
-    keys_equal: bool
-    succeeded: bool
-    final_key_len: int | None
-    trash_size: int | None
-    leaked_epochs: int
-    failure_tags: tuple
+    __slots__ = ("index", "seed", "result", "result_prime", "keys_equal",
+                 "succeeded", "final_key_len", "trash_size", "leaked_epochs",
+                 "failure_tags")
+
+    def __init__(self, index: int, seed: int, result: int, result_prime: int,
+                 keys_equal: bool, succeeded: bool, final_key_len: int | None,
+                 trash_size: int | None, leaked_epochs: int,
+                 failure_tags: tuple):
+        self.index = index
+        self.seed = seed
+        self.result = result
+        self.result_prime = result_prime
+        self.keys_equal = keys_equal
+        self.succeeded = succeeded
+        self.final_key_len = final_key_len
+        self.trash_size = trash_size
+        self.leaked_epochs = leaked_epochs
+        self.failure_tags = failure_tags
 
 
 #: The one trial generator, reseeded by every :func:`run_trial`.
@@ -408,35 +413,23 @@ def bounds_vacuous(agreement: float, privacy: float) -> bool:
     return agreement <= 0.0 or privacy >= 1.0
 
 
-@dataclass(frozen=True)
-class Stats:
-    """Aggregated Monte-Carlo estimate versus the analytic bounds."""
+class Stats(namedtuple("Stats", (
+        "trials successes empirical ci_low ci_high p_im agreement_bound "
+        "privacy_bound verdict degenerate events"))):
+    """Aggregated Monte-Carlo estimate versus the analytic bounds;
+    ``events`` counts the trials showing each of ``EVENTS``, in its
+    order."""
 
-    trials: int
-    successes: int
-    empirical: float
-    ci_low: float
-    ci_high: float
-    p_im: float
-    agreement_bound: float
-    privacy_bound: float
-    verdict: str
-    degenerate: bool
-    events: tuple       # trials showing each of ``EVENTS``, in its order
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
 
-@dataclass(frozen=True)
-class MonteCarloRun:
-    """A run of one scenario (by name) from its resolved master seed."""
-
-    stats: Stats
-    results: tuple
-    scenario: str
-    master_seed: int
+#: A run of one scenario (by name) from its resolved master seed.
+MonteCarloRun = namedtuple("MonteCarloRun",
+                           "stats results scenario master_seed")
 
 
 def aggregate(results, params: SecurityParams) -> Stats:
@@ -496,17 +489,11 @@ def run_monte_carlo(
 # --- exhaustive small-instance oracles ------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleCheck:
-    name: str
-    expected: str
-    observed: str
-    exact_match: bool
+OracleCheck = namedtuple("OracleCheck", "name expected observed exact_match")
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    checks: tuple
+class OracleReport(namedtuple("OracleReport", "checks")):
+    __slots__ = ()
 
     @property
     def all_exact(self) -> bool:
