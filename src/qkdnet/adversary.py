@@ -21,16 +21,12 @@ is which paths' shares it holds: the view maps each such path to the
 share the sender put on it.  Disclosure to an honest-but-curious party
 is reading the session's ``view``; there is no separate disclosure step.
 
-Privacy is measured by exact Bayesian enumeration: the advantage is the
-maximum posterior probability of any final key minus the uniform 2^-k.
-The key is the known shares' XOR ^ the XOR of the u unknown ones, and
-XOR by a constant only permutes the key histogram, so its peak depends
-on k and u alone: all 2^(u*k) completions are enumerated once per
-(k, u) and process, whatever the known shares are, in numpy blocks of
-at most 2^16 that each call builds afresh; the memo of peak counts is
-the only state kept.  There is no sampling fallback: an instance past the
-enumeration limit raises :class:`TooLarge`.  Only that enumeration
-imports numpy, so a session never loads it.
+Privacy is the advantage of a view at guessing the key, the XOR of
+every path's share: the maximum posterior probability of any key minus
+the uniform 2^-k.  The shares are independent and uniform, so one
+unknown share is a one-time pad on the rest (Shannon, BSTJ 1949): the
+advantage is exactly 0 while any share is unknown, and 1 - 2^-k once
+the view holds them all.
 
 Shares and messages are held as plain integers: a view's shares are
 ``view.share_bits`` wide.  ``AdversaryConfig()`` is the empty adversary
@@ -41,13 +37,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     BoundExceeded,
     EndpointCorruption,
     OutOfRange,
-    TooLarge,
     ValidationError,
 )
 from .network import NetworkGraph
@@ -82,6 +76,8 @@ class AdversaryConfig(
             if s not in STRATEGIES:
                 raise ValidationError(f"unknown strategy {s!r}")
         return self
+
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__ too
 
 
 def corrupt(
@@ -164,61 +160,14 @@ class ScriptedAdversary:
         self.view.record_share(path_index, value)
 
 
-#: Exhaustive enumeration limits: u unknown shares of k bits are
-#: enumerated when k <= 16 and u*k <= EXACT_LIMIT_BITS.
-EXACT_LIMIT_BITS = 20
-#: Assignments per numpy block (2^16 values).
-_BLOCK_BITS = 16
-
-
-@lru_cache(maxsize=None)
-def _peak_count(key_len: int, unknown: int) -> int:
-    """The largest number of the 2^(unknown*key_len) assignments of
-    ``unknown`` key_len-bit shares that XOR to one key.
-
-    Enumerates every assignment in blocks of at most 2^``_BLOCK_BITS``,
-    each in fresh arrays: a block XOR-folds the ``unknown`` key_len-bit
-    chunks of its assignments into keys and adds the histogram of those
-    keys to a running count.  The known shares' XOR is left out: it only
-    permutes the histogram, so it cannot change the peak.
-    :func:`guessing_advantage` bounds the arguments (key_len <= 16,
-    unknown*key_len <= ``EXACT_LIMIT_BITS``), so the memo, the only
-    state kept between calls, holds at most 62 ints.
-    """
-    import numpy as np
-
-    bits = unknown * key_len
-    block = 1 << min(bits, _BLOCK_BITS)
-    counts = 0
-    for start in range(0, 1 << bits, block):
-        # intp, the index type bincount reads without a slow cast
-        keys = np.arange(start, start + block, dtype=np.intp)
-        # XOR in the keys shifted by key_len, 2*key_len, 4*key_len, ...:
-        # each becomes a ^ (a >> key_len) ^ (a >> 2*key_len) ^ ... over
-        # every chunk of its assignment a, whose low key_len bits are
-        # the chunks' XOR
-        shift = key_len
-        while shift < bits:
-            keys ^= keys >> shift
-            shift *= 2
-        keys &= (1 << key_len) - 1
-        counts = counts + np.bincount(keys, minlength=1 << key_len)
-    return int(counts.max())
-
-
 def guessing_advantage(view: AdversaryView) -> Fraction:
     """Exact advantage of ``view`` at guessing the XOR of all path shares.
 
-    The key is ``key_len = view.share_bits`` bits wide, and u shares are
-    unknown.  The key is the known shares' XOR ^ the unknown shares'
-    XOR; XOR by that constant is a bijection on the keys, so the peak of
-    the key histogram over all 2^(u*key_len) assignments is that of the
-    unknown shares alone, :func:`_peak_count` (key_len, u), enumerated
-    once per process.  Every assignment is counted.
-    Returns the maximum posterior probability minus 2^-key_len as a
-    Fraction; 0 means perfect privacy.  There is no estimate: raises
-    :class:`TooLarge` when key_len > 16 or u*key_len >
-    ``EXACT_LIMIT_BITS``, and :class:`OutOfRange` before any enumeration
+    The key is ``key_len = view.share_bits`` bits wide.  While a share
+    is unknown it pads the known shares' XOR (Shannon, BSTJ 1949), so
+    every key stays equally likely and the advantage is 0; a view that
+    holds every share knows the key, advantage 1 - 2^-key_len.  Returns
+    a Fraction; 0 means perfect privacy.  Raises :class:`OutOfRange`
     when the view's share width or path count is not an int (bools are
     refused), its shares are narrower than one bit or its path count is
     negative, or when a known share or its path index is not an int, the
@@ -240,14 +189,6 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
                 f"known share {share!r} on path {i!r} does not fit the "
                 f"view's {view.n_paths} paths of {key_len}-bit int shares"
             )
-    unknown = view.n_paths - len(view.learned_shares)
-
-    uniform = Fraction(1, n_keys)
-    if unknown == 0:
-        return Fraction(1) - uniform
-    bits = unknown * key_len
-    if key_len > 16 or bits > EXACT_LIMIT_BITS:
-        raise TooLarge(
-            f"{unknown} unknown shares of {key_len} bits exceed exact mode"
-        )
-    return Fraction(_peak_count(key_len, unknown), 1 << bits) - uniform
+    if len(view.learned_shares) < view.n_paths:
+        return Fraction(0)
+    return 1 - Fraction(1, n_keys)

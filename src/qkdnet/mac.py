@@ -326,6 +326,8 @@ class MacKey(namedtuple("MacKey", "material")):
             )
         return self
 
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__ too
+
     @property
     def word_bits(self) -> int:
         return self.material.length // 2

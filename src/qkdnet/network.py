@@ -51,6 +51,8 @@ class QkdLink(namedtuple("QkdLink", "a b distance_km epsilon alive")):
             raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         return self
 
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__ too
+
     @property
     def key(self) -> tuple[NodeId, NodeId]:
         """Canonical (sorted) endpoint pair identifying this link."""
@@ -109,6 +111,8 @@ class PathSet(namedtuple("PathSet", "a b paths")):
                 )
             seen_internal |= interior
         return self
+
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__ too
 
     def __len__(self):
         return len(self.paths)

@@ -106,6 +106,8 @@ class SecurityParams(namedtuple("SecurityParams", "n s m ell epsilon")):
                 f"be <= {MAX_DRAW_BITS} bits")
         return self
 
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__ too
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}")
 

@@ -33,7 +33,6 @@ from pathlib import Path
 
 from .adversary import (
     DEFAULT_STRATEGIES,
-    EXACT_LIMIT_BITS,
     AdversaryView,
     corrupt,
     guessing_advantage,
@@ -505,6 +504,14 @@ class OracleReport(namedtuple("OracleReport", "checks")):
             yield f"{c.name}: expected {c.expected}, observed {c.observed} [{status}]"
 
 
+#: Exhaustive tables stop at 2^20 parity vectors, tuples or count cells.
+EXACT_LIMIT_BITS = 20
+#: Entries per numpy block of those tables (128 KiB of int64): larger
+#: per-call arrays are mapped afresh by the allocator on every oracle
+#: pass, ~200 page faults a pass.
+_BLOCK_BITS = 14
+
+
 def _check_parity_args(key_bits: int, m: int, diff: int) -> None:
     """Both parity oracles' argument checks; ``diff`` is tested by its bit
     length, so no 2^key_bits integer is built."""
@@ -539,10 +546,11 @@ def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Frac
     """Literal enumeration over all (2^key_bits)^m challenge tuples.
 
     Every tuple is materialised as one integer of m key_bits-bit chunks,
-    and each chunk is parity-tested against ``diff``: the chunks' popcounts
-    are ORed, so a tuple misses when the low bit of the OR is clear,
-    i.e. when every chunk has even parity: an independent check of the
-    m-th power :func:`parity_miss_rate_exact` takes.  Raises
+    2^``_BLOCK_BITS`` tuples at a time, and each chunk is parity-tested
+    against ``diff``: the chunks' popcounts are ORed, so a tuple misses
+    when the low bit of the OR is clear, i.e. when every chunk has even
+    parity: an independent check of the m-th power
+    :func:`parity_miss_rate_exact` takes.  Raises
     :class:`TooLarge` past 2^``EXACT_LIMIT_BITS`` tuples and
     :class:`ValidationError` as :func:`parity_miss_rate_exact` does.
     """
@@ -553,12 +561,16 @@ def parity_miss_rate_tuple_enumeration(key_bits: int, m: int, diff: int) -> Frac
     import numpy as np
 
     total = 1 << (key_bits * m)
-    tuples = np.arange(total, dtype=np.uint32)
+    block = min(total, 1 << _BLOCK_BITS)
     test = np.uint32(diff)
-    odd = np.zeros(total, dtype=np.uint8)
-    for j in range(m):
-        odd |= np.bitwise_count((tuples >> np.uint32(j * key_bits)) & test)
-    return Fraction(total - int(np.count_nonzero(odd & np.uint8(1))), total)
+    misses = 0
+    for start in range(0, total, block):
+        tuples = np.arange(start, start + block, dtype=np.uint32)
+        odd = np.zeros(block, dtype=np.uint8)
+        for j in range(m):
+            odd |= np.bitwise_count((tuples >> np.uint32(j * key_bits)) & test)
+        misses += block - int(np.count_nonzero(odd & np.uint8(1)))
+    return Fraction(misses, total)
 
 
 def dpa_uniformity_exact(key_bits: int, *configs) -> bool:
@@ -583,8 +595,8 @@ def dpa_uniformity_exact(key_bits: int, *configs) -> bool:
     must keep key_bits + m <= ``EXACT_LIMIT_BITS`` (20): past it,
     :class:`TooLarge` is raised before any table is built, as
     :class:`ValidationError` is for negative key_bits.  The
-    configurations are counted in chunks of at most
-    2^``EXACT_LIMIT_BITS`` cells.
+    configurations are counted in chunks of at most 2^``_BLOCK_BITS``
+    cells, or one configuration per chunk where it needs more.
     """
     if key_bits < 0:
         raise ValidationError(f"key_bits must be >= 0, got {key_bits}")
@@ -597,7 +609,7 @@ def dpa_uniformity_exact(key_bits: int, *configs) -> bool:
 
     most = max(map(len, configs), default=0)
     keys = np.arange(1 << key_bits, dtype=np.uint64)
-    per_table = (1 << EXACT_LIMIT_BITS) >> (most + key_bits)
+    per_table = max(1, (1 << _BLOCK_BITS) >> (most + key_bits))
     return all(_uniform_rows(keys, key_bits, most,
                              configs[start:start + per_table])
                for start in range(0, len(configs), per_table))
@@ -633,8 +645,8 @@ def _uniform_rows(keys, key_bits: int, most: int, configs) -> bool:
 
 #: Most shares :func:`share_privacy_exact` checks: ell guessing_advantage
 #: calls, each after ell - 1 recorded shares, took 0.16-0.19 s at 16-bit
-#: and at 6-bit shares at the limit, one enumeration and the rest building
-#: and checking the views (2-vCPU Xeon, Python 3.11).
+#: and at 6-bit shares at the limit, nearly all of it building and
+#: checking the views (2-vCPU Xeon, Python 3.11).
 SHARE_PRIVACY_LIMIT = 1024
 
 
@@ -748,10 +760,12 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 25,
     There is no size rule of its own: an instance too large for one
     oracle raises that oracle's :class:`TooLarge` before its table is
     built (more than :data:`SHARE_PRIVACY_LIMIT` paths, before any share
-    is drawn; shares past 16 bits in :func:`guessing_advantage`; more
-    than 2^``EXACT_LIMIT_BITS`` parity vectors or uniformity cells; a
-    forgery game past :data:`FORGERY_TABLE_LIMIT`).  The parity tuple
-    check runs when test_bits * m <= ``EXACT_LIMIT_BITS``.
+    is drawn; more than 2^``EXACT_LIMIT_BITS`` parity vectors or
+    uniformity cells; a forgery game past :data:`FORGERY_TABLE_LIMIT`).
+    Share privacy has no width limit: :func:`guessing_advantage` is the
+    one-time pad's closed form (Shannon, BSTJ 1949), exact at any n.
+    The parity tuple check runs when test_bits * m <=
+    ``EXACT_LIMIT_BITS``.
     ``dpa_configs`` that is not an int (bools are refused) or lies
     outside 0..``MAX_DPA_CONFIGS`` raises :class:`ValidationError` before
     any work.
@@ -766,8 +780,8 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 25,
     checks = []
 
     # (a) share privacy (XOR sharing leaves any ell-1 shares useless);
-    # the known shares only permute the key histogram, so one share set
-    # answers for all
+    # the advantage does not depend on the known shares' values, so one
+    # share set answers for all
     _check_share_count(params.ell)
     ok = share_privacy_exact(
         params.n, [rng.getrandbits(params.n) for _ in range(params.ell)])

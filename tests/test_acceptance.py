@@ -17,7 +17,9 @@
 5. Privacy after disclosure: forge_auth at ell=3, t=1, with the
    adversary's whole view (its ``learned_shares``) disclosed to every
    honest path: the adversary's and every honest path's exact advantage
-   is 0.
+   is 0.  At full width, on the criterion-3 documents (n = 64): relay
+   a1's view has advantage exactly 0 in every session, and with every
+   link at epsilon = 1 every share leaks, advantage exactly 1 - 2^-64.
 6. MAC bound: exhaustive forgery success <= L/2^w for one block at
    w <= 6 and two blocks at w = 5; the two-message game on the
    session's own key split (``_key_parts``) <= p_im by enumeration at
@@ -302,6 +304,40 @@ class TestCriterion5PrivacyUnderDisclosure:
                 assert res == Fraction(0)
         print("\n[criterion 5] PASS: adversary and honest-path advantages "
               "exactly 0 under full disclosure")
+
+
+class TestCriterion5FullWidth:
+    SEEDS = range(200)
+    STRATEGIES = TestCriterion3AgreementBound.STRATEGIES
+
+    @staticmethod
+    def sessions(doc):
+        sc = load_scenario(doc)
+        assert sc.params.n == 64
+        for seed in TestCriterion5FullWidth.SEEDS:
+            yield full_session(sc.graph, sc.paths, sc.params, sc.adversary,
+                               random.Random(seed))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_relay_view_has_advantage_zero(self, strategy, ell):
+        # a1's path sorts first: the view holds its 64-bit share and no
+        # other, so the key stays one-time padded
+        doc = TestCriterion3AgreementBound.doc(strategy, ell)
+        for out in self.sessions(doc):
+            assert list(out.view.learned_shares) == [0]
+            assert guessing_advantage(out.view) == 0
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_every_leaked_share_reveals_the_key(self, ell):
+        doc = TestCriterion3AgreementBound.doc("passive", ell)
+        for link in doc["links"]:
+            link["epsilon"] = 1.0
+        for out in self.sessions(doc):
+            assert len(out.view.learned_shares) == ell
+            assert guessing_advantage(out.view) == 1 - Fraction(1, 1 << 64)
+        print(f"\n[criterion 5] PASS: ell={ell}, n=64, "
+              f"{len(self.SEEDS)} sessions per document")
 
 
 class TestCriterion6MacBound:

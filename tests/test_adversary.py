@@ -1,11 +1,7 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet.adversary import (
-    EXACT_LIMIT_BITS,
     AdversaryConfig,
     AdversaryView,
     ScriptedAdversary,
-    _peak_count,
     corrupt,
     guessing_advantage,
 )
@@ -25,13 +19,10 @@ from qkdnet.errors import (
     BoundExceeded,
     EndpointCorruption,
     OutOfRange,
-    TooLarge,
     ValidationError,
 )
 from qkdnet.network import NetworkGraph, PathSet, QkdLink
 from qkdnet.protocol import SecurityParams, _link_plan, full_session
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def two_chains_graph():
@@ -218,19 +209,22 @@ class TestGuessingAdvantage:
         view.record_share(2, 15)
         assert guessing_advantage(view) == 0
 
-    def test_too_large_when_exact_required(self):
+    def test_wide_view_without_shares_is_zero(self):
         view = AdversaryView(n_paths=2, share_bits=24)
-        with pytest.raises(TooLarge):
-            guessing_advantage(view)
+        assert guessing_advantage(view) == 0
 
-    @pytest.mark.parametrize("bits,unknown", [(17, 1), (11, 2), (7, 3), (3, 7)])
-    def test_past_exact_limit_raises_too_large(self, bits, unknown):
-        # key_len > 16, or u * key_len > EXACT_LIMIT_BITS (20): no
-        # sampling fallback, the call raises.
+    @pytest.mark.parametrize("bits,unknown", [(17, 1), (11, 2), (7, 3), (3, 7),
+                                              (64, 1), (256, 2)])
+    def test_wide_views_take_the_closed_form(self, bits, unknown):
+        # 2^(unknown * bits) share assignments, up to the session's n =
+        # 256: exactly 0 while a share is unknown (a one-time pad on the
+        # rest), 1 - 2^-bits once the view holds every share
         view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
         view.record_share(0, (1 << bits) - 1)
-        with pytest.raises(TooLarge):
-            guessing_advantage(view)
+        assert guessing_advantage(view) == 0
+        for i in range(1, unknown + 1):
+            view.record_share(i, i)
+        assert guessing_advantage(view) == 1 - Fraction(1, 1 << bits)
 
     @pytest.mark.parametrize("bits,ell", [(4, 2), (6, 2), (4, 3), (8, 3)])
     def test_any_missing_share_exact_zero_exhaustive(self, bits, ell):
@@ -248,8 +242,8 @@ class TestGuessingAdvantage:
 
 
 def advantage_reference(view, key_len):
-    """Per-assignment enumeration: the scalar loop the vectorised
-    ``guessing_advantage`` replaced."""
+    """Per-assignment enumeration: the independent reference for
+    ``guessing_advantage``'s closed form."""
     known = [view.learned_shares.get(i) for i in range(view.n_paths)]
     unknown = sum(1 for share in known if share is None)
     base = 0
@@ -311,84 +305,17 @@ class TestGuessingAdvantageEnumeration:
         (16, 1, 1), (16, 1, 2), (12, 1, 1), (9, 2, 1),
     ])
     def test_wide_keys_match_per_assignment_loop(self, key_len, unknown, known):
-        # past the strategy's key_len <= 8: one unknown share is one
-        # block of 2^key_len assignments, and two 9-bit unknowns are 18
-        # bits, four 2^16 blocks
+        # past the strategy's key_len <= 8: the reference loop counts
+        # up to 2^18 assignments
         rng = random.Random(key_len * 4 + known)
         view = AdversaryView(n_paths=known + unknown, share_bits=key_len)
         for i in range(known):
             view.record_share(i, rng.randrange(1, 1 << key_len))
         assert guessing_advantage(view) == advantage_reference(view, key_len)
 
-    def test_every_block_folds_its_own_assignments(self, monkeypatch):
-        # 2^20 assignments are 16 blocks.  Each block's histogram is flat,
-        # so a keys buffer refilled for the first block only still gives
-        # advantage 0 and a flat sum: compare the keys each block counts
-        # with an independent fold of that block's assignments.  The
-        # known share only permutes the keys, so the enumeration leaves
-        # it out; the memo is cleared so that this call enumerates.
-        blocks = []
-        real = np.bincount
-
-        def record(keys, minlength=0):
-            blocks.append(keys.copy())
-            return real(keys, minlength=minlength)
-
-        monkeypatch.setattr(np, "bincount", record)
-        _peak_count.cache_clear()
-        key_len = 10
-        view = AdversaryView(n_paths=3, share_bits=key_len)
-        view.record_share(1, 0b1011001110)
-        assert guessing_advantage(view) == Fraction(0)
-        assert len(blocks) == 16
-        for i, keys in enumerate(blocks):
-            a = np.arange(i << 16, (i + 1) << 16, dtype=np.int64)
-            folded = (a & (1 << key_len) - 1) ^ (a >> key_len)
-            assert np.array_equal(keys, folded), f"block {i}"
-
-    @pytest.mark.parametrize("key_len,unknown", [(6, 3), (5, 4), (4, 5),
-                                                 (2, 7), (1, 20)])
-    def test_blocks_fold_every_chunk(self, key_len, unknown, monkeypatch):
-        # the histogram is flat however many chunks a fold drops, so
-        # compare the keys each block counts with the XOR of all of its
-        # assignments' chunks
-        blocks = []
-        real = np.bincount
-
-        def record(keys, minlength=0):
-            blocks.append(keys.copy())
-            return real(keys, minlength=minlength)
-
-        monkeypatch.setattr(np, "bincount", record)
-        _peak_count.cache_clear()
-        _peak_count(key_len, unknown)
-        a = np.arange(1 << (unknown * key_len), dtype=np.int64)
-        folded = np.zeros_like(a)
-        for j in range(unknown):
-            folded ^= (a >> (j * key_len)) & ((1 << key_len) - 1)
-        assert np.array_equal(np.concatenate(blocks), folded)
-
-    @pytest.mark.parametrize("bits,unknown", [(10, 2), (5, 4), (4, 5)])
-    def test_peak_memory_is_one_block(self, bits, unknown):
-        # 2^20 assignments: the whole table as uint32 would be 4 MiB;
-        # blocks of 2^16 keep the numpy buffers near 1.0 MiB (one
-        # 512 KiB intp block of keys and its shifted copy).
-        view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
-        view.record_share(0, (1 << bits) - 1)
-        _peak_count.cache_clear()
-        tracemalloc.start()
-        try:
-            res = guessing_advantage(view)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert res == Fraction(0)
-        assert peak < 2 << 20
-
     def test_back_to_back_enumerations_match_reference(self):
-        # enumerations of every block size, key length and unknown count
-        # in a row, either side of a TooLarge, each match the scalar
-        # loop; the memo is cleared so that both passes enumerate
+        # views of many key lengths and unknown counts in a row, either
+        # side of a 17-bit view, each match the scalar loop
         rng = random.Random(11)
         views = []
         for key_len, unknown, known in [(8, 2, 1), (4, 4, 0), (16, 1, 1),
@@ -398,21 +325,18 @@ class TestGuessingAdvantageEnumeration:
             for i in range(known):
                 view.record_share(i, rng.getrandbits(key_len))
             views.append(view)
-        _peak_count.cache_clear()
         for view in views:
             assert guessing_advantage(view) == advantage_reference(
                 view, view.share_bits)
-        with pytest.raises(TooLarge):
-            guessing_advantage(AdversaryView(n_paths=2, share_bits=17))
-        _peak_count.cache_clear()
+        assert guessing_advantage(AdversaryView(n_paths=2, share_bits=17)) == 0
         for view in reversed(views):
             assert guessing_advantage(view) == advantage_reference(
                 view, view.share_bits)
 
     @pytest.mark.parametrize("bits,unknown", [(8, 2), (5, 4), (10, 2)])
     def test_warm_call_allocates_no_block(self, bits, unknown):
-        # the memo answers a warm call, so its peak stays below one
-        # 2^16 block of uint32 (256 KiB)
+        # the closed form builds no table: a call's peak stays below
+        # one 2^16 block of uint32 (256 KiB)
         view = AdversaryView(n_paths=unknown + 1, share_bits=bits)
         view.record_share(0, 1)
         guessing_advantage(view)
@@ -424,64 +348,6 @@ class TestGuessingAdvantageEnumeration:
             tracemalloc.stop()
         assert res == Fraction(0)
         assert peak < 1 << 18
-
-    def test_peak_count_of_every_admissible_shape(self):
-        # u unknown k-bit shares XOR to each key in 2^((u-1)k) ways, for
-        # every (k, u) guessing_advantage admits; the memo is cleared so
-        # that each shape enumerates
-        _peak_count.cache_clear()
-        shapes = [(k, u) for k in range(1, 17) for u in range(1, 21)
-                  if u * k <= EXACT_LIMIT_BITS]
-        assert len(shapes) == 62
-        for k, u in shapes:
-            assert _peak_count(k, u) == 2 ** ((u - 1) * k), (k, u)
-        assert _peak_count.cache_info().misses == 62
-
-
-THREAD_PROBE = """
-import random, sys, threading
-from qkdnet.adversary import AdversaryView, _peak_count, guessing_advantage
-sys.setswitchinterval(1e-6)
-shapes = [(16, 1), (10, 2), (8, 2), (5, 4), (4, 5), (2, 8), (12, 1), (1, 20)]
-wrong = []
-
-def work(barrier, rng):
-    order = shapes[:]
-    rng.shuffle(order)
-    barrier.wait()
-    for key_len, unknown in order:
-        view = AdversaryView(unknown + 1, key_len)
-        view.record_share(0, rng.getrandbits(key_len))
-        if guessing_advantage(view) != 0:
-            wrong.append((key_len, unknown))
-
-for r in range(30):
-    _peak_count.cache_clear()
-    barrier = threading.Barrier(4)
-    threads = [threading.Thread(target=work,
-                                args=(barrier, random.Random(4 * r + t)))
-               for t in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(60)
-        assert not t.is_alive()
-print(len(wrong))
-"""
-
-
-def test_threads_share_no_enumeration_state():
-    # 4 threads (more than the cores CI has) enumerate 8 shapes at once
-    # over a cleared memo, 30 times; every view has an unknown share, so
-    # every answer is exactly 0.  A subprocess, so that a crashed
-    # interpreter fails this test only.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == "0\n"
 
 
 def honest_view(own_index, own_share, disclosed):

@@ -275,7 +275,9 @@ class TestOracle:
     ], ids=["defaults"])
     def test_stdout_pinned(self, digest, capsys):
         # sha256 of the whole report, recorded from the per-row uniformity
-        # loop and the per-block fold of every guessing_advantage call
+        # loop and an enumeration of every share assignment; the one-time
+        # pad's closed form (Shannon, BSTJ 1949), advantage 0 while any
+        # share is unknown, prints the same share-privacy row
         assert main(["oracle"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -385,6 +387,7 @@ def test_no_command_loads_scipy():
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from qkdnet.cli import main
+from qkdnet.adversary import AdversaryView, guessing_advantage
 from qkdnet.bits import BitString
 from qkdnet.mac import MacKey, _tag_value, tag
 scenario = "demos/scenarios/two_chains.json"
@@ -400,6 +403,11 @@ for w in range(8, 0, -1):
     value = tag(MacKey(BitString.from_int(key, 2 * w)), message).value
     same = value == _tag_value(w, key, message.value, message.length)
     seen.append([f"tag w={w}", 0 if same else 1, "numpy" in sys.modules])
+view = AdversaryView(2, 64)
+view.record_share(0, (1 << 64) - 1)
+advantage = guessing_advantage(view)
+seen.append(["advantage n=64", 0 if advantage == 0 else str(advantage),
+             "numpy" in sys.modules])
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(argv)
@@ -411,8 +419,9 @@ print(json.dumps(seen))
 def test_numpy_loads_only_for_a_numpy_kernel(tmp_path):
     # every w <= 8 multiplies through multiplication rows built in pure
     # Python (the log/antilog tables, which need numpy, serve only
-    # 9 <= w <= 16); the oracle row shows that the probe sees numpy
-    # once it loads
+    # 9 <= w <= 16), and the privacy figure is the one-time pad's
+    # closed form at any width; the oracle row shows that the probe
+    # sees numpy once it loads
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -423,7 +432,7 @@ def test_numpy_loads_only_for_a_numpy_kernel(tmp_path):
     assert json.loads(proc.stdout) == [
         ["import", 0, False],
         *([f"tag w={w}", 0, False] for w in range(8, 0, -1)),
-        ["bounds", 0, False],
+        ["advantage n=64", 0, False], ["bounds", 0, False],
         ["paths", 0, False], ["run", 0, False], ["oracle", 0, True],
     ]
 

@@ -22,6 +22,7 @@ import pytest
 import qkdnet
 from qkdnet.adversary import AdversaryConfig, AdversaryView
 from qkdnet.bits import BitString
+from qkdnet.errors import OutOfRange, ParameterViolation, ValidationError
 from qkdnet.mac import MacKey
 from qkdnet.network import NetworkGraph, PathSet, QkdLink
 from qkdnet.protocol import SecurityParams, SessionOutcome
@@ -89,6 +90,8 @@ OTHER = {
 }
 PER_TRIAL = (SessionOutcome, TrialResult)
 IMMUTABLE = [cls for cls in FIELDS if cls not in PER_TRIAL]
+#: The value types whose constructor checks its fields.
+VALIDATED = (QkdLink, PathSet, SecurityParams, AdversaryConfig, MacKey)
 ids = [cls.__name__ for cls in FIELDS]
 
 
@@ -167,6 +170,42 @@ def test_per_trial_records_take_only_their_fields(cls):
     assert getattr(record, name) == 0
     with pytest.raises(AttributeError):
         record.unknown = 0
+
+
+@pytest.mark.parametrize("record,change,error", [
+    (QkdLink("a", "b"), dict(b="a"), ValidationError),
+    (PathSet("a", "b", (("a", "x", "b"), ("a", "b"))), dict(b="c"),
+     ValidationError),
+    (SecurityParams(64, 16, 4, 2), dict(s=3), ParameterViolation),
+    (AdversaryConfig(), dict(t_bound=-1), ValidationError),
+    (MacKey(BitString.from_int(0xA5, 8)),
+     dict(material=BitString.from_int(1, 3)), OutOfRange),
+], ids=[cls.__name__ for cls in VALIDATED])
+def test_replace_and_make_run_the_checks(record, change, error):
+    # _replace builds through _make; the named-tuple default of both
+    # skips __new__, and PathSet's len() counts paths, not fields
+    with pytest.raises(error):
+        record._replace(**change)
+    fields = [change.get(name, value)
+              for name, value in zip(record._fields, record)]
+    with pytest.raises(error):
+        type(record)._make(fields)
+
+
+@pytest.mark.parametrize("cls", VALIDATED, ids=[c.__name__ for c in VALIDATED])
+def test_valid_replace_and_make_equal_the_constructor(cls):
+    name, value = OTHER[cls]
+    changed = dict(FIELDS[cls], **{name: value})
+    replaced = cls(**FIELDS[cls])._replace(**{name: value})
+    made = cls._make(changed.values())
+    assert replaced == made == cls(**changed)
+    assert type(replaced) is type(made) is cls
+
+
+def test_replace_normalises_like_the_constructor():
+    config = AdversaryConfig()._replace(corrupted=["n1"], t_bound=1)
+    assert type(config.corrupted) is frozenset
+    assert config == AdversaryConfig(frozenset({"n1"}), 1)
 
 
 def test_path_set_length_counts_paths():

@@ -18,12 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet import protocol, sim
-from qkdnet.adversary import (
-    DEFAULT_STRATEGIES,
-    EXACT_LIMIT_BITS,
-    AdversaryConfig,
-    _peak_count,
-)
+from qkdnet.adversary import DEFAULT_STRATEGIES, AdversaryConfig
 from qkdnet.errors import (
     OutOfRange,
     ParameterViolation,
@@ -44,6 +39,7 @@ from qkdnet.protocol import (
 )
 from qkdnet.sim import (
     CONFIDENCE,
+    EXACT_LIMIT_BITS,
     MonteCarloRun,
     Stats,
     TrialResult,
@@ -991,20 +987,16 @@ class TestSharePrivacyOracle:
         assert calls == []
 
     def test_oracle_instance_enumerates_once(self, monkeypatch):
-        # the known shares only permute the key histogram, so the pass
-        # checks one share set: its 2 subsets are 2 views of one 16-bit
-        # unknown share, and one 2^16 enumeration answers both
+        # the advantage does not depend on the known shares' values, so
+        # the pass enumerates the subsets of one share set: its 2 subsets
+        # are 2 views of one 16-bit unknown share
         calls = []
         real = sim.guessing_advantage
         monkeypatch.setattr(sim, "guessing_advantage",
                             lambda view: calls.append(view) or real(view))
-        _peak_count.cache_clear()
         assert exact_oracles(SecurityParams(n=16, s=4, m=2, ell=2)).all_exact
-        assert len(calls) == 2
-        info = _peak_count.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        _peak_count(16, 1)
-        assert _peak_count.cache_info().misses == 1
+        assert [(len(v.learned_shares), v.n_paths, v.share_bits)
+                for v in calls] == [(1, 2, 16)] * 2
 
     def test_no_share_refused_before_any_view(self, monkeypatch):
         def build(*args, **kwargs):
@@ -1018,6 +1010,11 @@ class TestSharePrivacyOracle:
         # 1.5 lies inside [0, 16), and the check used to return True
         with pytest.raises(OutOfRange, match="share 1.5 on path 0 does not fit"):
             share_privacy_exact(4, [1.5, 2])
+
+    @pytest.mark.parametrize("n,ell", [(64, 2), (64, 3), (256, 2)])
+    def test_session_widths(self, n, ell):
+        rng = random.Random(n + ell)
+        assert share_privacy_exact(n, [rng.getrandbits(n) for _ in range(ell)])
 
     def test_one_share_is_private(self):
         # the empty subset knows nothing of the one share
@@ -1139,9 +1136,13 @@ class TestExactOracles:
         # paths fit every table
         assert exact_oracles(params, dpa_configs=2).all_exact
 
-    def test_wide_shares_refused_by_guessing_advantage(self):
-        with pytest.raises(TooLarge, match="of 17 bits"):
-            exact_oracles(SecurityParams(n=17, s=4, m=2, ell=2), dpa_configs=2)
+    def test_wide_shares_pass_share_privacy(self):
+        # the closed form has no width limit: 17-bit shares are checked
+        # like any others, and every other table of this instance fits
+        report = exact_oracles(SecurityParams(n=17, s=4, m=2, ell=2),
+                               dpa_configs=2)
+        assert report.all_exact
+        assert report.checks[0].name == "share_privacy(n=17, ell=2)"
 
     def test_many_vectors_refused_by_the_uniformity_table(self):
         # test_bits 12 + 11 vectors = 2^23 cells
