@@ -1,39 +1,23 @@
 """Multipath key establishment, key authentication, and deterministic
 privacy amplification.
 
-A session between two endpoints runs in four phases:
+A session is an imperative shell around a draw-free core.  The shell,
+:func:`full_session`, finds no paths itself: over the ``PathSet`` it is
+given it provisions the link pools, sends a fresh n-bit share along each
+path hop by hop (both ends XOR their shares into full keys; any ell-1
+controlled paths reveal nothing about the XOR) and draws the parity
+vectors.  The core, :func:`_authenticate`, makes every later decision
+and reaches the paths only through the shell's ``relay``.
 
-1. *Establish*: a fresh n-bit share rides each of the ell disjoint paths
-   hop-by-hop; both ends XOR their per-path shares into full keys.  Any
-   ell-1 controlled paths reveal nothing about the XOR.
-2. *Challenge*: the initiator splits her key into two MAC sub-keys (2s
-   bits total) and a remainder, draws m random parity vectors, and
-   broadcasts the vectors with their remainder parities plus a tag under
-   the first sub-key along every path.
-3. *Response*: the responder accepts the first path whose copy
-   authenticates under his first sub-key and checks every parity against
-   his own remainder; the one-bit verdict travels back tagged under the
-   second sub-key.  Differing keys slip through a parity check with
-   probability 2^-m per session.
-4. *Distill*: on mutual success both sides deterministically trash one
-   pivot bit per parity vector (no communication), cancelling the m
-   disclosed parity bits.
-
-The reserved MAC prefix is 2s bits (two independent sub-keys of s bits,
-one per direction), so the tested remainder has n - 2s bits.
-
-:func:`full_session` is the one implementation of a session: it runs
-over the ``PathSet`` it is given, finds no paths itself, and runs all
-four phases on plain integers: the XOR of the shares, the key parts
-from :func:`_key_parts` (first sub-key, second sub-key, remainder), the
-wire payloads of the challenge and the response, the parity vectors and
-the distilled final keys.  A value's width is fixed by the parameters
-(an n-bit key, test_bits-bit remainder and vectors) or travels beside
-it as ``nbits``; position 1 is the most significant bit.  The phase
-helpers ``_make_challenge``, ``_verify_challenge``, ``_make_response``
-and ``_verify_response`` take those integers and return plain tuples.
-The challenge message is built and parsed only by ``_encode_challenge``
-/ ``_decode_challenge``, and both authenticated messages travel in the
+Shares, keys, key parts (:func:`_key_parts`: first sub-key, second
+sub-key, remainder), wire payloads, parity vectors and final keys are
+plain integers.  A value's width is fixed by the parameters (an n-bit
+key, test_bits-bit remainder and vectors) or travels beside it as
+``nbits``; position 1 is the most significant bit.  The phase helpers
+``_make_challenge``, ``_verify_challenge``, ``_make_response`` and
+``_verify_response`` draw nothing and return plain tuples.  The
+challenge message is built and parsed only by ``_encode_challenge`` /
+``_decode_challenge``, and both authenticated messages travel in the
 one frame ``message || w-bit tag``, sealed only by ``_seal`` and opened
 only by ``_open_first``.  :class:`SessionOutcome` keeps the per-path
 copies of both messages; its ``transcript()`` renders them.
@@ -55,14 +39,17 @@ from .transport import LinkKeyPool, _classical_over, _forward_key_over
 #: Largest single ``random.getrandbits`` draw (its argument is a C int):
 #: the bound on ``ell`` and on a link's ``session_demand_bits``.
 MAX_DRAW_BITS = (1 << 31) - 1
+#: Largest MAC word size w = s/2: the first MAC call at a new w searches for
+#: a degree-w reduction polynomial, ~1 ms at w = 64 but 1.45 s at w = 256.
+MAX_WORD_BITS = 64
 
 
 class SecurityParams(namedtuple("SecurityParams", "n s m ell epsilon")):
     """Session parameters.
 
     n:       bits per path share and per full key
-    s:       MAC key bits per authenticated message (= 2w; s/2 is the
-             field word size, so tags are s/2 bits)
+    s:       MAC key bits per authenticated message (= 2w; w = s/2 is the
+             field word size and tag width, at most MAX_WORD_BITS)
     m:       number of parity challenges
     ell:     number of vertex-disjoint paths
     epsilon: per-key failure probability of link-generated keys, used in
@@ -82,8 +69,9 @@ class SecurityParams(namedtuple("SecurityParams", "n s m ell epsilon")):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParameterViolation(
                     f"{name} must be an integer, got {value!r}")
-        if self.s < 2 or self.s % 2:
-            raise ParameterViolation(f"s must be even and >= 2, got {self.s}")
+        if self.s < 2 or self.s % 2 or self.s > 2 * MAX_WORD_BITS:
+            raise ParameterViolation(f"s must be even and in [2, "
+                                     f"{2 * MAX_WORD_BITS}], got {self.s}")
         if self.ell < 2:
             raise ParameterViolation(f"ell must be >= 2, got {self.ell}")
         if 2 * self.s >= self.n:
@@ -189,17 +177,15 @@ def _parities(lambdas, key: int) -> list:
     return [(lam & key).bit_count() & 1 for lam in lambdas]
 
 
-def _make_challenge(auth_first: int, remainder: int, params: SecurityParams, rng):
-    """Draw m parity vectors (index order) against ``remainder``.
-
-    Returns the vectors as a tuple of test_bits-bit integers and the wire
-    copy of the challenge message sealed under ``auth_first``.
-    """
-    tb = params.test_bits
-    lambdas = tuple([rng.getrandbits(tb) for _ in range(params.m)])
-    message = _encode_challenge(lambdas, _parities(lambdas, remainder), tb)
-    return lambdas, _seal(auth_first, message, params.challenge_bits,
-                          params.word_bits)
+def _make_challenge(auth_first: int, remainder: int, lambdas,
+                    params: SecurityParams):
+    """Wire copy of the challenge for the parity vectors ``lambdas``
+    (test_bits-bit integers, index order) against ``remainder``, sealed
+    under ``auth_first``."""
+    message = _encode_challenge(lambdas, _parities(lambdas, remainder),
+                                params.test_bits)
+    return _seal(auth_first, message, params.challenge_bits,
+                 params.word_bits)
 
 
 def _verify_challenge(received, auth_first: int, remainder: int,
@@ -434,6 +420,44 @@ class SessionOutcome(_TrialRecord):
         return "\n".join(lines) + "\n"
 
 
+def _authenticate(key_a: int, key_b: int, lambdas: tuple, params: SecurityParams,
+                  relay, view: AdversaryView) -> SessionOutcome:
+    """Challenge, response and distillation on A's and B's full keys.
+
+    A splits her key into two MAC sub-keys (2s bits in all) and an
+    n - 2s bit remainder and sends the parity vectors ``lambdas`` with
+    her remainder's parities, tagged under her first sub-key.  B accepts
+    the first copy that opens under his first sub-key and checks each
+    parity against his remainder (differing keys slip through with
+    probability 2^-m); his one-bit verdict returns tagged under his
+    second sub-key.  Each end that accepts trashes one pivot bit per
+    vector it holds (:func:`deterministic_pa`), cancelling the m
+    disclosed parities.  Draws nothing: ``relay(kind, copy)`` returns the
+    per-path copies (None if dropped) the other end receives of the
+    ``"challenge"`` or ``"response"`` copy; ``view`` goes to the outcome.
+    """
+    first_a, second_a, rem_a = _key_parts(key_a, params)
+    first_b, second_b, rem_b = _key_parts(key_b, params)
+    challenge_copies = relay("challenge", _make_challenge(
+        first_a, rem_a, lambdas, params))
+    result, accepted_b, lambdas_b = _verify_challenge(
+        challenge_copies, first_b, rem_b, params)
+    response_copies = relay("response", _make_response(result, second_b, params))
+    result_prime, accepted_a = _verify_response(response_copies, second_a, params)
+    final_a = final_b = trash_a = trash_b = None
+    tb = params.test_bits
+    if result_prime == 1:
+        final_a, trash_a = deterministic_pa(rem_a, tb, lambdas)
+    if result == 1:
+        final_b, trash_b = deterministic_pa(rem_b, tb, lambdas_b)
+    # positional, in field order: keyword matching costs ~1 us a trial
+    return SessionOutcome(
+        result, result_prime, key_a == key_b, final_a, final_b,
+        trash_a, trash_b, challenge_copies, response_copies,
+        accepted_b, accepted_a, view,
+    )
+
+
 def full_session(
     graph: NetworkGraph,
     paths: PathSet,
@@ -441,8 +465,8 @@ def full_session(
     adversary: AdversaryConfig,
     rng,
 ) -> SessionOutcome:
-    """Run establish, challenge, response, and distillation once over
-    ``paths``, whose endpoints ``a`` and ``b`` are the session's ends.
+    """Establish keys over ``paths``, whose endpoints ``a`` and ``b``
+    are the session's ends, then run :func:`_authenticate` on them.
 
     ``paths`` must hold exactly ``params.ell`` paths, else
     :class:`ParameterViolation` is raised before any draw.
@@ -450,9 +474,7 @@ def full_session(
     epochs in path/hop order, then per-path shares, then the parity
     vectors, with adversary draws interleaved at interception points),
     so a seeded generator reproduces the trial bit-for-bit.  Protocol
-    failures surface as result=0 outcomes, never exceptions.  Shares,
-    keys, key parts, wire payloads, parity vectors and the final keys
-    are all integers.
+    failures surface as result=0 outcomes, never exceptions.
 
     Every session runs one :class:`ScriptedAdversary`; the empty
     ``AdversaryConfig()`` (no corrupted node, t=0) draws nothing from
@@ -465,7 +487,6 @@ def full_session(
     interceptor = ScriptedAdversary(adversary, view, rng)
     hop_lists = provision_pools(graph, paths, adversary.corrupted,
                                 params.session_demand_bits, rng)
-
     w = params.word_bits
     n = params.n
     key_a = key_b = 0
@@ -473,36 +494,12 @@ def full_session(
         share = rng.getrandbits(n)
         key_a ^= share
         key_b ^= _forward_key_over(hops, share, n, w, interceptor, i)
-    first_a, second_a, rem_a = _key_parts(key_a, params)
-    first_b, second_b, rem_b = _key_parts(key_b, params)
+    # map, not a comprehension: no per-trial function or cells on 3.11
+    lambdas = tuple(map(rng.getrandbits, [params.test_bits] * params.m))
 
-    lambdas, (value, nbits) = _make_challenge(first_a, rem_a, params, rng)
-    challenge_copies = tuple([
-        _classical_over(hops, value, nbits, w, interceptor, i, "challenge")
-        for i, hops in enumerate(hop_lists)
-    ])
-    result, accepted_b, lambdas_b = _verify_challenge(
-        challenge_copies, first_b, rem_b, params)
+    def relay(kind, copy):
+        value, nbits = copy
+        return tuple([_classical_over(hops, value, nbits, w, interceptor, i, kind)
+                      for i, hops in enumerate(hop_lists)])
 
-    value, nbits = _make_response(result, second_b, params)
-    response_copies = tuple([
-        _classical_over(hops, value, nbits, w, interceptor, i, "response")
-        for i, hops in enumerate(hop_lists)
-    ])
-    result_prime, accepted_a = _verify_response(response_copies, second_a,
-                                                params)
-
-    final_a = final_b = None
-    trash_a = trash_b = None
-    tb = params.test_bits
-    if result_prime == 1:
-        final_a, trash_a = deterministic_pa(rem_a, tb, lambdas)
-    if result == 1:
-        final_b, trash_b = deterministic_pa(rem_b, tb, lambdas_b)
-
-    # positional, in field order: keyword matching costs ~1 us a trial
-    return SessionOutcome(
-        result, result_prime, key_a == key_b, final_a, final_b,
-        trash_a, trash_b, challenge_copies, response_copies,
-        accepted_b, accepted_a, view,
-    )
+    return _authenticate(key_a, key_b, lambdas, params, relay, view)

@@ -28,10 +28,11 @@ always delivered within the trial, which discretizes the
 eventual-delivery assumption.
 
 Interceptor contract.  Every session passes one interceptor, with or
-without corrupted nodes.  Payloads are plain integers of ``nbits``
-bits, first-sent bit most significant; a hook never changes the length.
-The two relay hooks are called only where a hop is marked corrupted,
-once per marked hop; an honest relay calls no hook.
+without corrupted nodes, and its core reaches :func:`_classical_over`
+only through the shell's ``relay``.  Payloads are plain integers of
+``nbits`` bits, first-sent bit most significant; a hook never changes
+the length.  The two relay hooks are called only where a hop is marked
+corrupted, once per marked hop; an honest relay calls no hook.
 
 * ``on_key_hop(path_index, value, nbits) -> int``: the share as the
   next hop will carry it.

@@ -135,7 +135,9 @@ class TestCriterion1ParityMissRate:
             diff = rng.randrange(1, 1 << 64)
             first_a, _, rem_a = _key_parts(key_a, params)
             first_b, _, rem_b = _key_parts(key_a ^ diff, params)
-            _, copy = _make_challenge(first_a, rem_a, params, rng)
+            lambdas = tuple([rng.getrandbits(params.test_bits)
+                             for _ in range(params.m)])
+            copy = _make_challenge(first_a, rem_a, lambdas, params)
             misses += _verify_challenge([copy], first_b, rem_b, params)[0]
         low, high = clopper_pearson(misses, trials)
         assert low <= 2.0 ** -8 <= high, (misses, low, high)

@@ -241,11 +241,20 @@ class TestGuessingAdvantage:
                 assert res == Fraction(0)
 
 
+#: Widest enumeration the reference runs (the widest example asks 18
+#: bits): a view that loses its shares fails at once instead of hanging.
+REFERENCE_LIMIT_BITS = 20
+
+
 def advantage_reference(view, key_len):
     """Per-assignment enumeration: the independent reference for
     ``guessing_advantage``'s closed form."""
     known = [view.learned_shares.get(i) for i in range(view.n_paths)]
     unknown = sum(1 for share in known if share is None)
+    if unknown * key_len > REFERENCE_LIMIT_BITS:
+        raise AssertionError(
+            f"{unknown} unknown {key_len}-bit shares: {unknown * key_len} "
+            f"bits exceed the reference's {REFERENCE_LIMIT_BITS}")
     base = 0
     for share in known:
         if share is not None:

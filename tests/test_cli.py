@@ -78,6 +78,13 @@ class TestBounds:
         assert captured.err.startswith("error: ") and message in captured.err
         assert "Traceback" not in captured.err
 
+    def test_word_size_past_the_bound_exits_2(self, capsys):
+        rc = main(["bounds", "--n", "512", "--s", "130", "--m", "4",
+                   "--ell", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: s must be even and in [2, 128], got 130\n"
+
     def test_w_option_is_gone(self, capsys):
         # w is s/2, so a --w flag could only repeat or contradict --s
         with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,7 @@ from qkdnet import protocol
 from qkdnet.adversary import (
     STRATEGIES,
     AdversaryConfig,
+    AdversaryView,
     ScriptedAdversary,
     corrupt,
     guessing_advantage,
@@ -30,6 +31,7 @@ from qkdnet.network import NetworkGraph, PathSet, QkdLink
 from qkdnet.protocol import (
     MAX_DRAW_BITS,
     SecurityParams,
+    _authenticate,
     _decode_challenge,
     _encode_challenge,
     _key_parts,
@@ -59,9 +61,14 @@ STD_CH = STD.challenge_bits + STD.word_bits
 STD_RESP = 1 + STD.word_bits
 
 
+def draw_vectors(params, rng):
+    """m parity vectors drawn as ``full_session`` draws them."""
+    return tuple([rng.getrandbits(params.test_bits) for _ in range(params.m)])
+
+
 def keyed_challenge(key, params, lambdas):
-    """Challenge payload with chosen parity vectors (same construction as
-    _make_challenge, with the random draw replaced)."""
+    """Challenge payload for chosen parity vectors, built without
+    _make_challenge."""
     first, _, remainder = _key_parts(key, params)
     tb = params.test_bits
     parities = [(lam & remainder).bit_count() & 1 for lam in lambdas]
@@ -131,7 +138,8 @@ class TestMakeChallenge:
         rng = random.Random(0)
         key = rng.getrandbits(8)
         first, _, remainder = _key_parts(key, TINY)
-        lambdas, copy = _make_challenge(first, remainder, TINY, rng)
+        lambdas = draw_vectors(TINY, rng)
+        copy = _make_challenge(first, remainder, lambdas, TINY)
         assert TINY.challenge_bits == 10
         assert copy[1] == 10 + TINY.word_bits
         assert 0 <= copy[0] < 1 << (10 + TINY.word_bits)
@@ -143,7 +151,8 @@ class TestMakeChallenge:
     def test_zero_remainder_gives_zero_parities(self):
         rng = random.Random(1)
         first, _, remainder = _key_parts(0b1011_0000, TINY)
-        _, (payload, _) = _make_challenge(first, remainder, TINY, rng)
+        lambdas = draw_vectors(TINY, rng)
+        payload, _ = _make_challenge(first, remainder, lambdas, TINY)
         _, parities = _decode_challenge(payload >> TINY.word_bits, 4, 2)
         assert parities == [0, 0]
 
@@ -155,7 +164,8 @@ class TestMakeChallenge:
     def test_parities_match_inner_products(self):
         rng = random.Random(2)
         first, _, remainder = _key_parts(rng.getrandbits(64), STD)
-        lambdas, (payload, _) = _make_challenge(first, remainder, STD, rng)
+        lambdas = draw_vectors(STD, rng)
+        payload, _ = _make_challenge(first, remainder, lambdas, STD)
         _, parities = _decode_challenge(payload >> STD.word_bits,
                                         STD.test_bits, STD.m)
         assert parities == [(lam & remainder).bit_count() & 1
@@ -164,7 +174,8 @@ class TestMakeChallenge:
     def test_encode_decode_round_trip(self):
         rng = random.Random(3)
         first, _, remainder = _key_parts(rng.getrandbits(64), STD)
-        lambdas, (payload, _) = _make_challenge(first, remainder, STD, rng)
+        lambdas = draw_vectors(STD, rng)
+        payload, _ = _make_challenge(first, remainder, lambdas, STD)
         message = payload >> STD.word_bits
         values, parities = _decode_challenge(message, STD.test_bits, STD.m)
         assert values == lambdas
@@ -173,7 +184,8 @@ class TestMakeChallenge:
     def test_split_payload_is_message_and_tag(self):
         rng = random.Random(3)
         first, _, remainder = _key_parts(rng.getrandbits(64), STD)
-        _, (payload, _) = _make_challenge(first, remainder, STD, rng)
+        lambdas = draw_vectors(STD, rng)
+        payload, _ = _make_challenge(first, remainder, lambdas, STD)
         w = STD.word_bits
         message, tag = payload >> w, payload & ((1 << w) - 1)
         assert message < 1 << STD.challenge_bits
@@ -185,7 +197,8 @@ class TestMakeChallenge:
         rng = random.Random(4)
         key = rng.getrandbits(64)
         first, second, remainder = _key_parts(key, STD)
-        lambdas, genuine = _make_challenge(first, remainder, STD, rng)
+        lambdas = draw_vectors(STD, rng)
+        genuine = _make_challenge(first, remainder, lambdas, STD)
         payload = genuine[0]
         for bad in ((payload >> 1, STD_CH - 1), (payload << 1, STD_CH + 1)):
             out = _verify_challenge([bad, genuine], first, remainder, STD)
@@ -204,7 +217,8 @@ class TestVerifyChallenge:
         rng = random.Random(4)
         key = rng.getrandbits(64)
         first, _, remainder = _key_parts(key, STD)
-        lambdas, copy = _make_challenge(first, remainder, STD, rng)
+        lambdas = draw_vectors(STD, rng)
+        copy = _make_challenge(first, remainder, lambdas, STD)
         out = _verify_challenge([copy, copy], first, remainder, STD)
         assert out == (1, 0, lambdas)
 
@@ -214,7 +228,8 @@ class TestVerifyChallenge:
         key_b = key_a ^ (1 << 63)  # flip a prefix bit
         first_a, _, rem_a = _key_parts(key_a, STD)
         first_b, _, rem_b = _key_parts(key_b, STD)
-        _, copy = _make_challenge(first_a, rem_a, STD, rng)
+        lambdas = draw_vectors(STD, rng)
+        copy = _make_challenge(first_a, rem_a, lambdas, STD)
         out = _verify_challenge([copy, copy], first_b, rem_b, STD)
         assert out == (0, None, None)
 
@@ -243,7 +258,8 @@ class TestVerifyChallenge:
         rng = random.Random(6)
         key = rng.getrandbits(64)
         first, _, remainder = _key_parts(key, STD)
-        lambdas, copy = _make_challenge(first, remainder, STD, rng)
+        lambdas = draw_vectors(STD, rng)
+        copy = _make_challenge(first, remainder, lambdas, STD)
         out = _verify_challenge([None, copy], first, remainder, STD)
         assert out == (1, 1, lambdas)
         out_all_dropped = _verify_challenge([None, None], first, remainder, STD)
@@ -253,7 +269,8 @@ class TestVerifyChallenge:
         rng = random.Random(7)
         key = rng.getrandbits(64)
         first, _, remainder = _key_parts(key, STD)
-        lambdas, genuine = _make_challenge(first, remainder, STD, rng)
+        lambdas = draw_vectors(STD, rng)
+        genuine = _make_challenge(first, remainder, lambdas, STD)
         forged = (rng.getrandbits(STD_CH), STD_CH)
         out = _verify_challenge([forged, genuine], first, remainder, STD)
         assert out == (1, 1, lambdas)
@@ -475,64 +492,101 @@ class TestDistillRunCopy:
 
 
 class TestIntegerSessionMatchesWrappers:
-    """``full_session`` gives the same payloads, verdicts, vectors and
-    final keys as its phase helpers called one at a time on the
-    session's keys and RNG state."""
+    """``full_session`` is establish plus its core: the outcome equals
+    ``_authenticate``'s on the session's keys and vectors, with a relay
+    that replays the session's copies."""
 
     @pytest.mark.parametrize("strategy", [
         None, "passive", "tamper_shares", "forge_auth", "drop_auth"])
     @pytest.mark.parametrize("seed", range(4))
     def test_same_bits(self, two_chains_graph, session_paths,
-                       forwarded_shares, monkeypatch, strategy, seed):
-        states = []
-        real = protocol._make_challenge
-
-        def spy(auth_first, remainder, params, rng):
-            states.append(rng.getstate())
-            return real(auth_first, remainder, params, rng)
-
-        monkeypatch.setattr(protocol, "_make_challenge", spy)
+                       forwarded_shares, strategy, seed):
         sent, received = forwarded_shares
         cfg = EMPTY if strategy is None else corrupt(
             two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
             strategies=(strategy,))
         out = full_session(two_chains_graph, session_paths(two_chains_graph, 2),
                            STD, cfg, random.Random(seed))
-        key_a = reduce(xor, sent)
-        key_b = reduce(xor, received)
-        first_a, second_a, rem_a = _key_parts(key_a, STD)
-        first_b, second_b, rem_b = _key_parts(key_b, STD)
-        challenges = out.challenge_copies
-        responses = out.response_copies
+        copies = {"challenge": out.challenge_copies,
+                  "response": out.response_copies}
+        # path 1 avoids n1: its copies are the ones each end sent
+        lambdas, _ = _decode_challenge(copies["challenge"][1][0] >> STD.word_bits,
+                                       STD.test_bits, STD.m)
 
-        rng = random.Random()
-        rng.setstate(states[0])
-        lambdas, copy = _make_challenge(first_a, rem_a, STD, rng)
-        assert challenges[1] == copy  # avoids n1
+        def replay(kind, copy):
+            assert copy == copies[kind][1]
+            return copies[kind]
 
-        result, accepted_b, lambdas_b = _verify_challenge(
-            challenges, first_b, rem_b, STD)
-        assert result == out.result
-        assert responses[1] == _make_response(result, second_b, STD)
-        result_prime, accepted_a = _verify_response(responses, second_a, STD)
-        assert result_prime == out.result_prime
-        # a path is dishonest when its copy differs from an accepted copy
-        identified = set()
-        for copies, accepted in ((challenges, accepted_b),
-                                 (responses, accepted_a)):
-            if accepted is not None:
-                identified |= {i for i, c in enumerate(copies)
-                               if c != copies[accepted]}
-        assert out.identified_dishonest == identified
-        assert out.keys_equal == (key_a == key_b)
+        core = _authenticate(reduce(xor, sent), reduce(xor, received),
+                             lambdas, STD, replay, out.view)
+        assert core == out
 
+
+def relay_of(substitutes=()):
+    """A relay built from data: every path delivers the copy sent, except
+    each ``(kind, path index): copy`` of ``substitutes`` (None drops)."""
+    substitutes = dict(substitutes)
+
+    def relay(kind, copy):
+        return tuple(substitutes.get((kind, i), copy) for i in range(STD.ell))
+    return relay
+
+
+class TestAuthenticate:
+    """The draw-free core on chosen keys, vectors and relayed copies."""
+
+    KEY = random.Random(42).getrandbits(STD.n)
+    LAMBDAS = (1 << 31, 1 << 30, 0b11, 0b101)
+    FIRST, SECOND, REM = _key_parts(KEY, STD)
+
+    def run(self, key_b, relay):
+        return _authenticate(self.KEY, key_b, self.LAMBDAS, STD, relay,
+                             AdversaryView(STD.ell, STD.n))
+
+    def test_honest_round_trip(self):
+        out = self.run(self.KEY, relay_of())
+        challenge = _make_challenge(self.FIRST, self.REM, self.LAMBDAS, STD)
+        assert out.challenge_copies == (challenge, challenge)
+        assert out.response_copies == (_make_response(1, self.SECOND, STD),) * 2
+        assert (out.result, out.result_prime) == (1, 1)
+        assert (out.accepted_b, out.accepted_a) == (0, 0)
+        distilled = deterministic_pa(self.REM, STD.test_bits, self.LAMBDAS)
+        assert (out.final_key_a, out.trash_a) == distilled
+        assert (out.final_key_b, out.trash_b) == distilled
+        assert out.succeeded and out.events == ()
+        assert out.identified_dishonest == frozenset()
+
+    def test_second_sub_keys_differ_so_a_rejects_the_response(self):
+        key_b = self.KEY ^ (1 << STD.test_bits)   # last bit of sub-key 2
+        assert _key_parts(key_b, STD)[::2] == (self.FIRST, self.REM)
+        out = self.run(key_b, relay_of())
+        assert (out.result, out.accepted_b) == (1, 0)
+        assert (out.result_prime, out.accepted_a) == (0, None)
+        assert out.final_key_a is None and out.trash_a is None
+        assert (out.final_key_b, out.trash_b) == deterministic_pa(
+            self.REM, STD.test_bits, self.LAMBDAS)
+        assert out.events == ("parity_miss", "response_mismatch")
+
+    def test_substitute_challenge_on_a_lower_path_sets_b_s_vectors(self):
+        # sealed under B's first sub-key, with other vectors whose
+        # parities match B's remainder: B accepts it on path 0 and
+        # distils with its vectors, A with her own
         tb = STD.test_bits
-        if out.result == 1:
-            assert deterministic_pa(rem_b, tb, lambdas_b) == (
-                out.final_key_b, out.trash_b)
-        if out.result_prime == 1:
-            assert deterministic_pa(rem_a, tb, lambdas) == (
-                out.final_key_a, out.trash_a)
+        key_b = self.KEY ^ 1                      # last remainder bit
+        first_b, _, rem_b = _key_parts(key_b, STD)
+        other = (1, 0b10, 0b100, 0b1000)
+        message = _encode_challenge(
+            other, [(v & rem_b).bit_count() & 1 for v in other], tb)
+        forged = _seal(first_b, message, STD.challenge_bits, STD.word_bits)
+        out = self.run(key_b, relay_of({("challenge", 0): forged}))
+        assert out.challenge_copies[0] == forged
+        assert (out.result, out.accepted_b) == (1, 0)
+        assert (out.result_prime, out.accepted_a) == (1, 0)
+        assert (out.final_key_b, out.trash_b) == deterministic_pa(rem_b, tb, other)
+        assert (out.final_key_a, out.trash_a) == deterministic_pa(
+            self.REM, tb, self.LAMBDAS)
+        assert out.trash_a != out.trash_b
+        assert out.identified_dishonest == frozenset({1})
 
 
 class TestMultipathEstablish:

@@ -29,6 +29,7 @@ from qkdnet.errors import (
 from qkdnet.network import PathSet, vertex_disjoint_paths
 from qkdnet.protocol import (
     EVENTS,
+    MAX_WORD_BITS,
     SecurityParams,
     SessionOutcome,
     _decode_challenge,
@@ -139,6 +140,18 @@ class TestLoadScenario:
         doc = two_chains_doc(params={"n": 64, "s": 16, "m": 4, "ell": 2, "w": 4})
         with pytest.raises(ValidationError, match="s = 2w"):
             load_scenario(doc)
+
+    @pytest.mark.parametrize("s", [130, 2**20])
+    def test_word_size_past_the_bound_refused(self, s):
+        # w = s/2 > 64: the first MAC call would search for a degree-w
+        # reduction polynomial (1.45 s at w = 256)
+        doc = two_chains_doc(params={"n": 2 * s + 8, "s": s, "m": 4, "ell": 2})
+        with pytest.raises(ValidationError, match=r"s must be even and in \[2, 128\]"):
+            load_scenario(doc)
+
+    def test_largest_word_size_loads(self):
+        doc = two_chains_doc(params={"n": 264, "s": 128, "m": 4, "ell": 2})
+        assert load_scenario(doc).params.word_bits == MAX_WORD_BITS == 64
 
     def test_missing_field(self):
         doc = two_chains_doc()
@@ -761,7 +774,9 @@ class TestParityOracles:
         # the oracle: the genuine challenge is rejected, every vector misses
         params = SecurityParams(n=16, s=4, m=2, ell=2)
         first, _, remainder = _key_parts(0xBEEF, params)
-        copy = _make_challenge(first, remainder, params, random.Random(3))[1]
+        rng = random.Random(3)
+        lambdas = tuple([rng.getrandbits(params.test_bits) for _ in range(params.m)])
+        copy = _make_challenge(first, remainder, lambdas, params)
         _, parities = _decode_challenge(copy[0] >> params.word_bits,
                                         params.test_bits, params.m)
         assert any(parities)
