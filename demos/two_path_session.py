@@ -28,10 +28,8 @@ from qkdnet import (
 graph = NetworkGraph(
     {"alice", "n1", "n2", "n3", "n4", "bob"},
     [
-        QkdLink("alice", "n1", distance_km=25), QkdLink("n1", "n2", distance_km=30),
-        QkdLink("n2", "bob", distance_km=20),
-        QkdLink("alice", "n3", distance_km=40), QkdLink("n3", "n4", distance_km=35),
-        QkdLink("n4", "bob", distance_km=25),
+        QkdLink("alice", "n1"), QkdLink("n1", "n2"), QkdLink("n2", "bob"),
+        QkdLink("alice", "n3"), QkdLink("n3", "n4"), QkdLink("n4", "bob"),
     ],
 )
 params = SecurityParams(n=64, s=16, m=4, ell=2)
@@ -51,7 +49,7 @@ print("transcript:")
 print(out.transcript())
 
 print("== one repeater tampers with its share ==")
-config = corrupt(graph, {"n1"}, t=1, endpoints=("alice", "bob"),
+config = corrupt(graph, {"n1"}, endpoints=("alice", "bob"),
                  strategies=("tamper_shares",))
 out = full_session(graph, paths, params, config, random.Random(7))
 print(f"result={out.result} result'={out.result_prime} "

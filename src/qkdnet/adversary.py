@@ -1,4 +1,4 @@
-"""t-bounded Byzantine adversary model.
+"""Static Byzantine adversary model.
 
 Corruption is static per trial: a :class:`AdversaryConfig` fixes which
 nodes are Byzantine and which scripted strategies they run.  During a
@@ -29,8 +29,8 @@ advantage is exactly 0 while any share is unknown, and 1 - 2^-k once
 the view holds them all.
 
 Shares and messages are held as plain integers: a view's shares are
-``view.share_bits`` wide.  ``AdversaryConfig()`` is the empty adversary
-(no corrupted node, t = 0), the one form of "no adversary".
+``view.share_bits`` wide.  ``AdversaryConfig()`` is the empty adversary,
+the one form of "no adversary".
 """
 
 from __future__ import annotations
@@ -38,12 +38,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (
-    BoundExceeded,
-    EndpointCorruption,
-    OutOfRange,
-    ValidationError,
-)
+from .errors import OutOfRange, ValidationError, shown
 from .network import NetworkGraph
 
 STRATEGIES = (
@@ -56,23 +51,21 @@ STRATEGIES = (
 DEFAULT_STRATEGIES = ("passive",)
 
 
-class AdversaryConfig(
-        namedtuple("AdversaryConfig", "corrupted t_bound strategies")):
+class AdversaryConfig(namedtuple("AdversaryConfig", "corrupted strategies")):
     """Static corrupted nodes (a frozenset: the hop plan's cache key) and
-    scripted strategies; the defaults are the empty adversary."""
+    scripted strategies, a list or tuple of :data:`STRATEGIES` names; the
+    defaults are the empty adversary.  A document's ``t`` is checked by
+    ``load_scenario`` and not kept: the bounds count controlled paths."""
 
     __slots__ = ()
 
-    def __new__(cls, corrupted: frozenset = frozenset(), t_bound: int = 0,
+    def __new__(cls, corrupted: frozenset = frozenset(),
                 strategies: tuple = DEFAULT_STRATEGIES):
-        self = tuple.__new__(cls, (frozenset(corrupted), t_bound, strategies))
-        if self.t_bound < 0:
-            raise ValidationError(f"t_bound must be >= 0, got {self.t_bound}")
-        if len(self.corrupted) > self.t_bound:
-            raise BoundExceeded(
-                f"{len(self.corrupted)} corrupted nodes exceed t={self.t_bound}"
-            )
-        for s in self.strategies:
+        self = tuple.__new__(cls, (frozenset(corrupted), strategies))
+        if not isinstance(strategies, (list, tuple)):
+            raise ValidationError("strategies must be a list or tuple of "
+                                  f"names, got {shown(strategies)}")
+        for s in strategies:
             if s not in STRATEGIES:
                 raise ValidationError(f"unknown strategy {s!r}")
         return self
@@ -80,17 +73,12 @@ class AdversaryConfig(
     _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__ too
 
 
-def corrupt(
-    graph: NetworkGraph,
-    nodes,
-    t: int,
-    endpoints,
-    strategies=DEFAULT_STRATEGIES,
-) -> AdversaryConfig:
-    """Corrupt ``nodes`` under a t-bound.
+def corrupt(graph: NetworkGraph, nodes, endpoints,
+            strategies=DEFAULT_STRATEGIES) -> AdversaryConfig:
+    """Corrupt ``nodes`` of ``graph``.
 
-    The session ``endpoints`` are never corruptible: naming one raises
-    :class:`EndpointCorruption`.
+    The session ``endpoints`` are never corruptible: naming one, or a
+    node outside the graph, raises :class:`ValidationError`.
     """
     nodes = frozenset(nodes)
     unknown = nodes - graph.nodes
@@ -98,8 +86,8 @@ def corrupt(
         raise ValidationError(f"cannot corrupt unknown node(s) {sorted(unknown)}")
     hit = nodes & frozenset(endpoints)
     if hit:
-        raise EndpointCorruption(f"endpoints cannot be corrupted: {sorted(hit)}")
-    return AdversaryConfig(corrupted=nodes, t_bound=t, strategies=tuple(strategies))
+        raise ValidationError(f"endpoints cannot be corrupted: {sorted(hit)}")
+    return AdversaryConfig(corrupted=nodes, strategies=tuple(strategies))
 
 
 class AdversaryView:
@@ -178,15 +166,15 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
         if type(value) is not int:
             raise OutOfRange(f"view {name} must be an int, got {value!r}")
     if key_len < 1:
-        raise OutOfRange(f"view shares must be >= 1 bit, got {key_len}")
+        raise OutOfRange(f"view shares must be >= 1 bit, got {shown(key_len)}")
     if view.n_paths < 0:
-        raise OutOfRange(f"view must have >= 0 paths, got {view.n_paths}")
+        raise OutOfRange(f"view must have >= 0 paths, got {shown(view.n_paths)}")
     n_keys = 1 << key_len
     for i, share in view.learned_shares.items():
         if not (type(i) is int and type(share) is int
                 and 0 <= i < view.n_paths and 0 <= share < n_keys):
             raise OutOfRange(
-                f"known share {share!r} on path {i!r} does not fit the "
+                f"known share {shown(share)} on path {shown(i)} does not fit the "
                 f"view's {view.n_paths} paths of {key_len}-bit int shares"
             )
     if len(view.learned_shares) < view.n_paths:

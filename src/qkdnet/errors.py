@@ -43,14 +43,6 @@ class LinkDown(QkdNetError):
     """The link has aborted (eavesdropping-induced or administrative)."""
 
 
-class BoundExceeded(QkdNetError):
-    """More nodes corrupted than the adversary's t-bound allows."""
-
-
-class EndpointCorruption(QkdNetError):
-    """Attempted to corrupt one of the session endpoints."""
-
-
 class TooLarge(QkdNetError):
     """The instance exceeds the exhaustive-mode size limit."""
 
@@ -61,3 +53,12 @@ class ParseError(QkdNetError):
 
 class ValidationError(QkdNetError):
     """A scenario document is well-formed but violates an invariant."""
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message; an int past the interpreter's
+    int-to-str digit limit is given by its bit length instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'-' * (value < 0)}<{value.bit_length()}-bit int>"

@@ -79,7 +79,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .bits import BitString
-from .errors import OutOfRange, ParameterViolation
+from .errors import OutOfRange, ParameterViolation, shown
 
 
 def _mul_generic(a: int, b: int, w: int, poly: int) -> int:
@@ -115,7 +115,7 @@ def _is_irreducible(poly: int, w: int) -> bool:
 def reduction_polynomial(w: int) -> int:
     """Reduction polynomial used for GF(2^w), as an integer with bit w set."""
     if w < 1:
-        raise ParameterViolation(f"word size must be >= 1, got {w}")
+        raise ParameterViolation(f"word size must be >= 1, got {shown(w)}")
     for candidate in range(1 << w, 1 << (w + 1)):
         if candidate & 1 and _is_irreducible(candidate, w):
             return candidate
@@ -360,9 +360,9 @@ def impersonation_bound(w: int, message_bits: int) -> float:
         if isinstance(value, bool) or not isinstance(value, int):
             raise OutOfRange(f"{name} must be an integer, got {value!r}")
     if w < 1:
-        raise OutOfRange(f"word size must be >= 1, got {w}")
+        raise OutOfRange(f"word size must be >= 1, got {shown(w)}")
     if message_bits < 0:
-        raise OutOfRange(f"message_bits must be >= 0, got {message_bits}")
+        raise OutOfRange(f"message_bits must be >= 0, got {shown(message_bits)}")
     blocks = -(-message_bits // w) + 1
     full = 1 << w
     return 1.0 if blocks >= full else blocks / full

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 
-from .errors import InsufficientConnectivity, OutOfRange, ValidationError
+from .errors import InsufficientConnectivity, OutOfRange, ValidationError, shown
 
 NodeId = str
 
@@ -27,26 +27,22 @@ def link_key(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
     return (u, v) if u <= v else (v, u)
 
 
-class QkdLink(namedtuple("QkdLink", "a b distance_km epsilon alive")):
+class QkdLink(namedtuple("QkdLink", "a b epsilon alive")):
     """An undirected QKD link between two distinct nodes.
 
     ``epsilon`` is the per-key failure probability of keys generated on
     this link (the epsilon-ideal key source model); ``alive`` models
-    eavesdropping-induced abort of the link.  ``distance_km`` is
-    descriptive: it is validated and stored, but nothing reads it, so it
-    changes no result.  It stays because checked-in scenario documents
-    carry it.
+    eavesdropping-induced abort of the link.  A document's
+    ``distance_km`` is checked by ``load_scenario`` and not kept.
     """
 
     __slots__ = ()
 
-    def __new__(cls, a: NodeId, b: NodeId, distance_km: float = 0.0,
-                epsilon: float = 0.0, alive: bool = True):
-        self = tuple.__new__(cls, (a, b, distance_km, epsilon, alive))
+    def __new__(cls, a: NodeId, b: NodeId, epsilon: float = 0.0,
+                alive: bool = True):
+        self = tuple.__new__(cls, (a, b, epsilon, alive))
         if self.a == self.b:
             raise ValidationError(f"link endpoints must differ, got {self.a!r}")
-        if not self.distance_km >= 0:   # also rejects NaN
-            raise ValidationError(f"distance_km must be >= 0, got {self.distance_km}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         return self
@@ -142,7 +138,7 @@ def vertex_disjoint_paths(
     if a == b or a not in graph.nodes or b not in graph.nodes:
         raise ValidationError(f"endpoints {a!r}, {b!r} must be distinct graph nodes")
     if count < 1:
-        raise OutOfRange(f"path count must be >= 1, got {count}")
+        raise OutOfRange(f"path count must be >= 1, got {shown(count)}")
     source, sink = (a, _OUT), (b, _IN)
     residual: dict[tuple, dict[tuple, int]] = {source: {}}
 

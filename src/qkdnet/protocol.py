@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from itertools import compress
 
 from .adversary import AdversaryConfig, AdversaryView, ScriptedAdversary
-from .errors import LengthMismatch, OutOfRange, ParameterViolation
+from .errors import LengthMismatch, OutOfRange, ParameterViolation, shown
 from .mac import _tag_value
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
 from .network import NetworkGraph, PathSet, link_key
@@ -71,22 +71,22 @@ class SecurityParams(namedtuple("SecurityParams", "n s m ell epsilon")):
                     f"{name} must be an integer, got {value!r}")
         if self.s < 2 or self.s % 2 or self.s > 2 * MAX_WORD_BITS:
             raise ParameterViolation(f"s must be even and in [2, "
-                                     f"{2 * MAX_WORD_BITS}], got {self.s}")
+                                     f"{2 * MAX_WORD_BITS}], got {shown(self.s)}")
         if self.ell < 2:
-            raise ParameterViolation(f"ell must be >= 2, got {self.ell}")
+            raise ParameterViolation(f"ell must be >= 2, got {shown(self.ell)}")
         if 2 * self.s >= self.n:
             raise ParameterViolation(
-                f"n must exceed the 2s reserved MAC bits: n={self.n}, s={self.s}"
-            )
+                f"n must exceed the 2s reserved MAC bits: n={shown(self.n)}, "
+                f"s={self.s}")
         if not 1 <= self.m < self.test_bits:
             raise ParameterViolation(
-                f"m < n - 2s required: m={self.m}, n-2s={self.test_bits}"
-            )
+                f"m < n - 2s required: m={shown(self.m)}, "
+                f"n-2s={shown(self.test_bits)}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ParameterViolation(f"epsilon must lie in [0,1], got {self.epsilon}")
         if self.ell > MAX_DRAW_BITS:
             raise ParameterViolation(
-                f"ell must be <= {MAX_DRAW_BITS}, got {self.ell}")
+                f"ell must be <= {MAX_DRAW_BITS}, got {shown(self.ell)}")
         if self.session_demand_bits > MAX_DRAW_BITS:
             # not printed: m*n can pass the int-to-str digit limit
             raise ParameterViolation(
@@ -477,7 +477,7 @@ def full_session(
     failures surface as result=0 outcomes, never exceptions.
 
     Every session runs one :class:`ScriptedAdversary`; the empty
-    ``AdversaryConfig()`` (no corrupted node, t=0) draws nothing from
+    ``AdversaryConfig()`` (no corrupted node) draws nothing from
     ``rng`` and still records each epsilon-leaked hop in the view.
     """
     if len(paths) != params.ell:

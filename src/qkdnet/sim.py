@@ -44,6 +44,7 @@ from .errors import (
     ParseError,
     TooLarge,
     ValidationError,
+    shown,
 )
 from . import mac, protocol
 from .mac import impersonation_bound
@@ -109,7 +110,7 @@ _REQUIRED = object()
 
 #: Every field of each scenario object, as (kind, default); a document
 #: must give a ``_REQUIRED`` field.  An omitted field whose default is
-#: None stays None and ``load_scenario`` resolves it from other fields.
+#: None stays None: an empty adversary, or an unchecked ``w`` or ``t``.
 _FIELDS = {
     "scenario": {
         "name": ("string", "unnamed"), "nodes": ("strings", _REQUIRED),
@@ -157,7 +158,9 @@ def load_scenario(source) -> Scenario:
     :class:`ParseError` for malformed documents and
     :class:`ValidationError` naming the violated invariant otherwise,
     as when corrupted relays sit on all ell paths (the hop plan's marks):
-    both bounds assume at most ell-1 controlled paths.  The session's
+    both bounds assume at most ell-1 controlled paths; nothing else is
+    raised.  ``params.w``, a link's ``distance_km`` and ``adversary.t``
+    are checked and not kept: no session reads them.  The session's
     epsilon is the largest link epsilon (0.0 with no link), the failure
     probability of the leakiest link key the bounds compose over.
     """
@@ -186,7 +189,10 @@ def load_scenario(source) -> Scenario:
     links = []
     for entry in top["links"]:
         _require(isinstance(entry, dict), "each link must be an object")
-        links.append(QkdLink(**_fields(entry, "link")))
+        link = _fields(entry, "link")
+        km = link.pop("distance_km")
+        _require(km >= 0, f"distance_km must be >= 0, got {km}")  # and not NaN
+        links.append(QkdLink(**link))
     graph = NetworkGraph(nodes, links)
 
     _require(len(top["endpoints"]) == 2,
@@ -205,9 +211,12 @@ def load_scenario(source) -> Scenario:
 
     # An omitted or null block is the empty adversary: no corrupted node.
     adv = _fields(top["adversary"] or {}, "adversary")
-    t = len(adv["corrupted"]) if adv["t"] is None else adv["t"]
-    adversary = corrupt(graph, adv["corrupted"], t, endpoints=(a, b),
+    adversary = corrupt(graph, adv["corrupted"], endpoints=(a, b),
                         strategies=tuple(adv["strategies"]))
+    t, count = adv["t"], len(adversary.corrupted)
+    _require(t is None or t >= 0, f"adversary 't' must be >= 0, got {shown(t)}")
+    _require(t is None or count <= t,
+             f"{count} corrupted nodes exceed t={shown(t)}")
 
     _require(top["trials"] >= 1, "trials must be >= 1")
     try:
@@ -379,7 +388,7 @@ def clopper_pearson(successes: int, trials: int):
         raise ValidationError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValidationError(
-            f"successes must be in 0..{trials}, got {successes}")
+            f"successes must be in 0..{trials}, got {shown(successes)}")
 
     k, n, z = successes, trials, _Z
     log_target = math.log((1.0 - CONFIDENCE) / 2)
@@ -517,7 +526,8 @@ def _check_parity_args(key_bits: int, m: int, diff: int) -> None:
     length, so no 2^key_bits integer is built."""
     if key_bits < 1 or m < 1:
         raise ValidationError(
-            f"key_bits and m must be >= 1, got key_bits={key_bits}, m={m}")
+            f"key_bits and m must be >= 1, got key_bits={shown(key_bits)}, "
+            f"m={shown(m)}")
     if diff < 1 or diff.bit_length() > key_bits:
         raise ValidationError("diff must be a nonzero key_bits-bit value")
 
@@ -599,7 +609,7 @@ def dpa_uniformity_exact(key_bits: int, *configs) -> bool:
     cells, or one configuration per chunk where it needs more.
     """
     if key_bits < 0:
-        raise ValidationError(f"key_bits must be >= 0, got {key_bits}")
+        raise ValidationError(f"key_bits must be >= 0, got {shown(key_bits)}")
     for lambdas in configs:
         if key_bits + len(lambdas) > EXACT_LIMIT_BITS:
             raise TooLarge(
@@ -731,9 +741,9 @@ def mac_forgery_exact(w: int, message_bits: int) -> Fraction:
     :data:`FORGERY_TABLE_LIMIT` (key, message) pairs.
     """
     if w < 1:
-        raise OutOfRange(f"word size must be >= 1, got {w}")
+        raise OutOfRange(f"word size must be >= 1, got {shown(w)}")
     if message_bits < 0:
-        raise OutOfRange(f"message_bits must be >= 0, got {message_bits}")
+        raise OutOfRange(f"message_bits must be >= 0, got {shown(message_bits)}")
     (v0, n0), *candidates = _forgery_messages(w, message_bits)
     import numpy as np
 

@@ -284,7 +284,7 @@ class TestCriterion5PrivacyUnderDisclosure:
         params = SecurityParams(n=8, s=2, m=2, ell=3)
         from qkdnet.adversary import corrupt
         cfg = corrupt(
-            three_path_graph, {"x1"}, 1, endpoints=("alice", "bob"),
+            three_path_graph, {"x1"}, endpoints=("alice", "bob"),
             strategies=("forge_auth",),
         )
         _, received = forwarded_shares

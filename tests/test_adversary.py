@@ -15,12 +15,7 @@ from qkdnet.adversary import (
     corrupt,
     guessing_advantage,
 )
-from qkdnet.errors import (
-    BoundExceeded,
-    EndpointCorruption,
-    OutOfRange,
-    ValidationError,
-)
+from qkdnet.errors import OutOfRange, ValidationError
 from qkdnet.network import NetworkGraph, PathSet, QkdLink
 from qkdnet.protocol import SecurityParams, _link_plan, full_session
 
@@ -49,36 +44,32 @@ def hop_marks(graph, paths, cfg):
 
 class TestCorrupt:
     def test_valid_single_corruption_controls_one_path(self):
-        cfg = corrupt(two_chains_graph(), {"n1"}, 1, endpoints=("alice", "bob"))
+        cfg = corrupt(two_chains_graph(), {"n1"}, endpoints=("alice", "bob"))
         assert hop_marks(two_chains_graph(), two_chains_paths(), cfg) == [
             (True, False, False), (False, False, False)]
 
     def test_empty_corruption(self):
-        cfg = corrupt(two_chains_graph(), set(), 0, endpoints=("alice", "bob"))
+        cfg = corrupt(two_chains_graph(), set(), endpoints=("alice", "bob"))
         assert hop_marks(two_chains_graph(), two_chains_paths(), cfg) == [
             (False, False, False)] * 2
         assert cfg == AdversaryConfig()
 
     def test_endpoint_corruption_rejected(self):
-        with pytest.raises(EndpointCorruption):
-            corrupt(two_chains_graph(), {"alice"}, 1, endpoints=("alice", "bob"))
-
-    def test_bound_exceeded(self):
-        with pytest.raises(BoundExceeded):
-            corrupt(two_chains_graph(), {"n1", "n3"}, 1, endpoints=("alice", "bob"))
+        with pytest.raises(ValidationError,
+                           match=r"^endpoints cannot be corrupted: \['alice'\]$"):
+            corrupt(two_chains_graph(), {"alice"}, endpoints=("alice", "bob"))
 
     def test_endpoints_are_required(self):
         # without them the endpoint check could not run
         with pytest.raises(TypeError):
-            corrupt(two_chains_graph(), {"alice"}, 1)
+            corrupt(two_chains_graph(), {"alice"})
 
     def test_unknown_node(self):
         with pytest.raises(ValidationError):
-            corrupt(two_chains_graph(), {"mallory"}, 1,
-                    endpoints=("alice", "bob"))
+            corrupt(two_chains_graph(), {"mallory"}, endpoints=("alice", "bob"))
 
     def test_plain_set_is_frozen_and_runs_a_session(self):
-        cfg = AdversaryConfig({"n1"}, 1)
+        cfg = AdversaryConfig({"n1"})
         assert type(cfg.corrupted) is frozenset
         out = full_session(two_chains_graph(), two_chains_paths(),
                            SecurityParams(n=64, s=16, m=4, ell=2), cfg,
@@ -87,7 +78,16 @@ class TestCorrupt:
 
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
-            AdversaryConfig(frozenset(), 0, strategies=("jam_quantum",))
+            AdversaryConfig(frozenset(), strategies=("jam_quantum",))
+
+    @pytest.mark.parametrize("args", [
+        (frozenset(), 5), ({"n1"}, 1), (frozenset(), "passive"),
+    ], ids=["int", "positional_t", "bare_string"])
+    def test_strategies_must_be_a_list_or_tuple_of_names(self, args):
+        # a bare string would read as the names of its characters, 'p', ...
+        with pytest.raises(ValidationError,
+                           match="^strategies must be a list or tuple of names"):
+            AdversaryConfig(*args)
 
 
 class TestHopMarks:
@@ -103,13 +103,13 @@ class TestHopMarks:
             [QkdLink("a", v) for v in ("x1", "x2", "x3")]
             + [QkdLink(v, "b") for v in ("x1", "x2", "x3")],
         )
-        cfg = corrupt(g, {"x2"}, 1, endpoints=("a", "b"))
+        cfg = corrupt(g, {"x2"}, endpoints=("a", "b"))
         assert hop_marks(g, paths, cfg) == [
             (False, False), (True, False), (False, False)]
 
     def test_all_paths_controlled(self):
         paths = two_chains_paths()
-        cfg = corrupt(two_chains_graph(), {"n2", "n4"}, 2, endpoints=("alice", "bob"))
+        cfg = corrupt(two_chains_graph(), {"n2", "n4"}, endpoints=("alice", "bob"))
         assert hop_marks(two_chains_graph(), paths, cfg) == [
             (False, True, False)] * 2
 
@@ -118,7 +118,7 @@ class TestScriptedAdversary:
     def test_passive_forwards_and_records(self):
         view = AdversaryView(2, 8)
         adv = ScriptedAdversary(
-            AdversaryConfig(frozenset({"x"}), 1), view, random.Random(0)
+            AdversaryConfig(frozenset({"x"})), view, random.Random(0)
         )
         share = 0b10101010
         assert adv.on_key_hop(0, share, 8) == share
@@ -128,7 +128,7 @@ class TestScriptedAdversary:
     def test_tamper_always_changes_value(self):
         view = AdversaryView(1, 8)
         adv = ScriptedAdversary(
-            AdversaryConfig(frozenset({"x"}), 1, ("tamper_shares",)),
+            AdversaryConfig(frozenset({"x"}), ("tamper_shares",)),
             view, random.Random(1),
         )
         share = 0b10101010
@@ -139,7 +139,7 @@ class TestScriptedAdversary:
     def test_drop_beats_forge(self):
         view = AdversaryView(1, 8)
         adv = ScriptedAdversary(
-            AdversaryConfig(frozenset({"x"}), 1, ("forge_auth", "drop_auth")),
+            AdversaryConfig(frozenset({"x"}), ("forge_auth", "drop_auth")),
             view, random.Random(2),
         )
         assert adv.on_classical_hop(0, "challenge", 0b1111, 4) is None
@@ -147,7 +147,7 @@ class TestScriptedAdversary:
     def test_forge_replaces_with_same_length(self):
         view = AdversaryView(1, 8)
         adv = ScriptedAdversary(
-            AdversaryConfig(frozenset({"x"}), 1, ("forge_auth",)),
+            AdversaryConfig(frozenset({"x"}), ("forge_auth",)),
             view, random.Random(3),
         )
         out = adv.on_classical_hop(0, "response", (1 << 40) - 1, 40)

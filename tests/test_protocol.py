@@ -503,7 +503,7 @@ class TestIntegerSessionMatchesWrappers:
                        forwarded_shares, strategy, seed):
         sent, received = forwarded_shares
         cfg = EMPTY if strategy is None else corrupt(
-            two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
+            two_chains_graph, {"n1"}, endpoints=("alice", "bob"),
             strategies=(strategy,))
         out = full_session(two_chains_graph, session_paths(two_chains_graph, 2),
                            STD, cfg, random.Random(seed))
@@ -637,7 +637,7 @@ class TestMultipathEstablish:
                                                session_paths,
                                                forwarded_shares):
         sent, received = forwarded_shares
-        cfg = corrupt(two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
+        cfg = corrupt(two_chains_graph, {"n1"}, endpoints=("alice", "bob"),
                       strategies=("tamper_shares",))
         full_session(two_chains_graph, session_paths(two_chains_graph, 2),
                      STD, cfg, random.Random(13))
@@ -650,8 +650,7 @@ class TestMultipathEstablish:
         # 8-bit keys, adversary passively owns 2 of 3 paths: exact
         # posterior over the full key stays uniform.
         params = SecurityParams(n=8, s=2, m=2, ell=3)
-        cfg = corrupt(three_path_graph, {"x1", "x2"}, 2,
-                      endpoints=("alice", "bob"))
+        cfg = corrupt(three_path_graph, {"x1", "x2"}, endpoints=("alice", "bob"))
         out = full_session(three_path_graph, session_paths(three_path_graph, 3),
                            params, cfg, random.Random(14))
         assert set(out.view.learned_shares) == {0, 1}
@@ -664,8 +663,7 @@ class TestMultipathEstablish:
         # shares verbatim and nothing from the honest middle path.
         params = SecurityParams(n=16, s=2, m=2, ell=3)
         sent, _ = forwarded_shares
-        cfg = corrupt(three_path_graph, {"x1", "x3"}, 2,
-                      endpoints=("alice", "bob"))
+        cfg = corrupt(three_path_graph, {"x1", "x3"}, endpoints=("alice", "bob"))
         out = full_session(three_path_graph, session_paths(three_path_graph, 3),
                            params, cfg, random.Random(15))
         assert set(out.view.learned_shares) == {0, 2}
@@ -697,7 +695,7 @@ class TestFullSession:
 
     def test_tampered_share_fails_both_sides(self, two_chains_graph,
                                              session_paths):
-        cfg = corrupt(two_chains_graph, {"n2"}, 1, endpoints=("alice", "bob"),
+        cfg = corrupt(two_chains_graph, {"n2"}, endpoints=("alice", "bob"),
                       strategies=("tamper_shares",))
         failures = 0
         paths = session_paths(two_chains_graph, 2)
@@ -713,7 +711,7 @@ class TestFullSession:
 
     def test_drop_on_one_path_still_succeeds(self, two_chains_graph,
                                              session_paths):
-        cfg = corrupt(two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
+        cfg = corrupt(two_chains_graph, {"n1"}, endpoints=("alice", "bob"),
                       strategies=("drop_auth",))
         out = full_session(two_chains_graph, session_paths(two_chains_graph, 2),
                            STD, cfg, random.Random(17))
@@ -742,7 +740,7 @@ class TestFullSession:
         monkeypatch.setattr(BitString, "__init__", refuse)
         monkeypatch.setattr(BitString, "from_int", classmethod(refuse))
         cfg = EMPTY if strategy is None else corrupt(
-            two_chains_graph, {"n1"}, 1, endpoints=("alice", "bob"),
+            two_chains_graph, {"n1"}, endpoints=("alice", "bob"),
             strategies=(strategy,))
         out = full_session(two_chains_graph, session_paths(two_chains_graph, 2),
                            STD, cfg, random.Random(21))
@@ -823,7 +821,7 @@ class TestRelayHooksFireOnlyAtCorruptedRelays:
         # tell the three plans apart
         calls = spy_relay_hooks(monkeypatch)
         graph = TestLinkPlan.graph()
-        x_corrupted = corrupt(graph, {"x"}, 1, endpoints=("alice", "bob"))
+        x_corrupted = corrupt(graph, {"x"}, endpoints=("alice", "bob"))
         fired = []
         for cfg in (EMPTY, x_corrupted, EMPTY):
             calls.clear()
@@ -915,7 +913,7 @@ class TestLeakedSharesRecordedOnce:
             [QkdLink("alice", "n1"), QkdLink("n1", "n2", epsilon=1.0),
              QkdLink("n2", "bob"), QkdLink("alice", "n3"),
              QkdLink("n3", "n4"), QkdLink("n4", "bob")])
-        cfg = corrupt(graph, {"n1"}, 1, endpoints=("alice", "bob"),
+        cfg = corrupt(graph, {"n1"}, endpoints=("alice", "bob"),
                       strategies=("tamper_shares",))
         out = full_session(graph, session_paths(graph, 2), STD, cfg,
                            random.Random(9))

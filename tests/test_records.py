@@ -51,11 +51,10 @@ CHECK = OracleCheck("parity_miss", "1/4", "1/4", True)
 
 #: Each record's fields in order, with sample values.
 FIELDS = {
-    QkdLink: dict(a="alice", b="n1", distance_km=12.5, epsilon=0.25,
-                  alive=False),
+    QkdLink: dict(a="alice", b="n1", epsilon=0.25, alive=False),
     PathSet: dict(a=PATHS.a, b=PATHS.b, paths=PATHS.paths),
     SecurityParams: dict(n=64, s=16, m=4, ell=2, epsilon=0.05),
-    AdversaryConfig: dict(corrupted=frozenset({"n1"}), t_bound=1,
+    AdversaryConfig: dict(corrupted=frozenset({"n1"}),
                           strategies=("forge_auth",)),
     MacKey: dict(material=BitString.from_int(0xA5, 8)),
     Scenario: dict(name="demo", graph=GRAPH, params=PARAMS,
@@ -81,7 +80,7 @@ FIELDS = {
 #: One field of each record with a second valid value.
 OTHER = {
     QkdLink: ("alive", True), PathSet: ("paths", PATHS.paths[:1]),
-    SecurityParams: ("m", 3), AdversaryConfig: ("t_bound", 2),
+    SecurityParams: ("m", 3), AdversaryConfig: ("strategies", ()),
     MacKey: ("material", BitString.from_int(0xA5, 10)),
     Scenario: ("seed", 8), Stats: ("successes", 8),
     MonteCarloRun: ("master_seed", 8), OracleCheck: ("exact_match", False),
@@ -177,7 +176,7 @@ def test_per_trial_records_take_only_their_fields(cls):
     (PathSet("a", "b", (("a", "x", "b"), ("a", "b"))), dict(b="c"),
      ValidationError),
     (SecurityParams(64, 16, 4, 2), dict(s=3), ParameterViolation),
-    (AdversaryConfig(), dict(t_bound=-1), ValidationError),
+    (AdversaryConfig(), dict(strategies="passive"), ValidationError),
     (MacKey(BitString.from_int(0xA5, 8)),
      dict(material=BitString.from_int(1, 3)), OutOfRange),
 ], ids=[cls.__name__ for cls in VALIDATED])
@@ -203,9 +202,9 @@ def test_valid_replace_and_make_equal_the_constructor(cls):
 
 
 def test_replace_normalises_like_the_constructor():
-    config = AdversaryConfig()._replace(corrupted=["n1"], t_bound=1)
+    config = AdversaryConfig()._replace(corrupted=["n1"])
     assert type(config.corrupted) is frozenset
-    assert config == AdversaryConfig(frozenset({"n1"}), 1)
+    assert config == AdversaryConfig(frozenset({"n1"}))
 
 
 def test_path_set_length_counts_paths():
@@ -216,9 +215,9 @@ def test_path_set_length_counts_paths():
 
 
 def test_adversary_config_holds_a_frozenset():
-    config = AdversaryConfig(["n1", "n2"], 2)
+    config = AdversaryConfig(["n1", "n2"])
     assert type(config.corrupted) is frozenset
-    assert config == AdversaryConfig(frozenset({"n1", "n2"}), 2)
+    assert config == AdversaryConfig(frozenset({"n1", "n2"}))
 
 
 def test_security_params_widths_are_computed_once(monkeypatch):

@@ -3,9 +3,11 @@
 Each example takes one of the twelve checked-in scenario documents
 (``demos/scenarios`` and the benchmark's ``perfbench/inputs``, read
 only) and replaces, deletes or nudges one to three of its fields.
-``load_scenario`` plus a 3-trial ``run_monte_carlo`` must succeed or
-raise a ``QkdNetError``, and ``qkdnet run`` on the written document
-must exit 0, 1 or 2 and print no traceback.
+``load_scenario`` must load it or raise ``ParseError`` or
+``ValidationError``, a 3-trial ``run_monte_carlo`` of what loads must
+succeed or raise a ``QkdNetError``, and ``qkdnet run`` on the written
+document must exit 0, 1 or 2 and print no traceback.  A refusal from
+the library API must also print an over-long int by its size.
 
 The examples are derandomized, so every run checks the same ones.  A
 longer search draws more of them:
@@ -20,12 +22,32 @@ import json
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdnet.adversary import AdversaryView, guessing_advantage
 from qkdnet.cli import main
-from qkdnet.errors import QkdNetError
-from qkdnet.sim import load_scenario, run_monte_carlo
+from qkdnet.errors import (
+    OutOfRange,
+    ParameterViolation,
+    ParseError,
+    QkdNetError,
+    ValidationError,
+)
+from qkdnet.mac import impersonation_bound, reduction_polynomial
+from qkdnet.network import NetworkGraph, QkdLink, vertex_disjoint_paths
+from qkdnet.protocol import SecurityParams
+from qkdnet.sim import (
+    clopper_pearson,
+    dpa_uniformity_exact,
+    load_scenario,
+    mac_forgery_exact,
+    parity_miss_rate_exact,
+    parity_miss_rate_tuple_enumeration,
+    run_monte_carlo,
+    share_privacy_exact,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCUMENTS = {path.relative_to(ROOT).as_posix(): path.read_text()
@@ -99,9 +121,14 @@ def test_the_twelve_shipped_documents_run():
 def test_mutated_document_runs_or_is_refused(tmp_path_factory, case):
     name, edits, doc = case
     try:
-        run_monte_carlo(load_scenario(doc), trials=3)
-    except QkdNetError:
+        scenario = load_scenario(doc)
+    except (ParseError, ValidationError):
         pass
+    else:
+        try:
+            run_monte_carlo(scenario, trials=3)
+        except QkdNetError:
+            pass
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -109,3 +136,56 @@ def test_mutated_document_runs_or_is_refused(tmp_path_factory, case):
         rc = main(["run", "--scenario", str(path), "--trials", "3"])
     assert rc in (0, 1, 2), (name, edits, rc)
     assert "Traceback" not in err.getvalue(), (name, edits)
+
+
+#: An int past the interpreter's 4300-digit int-to-str limit, and how a
+#: refusal prints it.
+HUGE = 10**5000
+HUGE_TEXT = "<16610-bit int>"
+
+
+def _view(share_bits, shares=()):
+    view = AdversaryView(2, share_bits)
+    for i, share in enumerate(shares):
+        view.record_share(i, share)
+    return view
+
+
+#: Each call is refused before any work; only the argument named in the
+#: id is over-long.
+HUGE_CALLS = {
+    "params_n": (lambda: SecurityParams(-HUGE, 16, 4, 2), ParameterViolation),
+    "params_s": (lambda: SecurityParams(64, HUGE, 4, 2), ParameterViolation),
+    "params_m": (lambda: SecurityParams(64, 16, HUGE, 2), ParameterViolation),
+    "params_ell": (lambda: SecurityParams(64, 16, 4, HUGE), ParameterViolation),
+    "impersonation_w": (lambda: impersonation_bound(-HUGE, 8), OutOfRange),
+    "impersonation_message_bits": (lambda: impersonation_bound(4, -HUGE),
+                                   OutOfRange),
+    "clopper_pearson_successes": (lambda: clopper_pearson(HUGE, 10),
+                                  ValidationError),
+    "paths_count": (lambda: vertex_disjoint_paths(
+        NetworkGraph({"a", "b"}, [QkdLink("a", "b")]), "a", "b", -HUGE),
+        OutOfRange),
+    "advantage_share_bits": (lambda: guessing_advantage(_view(-HUGE)),
+                             OutOfRange),
+    "advantage_known_share": (lambda: guessing_advantage(_view(4, [HUGE])),
+                              OutOfRange),
+    "forgery_w": (lambda: mac_forgery_exact(-HUGE, 4), OutOfRange),
+    "forgery_message_bits": (lambda: mac_forgery_exact(2, -HUGE), OutOfRange),
+    "reduction_polynomial": (lambda: reduction_polynomial(-HUGE),
+                             ParameterViolation),
+    "parity_miss_m": (lambda: parity_miss_rate_exact(4, -HUGE, 1),
+                      ValidationError),
+    "parity_tuples_m": (lambda: parity_miss_rate_tuple_enumeration(4, -HUGE, 1),
+                        ValidationError),
+    "dpa_key_bits": (lambda: dpa_uniformity_exact(-HUGE), ValidationError),
+    "share_privacy_share": (lambda: share_privacy_exact(4, [HUGE, 0]),
+                            OutOfRange),
+}
+
+
+@pytest.mark.parametrize("call,error", HUGE_CALLS.values(), ids=HUGE_CALLS)
+def test_over_long_int_is_named_by_its_size(call, error):
+    # printing the int itself raises a bare ValueError
+    with pytest.raises(error, match=HUGE_TEXT):
+        call()

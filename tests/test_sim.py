@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from qkdnet import protocol, sim
 from qkdnet.adversary import DEFAULT_STRATEGIES, AdversaryConfig
+from qkdnet.cli import main
 from qkdnet.errors import (
     OutOfRange,
     ParameterViolation,
@@ -26,7 +27,7 @@ from qkdnet.errors import (
     TooLarge,
     ValidationError,
 )
-from qkdnet.network import PathSet, vertex_disjoint_paths
+from qkdnet.network import PathSet, QkdLink, vertex_disjoint_paths
 from qkdnet.protocol import (
     EVENTS,
     MAX_WORD_BITS,
@@ -92,6 +93,30 @@ def two_chains_doc(**overrides):
     return doc
 
 
+def with_first_link(**fields):
+    doc = two_chains_doc()
+    doc["links"][0].update(fields)
+    return doc
+
+
+#: Documents the loader refuses by a fact no session reads, with the
+#: refusal's message.
+REFUSED = {
+    "corrupted_endpoint": (
+        two_chains_doc(adversary={"corrupted": ["alice"], "t": 1}),
+        "endpoints cannot be corrupted: ['alice']"),
+    "t_below_corrupted_count": (
+        two_chains_doc(adversary={"corrupted": ["n1", "n2", "n1"], "t": 1}),
+        "2 corrupted nodes exceed t=1"),
+    "negative_t": (two_chains_doc(adversary={"corrupted": [], "t": -1}),
+                   "adversary 't' must be >= 0, got -1"),
+    "negative_distance": (with_first_link(distance_km=-1),
+                          "distance_km must be >= 0, got -1.0"),
+    "nan_distance": (with_first_link(distance_km=math.nan),
+                     "distance_km must be >= 0, got nan"),
+}
+
+
 class TestLoadScenario:
     def test_two_chains_document(self):
         sc = load_scenario(two_chains_doc())
@@ -126,10 +151,29 @@ class TestLoadScenario:
             load_scenario(doc)
 
     def test_endpoint_corruption_rejected(self):
-        from qkdnet.errors import EndpointCorruption
         doc = two_chains_doc(adversary={"corrupted": ["alice"], "t": 1})
-        with pytest.raises(EndpointCorruption):
+        with pytest.raises(ValidationError, match="endpoints cannot be corrupted"):
             load_scenario(doc)
+
+    @pytest.mark.parametrize("doc,message", REFUSED.values(), ids=REFUSED)
+    def test_refused_document_exits_2(self, tmp_path, capsys, doc, message):
+        with pytest.raises(ValidationError) as refusal:
+            load_scenario(doc)
+        assert str(refusal.value) == message
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(doc))   # NaN is written as NaN
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_document_only_fields_are_not_kept(self):
+        # t may equal the distinct corrupted count; neither it nor a
+        # link's distance_km reaches the records
+        doc = two_chains_doc(adversary={"corrupted": ["n1", "n2", "n1"],
+                                        "t": 2})
+        doc["links"][0]["distance_km"] = 0.0
+        sc = load_scenario(doc)
+        assert sc.adversary == AdversaryConfig(frozenset({"n1", "n2"}))
+        assert sc.graph.link_between("alice", "n1") == QkdLink("alice", "n1")
 
     def test_insufficient_paths(self):
         doc = two_chains_doc(params={"n": 64, "s": 16, "m": 4, "ell": 3, "w": 8})
