@@ -49,26 +49,36 @@ STRATEGIES = (
 )
 #: Strategies of an adversary that names none; ``()`` acts the same.
 DEFAULT_STRATEGIES = ("passive",)
+#: Largest single ``random.getrandbits`` draw (its argument is a C int):
+#: the widest share a session draws, so the widest full view scored.
+MAX_DRAW_BITS = (1 << 31) - 1
 
 
 class AdversaryConfig(namedtuple("AdversaryConfig", "corrupted strategies")):
-    """Static corrupted nodes (a frozenset: the hop plan's cache key) and
-    scripted strategies, a list or tuple of :data:`STRATEGIES` names; the
-    defaults are the empty adversary.  A document's ``t`` is checked by
-    ``load_scenario`` and not kept: the bounds count controlled paths."""
+    """Static corrupted nodes, an iterable of node names held as a
+    frozenset (the hop plan's cache key), and scripted strategies, a list
+    or tuple of :data:`STRATEGIES` names; the defaults are the empty
+    adversary.  A document's ``t`` is checked by ``load_scenario`` and
+    not kept: the bounds count controlled paths."""
 
     __slots__ = ()
 
     def __new__(cls, corrupted: frozenset = frozenset(),
                 strategies: tuple = DEFAULT_STRATEGIES):
-        self = tuple.__new__(cls, (frozenset(corrupted), strategies))
+        try:
+            nodes = None if isinstance(corrupted, str) else frozenset(corrupted)
+        except TypeError:   # not iterable, or holds an unhashable item
+            nodes = None
+        if nodes is None or not all(isinstance(v, str) for v in nodes):
+            raise ValidationError("corrupted must be an iterable of node "
+                                  f"names, got {shown(corrupted)}")
         if not isinstance(strategies, (list, tuple)):
             raise ValidationError("strategies must be a list or tuple of "
                                   f"names, got {shown(strategies)}")
         for s in strategies:
             if s not in STRATEGIES:
-                raise ValidationError(f"unknown strategy {s!r}")
-        return self
+                raise ValidationError(f"unknown strategy {shown(s)}")
+        return tuple.__new__(cls, (nodes, strategies))
 
     _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__ too
 
@@ -155,28 +165,33 @@ def guessing_advantage(view: AdversaryView) -> Fraction:
     is unknown it pads the known shares' XOR (Shannon, BSTJ 1949), so
     every key stays equally likely and the advantage is 0; a view that
     holds every share knows the key, advantage 1 - 2^-key_len.  Returns
-    a Fraction; 0 means perfect privacy.  Raises :class:`OutOfRange`
-    when the view's share width or path count is not an int (bools are
-    refused), its shares are narrower than one bit or its path count is
-    negative, or when a known share or its path index is not an int, the
-    index lies outside 0..n_paths-1 or the share outside [0, 2^key_len).
+    a Fraction; 0 means perfect privacy, at any width.  Raises
+    :class:`OutOfRange` when the view's share width or path count is not
+    an int (bools are refused), its shares are narrower than one bit or
+    its path count is negative, when a known share or its path index is
+    not an int, the index lies outside 0..n_paths-1 or the share outside
+    [0, 2^key_len), or when a view holding every share is wider than
+    :data:`MAX_DRAW_BITS`.
     """
     key_len = view.share_bits
     for name, value in (("share_bits", key_len), ("n_paths", view.n_paths)):
         if type(value) is not int:
-            raise OutOfRange(f"view {name} must be an int, got {value!r}")
+            raise OutOfRange(f"view {name} must be an int, got {shown(value)}")
     if key_len < 1:
         raise OutOfRange(f"view shares must be >= 1 bit, got {shown(key_len)}")
     if view.n_paths < 0:
         raise OutOfRange(f"view must have >= 0 paths, got {shown(view.n_paths)}")
-    n_keys = 1 << key_len
     for i, share in view.learned_shares.items():
-        if not (type(i) is int and type(share) is int
-                and 0 <= i < view.n_paths and 0 <= share < n_keys):
+        if not (type(i) is int and type(share) is int and 0 <= i < view.n_paths
+                and 0 <= share and share.bit_length() <= key_len):
             raise OutOfRange(
-                f"known share {shown(share)} on path {shown(i)} does not fit the "
-                f"view's {view.n_paths} paths of {key_len}-bit int shares"
+                f"known share {shown(share)} on path {shown(i)} does not fit "
+                f"the view's {shown(view.n_paths)} paths of {shown(key_len)}"
+                "-bit int shares"
             )
     if len(view.learned_shares) < view.n_paths:
         return Fraction(0)
-    return 1 - Fraction(1, n_keys)
+    if key_len > MAX_DRAW_BITS:
+        raise OutOfRange(f"a full view's shares must be <= {MAX_DRAW_BITS} "
+                         f"bits, got {shown(key_len)}")
+    return 1 - Fraction(1, 1 << key_len)

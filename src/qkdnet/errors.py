@@ -57,8 +57,11 @@ class ValidationError(QkdNetError):
 
 def shown(value) -> str:
     """``repr(value)`` for an error message; an int past the interpreter's
-    int-to-str digit limit is given by its bit length instead."""
+    int-to-str digit limit is given by its bit length instead, and any
+    other value holding one by its type."""
     try:
         return repr(value)
     except ValueError:
+        if not isinstance(value, int):
+            return f"<{type(value).__name__} holding an over-long int>"
         return f"{'-' * (value < 0)}<{value.bit_length()}-bit int>"

@@ -74,6 +74,7 @@ call below w = 9 loads it.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import namedtuple
 from functools import lru_cache
@@ -351,18 +352,19 @@ def impersonation_bound(w: int, message_bits: int) -> float:
 
     L counts the w-bit blocks of the padded message including the length
     block.  Clamped to 1.0, since for tiny word sizes the formula can
-    exceed a probability; the clamp compares integers before dividing,
-    so a message too long for a float still gives 1.0.  Raises
-    :class:`OutOfRange` unless both arguments are ints (not bools),
-    w >= 1 and message_bits >= 0.
+    exceed a probability; the clamp compares bit lengths and the
+    quotient scales a float in [1/2, 1) by 2^-w, so neither a message
+    too long for a float nor a word too wide to build 2^w fails.
+    Raises :class:`OutOfRange` unless both arguments are ints (not
+    bools), w >= 1 and message_bits >= 0.
     """
     for name, value in (("w", w), ("message_bits", message_bits)):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise OutOfRange(f"{name} must be an integer, got {value!r}")
+            raise OutOfRange(f"{name} must be an integer, got {shown(value)}")
     if w < 1:
         raise OutOfRange(f"word size must be >= 1, got {shown(w)}")
     if message_bits < 0:
         raise OutOfRange(f"message_bits must be >= 0, got {shown(message_bits)}")
     blocks = -(-message_bits // w) + 1
-    full = 1 << w
-    return 1.0 if blocks >= full else blocks / full
+    width = blocks.bit_length()
+    return 1.0 if width > w else math.ldexp(blocks / (1 << width), width - w)

@@ -16,6 +16,7 @@ administrative down) are excluded from path discovery.
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from itertools import chain
 
 from .errors import InsufficientConnectivity, OutOfRange, ValidationError, shown
 
@@ -33,7 +34,9 @@ class QkdLink(namedtuple("QkdLink", "a b epsilon alive")):
     ``epsilon`` is the per-key failure probability of keys generated on
     this link (the epsilon-ideal key source model); ``alive`` models
     eavesdropping-induced abort of the link.  A document's
-    ``distance_km`` is checked by ``load_scenario`` and not kept.
+    ``distance_km`` is checked by ``load_scenario`` and not kept.  The
+    endpoints must be strings, ``epsilon`` an int or float (not a bool)
+    and ``alive`` a bool (:class:`ValidationError` naming the field).
     """
 
     __slots__ = ()
@@ -41,10 +44,19 @@ class QkdLink(namedtuple("QkdLink", "a b epsilon alive")):
     def __new__(cls, a: NodeId, b: NodeId, epsilon: float = 0.0,
                 alive: bool = True):
         self = tuple.__new__(cls, (a, b, epsilon, alive))
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise ValidationError("link endpoints must be strings, got "
+                                  f"{shown(a)} and {shown(b)}")
+        if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+            raise ValidationError(
+                f"link epsilon must be an int or float, got {shown(epsilon)}")
+        if not isinstance(alive, bool):
+            raise ValidationError(f"link alive must be a bool, got {shown(alive)}")
         if self.a == self.b:
             raise ValidationError(f"link endpoints must differ, got {self.a!r}")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+            raise ValidationError(
+                f"epsilon must lie in [0, 1], got {shown(self.epsilon)}")
         return self
 
     _make = classmethod(lambda cls, it: cls(*it))  # _replace runs __new__ too
@@ -84,8 +96,9 @@ class NetworkGraph:
 class PathSet(namedtuple("PathSet", "a b paths")):
     """Internally vertex-disjoint paths between two endpoints.
 
-    Each path is a node sequence from ``a`` to ``b`` with no repeats;
-    distinct paths share no node other than the endpoints.  A session's
+    Each path is a tuple of string nodes from ``a`` to ``b`` with no
+    repeats; distinct paths share no node other than the endpoints and
+    no path is given twice, so no two paths share a link.  A session's
     path index i names ``paths[i]``; ``a`` and ``b`` are its two ends.
     """
 
@@ -93,13 +106,21 @@ class PathSet(namedtuple("PathSet", "a b paths")):
 
     def __new__(cls, a: NodeId, b: NodeId,
                 paths: tuple[tuple[NodeId, ...], ...] = ()):
-        self = tuple.__new__(cls, (a, b, paths))
+        if not (isinstance(paths, (list, tuple))
+                and all(isinstance(path, (list, tuple)) for path in paths)):
+            raise ValidationError("paths must be a list or tuple of node lists")
+        self = tuple.__new__(cls, (a, b, tuple(map(tuple, paths))))
+        for node in (a, b, *chain.from_iterable(self.paths)):
+            if not isinstance(node, str):
+                raise ValidationError(f"nodes must be strings, got {shown(node)}")
         seen_internal: set[NodeId] = set()
-        for path in self.paths:
+        for i, path in enumerate(self.paths):
             if len(path) < 2 or path[0] != self.a or path[-1] != self.b:
                 raise ValidationError(f"path {path} does not run {self.a}->{self.b}")
             if len(set(path)) != len(path):
                 raise ValidationError(f"path {path} repeats a node")
+            if path in self.paths[:i]:
+                raise ValidationError(f"path {path} is given twice")
             interior = set(path[1:-1])
             if interior & seen_internal:
                 raise ValidationError(

@@ -29,16 +29,14 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress
 
-from .adversary import AdversaryConfig, AdversaryView, ScriptedAdversary
+from .adversary import (MAX_DRAW_BITS, AdversaryConfig, AdversaryView,
+                        ScriptedAdversary)
 from .errors import LengthMismatch, OutOfRange, ParameterViolation, shown
 from .mac import _tag_value
 from .mac import tag as mac_tag  # noqa: F401  (perfbench counts calls here)
-from .network import NetworkGraph, PathSet, link_key
+from .network import NetworkGraph, PathSet
 from .transport import LinkKeyPool, _classical_over, _forward_key_over
 
-#: Largest single ``random.getrandbits`` draw (its argument is a C int):
-#: the bound on ``ell`` and on a link's ``session_demand_bits``.
-MAX_DRAW_BITS = (1 << 31) - 1
 #: Largest MAC word size w = s/2: the first MAC call at a new w searches for
 #: a degree-w reduction polynomial, ~1 ms at w = 64 but 1.45 s at w = 256.
 MAX_WORD_BITS = 64
@@ -58,8 +56,10 @@ class SecurityParams(namedtuple("SecurityParams", "n s m ell epsilon")):
     The derived widths below are computed on first read and then kept in
     the instance's ``__dict__`` (the class declares no ``__slots__``), as
     every trial reads them; no attribute can be assigned.  n, s, m and
-    ell must be ints (not bools), and ``ell`` and ``session_demand_bits``
-    must not exceed :data:`MAX_DRAW_BITS` (:class:`ParameterViolation`).
+    ell must be ints and epsilon an int or float (none a bool), and
+    ``ell`` and ``session_demand_bits`` must not exceed
+    :data:`~qkdnet.adversary.MAX_DRAW_BITS`, the largest single
+    ``random.getrandbits`` draw (:class:`ParameterViolation`).
     """
 
     def __new__(cls, n: int, s: int, m: int, ell: int, epsilon: float = 0.0):
@@ -68,7 +68,11 @@ class SecurityParams(namedtuple("SecurityParams", "n s m ell epsilon")):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParameterViolation(
-                    f"{name} must be an integer, got {value!r}")
+                    f"{name} must be an integer, got {shown(value)}")
+        if (isinstance(self.epsilon, bool)
+                or not isinstance(self.epsilon, (int, float))):
+            raise ParameterViolation(
+                f"epsilon must be an int or float, got {shown(self.epsilon)}")
         if self.s < 2 or self.s % 2 or self.s > 2 * MAX_WORD_BITS:
             raise ParameterViolation(f"s must be even and in [2, "
                                      f"{2 * MAX_WORD_BITS}], got {shown(self.s)}")
@@ -83,7 +87,8 @@ class SecurityParams(namedtuple("SecurityParams", "n s m ell epsilon")):
                 f"m < n - 2s required: m={shown(self.m)}, "
                 f"n-2s={shown(self.test_bits)}")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ParameterViolation(f"epsilon must lie in [0,1], got {self.epsilon}")
+            raise ParameterViolation(
+                f"epsilon must lie in [0,1], got {shown(self.epsilon)}")
         if self.ell > MAX_DRAW_BITS:
             raise ParameterViolation(
                 f"ell must be <= {MAX_DRAW_BITS}, got {shown(self.ell)}")
@@ -284,34 +289,26 @@ def deterministic_pa(key: int, nbits: int, lambdas) -> tuple[int, frozenset]:
 
 @lru_cache(maxsize=64)
 def _link_plan(graph: NetworkGraph, paths: PathSet, corrupted: frozenset):
-    """(links in path/hop order of first use, each path's ``(link index,
-    corrupted)`` hops: true where the receiver is a corrupted relay, not
-    the endpoint), cached per graph object, path set and corrupted set:
-    the one record of which hops, so which paths, corrupted relays hold."""
-    index = {}
-    routes = []
-    for path in paths.paths:
-        last = path[-1]
-        routes.append(tuple(
-            (index.setdefault(link_key(u, v), len(index)),
-             v != last and v in corrupted)
-            for u, v in zip(path[:-1], path[1:])
-        ))
-    links = tuple(graph.link_between(*key) for key in index)
-    return links, tuple(routes)
+    """Each path's ``(link, corrupted)`` hops, ``corrupted`` true where
+    the receiver is a corrupted relay, not the endpoint; cached per graph
+    object, path set and corrupted set: the one record of which hops, so
+    which paths, corrupted relays hold."""
+    return tuple(
+        tuple((graph.link_between(u, v), v != path[-1] and v in corrupted)
+              for u, v in zip(path[:-1], path[1:]))
+        for path in paths.paths)
 
 
 def provision_pools(graph: NetworkGraph, paths: PathSet, corrupted: frozenset,
                     bits_per_link: int, rng):
-    """Build one :class:`LinkKeyPool` per link of ``paths``, in path/hop
-    order of first use, each drawing its fresh epoch (a dead link raises
-    :class:`LinkDown`); return each path's ``(pool, corrupted)`` hops.
-    The links, and the hops into a relay in ``corrupted``, are resolved
-    once per graph, path set and corrupted set (:func:`_link_plan`).
-    """
-    links, routes = _link_plan(graph, paths, corrupted)
-    pools = [LinkKeyPool(link, bits_per_link, rng) for link in links]
-    return [[(pools[j], mark) for j, mark in route] for route in routes]
+    """Build one :class:`LinkKeyPool` per hop of ``paths``, in path/hop
+    order (no two paths share a link), each drawing its fresh epoch (a
+    dead link raises :class:`LinkDown`); return each path's ``(pool,
+    corrupted)`` hops, whose links and marks :func:`_link_plan` resolves
+    once per graph, path set and corrupted set."""
+    return [[(LinkKeyPool(link, bits_per_link, rng), mark)
+             for link, mark in route]
+            for route in _link_plan(graph, paths, corrupted)]
 
 
 #: A session's failure events, in the order ``trials.jsonl`` tags them.
@@ -470,7 +467,7 @@ def full_session(
 
     ``paths`` must hold exactly ``params.ell`` paths, else
     :class:`ParameterViolation` is raised before any draw.
-    All randomness flows from ``rng`` in a fixed order (per-link pool
+    All randomness flows from ``rng`` in a fixed order (per-hop pool
     epochs in path/hop order, then per-path shares, then the parity
     vectors, with adversary draws interleaved at interception points),
     so a seeded generator reproduces the trial bit-for-bit.  Protocol

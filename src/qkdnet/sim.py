@@ -226,7 +226,7 @@ def load_scenario(source) -> Scenario:
             f"graph provides only {exc.max_paths} disjoint paths, "
             f"ell={params.ell} required"
         ) from exc
-    _, routes = protocol._link_plan(graph, paths, adversary.corrupted)
+    routes = protocol._link_plan(graph, paths, adversary.corrupted)
     _require(not all(any(mark for _, mark in hops) for hops in routes),
              f"corrupted relays sit on all {params.ell} paths; the bounds "
              f"assume at most ell-1 = {params.ell - 1} controlled paths")
@@ -378,14 +378,18 @@ def clopper_pearson(successes: int, trials: int):
     up to 100000 trials each endpoint is within 1e-12 relative of
     scipy's ``betaincinv`` (the tests check both).  Raises
     :class:`ValidationError` unless successes and trials are ints (not
-    bools), trials >= 1 and 0 <= successes <= trials.
+    bools), 1 <= trials <= 10^18 (the widest count the tests pin; at
+    2^64 trials the root finder can loop without end) and 0 <= successes
+    <= trials.
     """
     for name, value in (("successes", successes), ("trials", trials)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(
-                f"{name} must be an integer, got {value!r}")
+                f"{name} must be an integer, got {shown(value)}")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if trials > 10**18:
+        raise ValidationError(f"trials must be <= 10**18, got {shown(trials)}")
     if not 0 <= successes <= trials:
         raise ValidationError(
             f"successes must be in 0..{trials}, got {shown(successes)}")
@@ -776,13 +780,19 @@ def exact_oracles(params: SecurityParams, dpa_configs: int = 25,
     one-time pad's closed form (Shannon, BSTJ 1949), exact at any n.
     The parity tuple check runs when test_bits * m <=
     ``EXACT_LIMIT_BITS``.
-    ``dpa_configs`` that is not an int (bools are refused) or lies
-    outside 0..``MAX_DPA_CONFIGS`` raises :class:`ValidationError` before
-    any work.
+    ``params`` that is not a :class:`SecurityParams`, or ``dpa_configs``
+    or ``oracle_seed`` that is not an int (bools are refused), or
+    ``dpa_configs`` outside 0..``MAX_DPA_CONFIGS``, raises
+    :class:`ValidationError` before any work.
     """
-    if isinstance(dpa_configs, bool) or not isinstance(dpa_configs, int):
+    if not isinstance(params, SecurityParams):
         raise ValidationError(
-            f"dpa_configs must be an integer, got {dpa_configs!r}")
+            f"params must be SecurityParams, got {type(params).__name__}")
+    for name, value in (("dpa_configs", dpa_configs),
+                        ("oracle_seed", oracle_seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(
+                f"{name} must be an integer, got {shown(value)}")
     if not 0 <= dpa_configs <= MAX_DPA_CONFIGS:
         raise ValidationError(f"dpa_configs must be in 0..{MAX_DPA_CONFIGS}")
     tb = params.test_bits

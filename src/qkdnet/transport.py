@@ -16,16 +16,17 @@ ciphertext stays, with the result discarded, because ``perfbench/``
 pins the per-trial hash-call counts.
 
 A path is the sequence of its ``(pool, corrupted)`` hops, built by
-``provision_pools`` in :mod:`qkdnet.protocol`; ``corrupted`` is true on
-a non-final hop whose receiving relay is corrupted (delivery to the
-endpoint is not an interception point).  Key shares cross a path with
-:func:`_forward_key_over` and classical protocol messages with
-:func:`_classical_over`.  Intermediate nodes of a path see forwarded
-key material in plaintext (the trusted-repeater property); honest
-relays forward faithfully, and an ``interceptor`` lets corrupted ones
-record and substitute values.  Classical messages on honest paths are
-always delivered within the trial, which discretizes the
-eventual-delivery assumption.
+``provision_pools`` in :mod:`qkdnet.protocol`: one pool per hop, in
+path/hop order, as no two paths of a session share a link.
+``corrupted`` is true on a non-final hop whose receiving relay is
+corrupted (delivery to the endpoint is not an interception point).
+Key shares cross a path with :func:`_forward_key_over` and classical
+protocol messages with :func:`_classical_over`.  Intermediate nodes of
+a path see forwarded key material in plaintext (the trusted-repeater
+property); honest relays forward faithfully, and an ``interceptor``
+lets corrupted ones record and substitute values.  Classical messages
+on honest paths are always delivered within the trial, which
+discretizes the eventual-delivery assumption.
 
 Interceptor contract.  Every session passes one interceptor, with or
 without corrupted nodes, and its core reaches :func:`_classical_over`

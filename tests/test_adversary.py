@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet.adversary import (
+    MAX_DRAW_BITS,
     AdversaryConfig,
     AdversaryView,
     ScriptedAdversary,
@@ -38,7 +39,7 @@ def two_chains_paths():
 def hop_marks(graph, paths, cfg):
     """Each path's hop marks in the session's plan: true where the hop
     enters a corrupted relay."""
-    _, routes = _link_plan(graph, paths, cfg.corrupted)
+    routes = _link_plan(graph, paths, cfg.corrupted)
     return [tuple(mark for _, mark in route) for route in routes]
 
 
@@ -79,6 +80,16 @@ class TestCorrupt:
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
             AdversaryConfig(frozenset(), strategies=("jam_quantum",))
+
+    @pytest.mark.parametrize("corrupted", [
+        5, [["x"]], "n1", [1], None, [10**5000],
+    ], ids=["int", "unhashable", "bare_string", "int_node", "none", "huge"])
+    def test_corrupted_must_be_an_iterable_of_names(self, corrupted):
+        # bare TypeErrors from frozenset(), or a string read as the
+        # names of its characters
+        with pytest.raises(ValidationError, match="^corrupted must be an "
+                           "iterable of node names"):
+            AdversaryConfig(corrupted)
 
     @pytest.mark.parametrize("args", [
         (frozenset(), 5), ({"n1"}, 1), (frozenset(), "passive"),
@@ -212,6 +223,20 @@ class TestGuessingAdvantage:
     def test_wide_view_without_shares_is_zero(self):
         view = AdversaryView(n_paths=2, share_bits=24)
         assert guessing_advantage(view) == 0
+
+    def test_unknown_share_is_zero_at_any_width(self):
+        # 1 << share_bits is built only for a full view: here it would
+        # raise a bare OverflowError
+        assert guessing_advantage(AdversaryView(2, 10**5000)) == 0
+        view = AdversaryView(2, 2**64)
+        view.record_share(0, (1 << 100) - 1)
+        assert guessing_advantage(view) == 0
+
+    @pytest.mark.parametrize("share_bits", [MAX_DRAW_BITS + 1, 10**5000],
+                             ids=["past_one_draw", "huge"])
+    def test_full_view_wider_than_a_draw_rejected(self, share_bits):
+        with pytest.raises(OutOfRange, match="full view"):
+            guessing_advantage(AdversaryView(0, share_bits))
 
     @pytest.mark.parametrize("bits,unknown", [(17, 1), (11, 2), (7, 3), (3, 7),
                                               (64, 1), (256, 2)])

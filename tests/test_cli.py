@@ -341,6 +341,24 @@ class TestOracle:
             exact_oracles(SecurityParams(n=11, s=4, m=2, ell=2),
                           dpa_configs=configs)
 
+    @pytest.mark.parametrize("params,kw,match", [
+        (None, {}, "params must be SecurityParams"),
+        ({"n": 11, "s": 4, "m": 2, "ell": 2}, {}, "params must be"),
+        (SecurityParams(n=11, s=4, m=2, ell=2), {"oracle_seed": []},
+         "oracle_seed must be an integer"),
+        (SecurityParams(n=11, s=4, m=2, ell=2), {"oracle_seed": 1.5},
+         "oracle_seed must be an integer"),
+        (SecurityParams(n=11, s=4, m=2, ell=2), {"oracle_seed": True},
+         "oracle_seed must be an integer"),
+    ])
+    def test_exact_oracles_rejects_other_arguments(self, params, kw, match,
+                                                   monkeypatch):
+        # an AttributeError from params.test_bits, a TypeError from
+        # random.Random([]), or a float or bool seed taken silently
+        self.forbid_oracle_work(monkeypatch)
+        with pytest.raises(ValidationError, match=match):
+            exact_oracles(params, **kw)
+
     def test_configs_at_the_cap_run(self, monkeypatch):
         # one call per pass, with every random and adversarial configuration
         calls = []

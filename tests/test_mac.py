@@ -152,6 +152,20 @@ class TestImpersonationBound:
         # 10**400 blocks over 256 is too large for a float division
         assert impersonation_bound(8, 10**400) == 1.0
 
+    @pytest.mark.parametrize("w", [2**31, 2**64, 10**5000],
+                             ids=["2^31", "2^64", "huge"])
+    def test_wide_word_underflows_without_building_2_to_the_w(self, w):
+        # 1 << w was 256 MiB at 2^31 and a bare OverflowError past that
+        assert impersonation_bound(w, 8) == 0.0
+        assert impersonation_bound(w, 10**5000) == 0.0
+
+    def test_quotient_matches_the_integer_division(self):
+        for w in (1, 8, 53, 64, 200, 1000):
+            for message_bits in (0, 1, w, 10**6, 2**70 + 1):
+                blocks = -(-message_bits // w) + 1
+                expected = 1.0 if blocks >= 1 << w else blocks / (1 << w)
+                assert impersonation_bound(w, message_bits) == expected
+
     def test_negative_length_rejected(self):
         with pytest.raises(OutOfRange):
             impersonation_bound(8, -1)

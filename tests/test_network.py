@@ -91,6 +91,22 @@ class TestQkdLink:
     def test_canonical_key_is_sorted(self):
         assert QkdLink("b", "a").key == ("a", "b")
 
+    @pytest.mark.parametrize("args,kw,field", [
+        ((1, "b"), {}, "endpoints"), (("a", ["b"]), {}, "endpoints"),
+        (("a", "b"), {"epsilon": "x"}, "epsilon"),
+        (("a", "b"), {"epsilon": None}, "epsilon"),
+        (("a", "b"), {"epsilon": True}, "epsilon"),
+        (("a", "b"), {"alive": "no"}, "alive"),
+        (("a", "b"), {"alive": 1}, "alive"),
+    ])
+    def test_field_types_are_named(self, args, kw, field):
+        # a bare TypeError from the range check, or a silent accept
+        with pytest.raises(ValidationError, match=f"^link {field} must be"):
+            QkdLink(*args, **kw)
+
+    def test_int_epsilon_accepted(self):
+        assert QkdLink("a", "b", epsilon=1).epsilon == 1
+
 
 class TestNetworkGraph:
     def test_unknown_node_rejected(self):
@@ -110,6 +126,33 @@ class TestPathSet:
     def test_rejects_wrong_endpoints(self):
         with pytest.raises(ValidationError):
             PathSet("a", "b", (("a", "c"),))
+
+    def test_rejects_the_direct_path_twice(self):
+        # the one repeat the internal-node check cannot see: both copies
+        # would ride the a-b link's one pool
+        with pytest.raises(ValidationError, match="given twice"):
+            PathSet("a", "b", (("a", "b"), ("a", "b")))
+
+    def test_lists_are_held_as_tuples(self):
+        ps = PathSet("a", "b", [["a", "b"], ["a", "x", "b"]])
+        assert ps == PathSet("a", "b", (("a", "b"), ("a", "x", "b")))
+        assert type(ps.paths) is tuple
+        assert all(type(path) is tuple for path in ps.paths)
+        hash(ps)
+
+    @pytest.mark.parametrize("paths,match", [
+        (5, "paths must be"), ("ab", "paths must be"),
+        ({"a": "b"}, "paths must be"), ([5], "paths must be"),
+        (["ab"], "paths must be"), ([["a", ["x"], "b"]], "nodes must be"),
+        ([["a", 10**5000, "b"]], "<16610-bit int>"),
+    ])
+    def test_rejects_malformed_paths(self, paths, match):
+        with pytest.raises(ValidationError, match=match):
+            PathSet("a", "b", paths)
+
+    def test_rejects_non_string_endpoints(self):
+        with pytest.raises(ValidationError, match="nodes must be strings"):
+            PathSet(1, "b")
 
 
 class TestVertexDisjointPaths:

@@ -120,6 +120,16 @@ class TestSecurityParams:
                            match=f"{field} must be an integer"):
             SecurityParams(**fields)
 
+    @pytest.mark.parametrize("value", ["x", None, True, [0.1]])
+    def test_epsilon_must_be_a_number(self, value):
+        # bare TypeErrors from the range check, or True taken as 1
+        with pytest.raises(ParameterViolation,
+                           match="epsilon must be an int or float"):
+            SecurityParams(n=64, s=16, m=4, ell=2, epsilon=value)
+
+    def test_int_epsilon_accepted(self):
+        assert SecurityParams(n=64, s=16, m=4, ell=2, epsilon=0).epsilon == 0
+
     def test_derived_sizes(self):
         p = SecurityParams(n=64, s=16, m=4, ell=3)
         assert p.word_bits == 8
@@ -760,6 +770,40 @@ class TestLinkPlan:
             {"alice", "bob", "x", "y"},
             [QkdLink("alice", "x", **link_kw), QkdLink("x", "bob", **link_kw),
              QkdLink("alice", "y"), QkdLink("y", "bob")])
+
+    def test_plan_holds_each_hops_link_and_mark(self):
+        graph = self.graph()
+        link = graph.link_between
+        assert protocol._link_plan(graph, self.PATHS, frozenset({"x"})) == (
+            ((link("alice", "x"), True), (link("x", "bob"), False)),
+            ((link("alice", "y"), False), (link("y", "bob"), False)))
+
+    def test_one_pool_per_hop_in_path_hop_order(self):
+        graph = self.graph(epsilon=0.5)
+        hops = protocol.provision_pools(graph, self.PATHS, frozenset(), 40,
+                                        random.Random(9))
+        rng = random.Random(9)
+        expected = []
+        for path in self.PATHS.paths:
+            for u, v in zip(path, path[1:]):
+                link = graph.link_between(u, v)
+                expected.append((link, rng.getrandbits(40),
+                                 rng.random() < link.epsilon))
+        assert [(pool.link, pool.value, pool.compromised)
+                for route in hops for pool, _ in route] == expected
+
+    def test_list_paths_run_like_tuples(self):
+        # a list path set was a bare TypeError from the plan's cache key
+        graph = NetworkGraph({"a", "b", "x"}, [
+            QkdLink("a", "b"), QkdLink("a", "x"), QkdLink("x", "b")])
+        runs = [full_session(graph, PathSet("a", "b", paths), TINY, EMPTY,
+                             random.Random(3))
+                for paths in ([["a", "b"], ["a", "x", "b"]],
+                              (("a", "b"), ("a", "x", "b")))]
+        listed, tupled = runs
+        assert listed._values()[:-1] == tupled._values()[:-1]
+        assert listed.view.learned_shares == tupled.view.learned_shares
+        assert listed.transcript() == tupled.transcript()
 
     def test_dead_link_raises_with_a_warm_plan(self):
         graph = self.graph(alive=False)

@@ -1,13 +1,16 @@
-"""Robustness fuzz: a mutated shipped document is run or refused by name.
+"""Robustness fuzz: a mutated shipped document, or a public call on
+JSON-like arguments, is run or refused by name.
 
-Each example takes one of the twelve checked-in scenario documents
-(``demos/scenarios`` and the benchmark's ``perfbench/inputs``, read
-only) and replaces, deletes or nudges one to three of its fields.
+Each document example takes one of the twelve checked-in scenario
+documents (``demos/scenarios`` and the benchmark's ``perfbench/inputs``,
+read only) and replaces, deletes or nudges one to three of its fields.
 ``load_scenario`` must load it or raise ``ParseError`` or
 ``ValidationError``, a 3-trial ``run_monte_carlo`` of what loads must
 succeed or raise a ``QkdNetError``, and ``qkdnet run`` on the written
-document must exit 0, 1 or 2 and print no traceback.  A refusal from
-the library API must also print an over-long int by its size.
+document must exit 0, 1 or 2 and print no traceback.  Each call example
+passes JSON-like values to a public constructor or function, which must
+return or raise a ``QkdNetError``.  A refusal from the library API must
+also print an over-long int by its size.
 
 The examples are derandomized, so every run checks the same ones.  A
 longer search draws more of them:
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdnet.adversary import AdversaryView, guessing_advantage
+from qkdnet.adversary import AdversaryConfig, AdversaryView, guessing_advantage
 from qkdnet.cli import main
 from qkdnet.errors import (
     OutOfRange,
@@ -36,11 +39,12 @@ from qkdnet.errors import (
     ValidationError,
 )
 from qkdnet.mac import impersonation_bound, reduction_polynomial
-from qkdnet.network import NetworkGraph, QkdLink, vertex_disjoint_paths
+from qkdnet.network import NetworkGraph, PathSet, QkdLink, vertex_disjoint_paths
 from qkdnet.protocol import SecurityParams
 from qkdnet.sim import (
     clopper_pearson,
     dpa_uniformity_exact,
+    exact_oracles,
     load_scenario,
     mac_forgery_exact,
     parity_miss_rate_exact,
@@ -189,3 +193,91 @@ def test_over_long_int_is_named_by_its_size(call, error):
     # printing the int itself raises a bare ValueError
     with pytest.raises(error, match=HUGE_TEXT):
         call()
+
+
+#: Node and strategy names, so that some drawn calls are valid.
+NAMES = ["a", "b", "x", "y", "passive", "tamper_shares", "forge_auth",
+         "drop_auth"]
+#: Ints past a width or count limit, which every call must refuse by
+#: name or take in its stride (bools are drawn beside them).  Drawn by
+#: index: Hypothesis cannot print a strategy that holds ``HUGE``.
+EDGE_INTS = (-1, 2**31, 2**64, HUGE, -HUGE)
+EDGES = st.sampled_from(range(len(EDGE_INTS))).map(EDGE_INTS.__getitem__)
+
+
+def json_like(ints):
+    """JSON-like values (None, bools, ``ints``, floats with NaN and
+    infinities, strings, lists, dicts) nested up to five leaves."""
+    scalars = (st.none() | st.booleans() | ints | st.floats()
+               | st.text(max_size=3) | st.sampled_from(NAMES))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=3), inner,
+                                         max_size=3)),
+        max_leaves=5)
+
+
+ANY = json_like(st.integers(-3, 300) | EDGES)
+#: Path indices of a view's known shares: the hashable JSON scalars (a
+#: view is a dict keyed by path index).
+INDICES = (st.none() | st.booleans() | st.integers(-3, 300) | EDGES
+           | st.floats() | st.text(max_size=3))
+
+
+def advantage(n_paths, share_bits, shares):
+    view = AdversaryView(n_paths, share_bits)
+    for i, share in shares:
+        view.record_share(i, share)
+    return guessing_advantage(view)
+
+
+def oracles(params, dpa_configs, oracle_seed):
+    # a tuple (never drawn by json_like) is a SecurityParams's fields
+    if isinstance(params, tuple):
+        params = SecurityParams(*params)
+    return exact_oracles(params, dpa_configs, oracle_seed)
+
+
+#: The oracle instance's (n, s, m, ell) and clopper_pearson's trial
+#: count are bounded so that a valid call takes milliseconds (test_bits
+#: <= 10, trials <= 10^4); each still draws the refused edges.
+SMALL = st.integers(-1, 14) | EDGES
+#: A valid instance, built from (s, test_bits, m, ell), or any ints.
+ORACLE_PARAMS = (st.tuples(st.sampled_from([2, 4]), st.integers(2, 10),
+                           st.integers(1, 9), st.integers(2, 4)).map(
+                     lambda p: (p[1] + 2 * p[0], p[0], min(p[2], p[1] - 1),
+                                p[3]))
+                 | st.tuples(SMALL, SMALL, SMALL, SMALL))
+COUNTS = json_like(st.integers(-3, 10**4) | EDGES.filter(
+    lambda n: not 10**4 < n <= 10**18))
+
+CALLS = {
+    "SecurityParams": (SecurityParams, st.tuples(ANY, ANY, ANY, ANY, ANY)),
+    "QkdLink": (QkdLink, st.tuples(ANY, ANY, ANY, ANY)),
+    "PathSet": (PathSet, st.tuples(
+        ANY, ANY, st.lists(st.lists(ANY, max_size=4), max_size=3) | ANY)),
+    "AdversaryConfig": (AdversaryConfig, st.tuples(
+        st.lists(st.sampled_from(NAMES) | ANY, max_size=3) | ANY,
+        st.lists(st.sampled_from(NAMES) | ANY, max_size=3) | ANY)),
+    "guessing_advantage": (advantage, st.tuples(
+        ANY, ANY, st.lists(st.tuples(INDICES, ANY), max_size=3))),
+    "clopper_pearson": (clopper_pearson, st.tuples(
+        json_like(st.integers(-3, 10**4) | EDGES), COUNTS)),
+    "impersonation_bound": (impersonation_bound, st.tuples(ANY, ANY)),
+    "exact_oracles": (oracles, st.tuples(
+        ORACLE_PARAMS | ANY,
+        st.integers(0, 100) | json_like(st.integers(-2, 100) | EDGES),
+        st.integers(0, 2**32) | ANY)),
+}
+
+
+@settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(CALLS)).flatmap(
+    lambda name: st.tuples(st.just(name), CALLS[name][1])))
+def test_public_call_returns_or_is_refused(case):
+    name, args = case
+    try:
+        CALLS[name][0](*args)
+    except QkdNetError:
+        pass

@@ -625,6 +625,14 @@ class TestClopperPearson:
                 assert low == pytest.approx(ref_low, rel=1e-12, abs=0)
                 assert high == pytest.approx(ref_high, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_trials_past_the_pinned_range_rejected(self, k):
+        # 2^64 - 1 successes of 2^64 loop without end in the root finder
+        # (not run here); 10^5000 trials raised a bare OverflowError
+        for n in (2**64, 10**5000):
+            with pytest.raises(ValidationError, match="trials must be <="):
+                clopper_pearson(k, n)
+
     @pytest.mark.parametrize("k,n", [(5, 4), (-1, 4)])
     def test_out_of_range_arguments_rejected(self, k, n):
         # no finite interval answers these
